@@ -10,7 +10,7 @@ recovers the classification bit-exactly.
 
 from dataclasses import dataclass
 
-from .errors import CarrierMismatchError, NotAConceptLatticeError, SizeLimitError
+from .errors import CarrierMismatchError, NotAConceptLatticeError
 from .finrel import (
     FinFunction,
     FinSet,
@@ -33,9 +33,9 @@ from .galois import (
 from .order import (
     MonotoneMap,
     Poset,
-    carrier_bound,
+    _trusted,
+    check_carrier_bound,
     is_complete_lattice,
-    opposite,
     poset_join,
     poset_meet,
     power_order,
@@ -143,21 +143,28 @@ def concepts_of(a: Classification) -> tuple[FormalConcept, ...]:
 
 
 def concept_poset(a: Classification) -> tuple[Poset, tuple[FormalConcept, ...]]:
-    """The concept order (by extent inclusion) over carrier labels c0, c1, ..."""
+    """The concept order (by extent inclusion) over carrier labels c0, c1, ...
+
+    Inclusion of distinct extents is a partial order, so it is not re-validated.
+    """
     concepts = concepts_of(a)
     labels = FinSet(tuple(f"c{k}" for k in range(len(concepts))))
     rows = tuple(
         sum(1 << k2 for k2, c2 in enumerate(concepts) if c1.extent.bits & ~c2.extent.bits == 0)
         for c1 in concepts
     )
-    return Poset(labels, Relation(labels, labels, rows)), concepts
+    return _trusted(Poset, carrier=labels, leq=Relation(labels, labels, rows)), concepts
 
 
 def concept_lattice(a: Classification, bound: int | None = None) -> ConceptLattice:
-    """All formal concepts of ``a``, indexed in lectic order of extents."""
-    limit = carrier_bound() if bound is None else bound
-    if a.instances.size > limit or a.types.size > limit:
-        raise SizeLimitError("classification too large for concept enumeration")
+    """All formal concepts of ``a``, indexed in lectic order of extents.
+
+    The four maps between the concept order and the power orders (extent
+    closure, extent, intent, type-side derivation) are monotone by the
+    Galois connection, so they are not re-checked.
+    """
+    limit = check_carrier_bound(a.instances.size, bound, "concept_lattice: the instance carrier")
+    check_carrier_bound(a.types.size, bound, "concept_lattice: the type carrier")
     lattice, concepts = concept_poset(a)
     extents = [c.extent.bits for c in concepts]
     pos = {e: k for k, e in enumerate(extents)}
@@ -165,22 +172,23 @@ def concept_lattice(a: Classification, bound: int | None = None) -> ConceptLatti
 
     ipower = power_order(a.instances, bound=limit)
     tpower = power_order(a.types, bound=limit)
-    tpower_op = opposite(tpower.poset)
+    tpower_op = tpower.opposite()
 
     def close_extent(bits: int) -> int:
         return derive_reverse(a.incidence, derive_forward(a.incidence, Subset(a.instances, bits))).bits
 
-    embed_src = MonotoneMap(ipower.poset, lattice, FinFunction(
-        ipower.poset.carrier, labels, tuple(pos[close_extent(x)] for x in range(ipower.size))))
-    project_src = MonotoneMap(lattice, ipower.poset, FinFunction(
-        labels, ipower.poset.carrier, tuple(extents)))
+    def monotone(source, target, table):
+        return _trusted(MonotoneMap, source=source, target=target,
+                        func=FinFunction(source.carrier, target.carrier, tuple(table)))
+
+    embed_src = monotone(ipower.poset, lattice, (pos[close_extent(x)] for x in range(ipower.size)))
+    project_src = monotone(lattice, ipower.poset, extents)
     extent_reflection = Adjunction(ipower.poset, lattice, embed_src, project_src)
 
-    project_tgt = MonotoneMap(lattice, tpower_op, FinFunction(
-        labels, tpower_op.carrier, tuple(c.intent.bits for c in concepts)))
-    embed_tgt = MonotoneMap(tpower_op, lattice, FinFunction(
-        tpower_op.carrier, labels,
-        tuple(pos[derive_reverse(a.incidence, Subset(a.types, y)).bits] for y in range(tpower.size))))
+    project_tgt = monotone(lattice, tpower_op, (c.intent.bits for c in concepts))
+    embed_tgt = monotone(tpower_op, lattice,
+                         (pos[derive_reverse(a.incidence, Subset(a.types, y)).bits]
+                          for y in range(tpower.size)))
     intent_coreflection = Adjunction(lattice, tpower_op, project_tgt, embed_tgt)
 
     iota = FinFunction(a.instances, labels,
@@ -339,8 +347,8 @@ def diagonal_of_infomorphism(f: Infomorphism, bound: int | None = None) -> Adjun
     inst_dir_right = MonotoneMap(da.instance_power.poset, db.instance_power.poset, FinFunction(
         da.instance_power.poset.carrier, db.instance_power.poset.carrier,
         tuple(preimage_bits(f.inst_map, x) for x in range(da.instance_power.size))))
-    a_op = opposite(da.type_power.poset)
-    b_op = opposite(db.type_power.poset)
+    a_op = da.type_power.opposite()
+    b_op = db.type_power.opposite()
     typ_inv_left = MonotoneMap(b_op, a_op, FinFunction(
         b_op.carrier, a_op.carrier,
         tuple(preimage_bits(f.typ_map, y) for y in range(db.type_power.size))))

@@ -91,10 +91,6 @@ def cmd_infomap(args) -> int:
     return EXIT_FAILURE
 
 
-def _signature_morphism(source: Signature, target: Signature, mapping: dict) -> SignatureMorphism:
-    return SignatureMorphism.of(source, target, mapping)
-
-
 def cmd_merge(args) -> int:
     try:
         data = json.loads(_read_file(args.span))
@@ -113,8 +109,8 @@ def cmd_merge(args) -> int:
     right = theory_from_json(data["right"])
     span = MergeSpan(
         base,
-        _signature_morphism(base, left.signature, data["left_map"]),
-        _signature_morphism(base, right.signature, data["right_map"]),
+        SignatureMorphism.of(base, left.signature, data["left_map"]),
+        SignatureMorphism.of(base, right.signature, data["right_map"]),
         left,
         right,
     )

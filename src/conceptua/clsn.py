@@ -24,9 +24,9 @@ from .order import (
     MonotoneMap,
     PowerOrder,
     Preorder,
+    _trusted,
     bounds,
-    carrier_bound,
-    opposite,
+    check_carrier_bound,
     power_order,
 )
 
@@ -93,17 +93,20 @@ class DerivationAdjunction:
 
 
 def derivation(a: Classification, bound: int | None = None) -> DerivationAdjunction:
-    """Build deriv(a) : power(instances) <=> power(types) with the type side reversed."""
-    limit = carrier_bound() if bound is None else bound
-    if a.instances.size > limit or a.types.size > limit:
-        raise SizeLimitError("classification too large to materialize power lattices")
+    """Build deriv(a) : power(instances) <=> power(types) with the type side reversed.
+
+    Both derivation operators are antitone in the plain inclusion orders, so
+    monotone into the reversed type side; only the adjunction is checked.
+    """
+    limit = check_carrier_bound(a.instances.size, bound, "derivation: the instance carrier")
+    check_carrier_bound(a.types.size, bound, "derivation: the type carrier")
     ip = power_order(a.instances, bound=limit)
     tp = power_order(a.types, bound=limit)
-    tp_op = opposite(tp.poset)
-    left = MonotoneMap(ip.poset, tp_op, FinFunction(
+    tp_op = tp.opposite()
+    left = _trusted(MonotoneMap, source=ip.poset, target=tp_op, func=FinFunction(
         ip.poset.carrier, tp_op.carrier,
         tuple(derive_forward(a.incidence, Subset(a.instances, i)).bits for i in range(ip.size))))
-    right = MonotoneMap(tp_op, ip.poset, FinFunction(
+    right = _trusted(MonotoneMap, source=tp_op, target=ip.poset, func=FinFunction(
         tp_op.carrier, ip.poset.carrier,
         tuple(derive_reverse(a.incidence, Subset(a.types, j)).bits for j in range(tp.size))))
     return DerivationAdjunction(a, ip, tp, check_adjunction(left, right))

@@ -87,14 +87,6 @@ def check_adjunction(left: MonotoneMap, right: MonotoneMap) -> Adjunction:
     return Adjunction(src, tgt, left, right)
 
 
-def is_adjoint_pair(left: MonotoneMap, right: MonotoneMap) -> bool:
-    try:
-        check_adjunction(left, right)
-        return True
-    except AdjunctionError:
-        return False
-
-
 def identity_adjunction(p: Preorder) -> Adjunction:
     ident = MonotoneMap.identity(p)
     return Adjunction(p, p, ident, ident)

@@ -220,16 +220,6 @@ def sentence_depth(s: Sentence) -> int:
     return 1 + max(sentence_depth(s.lhs), sentence_depth(s.rhs))
 
 
-def sentence_vars(s: Sentence) -> set[str]:
-    if isinstance(s, Var):
-        return {s.name}
-    if isinstance(s, Not):
-        return sentence_vars(s.body)
-    if isinstance(s, (And, Or, Implies)):
-        return sentence_vars(s.lhs) | sentence_vars(s.rhs)
-    return set()
-
-
 def translate_sentence(sigma: SignatureMorphism, s: Sentence) -> Sentence:
     if isinstance(s, Var):
         return Var(sigma.map.apply_label(s.name))

@@ -17,14 +17,12 @@ which has no name line, so canonical files round-trip byte-identically.
 """
 
 import json
-from dataclasses import dataclass
 
 from .errors import ParseError
-from .finrel import FinSet, Relation, relation_from_json, relation_to_json
+from .finrel import FinSet, Relation, relation_to_json
 from .clsn import Classification
 
 __all__ = [
-    "ContextFile",
     "read_cxt",
     "write_cxt",
     "read_csv",
@@ -35,6 +33,17 @@ __all__ = [
     "write_context",
     "detect_format",
 ]
+
+
+def _carrier(names: list, what: str, lines: list[int] | None = None) -> FinSet:
+    """A carrier of parsed names; a repeated name is a ParseError at its line."""
+    seen = set()
+    for k, name in enumerate(names):
+        if name in seen:
+            raise ParseError(f"duplicate {what} name {name!r}",
+                             line=None if lines is None else lines[k])
+        seen.add(name)
+    return FinSet(tuple(names))
 
 
 def read_cxt(text: str) -> Classification:
@@ -67,8 +76,10 @@ def read_cxt(text: str) -> Classification:
         raise ParseError("expected blank line after the counts", line=idx + 1)
     idx += 1
     objects = [get(idx + i) for i in range(n_obj)]
+    instances = _carrier(objects, "object", [idx + i + 1 for i in range(n_obj)])
     idx += n_obj
     attributes = [get(idx + i) for i in range(n_att)]
+    types = _carrier(attributes, "attribute", [idx + i + 1 for i in range(n_att)])
     idx += n_att
     rows = []
     for i in range(n_obj):
@@ -85,8 +96,6 @@ def read_cxt(text: str) -> Classification:
     idx += n_obj
     if idx != len(lines):
         raise ParseError("trailing content after the incidence rows", line=idx + 1)
-    instances = FinSet(tuple(objects))
-    types = FinSet(tuple(attributes))
     return Classification(instances, types, Relation(instances, types, tuple(rows)))
 
 
@@ -106,12 +115,14 @@ def read_csv(text: str) -> Classification:
     header = lines[0].split(",")
     attributes = header[1:]
     objects = []
+    object_lines = []
     rows = []
     for lineno, ln in enumerate(lines[1:], start=2):
         cells = ln.split(",")
         if len(cells) != len(attributes) + 1:
             raise ParseError(f"expected {len(attributes) + 1} cells, got {len(cells)}", line=lineno)
         objects.append(cells[0])
+        object_lines.append(lineno)
         mask = 0
         for j, cell in enumerate(cells[1:]):
             if cell in ("1", "X"):
@@ -119,8 +130,8 @@ def read_csv(text: str) -> Classification:
             elif cell not in ("0", "."):
                 raise ParseError(f"unexpected cell {cell!r}", line=lineno)
         rows.append(mask)
-    instances = FinSet(tuple(objects))
-    types = FinSet(tuple(attributes))
+    instances = _carrier(objects, "object", object_lines)
+    types = _carrier(attributes, "attribute", [1] * len(attributes))
     return Classification(instances, types, Relation(instances, types, tuple(rows)))
 
 
@@ -140,8 +151,22 @@ def read_context_json(text: str) -> Classification:
         raise ParseError(f"invalid JSON: {exc}", line=exc.lineno) from exc
     if not isinstance(data, dict) or not {"source", "target", "pairs"} <= set(data):
         raise ParseError("context JSON needs 'source', 'target', and 'pairs' keys")
-    rel = relation_from_json(data)
-    return Classification(rel.source, rel.target, rel)
+    for key in ("source", "target"):
+        if not isinstance(data[key], list) or not all(isinstance(x, str) for x in data[key]):
+            raise ParseError(f"context JSON {key!r} must be a list of names")
+    if not isinstance(data["pairs"], list):
+        raise ParseError("context JSON 'pairs' must be a list")
+    instances = _carrier(data["source"], "object")
+    types = _carrier(data["target"], "attribute")
+    rows = [0] * instances.size
+    for pair in data["pairs"]:
+        if not (isinstance(pair, list) and len(pair) == 2 and all(type(k) is int for k in pair)):
+            raise ParseError(f"pair {pair!r} is not an [object index, attribute index] pair")
+        i, j = pair
+        if not (0 <= i < instances.size and 0 <= j < types.size):
+            raise ParseError(f"pair {pair!r} lies outside the carriers")
+        rows[i] |= 1 << j
+    return Classification(instances, types, Relation(instances, types, tuple(rows)))
 
 
 def write_context_json(a: Classification) -> str:
@@ -150,21 +175,6 @@ def write_context_json(a: Classification) -> str:
 
 _READERS = {"cxt": read_cxt, "csv": read_csv, "json": read_context_json}
 _WRITERS = {"cxt": write_cxt, "csv": write_csv, "json": write_context_json}
-
-
-@dataclass(frozen=True)
-class ContextFile:
-    """A parsed context together with the format it arrived in."""
-
-    format: str
-    classification: Classification
-
-    @classmethod
-    def loads(cls, text: str, fmt: str) -> "ContextFile":
-        return cls(fmt, read_context(text, fmt))
-
-    def dumps(self) -> str:
-        return write_context(self.classification, self.format)
 
 
 def detect_format(path: str) -> str:

@@ -35,6 +35,7 @@ __all__ = [
     "PowerOrder",
     "power_order",
     "carrier_bound",
+    "check_carrier_bound",
     "opposite",
     "up_segment",
     "down_segment",
@@ -58,6 +59,35 @@ DEFAULT_CARRIER_BOUND = 20
 def carrier_bound() -> int:
     """Power-order size cap; CONCEPTUA_MAX_CARRIER overrides the default of 20."""
     return int(os.environ.get("CONCEPTUA_MAX_CARRIER", DEFAULT_CARRIER_BOUND))
+
+
+def check_carrier_bound(size: int, bound: int | None, what: str) -> int:
+    """The effective carrier bound; raises if a power order of ``size`` would exceed it.
+
+    The message names the carrier size, the 2^size elements the power order
+    would have, and how to raise the bound.
+    """
+    limit = carrier_bound() if bound is None else bound
+    if size > limit:
+        elements = f"2^{size}" + (f" = {1 << size}" if size <= 64 else "")
+        remedy = ("set CONCEPTUA_MAX_CARRIER to raise it" if bound is None
+                  else "pass a larger bound to raise it")
+        raise SizeLimitError(
+            f"{what} has {size} elements; its power order would have {elements} elements, "
+            f"above the carrier bound {limit}; {remedy}")
+    return limit
+
+
+def _trusted(cls, **fields):
+    """An order or monotone map built without running ``__post_init__``.
+
+    Only for values that are valid by construction; every public
+    constructor validates.
+    """
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -92,7 +122,9 @@ class Preorder:
     def __post_init__(self):
         if self.leq.source != self.carrier or self.leq.target != self.carrier:
             raise CarrierMismatchError("order relation must be an endorelation on the carrier")
-        flags = classify_endorelation(self.leq)
+        self._check_axioms(classify_endorelation(self.leq))
+
+    def _check_axioms(self, flags: EndorelationFlags):
         if not flags.reflexive:
             raise ValueError("order relation is not reflexive")
         if not flags.transitive:
@@ -149,10 +181,13 @@ class Preorder:
 class Poset(Preorder):
     """A preorder whose order relation is also antisymmetric."""
 
-    def __post_init__(self):
-        super().__post_init__()
-        if not classify_endorelation(self.leq).antisymmetric:
+    def _check_axioms(self, flags: EndorelationFlags):
+        super()._check_axioms(flags)
+        if not flags.antisymmetric:
             raise ValueError("order relation is not antisymmetric")
+
+    def is_poset(self) -> bool:
+        return True
 
 
 def same_order(p: Preorder, q: Preorder) -> bool:
@@ -161,8 +196,9 @@ def same_order(p: Preorder, q: Preorder) -> bool:
 
 
 def opposite(p: Preorder) -> Preorder:
+    """The reversed order; the axioms are self-dual, so ``p`` needs no re-check."""
     cls = Poset if isinstance(p, Poset) else Preorder
-    return cls(p.carrier, transpose(p.leq))
+    return _trusted(cls, carrier=p.carrier, leq=transpose(p.leq))
 
 
 @dataclass(frozen=True)
@@ -406,6 +442,19 @@ class PowerOrder:
     def subset_at(self, i: int) -> Subset:
         return Subset(self.base, i)
 
+    def opposite(self) -> Poset:
+        """Reverse inclusion; equal to ``opposite(self.poset)`` without the transpose.
+
+        Row i holds the subsets of i: those of i minus its lowest element,
+        with and without that element (a shift by its bit value).
+        """
+        rows = [1] * self.size
+        for i in range(1, self.size):
+            rest = i & (i - 1)
+            rows[i] = rows[rest] | rows[rest] << (i ^ rest)
+        carrier = self.poset.carrier
+        return _trusted(Poset, carrier=carrier, leq=Relation(carrier, carrier, tuple(rows)))
+
     def index_of(self, x: Subset) -> int:
         if x.carrier != self.base:
             raise CarrierMismatchError("subset not over this power order's base")
@@ -434,21 +483,35 @@ class PowerOrder:
 
 
 def power_order(a: FinSet, bound: int | None = None) -> PowerOrder:
-    """Materialize the full subset lattice of ``a``; refuses above the bound."""
-    limit = carrier_bound() if bound is None else bound
-    if a.size > limit:
-        raise SizeLimitError(f"power order of a {a.size}-element carrier exceeds the bound {limit}")
+    """The subset lattice of ``a``; refuses carriers above the bound.
+
+    Inclusion is stored as one bitset row per subset, the supersets of i,
+    built with rows[i] = rows[i minus its lowest element] & (subsets holding
+    that element): 2^n big-int ANDs of 2^n-bit rows, and 2^n labels.  The
+    result is a poset by construction and is not re-validated.
+    """
+    check_carrier_bound(a.size, bound, "power_order: the carrier")
     n = 1 << a.size
-    labels = tuple("{" + ",".join(Subset(a, i).labels()) + "}" for i in range(n))
-    carrier = FinSet(labels)
-    rows = []
-    for i in range(n):
-        mask = 0
-        for j in range(n):
-            if i & ~j == 0:
-                mask |= 1 << j
-        rows.append(mask)
-    return PowerOrder(a, Poset(carrier, Relation(carrier, carrier, tuple(rows))))
+    # col[b]: the subsets that contain element b, as a mask over subset indices;
+    # one period is 2^b clear bits then 2^b set bits, repeated up to n bits.
+    col = []
+    for b in range(a.size):
+        mask = ((1 << (1 << b)) - 1) << (1 << b)
+        width = 1 << (b + 1)
+        while width < n:
+            mask |= mask << width
+            width <<= 1
+        col.append(mask)
+    rows = [(1 << n) - 1] * n
+    members = [""] * n  # comma-joined labels of subset i, ascending
+    for i in range(1, n):
+        rest = i & (i - 1)
+        b = (i ^ rest).bit_length() - 1
+        rows[i] = rows[rest] & col[b]
+        members[i] = a.elements[b] + ("," + members[rest] if rest else "")
+    carrier = FinSet(tuple("{" + m + "}" for m in members))
+    leq = Relation(carrier, carrier, tuple(rows))
+    return PowerOrder(a, _trusted(Poset, carrier=carrier, leq=leq))
 
 
 def up_segment(p: Preorder, a: str) -> Subset:
@@ -560,7 +623,7 @@ def is_pseudo_epimorphism(e: MonotoneMap, probe_size: int = 3) -> bool:
     this refutes pseudo-epiness when a small counterexample exists.
     """
     for c in _all_preorders(probe_size):
-        maps = list(_all_monotone_maps(e.target, c))
+        maps = list(all_monotone_maps(e.target, c))
         for f in maps:
             for g in maps:
                 ef = e.then(f)
@@ -573,7 +636,7 @@ def is_pseudo_epimorphism(e: MonotoneMap, probe_size: int = 3) -> bool:
 def is_pseudo_monomorphism(m: MonotoneMap, probe_size: int = 3) -> bool:
     """Bounded dual check against parallel pairs out of a probe preorder."""
     for c in _all_preorders(probe_size):
-        maps = list(_all_monotone_maps(c, m.source))
+        maps = list(all_monotone_maps(c, m.source))
         for f in maps:
             for g in maps:
                 if pointwise_equiv(f.then(m), g.then(m)) and not pointwise_equiv(f, g):
@@ -598,7 +661,8 @@ def _all_preorders(max_size: int) -> Iterator[Preorder]:
                 yield Preorder(carrier, rel)
 
 
-def _all_monotone_maps(p: Preorder, q: Preorder) -> Iterator[MonotoneMap]:
+def all_monotone_maps(p: Preorder, q: Preorder) -> Iterator[MonotoneMap]:
+    """Enumerate every monotone map p -> q (exponential; keep carriers small)."""
     import itertools
 
     for table in itertools.product(range(q.size), repeat=p.size):
@@ -612,11 +676,6 @@ def _all_monotone_maps(p: Preorder, q: Preorder) -> Iterator[MonotoneMap]:
                 break
         if ok:
             yield MonotoneMap(p, q, FinFunction(p.carrier, q.carrier, table))
-
-
-def all_monotone_maps(p: Preorder, q: Preorder) -> Iterator[MonotoneMap]:
-    """Enumerate every monotone map p -> q (exponential; keep carriers small)."""
-    return _all_monotone_maps(p, q)
 
 
 def hasse_edges(p: Preorder) -> list[tuple[int, int]]:

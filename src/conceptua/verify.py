@@ -36,7 +36,6 @@ from .order import (
     down_segment,
     equalizer,
     is_complete_lattice,
-    opposite,
     poset_join,
     poset_meet,
     power_order,
@@ -213,8 +212,8 @@ def _dir_inv_square(f: Infomorphism):
     dir_right = MonotoneMap(da.instance_power.poset, db.instance_power.poset, FinFunction(
         da.instance_power.poset.carrier, db.instance_power.poset.carrier,
         tuple(preimage_bits(f.inst_map, x) for x in range(da.instance_power.size))))
-    a_op = opposite(da.type_power.poset)
-    b_op = opposite(db.type_power.poset)
+    a_op = da.type_power.opposite()
+    b_op = db.type_power.opposite()
     inv_left = MonotoneMap(b_op, a_op, FinFunction(
         b_op.carrier, a_op.carrier,
         tuple(preimage_bits(f.typ_map, y) for y in range(db.type_power.size))))

@@ -65,6 +65,7 @@ def test_lattice_size_limit_exits_3(tmp_path, capsys, monkeypatch):
     path.write_text(CONTRA2)
     code = main(["lattice", str(path)])
     assert code == 3
+    assert "CONCEPTUA_MAX_CARRIER" in capsys.readouterr().err
 
 
 def test_verify_default_passes_and_is_deterministic(capsys):
@@ -192,3 +193,17 @@ def test_institution_demo(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert out.count("all four styles pass") == 3
+
+
+@pytest.mark.parametrize("name, text", [
+    ("dup.cxt", "B\n\n2\n1\n\ng\ng\nm\nX\n.\n"),
+    ("dup.csv", ",m\ng,1\ng,0\n"),
+    ("dup.json", '{"source": ["g", "g"], "target": ["m"], "pairs": []}'),
+    ("badpair.json", '{"source": ["g"], "target": ["m"], "pairs": [["x", 0]]}'),
+])
+def test_lattice_malformed_context_exits_2(tmp_path, capsys, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    code = main(["lattice", str(path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("parse error:")

@@ -112,3 +112,42 @@ def test_read_context_dispatch():
     assert read_context(CANONICAL_CXT, "cxt") == WORKED
     with pytest.raises(ParseError):
         read_context(CANONICAL_CXT, "nope")
+
+
+@pytest.mark.parametrize("text, line", [
+    ("B\n\n2\n1\n\ng\ng\nm\nX\n.\n", 7),
+    ("B\n\n1\n2\n\ng\nm\nm\nX.\n", 8),
+], ids=["objects", "attributes"])
+def test_cxt_rejects_duplicate_names_at_their_line(text, line):
+    with pytest.raises(ParseError) as err:
+        read_cxt(text)
+    assert err.value.line == line
+    assert "duplicate" in str(err.value)
+
+
+def test_csv_rejects_duplicate_names():
+    with pytest.raises(ParseError) as err:
+        read_csv(",a,b\ng,1,0\ng,0,1\n")
+    assert err.value.line == 3
+    with pytest.raises(ParseError) as err:
+        read_csv(",a,a\ng,1,0\n")
+    assert err.value.line == 1
+
+
+@pytest.mark.parametrize("data", [
+    {"source": ["g", "g"], "target": ["m"], "pairs": []},
+    {"source": ["g"], "target": ["m", "m"], "pairs": []},
+    {"source": ["g"], "target": ["m"], "pairs": [["x", 0]]},
+    {"source": ["g"], "target": ["m"], "pairs": [[0]]},
+    {"source": ["g"], "target": ["m"], "pairs": [0]},
+    {"source": ["g"], "target": ["m"], "pairs": [[True, 0]]},
+    {"source": ["g"], "target": ["m"], "pairs": [[0, 1]]},
+    {"source": ["g"], "target": ["m"], "pairs": {"0": 0}},
+    {"source": "g", "target": ["m"], "pairs": []},
+    {"source": [["g"]], "target": ["m"], "pairs": []},
+])
+def test_json_rejects_malformed_context(data):
+    import json
+
+    with pytest.raises(ParseError):
+        read_context_json(json.dumps(data))

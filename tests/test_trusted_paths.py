@@ -1,0 +1,136 @@
+"""Orders and maps built without re-validation agree with the validating constructors."""
+
+import random
+
+import pytest
+
+import conceptua.order as order
+from conceptua.clg import concept_lattice, validate_concept_lattice
+from conceptua.clsn import Classification, derivation
+from conceptua.errors import SizeLimitError
+from conceptua.finrel import FinSet, Relation
+from conceptua.order import MonotoneMap, Poset, opposite, power_order
+
+
+def carrier(prefix, n):
+    return FinSet(tuple(f"{prefix}{i}" for i in range(n)))
+
+
+def random_context(rng, n_inst, n_typ):
+    inst, typ = carrier("g", n_inst), carrier("m", n_typ)
+    rows = tuple(rng.getrandbits(n_typ) if n_typ else 0 for _ in range(n_inst))
+    return Classification(inst, typ, Relation(inst, typ, rows))
+
+
+def rebuilt_order(p):
+    return type(p)(p.carrier, p.leq)
+
+
+def rebuilt_map(f):
+    return MonotoneMap(rebuilt_order(f.source), rebuilt_order(f.target), f.func)
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_power_order_matches_brute_force_inclusion(n):
+    po = power_order(carrier("e", n))
+    size = 1 << n
+    brute = tuple(
+        sum(1 << j for j in range(size) if i & ~j == 0) for i in range(size)
+    )
+    assert po.poset.leq.rows == brute
+    assert Poset(po.poset.carrier, po.poset.leq) == po.poset
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_power_order_opposite_is_the_transpose(n):
+    po = power_order(carrier("e", n))
+    assert po.opposite() == opposite(po.poset)
+    assert Poset(po.opposite().carrier, po.opposite().leq) == po.opposite()
+
+
+def test_opposite_keeps_the_order_class():
+    p = order.Preorder.from_pairs(carrier("e", 3), [("e0", "e1"), ("e1", "e0")])
+    assert type(opposite(p)) is order.Preorder
+    assert type(opposite(power_order(carrier("e", 2)).poset)) is Poset
+
+
+def test_concept_lattice_and_derivation_pass_the_public_constructors():
+    rng = random.Random(2024)
+    for _ in range(40):
+        a = random_context(rng, rng.randint(0, 6), rng.randint(0, 6))
+        lat = concept_lattice(a)
+        assert rebuilt_order(lat.lattice) == lat.lattice
+        for adj in (lat.extent_reflection, lat.intent_coreflection):
+            for p in (adj.source, adj.target):
+                assert rebuilt_order(p) == p
+            for f in (adj.left, adj.right):
+                assert rebuilt_map(f) == f
+        assert validate_concept_lattice(lat) == []
+
+        deriv = derivation(a)
+        for p in (deriv.instance_power.poset, deriv.type_power.poset,
+                  deriv.adjunction.source, deriv.adjunction.target):
+            assert rebuilt_order(p) == p
+        for f in (deriv.adjunction.left, deriv.adjunction.right):
+            assert rebuilt_map(f) == f
+
+
+def test_concept_lattice_classifies_no_power_order(monkeypatch):
+    sizes = []
+    real = order.classify_endorelation
+
+    def counting(r):
+        sizes.append(r.source.size)
+        return real(r)
+
+    monkeypatch.setattr(order, "classify_endorelation", counting)
+    rng = random.Random(7)
+    lat = concept_lattice(random_context(rng, 6, 10))
+    assert lat.size > 0
+    assert not [s for s in sizes if s in (1 << 6, 1 << 10)]
+
+
+def test_public_poset_classifies_once(monkeypatch):
+    calls = []
+    real = order.classify_endorelation
+
+    def counting(r):
+        calls.append(r)
+        return real(r)
+
+    monkeypatch.setattr(order, "classify_endorelation", counting)
+    p = Poset(carrier("e", 3), Relation.identity(carrier("e", 3)))
+    assert len(calls) == 1
+    assert p.is_poset()
+    assert len(calls) == 1
+
+
+def test_public_poset_still_rejects_each_axiom():
+    c = carrier("e", 2)
+    with pytest.raises(ValueError, match="not reflexive"):
+        Poset(c, Relation(c, c, (0b01, 0b00)))
+    c3 = carrier("e", 3)
+    with pytest.raises(ValueError, match="not transitive"):
+        Poset(c3, Relation(c3, c3, (0b011, 0b110, 0b100)))
+    with pytest.raises(ValueError, match="not antisymmetric"):
+        Poset(c, Relation(c, c, (0b11, 0b11)))
+    assert not order.Preorder(c, Relation(c, c, (0b11, 0b11))).is_poset()
+
+
+@pytest.mark.parametrize("build", [
+    lambda a, bound: power_order(a.instances, bound=bound),
+    lambda a, bound: derivation(a, bound=bound),
+    lambda a, bound: concept_lattice(a, bound=bound),
+])
+def test_size_guard_names_size_elements_and_override(build, monkeypatch):
+    a = random_context(random.Random(3), 5, 2)
+    monkeypatch.setenv("CONCEPTUA_MAX_CARRIER", "4")
+    with pytest.raises(SizeLimitError) as err:
+        build(a, None)
+    message = str(err.value)
+    assert "5 elements" in message
+    assert "2^5 = 32" in message
+    assert "CONCEPTUA_MAX_CARRIER" in message
+    with pytest.raises(SizeLimitError) as err:
+        build(a, 3)
+    assert "larger bound" in str(err.value)
