@@ -52,6 +52,9 @@ __all__ = [
     "classification_of",
     "concept_morphism_of",
     "compose_concept_morphisms",
+    "concept_transport",
+    "concept_square_failures",
+    "derivation_square",
     "diagonal_of_infomorphism",
     "validate_concept_lattice",
     "lattice_joins_meets",
@@ -244,82 +247,77 @@ class ConceptMorphism:
         return failures
 
     def _check_adjunction_squares(self) -> list[str]:
-        failures = []
-        l1, l2 = self.source, self.target
-        conn = self.connection
-        # Extent preservation: right(c) has extent = instance-map preimage of extent(c).
-        for c in range(l1.size):
-            pre = 0
-            ext1 = l1.extent(c).bits
-            for x in range(l2.instances.size):
-                if ext1 >> self.inst_map.table[x] & 1:
-                    pre |= 1 << x
-            if l2.extent(conn.right.func.table[c]).bits != pre:
-                failures.append(f"extent preservation fails at concept c{c}")
-                break
-        # Intent preservation: left(c) has intent = type-map preimage of intent(c).
-        for c in range(l2.size):
-            pre = 0
-            int2 = l2.intent(c).bits
-            for y in range(l1.types.size):
-                if int2 >> self.typ_map.table[y] & 1:
-                    pre |= 1 << y
-            if l1.intent(conn.left.func.table[c]).bits != pre:
-                failures.append(f"intent preservation fails at concept c{c}")
-                break
-        return failures
+        return concept_square_failures(self.inst_map, self.typ_map, self.source.concepts,
+                                       self.target.concepts, self.connection.left.func.table,
+                                       self.connection.right.func.table)
+
+
+def concept_transport(f: Infomorphism, source_concepts,
+                      target_concepts) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The concept-level connection of ``f`` as two index tables over ``concepts_of`` output.
+
+    The left table sends each target concept to the source concept whose
+    extent derives from its intent pulled back along the type map; equally,
+    the closure of its extent pushed forward along the instance map.  The
+    right table sends each source concept to the target concept whose extent
+    is the instance-map preimage of its extent; equally, the derivation of
+    its intent pushed forward along the type map, so agreement also makes
+    that preimage a closed extent.  Raises when the two recipes disagree.
+    """
+    a, b = f.source, f.target
+    pos_a = {c.extent.bits: k for k, c in enumerate(source_concepts)}
+    pos_b = {c.extent.bits: k for k, c in enumerate(target_concepts)}
+    left = []
+    for c in target_concepts:
+        ext = a.extent_of(Subset(a.types, preimage_bits(f.typ_map, c.intent.bits))).bits
+        pushed = Subset(a.instances, image_bits(f.inst_map, c.extent.bits))
+        if ext != a.extent_of(a.intent_of(pushed)).bits:
+            raise CarrierMismatchError(
+                f"concept transport formulas disagree at target concept with extent {c.extent}")
+        left.append(pos_a[ext])
+    right = []
+    for c in source_concepts:
+        pre = preimage_bits(f.inst_map, c.extent.bits)
+        if pre != b.extent_of(Subset(b.types, image_bits(f.typ_map, c.intent.bits))).bits:
+            raise CarrierMismatchError(
+                f"concept transport formulas disagree at source concept with extent {c.extent}")
+        right.append(pos_b[pre])
+    return tuple(left), tuple(right)
+
+
+def concept_square_failures(inst_map: FinFunction, typ_map: FinFunction, source_concepts,
+                            target_concepts, left_table, right_table) -> list[str]:
+    """Extent and intent preservation of a transport, as failure strings.
+
+    The right image of a source concept has the instance-map preimage of its
+    extent as extent; the left image of a target concept has the type-map
+    preimage of its intent as intent.
+    """
+    failures = []
+    for k, c in enumerate(source_concepts):
+        if target_concepts[right_table[k]].extent.bits != preimage_bits(inst_map, c.extent.bits):
+            failures.append(f"extent preservation fails at concept c{k}")
+            break
+    for k, c in enumerate(target_concepts):
+        if source_concepts[left_table[k]].intent.bits != preimage_bits(typ_map, c.intent.bits):
+            failures.append(f"intent preservation fails at concept c{k}")
+            break
+    return failures
 
 
 def concept_morphism_of(f: Infomorphism, bound: int | None = None) -> ConceptMorphism:
     """Lift an infomorphism to the connection between the two concept lattices.
 
-    Both defining recipes are computed and must agree: transport a concept of
-    the target lattice by pulling its intent back along the type map, or
-    equally by pushing its extent forward along the instance map; dually for
-    the right adjoint.
+    Both defining recipes of ``concept_transport`` are computed and must agree.
     """
     report = check_infomorphism(f)
     if not report.valid:
         raise CarrierMismatchError(f"invalid infomorphism; witness {report.witness}")
     la = concept_lattice(f.source, bound=bound)
     lb = concept_lattice(f.target, bound=bound)
-
-    pos_a = {c.extent.bits: k for k, c in enumerate(la.concepts)}
-    pos_b = {c.extent.bits: k for k, c in enumerate(lb.concepts)}
-
-    left_table = []
-    for k, c in enumerate(lb.concepts):
-        pulled_intent = 0
-        for y in range(f.source.types.size):
-            if c.intent.bits >> f.typ_map.table[y] & 1:
-                pulled_intent |= 1 << y
-        ext = derive_reverse(f.source.incidence, Subset(f.source.types, pulled_intent)).bits
-        pushed = 0
-        for x in c.extent.indices():
-            pushed |= 1 << f.inst_map.table[x]
-        ext_alt = derive_reverse(
-            f.source.incidence,
-            derive_forward(f.source.incidence, Subset(f.source.instances, pushed))).bits
-        if ext != ext_alt:
-            raise CarrierMismatchError("concept transport formulas disagree")
-        left_table.append(pos_a[ext])
-
-    right_table = []
-    for k, c in enumerate(la.concepts):
-        pre = 0
-        for x in range(f.target.instances.size):
-            if c.extent.bits >> f.inst_map.table[x] & 1:
-                pre |= 1 << x
-        pushed_intent = 0
-        for y in c.intent.indices():
-            pushed_intent |= 1 << f.typ_map.table[y]
-        ext_alt = derive_reverse(f.target.incidence, Subset(f.target.types, pushed_intent)).bits
-        if pre != ext_alt:
-            raise CarrierMismatchError("concept transport formulas disagree")
-        right_table.append(pos_b[pre])
-
-    left = MonotoneMap(lb.lattice, la.lattice, FinFunction(lb.lattice.carrier, la.lattice.carrier, tuple(left_table)))
-    right = MonotoneMap(la.lattice, lb.lattice, FinFunction(la.lattice.carrier, lb.lattice.carrier, tuple(right_table)))
+    left_table, right_table = concept_transport(f, la.concepts, lb.concepts)
+    left = MonotoneMap(lb.lattice, la.lattice, FinFunction(lb.lattice.carrier, la.lattice.carrier, left_table))
+    right = MonotoneMap(la.lattice, lb.lattice, FinFunction(la.lattice.carrier, lb.lattice.carrier, right_table))
     return ConceptMorphism(la, lb, check_adjunction(left, right), f.inst_map, f.typ_map)
 
 
@@ -332,33 +330,33 @@ def compose_concept_morphisms(h1: ConceptMorphism, h2: ConceptMorphism) -> Conce
                            h2.inst_map.then(h1.inst_map), h1.typ_map.then(h2.typ_map))
 
 
+def derivation_square(f: Infomorphism, bound: int | None = None
+                      ) -> tuple[Adjunction, Adjunction, Adjunction, Adjunction]:
+    """The commuting square (g1, g2, a, b) of a valid infomorphism, where
+    g1 = deriv(target), g2 = deriv(source), a = dir(inst map), b = inv(typ map)."""
+    da = derivation(f.source, bound=bound)
+    db = derivation(f.target, bound=bound)
+    ip_a, ip_b = da.instance_power.poset, db.instance_power.poset
+    a_op, b_op = da.type_power.opposite(), db.type_power.opposite()
+
+    def monotone(source, target, bits_map, func):
+        return MonotoneMap(source, target, FinFunction(
+            source.carrier, target.carrier, tuple(bits_map(func, x) for x in range(source.size))))
+
+    dir_inst = Adjunction(ip_b, ip_a, monotone(ip_b, ip_a, image_bits, f.inst_map),
+                          monotone(ip_a, ip_b, preimage_bits, f.inst_map))
+    inv_typ = Adjunction(b_op, a_op, monotone(b_op, a_op, preimage_bits, f.typ_map),
+                         monotone(a_op, b_op, image_bits, f.typ_map))
+    return db.adjunction, da.adjunction, dir_inst, inv_typ
+
+
 def diagonal_of_infomorphism(f: Infomorphism, bound: int | None = None) -> Adjunction:
     """The connection computed by diagonalizing the derivation square instead."""
     from .galois import polar_factorize
 
-    da = derivation(f.source, bound=bound)
-    db = derivation(f.target, bound=bound)
-    pa = polar_factorize(da.adjunction)
-    pb = polar_factorize(db.adjunction)
-
-    inst_dir_left = MonotoneMap(db.instance_power.poset, da.instance_power.poset, FinFunction(
-        db.instance_power.poset.carrier, da.instance_power.poset.carrier,
-        tuple(image_bits(f.inst_map, x) for x in range(db.instance_power.size))))
-    inst_dir_right = MonotoneMap(da.instance_power.poset, db.instance_power.poset, FinFunction(
-        da.instance_power.poset.carrier, db.instance_power.poset.carrier,
-        tuple(preimage_bits(f.inst_map, x) for x in range(da.instance_power.size))))
-    a_op = da.type_power.opposite()
-    b_op = db.type_power.opposite()
-    typ_inv_left = MonotoneMap(b_op, a_op, FinFunction(
-        b_op.carrier, a_op.carrier,
-        tuple(preimage_bits(f.typ_map, y) for y in range(db.type_power.size))))
-    typ_inv_right = MonotoneMap(a_op, b_op, FinFunction(
-        a_op.carrier, b_op.carrier,
-        tuple(image_bits(f.typ_map, y) for y in range(da.type_power.size))))
-
-    dir_inst = Adjunction(db.instance_power.poset, da.instance_power.poset,
-                          inst_dir_left, inst_dir_right)
-    inv_typ = Adjunction(b_op, a_op, typ_inv_left, typ_inv_right)
+    g_b, g_a, dir_inst, inv_typ = derivation_square(f, bound=bound)
+    pa = polar_factorize(g_a)
+    pb = polar_factorize(g_b)
     return diagonalize(pb.extent_reflection,
                        compose_adjunctions(pb.intent_coreflection, inv_typ),
                        compose_adjunctions(dir_inst, pa.extent_reflection),
@@ -388,19 +386,16 @@ def lattice_joins_meets(lat: ConceptLattice, members: Subset) -> tuple[int, int]
 
 def _check_density(lat: ConceptLattice) -> list[str]:
     failures = []
+    leq = lat.lattice.leq
+    embedded_instances = image_bits(lat.iota_embed, lat.instances.full_mask)
+    embedded_types = image_bits(lat.tau_embed, lat.types.full_mask)
     for k in range(lat.size):
-        below = 0
-        for i in range(lat.instances.size):
-            if lat.lattice.le_idx(lat.iota_embed.table[i], k):
-                below |= 1 << lat.iota_embed.table[i]
+        below = embedded_instances & leq.fiber10(k).bits
         if poset_join(lat.lattice, Subset(lat.lattice.carrier, below)) != k:
             failures.append(f"instance embedding is not join-dense at c{k}")
             break
     for k in range(lat.size):
-        above = 0
-        for t in range(lat.types.size):
-            if lat.lattice.le_idx(k, lat.tau_embed.table[t]):
-                above |= 1 << lat.tau_embed.table[t]
+        above = embedded_types & leq.rows[k]
         if poset_meet(lat.lattice, Subset(lat.lattice.carrier, above)) != k:
             failures.append(f"type embedding is not meet-dense at c{k}")
             break
@@ -478,9 +473,7 @@ def lattice_roundtrip_iso(lat: ConceptLattice) -> LatticeIsomorphism:
     rebuilt = concept_lattice(classification_of(lat))
     fwd_table = []
     for c in rebuilt.concepts:
-        bits = 0
-        for i in c.extent.indices():
-            bits |= 1 << lat.iota_embed.table[i]
+        bits = image_bits(lat.iota_embed, c.extent.bits)
         fwd_table.append(poset_join(lat.lattice, Subset(lat.lattice.carrier, bits)))
     forward = FinFunction(rebuilt.lattice.carrier, lat.lattice.carrier, tuple(fwd_table))
     ext_pos = {c.extent.bits: k for k, c in enumerate(rebuilt.concepts)}

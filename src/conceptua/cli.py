@@ -10,15 +10,16 @@ import sys
 from pathlib import Path
 
 from .errors import ConceptuaError, ParseError, SizeLimitError
-from .io import detect_format, read_context
+from .io import detect_format, load_json_object, read_context
 from .clg import concept_lattice, lattice_to_dot, lattice_to_json
 from .clsn import Infomorphism, check_infomorphism
-from .finrel import FinFunction
+from .finrel import FinFunction, FinSet
 from .institution import (
     MergeSpan,
     Signature,
     SignatureMorphism,
     merge_theories,
+    signature_from_json,
     style_interconvert,
     theory_from_json,
     theory_to_json,
@@ -35,8 +36,21 @@ EXIT_RESOURCE = 3
 def _read_file(path: str) -> str:
     try:
         return Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
+
+
+def _label_map(source: FinSet, target: FinSet, data, what: str) -> FinFunction:
+    """A total function from a JSON object sending every source label to a target label."""
+    if not isinstance(data, dict):
+        raise ParseError(f"{what} must be an object from labels to labels")
+    for label in source:
+        if label not in data:
+            raise ParseError(f"{what} has no entry for {label!r}")
+        if data[label] not in target:
+            raise ParseError(f"{what} sends {label!r} to {data[label]!r}, "
+                             f"which is not in {list(target)}")
+    return FinFunction.from_map(source, target, data)
 
 
 def cmd_lattice(args) -> int:
@@ -71,14 +85,11 @@ def cmd_verify(args) -> int:
 def cmd_infomap(args) -> int:
     a = read_context(_read_file(args.context_a), detect_format(args.context_a))
     b = read_context(_read_file(args.context_b), detect_format(args.context_b))
-    try:
-        data = json.loads(_read_file(args.mapping))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid mapping JSON: {exc}", line=exc.lineno) from exc
-    if not isinstance(data, dict) or "inst_map" not in data or "typ_map" not in data:
+    data = load_json_object(_read_file(args.mapping), "mapping")
+    if "inst_map" not in data or "typ_map" not in data:
         raise ParseError("mapping JSON needs 'inst_map' and 'typ_map' objects")
-    inst_map = FinFunction.from_map(b.instances, a.instances, data["inst_map"])
-    typ_map = FinFunction.from_map(a.types, b.types, data["typ_map"])
+    inst_map = _label_map(b.instances, a.instances, data["inst_map"], "inst_map")
+    typ_map = _label_map(a.types, b.types, data["typ_map"], "typ_map")
     report = check_infomorphism(Infomorphism(a, b, inst_map, typ_map))
     print(f"relation version:   {'ok' if report.relation_version else 'FAILED'}")
     print(f"morphism version:   {'ok' if report.morphism_version else 'FAILED'}")
@@ -92,25 +103,19 @@ def cmd_infomap(args) -> int:
 
 
 def cmd_merge(args) -> int:
-    try:
-        data = json.loads(_read_file(args.span))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid span JSON: {exc}", line=exc.lineno) from exc
+    data = load_json_object(_read_file(args.span), "span")
     for key in ("base", "left", "right", "left_map", "right_map"):
         if key not in data:
             raise ParseError(f"span JSON is missing {key!r}")
-    for side in ("left", "right"):
-        entry = data[side]
-        if not isinstance(entry, dict) or "signature" not in entry or \
-                ("models" not in entry and "sentence" not in entry):
-            raise ParseError(f"{side} theory needs 'signature' plus 'models' or 'sentence'")
-    base = Signature.of(*data["base"])
-    left = theory_from_json(data["left"])
-    right = theory_from_json(data["right"])
+    base = signature_from_json(data["base"], "span base")
+    left = theory_from_json(data["left"], "left theory")
+    right = theory_from_json(data["right"], "right theory")
     span = MergeSpan(
         base,
-        SignatureMorphism.of(base, left.signature, data["left_map"]),
-        SignatureMorphism.of(base, right.signature, data["right_map"]),
+        SignatureMorphism(base, left.signature,
+                          _label_map(base.vars, left.signature.vars, data["left_map"], "left_map")),
+        SignatureMorphism(base, right.signature,
+                          _label_map(base.vars, right.signature.vars, data["right_map"], "right_map")),
         left,
         right,
     )

@@ -17,6 +17,8 @@ from .finrel import (
     Subset,
     derive_forward,
     derive_reverse,
+    image_bits,
+    preimage_bits,
     transpose,
 )
 from .galois import Adjunction, check_adjunction
@@ -174,59 +176,30 @@ def check_infomorphism(f: Infomorphism) -> InfomorphismReport:
     witness = f.fundamental_witness()
     relation_ok = witness is None
 
-    morphism_ok = True
-    for y in range(a.types.size):
-        ext_a = a.incidence.fiber10(y)
-        pulled = 0
-        for x in range(b.instances.size):
-            if ext_a.bits >> f.inst_map.table[x] & 1:
-                pulled |= 1 << x
-        ext_b = b.incidence.fiber10(f.typ_map.table[y]).bits
-        if pulled != ext_b:
-            morphism_ok = False
-            break
-    if morphism_ok:
-        for x in range(b.instances.size):
-            int_b = b.incidence.fiber01(x)
-            pulled = 0
-            for y in range(a.types.size):
-                if int_b.bits >> f.typ_map.table[y] & 1:
-                    pulled |= 1 << y
-            int_a = a.incidence.fiber01(f.inst_map.table[x]).bits
-            if pulled != int_a:
-                morphism_ok = False
-                break
+    inst_map, typ_map = f.inst_map, f.typ_map
+    # Extents pull back along the instance map, intents along the type map.
+    morphism_ok = all(
+        preimage_bits(inst_map, a.incidence.fiber10(y).bits)
+        == b.incidence.fiber10(typ_map.table[y]).bits for y in range(a.types.size)
+    ) and all(
+        preimage_bits(typ_map, b.incidence.rows[x]) == a.incidence.rows[inst_map.table[x]]
+        for x in range(b.instances.size)
+    )
 
-    adjunction_ok = True
-    for xbits in range(1 << b.instances.size):
-        image = 0
-        for x in range(b.instances.size):
-            if xbits >> x & 1:
-                image |= 1 << f.inst_map.table[x]
-        lhs = derive_forward(a.incidence, Subset(a.instances, image)).bits
-        fwd_b = derive_forward(b.incidence, Subset(b.instances, xbits)).bits
-        rhs = 0
-        for y in range(a.types.size):
-            if fwd_b >> f.typ_map.table[y] & 1:
-                rhs |= 1 << y
-        if lhs != rhs:
-            adjunction_ok = False
-            break
-    if adjunction_ok:
-        for ybits in range(1 << a.types.size):
-            rev_a = derive_reverse(a.incidence, Subset(a.types, ybits)).bits
-            lhs = 0
-            for x in range(b.instances.size):
-                if rev_a >> f.inst_map.table[x] & 1:
-                    lhs |= 1 << x
-            timage = 0
-            for y in range(a.types.size):
-                if ybits >> y & 1:
-                    timage |= 1 << f.typ_map.table[y]
-            rhs = derive_reverse(b.incidence, Subset(b.types, timage)).bits
-            if lhs != rhs:
-                adjunction_ok = False
-                break
+    def intent(c: Classification, bits: int) -> int:
+        return derive_forward(c.incidence, Subset(c.instances, bits)).bits
+
+    def extent(c: Classification, bits: int) -> int:
+        return derive_reverse(c.incidence, Subset(c.types, bits)).bits
+
+    # The derivation square commutes on every subset of each side.
+    adjunction_ok = all(
+        intent(a, image_bits(inst_map, xbits)) == preimage_bits(typ_map, intent(b, xbits))
+        for xbits in range(1 << b.instances.size)
+    ) and all(
+        preimage_bits(inst_map, extent(a, ybits)) == extent(b, image_bits(typ_map, ybits))
+        for ybits in range(1 << a.types.size)
+    )
 
     return InfomorphismReport(relation_ok, morphism_ok, adjunction_ok, witness)
 

@@ -271,10 +271,6 @@ class Relation:
     def __le__(self, other: "Relation") -> bool:
         return self.issubrelation(other)
 
-    def fiber01(self, i: int) -> Subset:
-        """Targets related to source index i (a row)."""
-        return Subset(self.target, self.rows[i])
-
     def fiber10(self, j: int) -> Subset:
         """Sources related to target index j (a column)."""
         bit = 1 << j
@@ -355,36 +351,24 @@ class ImageTriple(NamedTuple):
 
 
 def images(f: FinFunction) -> ImageTriple:
+    """The triple along ``f``; the universal image is the complement of the
+    existential image of the complement."""
     source, target = f.source, f.target
-    preimage_of_point = [0] * target.size
-    for i, t in enumerate(f.table):
-        preimage_of_point[t] |= 1 << i
 
     def existential(x: Subset) -> Subset:
         if x.carrier != source:
             raise CarrierMismatchError("existential image: subset not over the function source")
-        mask = 0
-        for i in _bits(x.bits):
-            mask |= 1 << f.table[i]
-        return Subset(target, mask)
+        return Subset(target, image_bits(f, x.bits))
 
     def inverse(y: Subset) -> Subset:
         if y.carrier != target:
             raise CarrierMismatchError("inverse image: subset not over the function target")
-        mask = 0
-        for i, t in enumerate(f.table):
-            if y.bits >> t & 1:
-                mask |= 1 << i
-        return Subset(source, mask)
+        return Subset(source, preimage_bits(f, y.bits))
 
     def universal(x: Subset) -> Subset:
         if x.carrier != source:
             raise CarrierMismatchError("universal image: subset not over the function source")
-        mask = 0
-        for j in range(target.size):
-            if preimage_of_point[j] & ~x.bits == 0:
-                mask |= 1 << j
-        return Subset(target, mask)
+        return Subset(target, ~image_bits(f, ~x.bits & source.full_mask) & target.full_mask)
 
     return ImageTriple(existential, inverse, universal)
 

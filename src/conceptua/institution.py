@@ -11,13 +11,13 @@ over a signature pushout.
 
 import functools
 import itertools
-import json
+import re
 from dataclasses import dataclass, field
 
-from .errors import CarrierMismatchError, SizeLimitError
-from .finrel import FinFunction, FinSet, Relation, Subset
+from .errors import CarrierMismatchError, ParseError, SizeLimitError, UnknownElementError
+from .finrel import FinFunction, FinSet, Relation, Subset, image_bits, preimage_bits
 from .galois import Adjunction, check_adjunction
-from .order import MonotoneMap, Poset
+from .order import MonotoneMap, Poset, check_carrier_bound
 from .clsn import Classification
 
 __all__ = [
@@ -59,6 +59,7 @@ __all__ = [
     "StyleReport",
     "style_interconvert",
     "theory_to_json",
+    "signature_from_json",
     "theory_from_json",
 ]
 
@@ -164,52 +165,66 @@ def _tokenize(text: str) -> list[str]:
     return text.replace("(", " ( ").replace(")", " ) ").split()
 
 
-def parse_sentence(text: str) -> Sentence:
-    """Prefix s-expression sentence syntax, e.g. ``(and (var p) (not (var q)))``."""
-    from .errors import ParseError
+_CONNECTIVES = {"not": (Not, 1), "and": (And, 2), "or": (Or, 2), "implies": (Implies, 2)}
 
+
+def parse_sentence(text: str) -> Sentence:
+    """Prefix s-expression sentence syntax, e.g. ``(and (var p) (not (var q)))``.
+
+    Open connectives wait on an explicit stack, so nesting depth is bounded
+    by memory, not by the interpreter's recursion limit.
+    """
     tokens = _tokenize(text)
     pos = 0
 
-    def parse() -> Sentence:
+    def take(missing: str = "unexpected end of sentence") -> str:
         nonlocal pos
         if pos >= len(tokens):
-            raise ParseError("unexpected end of sentence")
-        tok = tokens[pos]
+            raise ParseError(missing)
         pos += 1
-        if tok == "top":
-            return Top()
-        if tok == "bottom":
-            return Bottom()
-        if tok != "(":
-            raise ParseError(f"unexpected token {tok!r}")
-        if pos >= len(tokens):
-            raise ParseError("unexpected end of sentence")
-        head = tokens[pos]
-        pos += 1
-        if head == "var":
-            if pos >= len(tokens):
-                raise ParseError("missing variable name")
-            name = tokens[pos]
-            pos += 1
-            node: Sentence = Var(name)
-        elif head == "not":
-            node = Not(parse())
-        elif head in ("and", "or", "implies"):
-            lhs = parse()
-            rhs = parse()
-            node = {"and": And, "or": Or, "implies": Implies}[head](lhs, rhs)
-        else:
-            raise ParseError(f"unknown connective {head!r}")
+        return tokens[pos - 1]
+
+    def close():
+        nonlocal pos
         if pos >= len(tokens) or tokens[pos] != ")":
             raise ParseError("missing closing parenthesis")
         pos += 1
-        return node
 
-    result = parse()
+    open_: list[tuple[str, list[Sentence]]] = []
+    while True:
+        tok = take()
+        if tok == "top":
+            node: Sentence = Top()
+        elif tok == "bottom":
+            node = Bottom()
+        elif tok != "(":
+            raise ParseError(f"unexpected token {tok!r}")
+        else:
+            head = take()
+            if head == "var":
+                node = Var(take("missing variable name"))
+                close()
+            elif head in _CONNECTIVES:
+                open_.append((head, []))
+                continue
+            else:
+                raise ParseError(f"unknown connective {head!r}")
+        # Hand the finished operand to the innermost open connective,
+        # closing every connective it completes.
+        while open_:
+            head, args = open_[-1]
+            args.append(node)
+            cls, arity = _CONNECTIVES[head]
+            if len(args) < arity:
+                break
+            open_.pop()
+            close()
+            node = cls(*args)
+        if not open_:
+            break
     if pos != len(tokens):
         raise ParseError("trailing tokens after sentence")
-    return result
+    return node
 
 
 def sentence_depth(s: Sentence) -> int:
@@ -278,31 +293,36 @@ def satisfies(m: Model, s: Sentence) -> bool:
 
 
 def truth_table(sig: Signature, s: Sentence) -> int:
-    """Bit m of the result is the value of the sentence in model number m."""
+    """Bit m of the result is the value of the sentence in model number m.
+
+    Evaluated in post-order over an explicit stack: a connective's class is
+    pushed below its operands and applied to their tables once they are done.
+    """
     n = sig.size
     full = (1 << (1 << n)) - 1
-
-    def eval_(t: Sentence) -> int:
-        if isinstance(t, Var):
+    todo: list = [s]
+    done: list[int] = []
+    while todo:
+        t = todo.pop()
+        if t is Not:
+            done.append(~done.pop() & full)
+        elif isinstance(t, type):
+            rhs, lhs = done.pop(), done.pop()
+            done.append({And: lhs & rhs, Or: lhs | rhs, Implies: (~lhs | rhs) & full}[t])
+        elif isinstance(t, Var):
             v = sig.vars.index(t.name)
             mask = 0
             for m in range(1 << n):
                 if m >> v & 1:
                     mask |= 1 << m
-            return mask
-        if isinstance(t, Not):
-            return ~eval_(t.body) & full
-        if isinstance(t, And):
-            return eval_(t.lhs) & eval_(t.rhs)
-        if isinstance(t, Or):
-            return eval_(t.lhs) | eval_(t.rhs)
-        if isinstance(t, Implies):
-            return (~eval_(t.lhs) | eval_(t.rhs)) & full
-        if isinstance(t, Top):
-            return full
-        return 0
-
-    return eval_(s)
+            done.append(mask)
+        elif isinstance(t, Not):
+            todo += (Not, t.body)
+        elif isinstance(t, (And, Or, Implies)):
+            todo += (type(t), t.rhs, t.lhs)
+        else:
+            done.append(full if isinstance(t, Top) else 0)
+    return done[0]
 
 
 @functools.lru_cache(maxsize=256)
@@ -359,11 +379,8 @@ class PropositionalInstitution:
         """Pull a target model back along the variable map."""
         if m.signature != sigma.target:
             raise CarrierMismatchError("model is not over the morphism target")
-        bits = 0
-        for v in range(sigma.source.size):
-            if m.valuation.bits >> sigma.map.table[v] & 1:
-                bits |= 1 << v
-        return Model(sigma.source, Subset(sigma.source.vars, bits))
+        pulled = preimage_bits(sigma.map, m.valuation.bits)
+        return Model(sigma.source, Subset(sigma.source.vars, pulled))
 
 
 @dataclass(frozen=True)
@@ -771,6 +788,7 @@ def merge_theories(span: MergeSpan) -> MergeResult:
     flagged, not raised.
     """
     pushout, inj_left, inj_right = pushout_signature(span.base, span.left_map, span.right_map)
+    check_carrier_bound(pushout.size, None, "merge: the pushout signature")
     moved_left = transport_theory(inj_left, span.left_theory)
     moved_right = transport_theory(inj_right, span.right_theory)
     merged_mask = moved_left.mask & moved_right.mask
@@ -829,8 +847,7 @@ def style_interconvert(sigma: SignatureMorphism, depth: int,
     square, the extent and intent squares on the theory lattices, and the
     theory-level satisfaction with closure-then-image translation."""
     from .clsn import Infomorphism, check_infomorphism
-    from .clg import concepts_of
-    from .finrel import derive_forward, derive_reverse
+    from .clg import concept_square_failures, concept_transport, concepts_of
 
     inst = institution or PropositionalInstitution()
     witnesses: dict = {}
@@ -861,106 +878,47 @@ def style_interconvert(sigma: SignatureMorphism, depth: int,
             break
         typ_table.append(target_tables[t])
 
-    class_adj = False
-    conc_adj = False
-    conc_rel = False
+    class_adj = conc_adj = conc_rel = False
     if translatable:
         info = Infomorphism(a, b,
                             FinFunction(b.instances, a.instances, inst_table),
                             FinFunction(a.types, b.types, tuple(typ_table)))
-        adj_report = check_infomorphism(info)
-        class_adj = adj_report.adjunction_version
+        class_adj = check_infomorphism(info).adjunction_version
         if not class_adj:
             witnesses.setdefault("class_adj", "derivation square fails")
 
         la_concepts = concepts_of(a)
         lb_concepts = concepts_of(b)
-        pos_a = {c.extent.bits: k for k, c in enumerate(la_concepts)}
-        pos_b = {c.extent.bits: k for k, c in enumerate(lb_concepts)}
-
-        conc_adj = True
-        left_table = []
-        for c in lb_concepts:
-            pulled = 0
-            for y in range(a.types.size):
-                if c.intent.bits >> typ_table[y] & 1:
-                    pulled |= 1 << y
-            ext = derive_reverse(a.incidence, Subset(a.types, pulled)).bits
-            pushed = 0
-            for x in c.extent.indices():
-                pushed |= 1 << inst_table[x]
-            ext_alt = derive_reverse(a.incidence,
-                                     derive_forward(a.incidence, Subset(a.instances, pushed))).bits
-            if ext != ext_alt or ext not in pos_a:
-                conc_adj = False
-                witnesses["conc_adj"] = f"extent transport broken at concept with extent {c.extent}"
-                break
-            left_table.append(pos_a[ext])
-        right_table = []
-        if conc_adj:
-            for c in la_concepts:
-                pre = 0
-                for x in range(b.instances.size):
-                    if c.extent.bits >> inst_table[x] & 1:
-                        pre |= 1 << x
-                if pre not in pos_b:
-                    conc_adj = False
-                    witnesses["conc_adj"] = f"preimage of extent {c.extent} is not closed"
-                    break
-                right_table.append(pos_b[pre])
-        if conc_adj:
+        try:
+            left_table, right_table = concept_transport(info, la_concepts, lb_concepts)
+        except CarrierMismatchError as exc:
+            witnesses["conc_adj"] = str(exc)
+        else:
             # The transports must form an adjunction between the theory lattices.
-            for k, cb in enumerate(lb_concepts):
-                ext_left = la_concepts[left_table[k]].extent.bits
-                for k2, ca in enumerate(la_concepts):
-                    lhs = ext_left & ~ca.extent.bits == 0
-                    rhs = cb.extent.bits & ~lb_concepts[right_table[k2]].extent.bits == 0
-                    if lhs != rhs:
-                        conc_adj = False
-                        witnesses["conc_adj"] = (
-                            f"transports are not adjoint at concepts c{k}, c{k2}")
-                        break
-                if not conc_adj:
-                    break
-        if conc_adj:
-            # Extent square: extents of right-images are instance-map preimages.
-            for k, c in enumerate(la_concepts):
-                pre = 0
-                for x in range(b.instances.size):
-                    if c.extent.bits >> inst_table[x] & 1:
-                        pre |= 1 << x
-                if lb_concepts[right_table[k]].extent.bits != pre:
-                    conc_adj = False
-                    witnesses["conc_adj"] = f"extent condition fails at concept c{k}"
-                    break
-            # Intent square: intents of left-images are type-map preimages.
-            for k, c in enumerate(lb_concepts):
-                pulled = 0
-                for y in range(a.types.size):
-                    if c.intent.bits >> typ_table[y] & 1:
-                        pulled |= 1 << y
-                if la_concepts[left_table[k]].intent.bits != pulled:
-                    conc_adj = False
-                    witnesses["conc_adj"] = f"intent condition fails at concept c{k}"
-                    break
+            failures = [
+                f"transports are not adjoint at concepts c{k}, c{k2}"
+                for k, cb in enumerate(lb_concepts) for k2, ca in enumerate(la_concepts)
+                if (la_concepts[left_table[k]].extent.bits & ~ca.extent.bits == 0)
+                != (cb.extent.bits & ~lb_concepts[right_table[k2]].extent.bits == 0)
+            ][:1] or concept_square_failures(info.inst_map, info.typ_map, la_concepts,
+                                             lb_concepts, left_table, right_table)
+            conc_adj = not failures
+            if failures:
+                witnesses["conc_adj"] = failures[0]
 
         # Conc-Rel: theory-level satisfaction with closure-then-image translation.
         conc_rel = True
         models_b = inst.models(sigma.target)
         for k, c in enumerate(la_concepts):
-            pushed_intent = 0
-            for y in c.intent.indices():
-                pushed_intent |= 1 << typ_table[y]
-            ext2 = derive_reverse(b.incidence, Subset(b.types, pushed_intent)).bits
-            for m_idx, m in enumerate(models_b):
-                lhs = bool(c.extent.bits >> inst_table[m_idx] & 1)
-                rhs = bool(ext2 >> m_idx & 1)
-                if lhs != rhs:
-                    conc_rel = False
-                    witnesses["conc_rel"] = (
-                        f"model {m.label()} vs theory c{k}: reduct-side {lhs}, translated {rhs}")
-                    break
-            if not conc_rel:
+            reduced = preimage_bits(info.inst_map, c.extent.bits)
+            translated = b.extent_of(Subset(b.types, image_bits(info.typ_map, c.intent.bits))).bits
+            if reduced != translated:
+                diff = reduced ^ translated
+                m_idx = (diff & -diff).bit_length() - 1
+                conc_rel = False
+                witnesses["conc_rel"] = (
+                    f"model {models_b[m_idx].label()} vs theory c{k}: reduct-side "
+                    f"{bool(reduced >> m_idx & 1)}, translated {bool(translated >> m_idx & 1)}")
                 break
     else:
         witnesses.setdefault("conc_adj", "translation not expressible at this depth")
@@ -980,35 +938,51 @@ def theory_to_json(t: TheoryObject) -> dict:
     }
 
 
-def theory_from_json(data: dict) -> TheoryObject:
+def signature_from_json(data, what: str = "signature") -> Signature:
+    """A signature from a JSON list of distinct variable names.
+
+    A name is non-empty and holds no whitespace, parenthesis or comma, so
+    sentences can mention it and model labels such as ``{p,q}`` stay distinct.
+    """
+    if not isinstance(data, list) or not all(
+            isinstance(v, str) and re.fullmatch(r"[^\s(),]+", v) for v in data):
+        raise ParseError(f"{what} must be a list of variable names without spaces, "
+                         "parentheses or commas")
+    if len(set(data)) != len(data):
+        raise ParseError(f"{what} repeats a variable name")
+    return Signature(FinSet(tuple(data)))
+
+
+def theory_from_json(data, what: str = "theory") -> TheoryObject:
     """Theory files carry either an explicit model list or a single sentence
-    in the prefix s-expression syntax; the sentence axiomatizes the theory."""
-    sig = Signature(FinSet(tuple(data["signature"])))
+    in the prefix s-expression syntax; the sentence axiomatizes the theory.
+
+    Malformed theories raise ParseError naming ``what``: a model is a list of
+    signature variables, and a sentence mentions only signature variables.
+    """
+    if not isinstance(data, dict) or "signature" not in data or \
+            ("models" not in data and "sentence" not in data):
+        raise ParseError(f"{what} needs 'signature' plus 'models' or 'sentence'")
+    sig = signature_from_json(data["signature"], f"{what} signature")
+    check_carrier_bound(sig.size, None, f"{what} signature")
     if "sentence" in data:
-        return TheoryObject.of_sentence(sig, parse_sentence(data["sentence"]))
+        if not isinstance(data["sentence"], str):
+            raise ParseError(f"{what} sentence must be a string")
+        sentence = parse_sentence(data["sentence"])
+        try:
+            return TheoryObject.of_sentence(sig, sentence)
+        except UnknownElementError as exc:
+            raise ParseError(f"{what} sentence uses a variable outside the signature: {exc}") from exc
+    models = data["models"]
+    if not isinstance(models, list) or not all(isinstance(m, list) for m in models):
+        raise ParseError(f"{what} models must be a list of lists of true variables")
     mask = 0
-    for true_vars in data["models"]:
+    for true_vars in models:
         bits = 0
         for v in true_vars:
+            if v not in sig.vars:
+                raise ParseError(f"{what} model variable {v!r} is not in the signature "
+                                 f"{list(sig.vars)}")
             bits |= 1 << sig.vars.index(v)
         mask |= 1 << bits
     return TheoryObject.of_mask(sig, mask)
-
-
-def theory_file_dumps(t: TheoryObject) -> str:
-    return json.dumps(theory_to_json(t), indent=2) + "\n"
-
-
-def theory_file_loads(text: str) -> TheoryObject:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        from .errors import ParseError
-
-        raise ParseError(f"invalid theory JSON: {exc}") from exc
-    if not isinstance(data, dict) or "signature" not in data or \
-            ("models" not in data and "sentence" not in data):
-        from .errors import ParseError
-
-        raise ParseError("theory file needs 'signature' plus 'models' or 'sentence'")
-    return theory_from_json(data)

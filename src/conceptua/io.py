@@ -27,6 +27,7 @@ __all__ = [
     "write_cxt",
     "read_csv",
     "write_csv",
+    "load_json_object",
     "read_context_json",
     "write_context_json",
     "read_context",
@@ -36,12 +37,16 @@ __all__ = [
 
 
 def _carrier(names: list, what: str, lines: list[int] | None = None) -> FinSet:
-    """A carrier of parsed names; a repeated name is a ParseError at its line."""
+    """A carrier of parsed names; a repeated, empty or comma-holding name is a
+    ParseError at its line, since subset labels such as ``{a,b}`` must name
+    each subset once."""
     seen = set()
     for k, name in enumerate(names):
+        line = None if lines is None else lines[k]
         if name in seen:
-            raise ParseError(f"duplicate {what} name {name!r}",
-                             line=None if lines is None else lines[k])
+            raise ParseError(f"duplicate {what} name {name!r}", line=line)
+        if name == "" or "," in name:
+            raise ParseError(f"{what} name {name!r} is empty or holds a comma", line=line)
         seen.add(name)
     return FinSet(tuple(names))
 
@@ -144,12 +149,22 @@ def write_csv(a: Classification) -> str:
     return "\n".join(out) + "\n"
 
 
-def read_context_json(text: str) -> Classification:
+def load_json_object(text: str, what: str) -> dict:
+    """Parse JSON text whose top level must be an object; anything else is a ParseError."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}", line=exc.lineno) from exc
-    if not isinstance(data, dict) or not {"source", "target", "pairs"} <= set(data):
+        raise ParseError(f"invalid {what} JSON: {exc}", line=exc.lineno) from exc
+    except RecursionError:
+        raise ParseError(f"{what} JSON nests too deeply") from None
+    if not isinstance(data, dict):
+        raise ParseError(f"{what} JSON must be an object")
+    return data
+
+
+def read_context_json(text: str) -> Classification:
+    data = load_json_object(text, "context")
+    if not {"source", "target", "pairs"} <= set(data):
         raise ParseError("context JSON needs 'source', 'target', and 'pairs' keys")
     for key in ("source", "target"):
         if not isinstance(data[key], list) or not all(isinstance(x, str) for x in data[key]):

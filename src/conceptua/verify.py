@@ -19,10 +19,8 @@ from .finrel import (
     compose,
     derive_forward,
     derive_reverse,
-    image_bits,
     image_factorize,
     images,
-    preimage_bits,
     residuate_left,
     residuate_right,
     transpose,
@@ -77,6 +75,7 @@ from .clg import (
     compose_concept_morphisms,
     concept_lattice,
     concept_morphism_of,
+    derivation_square,
     diagonal_of_infomorphism,
     lattice_joins_meets,
     lattice_roundtrip_iso,
@@ -201,30 +200,6 @@ def random_valid_infomorphism(rng: random.Random, max_side: int = 3) -> Infomorp
     return None
 
 
-def _dir_inv_square(f: Infomorphism):
-    """The commuting square (g1, g2, a, b) of a valid infomorphism, where
-    g1 = deriv(target), g2 = deriv(source), a = dir(inst map), b = inv(typ map)."""
-    da = derivation(f.source)
-    db = derivation(f.target)
-    dir_left = MonotoneMap(db.instance_power.poset, da.instance_power.poset, FinFunction(
-        db.instance_power.poset.carrier, da.instance_power.poset.carrier,
-        tuple(image_bits(f.inst_map, x) for x in range(db.instance_power.size))))
-    dir_right = MonotoneMap(da.instance_power.poset, db.instance_power.poset, FinFunction(
-        da.instance_power.poset.carrier, db.instance_power.poset.carrier,
-        tuple(preimage_bits(f.inst_map, x) for x in range(da.instance_power.size))))
-    a_op = da.type_power.opposite()
-    b_op = db.type_power.opposite()
-    inv_left = MonotoneMap(b_op, a_op, FinFunction(
-        b_op.carrier, a_op.carrier,
-        tuple(preimage_bits(f.typ_map, y) for y in range(db.type_power.size))))
-    inv_right = MonotoneMap(a_op, b_op, FinFunction(
-        a_op.carrier, b_op.carrier,
-        tuple(image_bits(f.typ_map, y) for y in range(da.type_power.size))))
-    a_adj = Adjunction(db.instance_power.poset, da.instance_power.poset, dir_left, dir_right)
-    b_adj = Adjunction(b_op, a_op, inv_left, inv_right)
-    return db.adjunction, da.adjunction, a_adj, b_adj
-
-
 def _squares_from_infomorphisms(rng: random.Random, count: int):
     squares = []
     attempts = 0
@@ -232,7 +207,7 @@ def _squares_from_infomorphisms(rng: random.Random, count: int):
         attempts += 1
         f = random_valid_infomorphism(rng, max_side=2)
         if f is not None:
-            squares.append(_dir_inv_square(f))
+            squares.append(derivation_square(f))
     return squares
 
 

@@ -29,7 +29,8 @@ from conceptua.galois import (
     same_adjunction,
 )
 from conceptua.clsn import Classification, derivation, enumerate_infomorphisms
-from conceptua.clg import classification_of, concept_lattice, concept_poset, lattice_roundtrip_iso
+from conceptua.clg import (classification_of, concept_lattice, concept_poset, derivation_square,
+                          lattice_roundtrip_iso)
 from conceptua.institution import (
     And,
     MergeSpan,
@@ -49,7 +50,7 @@ from conceptua.institution import (
     theory_fiber,
     verify_pushout_universal,
 )
-from conceptua.verify import _dir_inv_square, random_classification
+from conceptua.verify import random_classification
 
 
 def _report(number: int, description: str, ok: bool, detail: str = ""):
@@ -199,7 +200,7 @@ def test_criterion_5_diagonalization_uniqueness():
         if not infos:
             continue
         f = rng.choice(infos)
-        g1, g2, a_adj, b_adj = _dir_inv_square(f)
+        g1, g2, a_adj, b_adj = derivation_square(f)
         pf1, pf2 = polar_factorize(g1), polar_factorize(g2)
         if pf1.axis.size > 4 or pf2.axis.size > 4:
             continue

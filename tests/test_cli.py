@@ -207,3 +207,59 @@ def test_lattice_malformed_context_exits_2(tmp_path, capsys, name, text):
     code = main(["lattice", str(path)])
     assert code == 2
     assert capsys.readouterr().err.startswith("parse error:")
+
+
+GOOD_SPAN = {
+    "base": ["q"],
+    "left": {"signature": ["p", "q"], "models": [["q"]]},
+    "right": {"signature": ["q", "r"], "models": [["q", "r"]]},
+    "left_map": {"q": "q"},
+    "right_map": {"q": "q"},
+}
+
+
+@pytest.mark.parametrize("span, message", [
+    ("base left right left_map right_map", "span JSON must be an object"),
+    ({**GOOD_SPAN, "left": {"signature": "pq", "models": []}}, "left theory signature must be a list"),
+    ({**GOOD_SPAN, "right": {"signature": ["q", "q"], "models": []}}, "repeats a variable"),
+    ({**GOOD_SPAN, "left": {"signature": ["p", "q"], "models": "p"}}, "left theory models must be"),
+    ({**GOOD_SPAN, "left": {"signature": ["p", "q"], "models": [["z"]]}}, "model variable 'z'"),
+    ({**GOOD_SPAN, "right": {"signature": ["q"], "sentence": "(var z)"}}, "outside the signature"),
+    ({**GOOD_SPAN, "left_map": {"q": "z"}}, "left_map sends 'q' to 'z'"),
+    ({**GOOD_SPAN, "right_map": ["q"]}, "right_map must be an object"),
+    ({**GOOD_SPAN, "left_map": {}}, "left_map has no entry for 'q'"),
+    ({**GOOD_SPAN, "base": "q"}, "span base must be a list"),
+])
+def test_merge_malformed_theory_exits_2(tmp_path, capsys, span, message):
+    path = tmp_path / "span.json"
+    path.write_text(json.dumps(span))
+    assert main(["merge", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error:") and message in err
+
+
+def test_merge_deeply_nested_sentence(tmp_path, capsys):
+    span = {**GOOD_SPAN,
+            "left": {"signature": ["p", "q"], "sentence": "(not " * 5000 + "(var q)" + ")" * 5000}}
+    path = tmp_path / "span.json"
+    path.write_text(json.dumps(span))
+    assert main(["merge", str(path)]) == 0
+    nested = capsys.readouterr().out
+    path.write_text(json.dumps({**GOOD_SPAN, "left": {"signature": ["p", "q"], "sentence": "(var q)"}}))
+    assert main(["merge", str(path)]) == 0
+    assert capsys.readouterr().out == nested
+
+
+@pytest.mark.parametrize("mapping, message", [
+    ({"inst_map": {"1": "1"}, "typ_map": {"a": "a", "b": "b"}}, "inst_map has no entry for '2'"),
+    ({"inst_map": ["1", "2"], "typ_map": {"a": "a", "b": "b"}}, "inst_map must be an object"),
+    ({"inst_map": {"1": "1", "2": "2"}, "typ_map": {"a": "a", "b": "c"}}, "typ_map sends 'b' to 'c'"),
+])
+def test_infomap_malformed_mapping_exits_2(tmp_path, capsys, mapping, message):
+    ctx = tmp_path / "w.cxt"
+    ctx.write_text("B\n\n2\n2\n\n1\n2\na\nb\nXX\n.X\n")
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(mapping))
+    assert main(["infomap", str(ctx), str(ctx), str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error:") and message in err

@@ -252,7 +252,8 @@ def test_factorization_functorial_on_composable_squares():
     # composable commuting squares: the diagonal of the composite square is
     # the composite of the diagonals
     from conceptua.clsn import compose_infomorphisms, enumerate_infomorphisms
-    from conceptua.verify import _dir_inv_square, random_classification as rc
+    from conceptua.clg import derivation_square
+    from conceptua.verify import random_classification as rc
 
     rng = random.Random(20)
 
@@ -274,9 +275,9 @@ def test_factorization_functorial_on_composable_squares():
         if not fs or not gs:
             continue
         f, g = rng.choice(fs), rng.choice(gs)
-        d_f = diag(_dir_inv_square(f))   # axis(B) <=> axis(A)
-        d_g = diag(_dir_inv_square(g))   # axis(C) <=> axis(B)
-        d_fg = diag(_dir_inv_square(compose_infomorphisms(f, g)))
+        d_f = diag(derivation_square(f))   # axis(B) <=> axis(A)
+        d_g = diag(derivation_square(g))   # axis(C) <=> axis(B)
+        d_fg = diag(derivation_square(compose_infomorphisms(f, g)))
         assert same_adjunction(d_fg, compose_adjunctions(d_g, d_f))
         done += 1
 

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -434,3 +435,39 @@ def test_theory_json_roundtrip():
 
 def test_model_carrier_labels():
     assert model_carrier(SIG_PQ).elements == ("{}", "{p}", "{q}", "{p,q}")
+
+
+def test_deeply_nested_sentence_parses_and_evaluates():
+    text = "(not " * 5000 + "(and (var p) (var q))" + ")" * 5000
+    s = parse_sentence(text)
+    assert truth_table(SIG_PQ, s) == truth_table(SIG_PQ, And(Var("p"), Var("q")))
+    odd = parse_sentence("(not " + text + ")")
+    assert truth_table(SIG_PQ, odd) == truth_table(SIG_PQ, Not(And(Var("p"), Var("q"))))
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "unexpected end of sentence"),
+    ("(", "unexpected end of sentence"),
+    ("(var", "missing variable name"),
+    ("(var p", "missing closing parenthesis"),
+    ("(not)", "unexpected token ')'"),
+    ("(and top)", "unexpected token ')'"),
+    ("(and top top top)", "missing closing parenthesis"),
+    ("(not (var p)", "missing closing parenthesis"),
+    ("(nand top)", "unknown connective 'nand'"),
+    ("top top", "trailing tokens after sentence"),
+])
+def test_parse_sentence_error_messages(text, message):
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+        parse_sentence(text)
+
+
+@pytest.mark.parametrize("data", [
+    "pq", [], {"signature": "pq", "models": []}, {"signature": ["p"]},
+    {"signature": ["p", "p"], "models": []}, {"signature": ["p"], "models": "p"},
+    {"signature": ["p"], "models": [["q"]]}, {"signature": ["p"], "sentence": 1},
+    {"signature": ["p"], "sentence": "(var q)"},
+])
+def test_theory_from_json_rejects_malformed(data):
+    with pytest.raises(ParseError):
+        theory_from_json(data)

@@ -151,3 +151,16 @@ def test_json_rejects_malformed_context(data):
 
     with pytest.raises(ParseError):
         read_context_json(json.dumps(data))
+
+
+@pytest.mark.parametrize("fmt, text", [
+    ("cxt", "B\n\n0\n1\n\n\n"),
+    ("cxt", "B\n\n2\n3\n\ng\nh\na\nb\na,b\n...\n...\n"),
+    ("csv", ",,m\ng,0,1\n"),
+    ("json", '{"source": ["g"], "target": ["a", "a,b"], "pairs": []}'),
+    ("json", '[' * 5000),
+], ids=["empty-cxt", "comma-cxt", "empty-csv", "comma-json", "deep-json"])
+def test_read_context_rejects_ambiguous_names_and_deep_json(fmt, text):
+    # "{}" and "{a,b}" would each label two subsets of the power order
+    with pytest.raises(ParseError):
+        read_context(text, fmt)
