@@ -19,7 +19,10 @@ from .finrel import (
     derive_forward,
     derive_reverse,
     image_bits,
+    meet_bits,
+    meet_table,
     preimage_bits,
+    transpose,
 )
 from .galois import (
     Adjunction,
@@ -106,56 +109,65 @@ class ConceptLattice:
         return self.lattice.le_idx(k, self.tau_embed.table[t])
 
 
-def _lectic_next(closed: int, n: int, close) -> int | None:
-    """Smallest closed set lectically above ``closed`` (bit 0 most significant)."""
-    for i in range(n - 1, -1, -1):
-        if closed >> i & 1:
-            continue
-        candidate = close((closed & ((1 << i) - 1)) | (1 << i))
-        if (candidate & ((1 << i) - 1)) == (closed & ((1 << i) - 1)) and candidate >> i & 1:
-            return candidate
-    return None
+def _concepts_lectic(a: Classification) -> list[tuple[int, int]]:
+    """(extent, intent) bitsets of every concept, in lectic order of extents.
 
-
-def _closed_extents_lectic(a: Classification) -> list[int]:
+    NextClosure with bit 0 most significant: the successor of extent A is the
+    closure of (A below i) + i for the largest i outside A whose closure adds
+    nothing below i.  Intents are ANDs of incidence rows and extents ANDs of
+    attribute columns, so no closure builds a ``Subset``.
+    """
     n = a.instances.size
-
-    def close(bits: int) -> int:
-        fwd = derive_forward(a.incidence, Subset(a.instances, bits))
-        return derive_reverse(a.incidence, fwd).bits
-
-    out = [close(0)]
+    rows = a.incidence.rows
+    cols = transpose(a.incidence).rows
+    full_g, full_m = a.instances.full_mask, a.types.full_mask
+    extent = meet_bits(cols, full_m, full_g)
+    intent = meet_bits(rows, extent, full_m)
+    out = [(extent, intent)]
     while True:
-        nxt = _lectic_next(out[-1], n, close)
-        if nxt is None:
+        prefix = [full_m] * (n + 1)  # prefix[i]: intent of the members of extent below i
+        for i in range(n):
+            prefix[i + 1] = prefix[i] & rows[i] if extent >> i & 1 else prefix[i]
+        for i in range(n - 1, -1, -1):
+            if extent >> i & 1:
+                continue
+            intent = prefix[i] & rows[i]
+            candidate = meet_bits(cols, intent, full_g)
+            if candidate & ((1 << i) - 1) & ~extent == 0:
+                extent = candidate
+                out.append((extent, intent))
+                break
+        else:
             return out
-        out.append(nxt)
 
 
 def concepts_of(a: Classification) -> tuple[FormalConcept, ...]:
     """Formal concepts in lectic order of extents, without any packaging.
 
-    Cost scales with the number of concepts, not with the power order of
-    the type side, so this also serves classifications with many types.
+    Each concept costs at most |instances| closures of O(|instances| +
+    |types|) big-int ANDs, and no power order is built, so this also serves
+    classifications with many types.
     """
-    return tuple(
-        FormalConcept(Subset(a.instances, e),
-                      derive_forward(a.incidence, Subset(a.instances, e)))
-        for e in _closed_extents_lectic(a)
-    )
+    return tuple(FormalConcept(Subset(a.instances, e), Subset(a.types, t))
+                 for e, t in _concepts_lectic(a))
 
 
 def concept_poset(a: Classification) -> tuple[Poset, tuple[FormalConcept, ...]]:
     """The concept order (by extent inclusion) over carrier labels c0, c1, ...
 
-    Inclusion of distinct extents is a partial order, so it is not re-validated.
+    The concepts above c are those whose extents hold every object of c's
+    extent: row(c) is the AND, over those objects, of the mask of concepts
+    containing the object, so no pair of concepts is compared.  Inclusion
+    of distinct extents is a partial order, so it is not re-validated.
     """
     concepts = concepts_of(a)
+    containing = [0] * a.instances.size
+    for k, c in enumerate(concepts):
+        for g in c.extent.indices():
+            containing[g] |= 1 << k
+    full = (1 << len(concepts)) - 1
     labels = FinSet(tuple(f"c{k}" for k in range(len(concepts))))
-    rows = tuple(
-        sum(1 << k2 for k2, c2 in enumerate(concepts) if c1.extent.bits & ~c2.extent.bits == 0)
-        for c1 in concepts
-    )
+    rows = tuple(meet_bits(containing, c.extent.bits, full) for c in concepts)
     return _trusted(Poset, carrier=labels, leq=Relation(labels, labels, rows)), concepts
 
 
@@ -174,31 +186,26 @@ def concept_lattice(a: Classification, bound: int | None = None) -> ConceptLatti
     labels = lattice.carrier
 
     ipower = power_order(a.instances, bound=limit)
-    tpower = power_order(a.types, bound=limit)
-    tpower_op = tpower.opposite()
-
-    def close_extent(bits: int) -> int:
-        return derive_reverse(a.incidence, derive_forward(a.incidence, Subset(a.instances, bits))).bits
+    tpower_op = power_order(a.types, bound=limit).opposite()
+    intent_of = meet_table(a.incidence.rows, a.types.full_mask)
+    extent_of = meet_table(transpose(a.incidence).rows, a.instances.full_mask)
 
     def monotone(source, target, table):
         return _trusted(MonotoneMap, source=source, target=target,
                         func=FinFunction(source.carrier, target.carrier, tuple(table)))
 
-    embed_src = monotone(ipower.poset, lattice, (pos[close_extent(x)] for x in range(ipower.size)))
+    embed_src = monotone(ipower.poset, lattice, (pos[extent_of[m]] for m in intent_of))
     project_src = monotone(lattice, ipower.poset, extents)
     extent_reflection = Adjunction(ipower.poset, lattice, embed_src, project_src)
 
     project_tgt = monotone(lattice, tpower_op, (c.intent.bits for c in concepts))
-    embed_tgt = monotone(tpower_op, lattice,
-                         (pos[derive_reverse(a.incidence, Subset(a.types, y)).bits]
-                          for y in range(tpower.size)))
+    embed_tgt = monotone(tpower_op, lattice, (pos[e] for e in extent_of))
     intent_coreflection = Adjunction(lattice, tpower_op, project_tgt, embed_tgt)
 
-    iota = FinFunction(a.instances, labels,
-                       tuple(pos[close_extent(1 << i)] for i in range(a.instances.size)))
-    tau = FinFunction(a.types, labels,
-                      tuple(pos[derive_reverse(a.incidence, Subset(a.types, 1 << t)).bits]
-                            for t in range(a.types.size)))
+    iota = FinFunction(a.instances, labels, tuple(
+        embed_src.func.table[1 << i] for i in range(a.instances.size)))
+    tau = FinFunction(a.types, labels, tuple(
+        embed_tgt.func.table[1 << t] for t in range(a.types.size)))
     return ConceptLattice(a.instances, a.types, lattice, concepts,
                           extent_reflection, intent_coreflection, iota, tau)
 

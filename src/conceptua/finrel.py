@@ -24,6 +24,8 @@ __all__ = [
     "ImageTriple",
     "derive_forward",
     "derive_reverse",
+    "meet_bits",
+    "meet_table",
     "image_bits",
     "preimage_bits",
     "image_factorize",
@@ -377,10 +379,7 @@ def derive_forward(r: Relation, x: Subset) -> Subset:
     """Targets shared by every member of x: {b | all a in x have r(a,b)}."""
     if x.carrier != r.source:
         raise CarrierMismatchError("derive_forward: subset not over the relation source")
-    acc = r.target.full_mask
-    for a in _bits(x.bits):
-        acc &= r.rows[a]
-    return Subset(r.target, acc)
+    return Subset(r.target, meet_bits(r.rows, x.bits, r.target.full_mask))
 
 
 def derive_reverse(r: Relation, y: Subset) -> Subset:
@@ -392,6 +391,31 @@ def derive_reverse(r: Relation, y: Subset) -> Subset:
         if y.bits & ~row == 0:
             mask |= 1 << a
     return Subset(r.source, mask)
+
+
+def meet_bits(lines, bits: int, full: int) -> int:
+    """AND of ``lines[i]`` over the set bits i of ``bits``; ``full`` for no bits.
+
+    Over the rows of a relation this is the forward derivation of ``bits``,
+    over its columns (the rows of the transpose) the reverse derivation.
+    """
+    while bits:
+        low = bits & -bits
+        full &= lines[low.bit_length() - 1]
+        bits ^= low
+    return full
+
+
+def meet_table(lines, full: int) -> list[int]:
+    """``meet_bits(lines, y, full)`` for every y below 2^len(lines), indexed by y.
+
+    Each entry takes one AND: t[y] = t[y minus its lowest bit] & lines[that bit].
+    """
+    table = [full] * (1 << len(lines))
+    for y in range(1, len(table)):
+        rest = y & (y - 1)
+        table[y] = table[rest] & lines[(y ^ rest).bit_length() - 1]
+    return table
 
 
 def image_bits(f: FinFunction, bits: int) -> int:

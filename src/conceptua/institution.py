@@ -796,27 +796,53 @@ def merge_theories(span: MergeSpan) -> MergeResult:
     return MergeResult(pushout, inj_left, inj_right, merged, merged_mask == 0)
 
 
-def _all_sig_morphisms(source: Signature, target: Signature):
-    for table in itertools.product(range(target.size), repeat=source.size):
-        yield SignatureMorphism(source, target, FinFunction(source.vars, target.vars, table))
+# Candidate cocones verify_pushout_universal may enumerate: two disjoint
+# 5-variable theories into the 1-3 variable targets need 60074.
+PUSHOUT_COCONE_BOUND = 100_000
+
+
+def _mediator_count(result: MergeResult, m1: tuple[int, ...], m2: tuple[int, ...],
+                    tgt_size: int) -> int:
+    """Maps h from the pushout with inj_left;h = m1 and inj_right;h = m2.
+
+    The injections fix h on their images; a conflict there leaves none, and
+    every pushout variable outside both images is free.
+    """
+    h: list[int | None] = [None] * result.signature.size
+    for inj, m in ((result.left_injection, m1), (result.right_injection, m2)):
+        for x, p in enumerate(inj.map.table):
+            if h[p] is None:
+                h[p] = m[x]
+            elif h[p] != m[x]:
+                return 0
+    return tgt_size ** h.count(None)
 
 
 def verify_pushout_universal(span: MergeSpan, result: MergeResult, targets) -> list[str]:
-    """Search every cocone into each target signature for a unique mediator."""
+    """Search every cocone into each target signature for a unique mediator.
+
+    Raises ``SizeLimitError`` before the search when the candidate map pairs,
+    the sum over targets t of |t|^(|left| + |right|), exceed
+    ``PUSHOUT_COCONE_BOUND``.
+    """
+    left_vars = span.left_map.target.size
+    right_vars = span.right_map.target.size
+    estimate = sum(tgt.size ** (left_vars + right_vars) for tgt in targets)
+    if estimate > PUSHOUT_COCONE_BOUND:
+        raise SizeLimitError(
+            f"pushout check would search {estimate} candidate cocones "
+            f"({left_vars} + {right_vars} span variables), above the fixed bound "
+            f"{PUSHOUT_COCONE_BOUND}")
     failures = []
     for tgt in targets:
-        for m1 in _all_sig_morphisms(span.left_map.target, tgt):
-            for m2 in _all_sig_morphisms(span.right_map.target, tgt):
-                if span.left_map.then(m1).map.table != span.right_map.then(m2).map.table:
+        for m1 in itertools.product(range(tgt.size), repeat=left_vars):
+            via_left = tuple(m1[v] for v in span.left_map.map.table)
+            for m2 in itertools.product(range(tgt.size), repeat=right_vars):
+                if tuple(m2[v] for v in span.right_map.map.table) != via_left:
                     continue
-                mediators = [
-                    h for h in _all_sig_morphisms(result.signature, tgt)
-                    if result.left_injection.then(h).map.table == m1.map.table
-                    and result.right_injection.then(h).map.table == m2.map.table
-                ]
-                if len(mediators) != 1:
-                    failures.append(
-                        f"cocone into {tgt.vars.elements} has {len(mediators)} mediators")
+                count = _mediator_count(result, m1, m2, tgt.size)
+                if count != 1:
+                    failures.append(f"cocone into {tgt.vars.elements} has {count} mediators")
     return failures
 
 

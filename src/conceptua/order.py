@@ -10,6 +10,7 @@ from .finrel import (
     FinSet,
     Relation,
     Subset,
+    _bits,
     compose,
     derive_forward,
     derive_reverse,
@@ -679,20 +680,34 @@ def all_monotone_maps(p: Preorder, q: Preorder) -> Iterator[MonotoneMap]:
 
 
 def hasse_edges(p: Preorder) -> list[tuple[int, int]]:
-    """Covering pairs (i, j) of the reflexive-transitive reduction."""
-    n = p.size
+    """Covering pairs (i, j) of the reflexive-transitive reduction, sorted.
+
+    The covers of i are the minimal elements of its strict up-set S_i (above
+    i, not below it).  Each round takes a minimal element of what is left of
+    S_i, descending from its lowest index, and removes it with everything
+    strictly above it; what is left is never strictly above a removed element,
+    so each round yields a cover.  When no element lies above a lower index,
+    as for concepts in lectic order, the lowest index is already minimal, no
+    transpose is needed, and each cover costs a few big-int operations.
+    """
+    rows = p.leq.rows
+    if all(row & ((1 << i) - 1) == 0 for i, row in enumerate(rows)):
+        strict_up = [row ^ 1 << i for i, row in enumerate(rows)]
+        strict_down = [0] * len(rows)
+    else:
+        cols = transpose(p.leq).rows
+        strict_up = [row & ~col for row, col in zip(rows, cols)]
+        strict_down = [col & ~row for row, col in zip(rows, cols)]
     edges = []
-    for i in range(n):
-        for j in range(n):
-            if i == j or not p.le_idx(i, j) or p.le_idx(j, i):
-                continue
-            if any(
-                k != i and k != j and p.le_idx(i, k) and p.le_idx(k, j)
-                and not p.le_idx(k, i) and not p.le_idx(j, k)
-                for k in range(n)
-            ):
-                continue
-            edges.append((i, j))
+    for i, rest in enumerate(strict_up):
+        covers = 0
+        while rest:
+            k = (rest & -rest).bit_length() - 1
+            while below := strict_down[k] & rest:
+                k = (below & -below).bit_length() - 1
+            covers |= 1 << k
+            rest &= ~(strict_up[k] | 1 << k)
+        edges.extend((i, j) for j in _bits(covers))
     return edges
 
 

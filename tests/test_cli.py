@@ -263,3 +263,61 @@ def test_infomap_malformed_mapping_exits_2(tmp_path, capsys, mapping, message):
     assert main(["infomap", str(ctx), str(ctx), str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("parse error:") and message in err
+
+
+def _random_cxt(rng, n_obj, n_att, density=0.3):
+    lines = ["B", "", str(n_obj), str(n_att), ""]
+    lines += [f"g{i}" for i in range(n_obj)] + [f"m{j}" for j in range(n_att)]
+    lines += ["".join("X" if rng.random() < density else "." for _ in range(n_att))
+              for _ in range(n_obj)]
+    return "\n".join(lines) + "\n"
+
+
+def test_infomap_identity_on_30x30_within_budget(tmp_path, capsys, time_budget):
+    import random
+
+    ctx = tmp_path / "c30.cxt"
+    ctx.write_text(_random_cxt(random.Random(30), 30, 30))
+    mapping = tmp_path / "map.json"
+    mapping.write_text(json.dumps({
+        "inst_map": {f"g{i}": f"g{i}" for i in range(30)},
+        "typ_map": {f"m{j}": f"m{j}" for j in range(30)},
+    }))
+    with time_budget(10):
+        code = main(["infomap", str(ctx), str(ctx), str(mapping)])
+    assert code == 0
+    assert "adjunction version: ok" in capsys.readouterr().out
+
+
+def _disjoint_span(n_left, n_right):
+    left = [f"p{i}" for i in range(n_left)]
+    right = [f"r{i}" for i in range(n_right)]
+    return {
+        "base": [],
+        "left": {"signature": left, "sentence": f"(var {left[0]})"},
+        "right": {"signature": right, "sentence": f"(not (var {right[0]}))"},
+        "left_map": {},
+        "right_map": {},
+    }
+
+
+@pytest.mark.parametrize("n_left, n_right", [(2, 2), (4, 4)])
+def test_merge_check_universal_on_disjoint_spans_within_budget(tmp_path, capsys, time_budget,
+                                                               n_left, n_right):
+    span = tmp_path / "span.json"
+    span.write_text(json.dumps(_disjoint_span(n_left, n_right)))
+    with time_budget(10):
+        code = main(["merge", str(span), "--out", str(tmp_path / "m.json"), "--check-universal"])
+    assert code == 0
+    assert "pushout universal property: ok" in capsys.readouterr().out
+
+
+def test_merge_check_universal_size_guard_exits_3(tmp_path, capsys, time_budget):
+    span = tmp_path / "span.json"
+    span.write_text(json.dumps(_disjoint_span(6, 6)))
+    with time_budget(10):
+        code = main(["merge", str(span), "--out", str(tmp_path / "m.json"), "--check-universal"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "535538 candidate cocones" in err  # 1 + 2^12 + 3^12
+    assert "fixed bound" in err
