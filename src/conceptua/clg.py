@@ -22,6 +22,7 @@ from .finrel import (
     meet_bits,
     meet_table,
     preimage_bits,
+    preimage_rows,
     transpose,
 )
 from .galois import (
@@ -36,6 +37,8 @@ from .galois import (
 from .order import (
     MonotoneMap,
     Poset,
+    _monotone,
+    _pulled_back_up_sets,
     _trusted,
     check_carrier_bound,
     is_complete_lattice,
@@ -190,16 +193,12 @@ def concept_lattice(a: Classification, bound: int | None = None) -> ConceptLatti
     intent_of = meet_table(a.incidence.rows, a.types.full_mask)
     extent_of = meet_table(transpose(a.incidence).rows, a.instances.full_mask)
 
-    def monotone(source, target, table):
-        return _trusted(MonotoneMap, source=source, target=target,
-                        func=FinFunction(source.carrier, target.carrier, tuple(table)))
-
-    embed_src = monotone(ipower.poset, lattice, (pos[extent_of[m]] for m in intent_of))
-    project_src = monotone(lattice, ipower.poset, extents)
+    embed_src = _monotone(ipower.poset, lattice, (pos[extent_of[m]] for m in intent_of))
+    project_src = _monotone(lattice, ipower.poset, extents)
     extent_reflection = Adjunction(ipower.poset, lattice, embed_src, project_src)
 
-    project_tgt = monotone(lattice, tpower_op, (c.intent.bits for c in concepts))
-    embed_tgt = monotone(tpower_op, lattice, (pos[e] for e in extent_of))
+    project_tgt = _monotone(lattice, tpower_op, (c.intent.bits for c in concepts))
+    embed_tgt = _monotone(tpower_op, lattice, (pos[e] for e in extent_of))
     intent_coreflection = Adjunction(lattice, tpower_op, project_tgt, embed_tgt)
 
     iota = FinFunction(a.instances, labels, tuple(
@@ -211,14 +210,12 @@ def concept_lattice(a: Classification, bound: int | None = None) -> ConceptLatti
 
 
 def classification_of(lat: ConceptLattice) -> Classification:
-    """Recover the incidence: instance i is of type t iff iota(i) <= tau(t)."""
-    rows = []
-    for i in range(lat.instances.size):
-        mask = 0
-        for t in range(lat.types.size):
-            if lat.lattice.le_idx(lat.iota_embed.table[i], lat.tau_embed.table[t]):
-                mask |= 1 << t
-        rows.append(mask)
+    """Recover the incidence: instance i is of type t iff iota(i) <= tau(t).
+
+    Row i is the preimage under tau of the up-set of iota(i).
+    """
+    up = lat.lattice.leq.rows
+    rows = preimage_rows(lat.tau_embed, [up[k] for k in lat.iota_embed.table])
     return Classification(lat.instances, lat.types, Relation(lat.instances, lat.types, tuple(rows)))
 
 
@@ -394,10 +391,11 @@ def lattice_joins_meets(lat: ConceptLattice, members: Subset) -> tuple[int, int]
 def _check_density(lat: ConceptLattice) -> list[str]:
     failures = []
     leq = lat.lattice.leq
+    cols = transpose(leq).rows
     embedded_instances = image_bits(lat.iota_embed, lat.instances.full_mask)
     embedded_types = image_bits(lat.tau_embed, lat.types.full_mask)
     for k in range(lat.size):
-        below = embedded_instances & leq.fiber10(k).bits
+        below = embedded_instances & cols[k]
         if poset_join(lat.lattice, Subset(lat.lattice.carrier, below)) != k:
             failures.append(f"instance embedding is not join-dense at c{k}")
             break
@@ -493,10 +491,7 @@ def lattice_roundtrip_iso(lat: ConceptLattice) -> LatticeIsomorphism:
         n_r == n_l
         and forward.then(backward).table == tuple(range(n_r))
         and backward.then(forward).table == tuple(range(n_l))
-        and all(
-            rebuilt.lattice.le_idx(i, j) == lat.lattice.le_idx(fwd_table[i], fwd_table[j])
-            for i in range(n_r) for j in range(n_r)
-        )
+        and list(rebuilt.lattice.leq.rows) == _pulled_back_up_sets(forward, lat.lattice.leq.rows)
     )
     if not ok:
         raise NotAConceptLatticeError("round trip did not produce an order isomorphism")

@@ -24,10 +24,9 @@ from .finrel import (
 )
 from .galois import Adjunction
 from .order import (
-    MonotoneMap,
     PowerOrder,
     Preorder,
-    _trusted,
+    _monotone,
     bounds,
     check_carrier_bound,
     power_order,
@@ -108,11 +107,9 @@ def derivation(a: Classification, bound: int | None = None) -> DerivationAdjunct
     ip = power_order(a.instances, bound=limit)
     tp = power_order(a.types, bound=limit)
     tp_op = tp.opposite()
-    left = _trusted(MonotoneMap, source=ip.poset, target=tp_op, func=FinFunction(
-        ip.poset.carrier, tp_op.carrier, meet_table(a.incidence.rows, a.types.full_mask)))
-    right = _trusted(MonotoneMap, source=tp_op, target=ip.poset, func=FinFunction(
-        tp_op.carrier, ip.poset.carrier,
-        meet_table(transpose(a.incidence).rows, a.instances.full_mask)))
+    left = _monotone(ip.poset, tp_op, meet_table(a.incidence.rows, a.types.full_mask))
+    right = _monotone(tp_op, ip.poset,
+                      meet_table(transpose(a.incidence).rows, a.instances.full_mask))
     return DerivationAdjunction(a, ip, tp, Adjunction(ip.poset, tp_op, left, right))
 
 

@@ -28,6 +28,7 @@ __all__ = [
     "meet_table",
     "image_bits",
     "preimage_bits",
+    "preimage_rows",
     "image_factorize",
     "relation_to_json",
     "relation_from_json",
@@ -52,14 +53,9 @@ class FinSet:
         if len(set(self.elements)) != len(self.elements):
             raise ValueError(f"duplicate labels in carrier: {self.elements}")
         object.__setattr__(self, "elements", tuple(self.elements))
-
-    @property
-    def size(self) -> int:
-        return len(self.elements)
-
-    @property
-    def full_mask(self) -> int:
-        return (1 << self.size) - 1
+        # Plain attributes, not fields: set once, left out of eq and hash.
+        object.__setattr__(self, "size", len(self.elements))
+        object.__setattr__(self, "full_mask", (1 << self.size) - 1)
 
     def index(self, label: str) -> int:
         try:
@@ -163,9 +159,9 @@ class FinFunction:
         object.__setattr__(self, "table", tuple(self.table))
         if len(self.table) != self.source.size:
             raise ValueError("table length differs from source size")
-        for t in self.table:
-            if not 0 <= t < self.target.size:
-                raise ValueError(f"table entry {t} is not a valid target index")
+        if self.table and not (0 <= min(self.table) and max(self.table) < self.target.size):
+            t = next(t for t in self.table if not 0 <= t < self.target.size)
+            raise ValueError(f"table entry {t} is not a valid target index")
 
     @classmethod
     def identity(cls, a: FinSet) -> "FinFunction":
@@ -210,10 +206,8 @@ class Relation:
         object.__setattr__(self, "rows", tuple(self.rows))
         if len(self.rows) != self.source.size:
             raise ValueError("row count differs from source size")
-        full = self.target.full_mask
-        for row in self.rows:
-            if not 0 <= row <= full:
-                raise ValueError("row has bits outside the target carrier")
+        if self.rows and not (0 <= min(self.rows) and max(self.rows) <= self.target.full_mask):
+            raise ValueError("row has bits outside the target carrier")
 
     @classmethod
     def of(cls, source: FinSet, target: FinSet, pairs=()) -> "Relation":
@@ -432,6 +426,29 @@ def preimage_bits(f: FinFunction, bits: int) -> int:
     for i, t in enumerate(f.table):
         if bits >> t & 1:
             out |= 1 << i
+    return out
+
+
+def preimage_rows(f: FinFunction, masks) -> list[int]:
+    """``preimage_bits(f, y)`` for each target bitmask y of ``masks``.
+
+    The fibers of f are taken in one pass over the table; each mask then
+    costs one OR per element of the image of f that it holds.
+    """
+    fibers = [0] * f.target.size
+    image = 0
+    for i, t in enumerate(f.table):
+        fibers[t] |= 1 << i
+        image |= 1 << t
+    out = []
+    for y in masks:
+        y &= image
+        pre = 0
+        while y:
+            low = y & -y
+            pre |= fibers[low.bit_length() - 1]
+            y ^= low
+        out.append(pre)
     return out
 
 

@@ -9,11 +9,14 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 from .errors import AdjunctionError, CarrierMismatchError
-from .finrel import FinFunction, FinSet, Relation, Subset
+from .finrel import FinFunction, FinSet, Relation, Subset, preimage_rows
 from .order import (
     MonotoneMap,
     Poset,
     Preorder,
+    _monotone,
+    _restricted_rows,
+    _trusted,
     all_monotone_maps,
     poset_join,
     poset_meet,
@@ -64,25 +67,31 @@ class Adjunction:
 
 
 def check_adjunction(left: MonotoneMap, right: MonotoneMap) -> Adjunction:
-    """Validate the fundamental condition plus unit/counit; raise with a witness."""
+    """Validate the fundamental condition plus unit/counit; raise with a witness.
+
+    At each a the b with left(a) <= b form the target row of left(a), and
+    the b with a <= right(b) the preimage of a's row under right; the
+    condition holds at a when the two agree.
+    """
     if not same_order(left.source, right.target) or not same_order(left.target, right.source):
         raise CarrierMismatchError("adjoint candidates are not antiparallel")
     src, tgt = left.source, left.target
+    src_rows, tgt_rows = src.leq.rows, tgt.leq.rows
+    lt, rt = left.func.table, right.func.table
+    for a, pulled in enumerate(preimage_rows(right.func, src_rows)):
+        if diff := tgt_rows[lt[a]] ^ pulled:
+            b = (diff & -diff).bit_length() - 1
+            lhs = bool(tgt_rows[lt[a]] >> b & 1)
+            raise AdjunctionError(
+                "fundamental condition fails at "
+                f"({src.carrier.elements[a]}, {tgt.carrier.elements[b]}): "
+                f"left(a) <= b is {lhs} but a <= right(b) is {not lhs}"
+            )
     for a in range(src.size):
-        for b in range(tgt.size):
-            lhs = tgt.le_idx(left.func.table[a], b)
-            rhs = src.le_idx(a, right.func.table[b])
-            if lhs != rhs:
-                raise AdjunctionError(
-                    "fundamental condition fails at "
-                    f"({src.carrier.elements[a]}, {tgt.carrier.elements[b]}): "
-                    f"left(a) <= b is {lhs} but a <= right(b) is {rhs}"
-                )
-    for a in range(src.size):
-        if not src.le_idx(a, right.func.table[left.func.table[a]]):
+        if not src_rows[a] >> rt[lt[a]] & 1:
             raise AdjunctionError(f"unit fails at {src.carrier.elements[a]}")
     for b in range(tgt.size):
-        if not tgt.le_idx(left.func.table[right.func.table[b]], b):
+        if not tgt_rows[lt[rt[b]]] >> b & 1:
             raise AdjunctionError(f"counit fails at {tgt.carrier.elements[b]}")
     return Adjunction(src, tgt, left, right)
 
@@ -126,17 +135,15 @@ class ClosureInterior:
 
 
 def _fixed_point_subposet(p: Preorder, fixed: Sequence[int]) -> tuple[Poset, MonotoneMap]:
+    """The order restricted to ``fixed``, with its inclusion.
+
+    A restriction of a poset is a poset and an inclusion is monotone, so
+    neither is re-validated; a preorder's restriction is classified.
+    """
     carrier = FinSet(tuple(p.carrier.elements[i] for i in fixed))
-    rows = []
-    for i in fixed:
-        mask = 0
-        for c, j in enumerate(fixed):
-            if p.le_idx(i, j):
-                mask |= 1 << c
-        rows.append(mask)
-    sub = Poset(carrier, Relation(carrier, carrier, tuple(rows)))
-    incl = MonotoneMap(sub, p, FinFunction(carrier, p.carrier, tuple(fixed)))
-    return sub, incl
+    leq = Relation(carrier, carrier, _restricted_rows(p, fixed))
+    sub = _trusted(Poset, carrier=carrier, leq=leq) if p.is_poset() else Poset(carrier, leq)
+    return sub, _monotone(sub, p, fixed)
 
 
 def closure_interior(g: Adjunction) -> ClosureInterior:
@@ -178,6 +185,11 @@ def polar_factorize(g: Adjunction) -> PolarFactorization:
     A bipole is a pair (a, b) with a closed, b open, and left(a) = b; bipoles
     are ordered by their closed component (equivalently by their open one) and
     enumerated by ascending source index, which fixes the axis labelling.
+
+    The axis is the closed sub-poset relabelled, and its four maps are the
+    closure, the inclusion, left on closed elements and right, each followed
+    or preceded by the order embedding of the closed elements; all are
+    monotone by construction, so none is re-checked.
     """
     if not g.source.is_poset() or not g.target.is_poset():
         raise ValueError("polar factorization requires poset boundaries")
@@ -186,26 +198,15 @@ def polar_factorize(g: Adjunction) -> PolarFactorization:
     src_el, tgt_el = g.source.carrier.elements, g.target.carrier.elements
     labels = tuple(f"({src_el[a]},{tgt_el[b]})" for a, b in bipoles)
     axis_carrier = FinSet(labels)
-    rows = []
-    for a, _ in bipoles:
-        mask = 0
-        for c, (a2, _) in enumerate(bipoles):
-            if g.source.le_idx(a, a2):
-                mask |= 1 << c
-        rows.append(mask)
-    axis = Poset(axis_carrier, Relation(axis_carrier, axis_carrier, tuple(rows)))
+    axis = _trusted(Poset, carrier=axis_carrier,
+                    leq=Relation(axis_carrier, axis_carrier, ci.closed.leq.rows))
 
     pos_of_closed = {a: k for k, (a, _) in enumerate(bipoles)}
-    embed_src = MonotoneMap(g.source, axis, FinFunction(
-        g.source.carrier, axis_carrier,
-        tuple(pos_of_closed[ci.closure.func.table[a]] for a in range(g.source.size))))
-    project_src = MonotoneMap(axis, g.source, FinFunction(
-        axis_carrier, g.source.carrier, tuple(a for a, _ in bipoles)))
-    project_tgt = MonotoneMap(axis, g.target, FinFunction(
-        axis_carrier, g.target.carrier, tuple(b for _, b in bipoles)))
-    embed_tgt = MonotoneMap(g.target, axis, FinFunction(
-        g.target.carrier, axis_carrier,
-        tuple(pos_of_closed[g.right_idx(b)] for b in range(g.target.size))))
+    embed_src = _monotone(g.source, axis,
+                          (pos_of_closed[c] for c in ci.closure.func.table))
+    project_src = _monotone(axis, g.source, (a for a, _ in bipoles))
+    project_tgt = _monotone(axis, g.target, (b for _, b in bipoles))
+    embed_tgt = _monotone(g.target, axis, (pos_of_closed[a] for a in g.right.func.table))
 
     extent_reflection = Adjunction(g.source, axis, embed_src, project_src)
     intent_coreflection = Adjunction(axis, g.target, project_tgt, embed_tgt)
@@ -242,20 +243,19 @@ def diagonalize(e: Adjunction, s: Adjunction, r: Adjunction, m: Adjunction) -> A
 
 
 def enumerate_adjunctions(p: Preorder, q: Preorder) -> Iterator[Adjunction]:
-    """All adjunctions p <=> q by filtering monotone map pairs (exponential)."""
-    rights = list(all_monotone_maps(q, p))
+    """All adjunctions p <=> q among the monotone map pairs (exponential).
+
+    A pair satisfies the fundamental condition when, for every a, the target
+    row of left(a) equals the preimage of a's row under right; so each right
+    is filed under that tuple of preimages, and each left looks up its rows.
+    """
+    rights: dict[tuple[int, ...], list[MonotoneMap]] = {}
+    for right in all_monotone_maps(q, p):
+        rights.setdefault(tuple(preimage_rows(right.func, p.leq.rows)), []).append(right)
+    q_rows = q.leq.rows
     for left in all_monotone_maps(p, q):
-        for right in rights:
-            ok = True
-            for a in range(p.size):
-                for b in range(q.size):
-                    if q.le_idx(left.func.table[a], b) != p.le_idx(a, right.func.table[b]):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                yield Adjunction(p, q, left, right)
+        for right in rights.get(tuple(q_rows[t] for t in left.func.table), ()):
+            yield Adjunction(p, q, left, right)
 
 
 def connect_factorizations(pf1: PolarFactorization, pf2: PolarFactorization) -> Adjunction:

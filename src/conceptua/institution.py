@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from .errors import CarrierMismatchError, ParseError, SizeLimitError, UnknownElementError
 from .finrel import FinFunction, FinSet, Relation, Subset, image_bits, preimage_bits
 from .galois import Adjunction, check_adjunction
-from .order import MonotoneMap, Poset, check_carrier_bound
+from .order import MonotoneMap, Poset, _subset_rows, _trusted, check_carrier_bound
 from .clsn import Classification
 
 __all__ = [
@@ -147,18 +147,35 @@ Sentence = Var | Not | And | Or | Implies | Top | Bottom
 _BINARY = {And: "and", Or: "or", Implies: "implies"}
 
 
+# Text pieces queued between operands by ``render_sentence``.
+_SPACE, _CLOSE = object(), object()
+
+
 def render_sentence(s: Sentence) -> str:
-    if isinstance(s, Var):
-        return f"(var {s.name})"
-    if isinstance(s, Not):
-        return f"(not {render_sentence(s.body)})"
-    if isinstance(s, (And, Or, Implies)):
-        return f"({_BINARY[type(s)]} {render_sentence(s.lhs)} {render_sentence(s.rhs)})"
-    if isinstance(s, Top):
-        return "top"
-    if isinstance(s, Bottom):
-        return "bottom"
-    raise TypeError(f"not a sentence: {s!r}")
+    """Prefix s-expression text, written left to right from an explicit stack."""
+    out: list[str] = []
+    todo: list = [s]
+    while todo:
+        t = todo.pop()
+        if t is _SPACE:
+            out.append(" ")
+        elif t is _CLOSE:
+            out.append(")")
+        elif isinstance(t, Var):
+            out.append(f"(var {t.name})")
+        elif isinstance(t, Not):
+            out.append("(not ")
+            todo += (_CLOSE, t.body)
+        elif isinstance(t, (And, Or, Implies)):
+            out.append(f"({_BINARY[type(t)]} ")
+            todo += (_CLOSE, t.rhs, _SPACE, t.lhs)
+        elif isinstance(t, Top):
+            out.append("top")
+        elif isinstance(t, Bottom):
+            out.append("bottom")
+        else:
+            raise TypeError(f"not a sentence: {t!r}")
+    return "".join(out)
 
 
 def _tokenize(text: str) -> list[str]:
@@ -228,22 +245,41 @@ def parse_sentence(text: str) -> Sentence:
 
 
 def sentence_depth(s: Sentence) -> int:
-    if isinstance(s, (Var, Top, Bottom)):
-        return 1
-    if isinstance(s, Not):
-        return 1 + sentence_depth(s.body)
-    return 1 + max(sentence_depth(s.lhs), sentence_depth(s.rhs))
+    """Nodes on the longest root-to-leaf path, over an explicit stack."""
+    depth = 0
+    todo = [(s, 1)]
+    while todo:
+        t, d = todo.pop()
+        if isinstance(t, (Var, Top, Bottom)):
+            depth = max(depth, d)
+        elif isinstance(t, Not):
+            todo.append((t.body, d + 1))
+        else:
+            lhs, rhs = t.lhs, t.rhs
+            todo += ((rhs, d + 1), (lhs, d + 1))
+    return depth
 
 
 def translate_sentence(sigma: SignatureMorphism, s: Sentence) -> Sentence:
-    if isinstance(s, Var):
-        return Var(sigma.map.apply_label(s.name))
-    if isinstance(s, Not):
-        return Not(translate_sentence(sigma, s.body))
-    if isinstance(s, (And, Or, Implies)):
-        cls = type(s)
-        return cls(translate_sentence(sigma, s.lhs), translate_sentence(sigma, s.rhs))
-    return s
+    """Rename the variables along sigma, rebuilding in post-order as ``truth_table`` evaluates."""
+    todo: list = [s]
+    done: list[Sentence] = []
+    while todo:
+        t = todo.pop()
+        if t is Not:
+            done.append(Not(done.pop()))
+        elif isinstance(t, type):
+            rhs, lhs = done.pop(), done.pop()
+            done.append(t(lhs, rhs))
+        elif isinstance(t, Var):
+            done.append(Var(sigma.map.apply_label(t.name)))
+        elif isinstance(t, Not):
+            todo += (Not, t.body)
+        elif isinstance(t, (And, Or, Implies)):
+            todo += (type(t), t.rhs, t.lhs)
+        else:
+            done.append(t)
+    return done[0]
 
 
 # ------------------------------------------------------------------- models
@@ -274,22 +310,37 @@ def model_carrier(sig: Signature) -> FinSet:
 
 
 def satisfies(m: Model, s: Sentence) -> bool:
-    """Truth-table evaluation by structural recursion."""
-    if isinstance(s, Var):
-        return m.valuation.contains(s.name)
-    if isinstance(s, Not):
-        return not satisfies(m, s.body)
-    if isinstance(s, And):
-        return satisfies(m, s.lhs) and satisfies(m, s.rhs)
-    if isinstance(s, Or):
-        return satisfies(m, s.lhs) or satisfies(m, s.rhs)
-    if isinstance(s, Implies):
-        return (not satisfies(m, s.lhs)) or satisfies(m, s.rhs)
-    if isinstance(s, Top):
-        return True
-    if isinstance(s, Bottom):
-        return False
-    raise TypeError(f"not a sentence: {s!r}")
+    """Evaluate in the model, short-circuiting like ``and``/``or``, over an explicit stack.
+
+    A connective waits below its first operand as (class, second operand);
+    once that operand's value is known, the second is evaluated only if the
+    result still depends on it.
+    """
+    todo: list = [s]
+    value = False
+    while todo:
+        t = todo.pop()
+        if type(t) is tuple:
+            op, rhs = t
+            if op is Not:
+                value = not value
+            elif value == (op is not Or):  # true lhs of and/implies, false lhs of or
+                todo.append(rhs)
+            elif op is Implies:
+                value = True
+        elif isinstance(t, Var):
+            value = m.valuation.contains(t.name)
+        elif isinstance(t, Not):
+            todo += ((Not, None), t.body)
+        elif isinstance(t, (And, Or, Implies)):
+            todo += ((type(t), t.rhs), t.lhs)
+        elif isinstance(t, Top):
+            value = True
+        elif isinstance(t, Bottom):
+            value = False
+        else:
+            raise TypeError(f"not a sentence: {t!r}")
+    return value
 
 
 def truth_table(sig: Signature, s: Sentence) -> int:
@@ -499,25 +550,31 @@ class TheoryFiber:
         return t2.mask & ~t1.mask == 0
 
 
+# Largest signature whose theory fiber is built: n variables give 2^(2^n)
+# theories and an order of 2^(2^n) rows of 2^(2^n) bits, 8 KiB at 3
+# variables and 512 MiB at 4.
+THEORY_FIBER_MAX_VARS = 3
+
+
 @functools.lru_cache(maxsize=32)
 def theory_fiber(sig: Signature) -> TheoryFiber:
-    """The complete lattice of the 2^(2^n) model classes of the signature."""
-    if sig.size > 4:
-        raise SizeLimitError("theory fiber has 2^(2^n) elements; 4 variables is the cap")
-    n_models = 1 << sig.size
-    n_theories = 1 << n_models
+    """The complete lattice of the 2^(2^n) model classes of the signature.
+
+    Row T holds the model classes inside T (reverse inclusion, weaker
+    theories below), built as ``PowerOrder.opposite`` builds its rows; a
+    poset by construction, so it is not re-validated.
+    """
+    n = sig.size
+    if n > THEORY_FIBER_MAX_VARS:
+        mib_log2 = (1 << (n + 1)) - 23  # 2^(2^(n+1)) bits = 2^(2^(n+1) - 23) MiB
+        mib = 1 << mib_log2 if mib_log2 <= 20 else f"2^{mib_log2}"
+        raise SizeLimitError(
+            f"theory fiber of {n} variables has 2^(2^{n}) theories; its order would take "
+            f"2^(2^{n}) rows of 2^(2^{n}) bits, about {mib} MiB; "
+            f"the cap is {THEORY_FIBER_MAX_VARS} variables")
+    n_theories = 1 << (1 << n)
     labels = FinSet(tuple(f"T{mask}" for mask in range(n_theories)))
-    rows = []
-    for mask in range(n_theories):
-        row = 0
-        sub = mask
-        while True:
-            row |= 1 << sub
-            if sub == 0:
-                break
-            sub = (sub - 1) & mask
-        rows.append(row)
-    poset = Poset(labels, Relation(labels, labels, tuple(rows)))
+    poset = _trusted(Poset, carrier=labels, leq=Relation(labels, labels, _subset_rows(n_theories)))
     theories = tuple(TheoryObject.of_mask(sig, mask) for mask in range(n_theories))
     return TheoryFiber(sig, poset, theories)
 
@@ -651,6 +708,13 @@ def _check_category_laws(objects, sig_morphs, morphs, report: CategoryReport):
     sig_key = {}
     for idx, (si, ti, sm) in enumerate(sig_morphs):
         sig_key[(si, ti, sm.map.table)] = idx
+    # Each composable pair of signature morphisms, composed once: the index
+    # of the composite when it is listed, else None.
+    composite = {
+        (i1, i2): sig_key.get((s1, t2, sm1.then(sm2).map.table))
+        for i1, (s1, t1, sm1) in enumerate(sig_morphs)
+        for i2, (s2, t2, sm2) in enumerate(sig_morphs) if t1 == s2
+    }
     by_source: dict[int, list[tuple[int, int, int]]] = {}
     for m in morphs:
         by_source.setdefault(m[0], []).append(m)
@@ -664,17 +728,10 @@ def _check_category_laws(objects, sig_morphs, morphs, report: CategoryReport):
             report.failures.append(f"missing identity on object {o}")
             return
 
-    def compose_sig(i1: int, i2: int) -> int | None:
-        s1, t1, sm1 = sig_morphs[i1]
-        s2, t2, sm2 = sig_morphs[i2]
-        if t1 != s2:
-            return None
-        return sig_key.get((s1, t2, sm1.then(sm2).map.table))
-
     for m1 in morphs:
         for m2 in by_source.get(m1[1], ()):
             report.composable_pairs += 1
-            comp = compose_sig(m1[2], m2[2])
+            comp = composite.get((m1[2], m2[2]))
             if comp is None:
                 report.failures.append(
                     f"morphism list not closed under composition: {m1} then {m2}")
@@ -692,8 +749,8 @@ def _check_category_laws(objects, sig_morphs, morphs, report: CategoryReport):
         for m2 in by_source.get(m1[1], ()):
             for m3 in by_source.get(m2[1], ()):
                 report.composable_triples += 1
-                left_first = compose_sig(compose_sig(m1[2], m2[2]), m3[2])
-                right_first = compose_sig(m1[2], compose_sig(m2[2], m3[2]))
+                left_first = composite.get((composite.get((m1[2], m2[2])), m3[2]))
+                right_first = composite.get((m1[2], composite.get((m2[2], m3[2]))))
                 if left_first != right_first:
                     report.failures.append("associativity fails")
                     return

@@ -14,6 +14,8 @@ from .finrel import (
     compose,
     derive_forward,
     derive_reverse,
+    meet_bits,
+    preimage_rows,
     transpose,
 )
 
@@ -89,6 +91,42 @@ def _trusted(cls, **fields):
     for name, value in fields.items():
         object.__setattr__(obj, name, value)
     return obj
+
+
+def _monotone(source: "Preorder", target: "Preorder", table) -> "MonotoneMap":
+    """A map that is monotone by construction, built without the check."""
+    return _trusted(MonotoneMap, source=source, target=target,
+                    func=FinFunction(source.carrier, target.carrier, tuple(table)))
+
+
+def _pulled_back_up_sets(func: FinFunction, target_rows) -> list[int]:
+    """Entry i: the j with func(i) <= func(j), given the target order's rows.
+
+    One preimage per distinct value of ``func``.
+    """
+    values = list(dict.fromkeys(func.table))
+    pulled = dict(zip(values, preimage_rows(func, [target_rows[t] for t in values])))
+    return [pulled[t] for t in func.table]
+
+
+def _restricted_rows(p: "Preorder", kept) -> tuple[int, ...]:
+    """Rows of the order restricted to the distinct indices ``kept``, renumbered 0, 1, ..."""
+    pos = {j: c for c, j in enumerate(kept)}
+    mask = sum(1 << j for j in kept)
+    return tuple(sum(1 << pos[j] for j in _bits(p.leq.rows[i] & mask)) for i in kept)
+
+
+def _subset_rows(size: int) -> tuple[int, ...]:
+    """Reverse inclusion on the ``size`` bitsets below ``size`` (a power of two).
+
+    Row i holds the subsets of i: those of i minus its lowest element, with
+    and without that element (a shift by its bit value).
+    """
+    rows = [1] * size
+    for i in range(1, size):
+        rest = i & (i - 1)
+        rows[i] = rows[rest] | rows[rest] << (i ^ rest)
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -211,17 +249,17 @@ class MonotoneMap:
     func: FinFunction
 
     def __post_init__(self):
+        """Row i of the source must lie in the preimage of the up-set of func(i)."""
         if self.func.source != self.source.carrier or self.func.target != self.target.carrier:
             raise CarrierMismatchError("function carriers do not match the orders")
-        for i in range(self.source.size):
-            row = self.source.leq.rows[i]
-            fi = self.func.table[i]
-            for j in range(self.source.size):
-                if row >> j & 1 and not self.target.le_idx(fi, self.func.table[j]):
-                    raise ValueError(
-                        f"not monotone: {self.source.carrier.elements[i]} <= "
-                        f"{self.source.carrier.elements[j]} but images are not ordered"
-                    )
+        ups = _pulled_back_up_sets(self.func, self.target.leq.rows)
+        for i, (row, up) in enumerate(zip(self.source.leq.rows, ups)):
+            if bad := row & ~up:
+                j = (bad & -bad).bit_length() - 1
+                raise ValueError(
+                    f"not monotone: {self.source.carrier.elements[i]} <= "
+                    f"{self.source.carrier.elements[j]} but images are not ordered"
+                )
 
     @classmethod
     def identity(cls, p: Preorder) -> "MonotoneMap":
@@ -235,24 +273,24 @@ class MonotoneMap:
         return self.func.table[i]
 
     def then(self, other: "MonotoneMap") -> "MonotoneMap":
+        """The composite; monotone by construction, so not re-checked."""
         if not same_order(self.target, other.source):
             raise CarrierMismatchError("composing monotone maps with mismatched orders")
-        return MonotoneMap(self.source, other.target, self.func.then(other.func))
+        return _trusted(MonotoneMap, source=self.source, target=other.target,
+                        func=self.func.then(other.func))
 
     def is_isotone(self) -> bool:
-        """Order is both preserved and reflected."""
-        for i in range(self.source.size):
-            for j in range(self.source.size):
-                if self.source.le_idx(i, j) != self.target.le_idx(self.func.table[i], self.func.table[j]):
-                    return False
-        return True
+        """Order is both preserved and reflected: each source row is the
+        preimage of the up-set of its image."""
+        return list(self.source.leq.rows) == _pulled_back_up_sets(self.func, self.target.leq.rows)
 
 
 def pointwise_le(f: MonotoneMap, g: MonotoneMap) -> bool:
     """Compare parallel monotone maps: f <= g iff f(a) <= g(a) everywhere."""
     if not same_order(f.source, g.source) or not same_order(f.target, g.target):
         raise CarrierMismatchError("pointwise_le: maps are not parallel")
-    return all(f.target.le_idx(f.func.table[i], g.func.table[i]) for i in range(f.source.size))
+    rows = f.target.leq.rows
+    return all(rows[fa] >> ga & 1 for fa, ga in zip(f.func.table, g.func.table))
 
 
 def same_map(f: MonotoneMap, g: MonotoneMap) -> bool:
@@ -347,7 +385,7 @@ def quotient(p: Preorder) -> tuple[Poset, MonotoneMap]:
     the representative's label wrapped in braces.
     """
     n = p.size
-    equiv_rows = [p.leq.rows[i] & transpose(p.leq).rows[i] for i in range(n)]
+    equiv_rows = [row & col for row, col in zip(p.leq.rows, transpose(p.leq).rows)]
     rep_of: dict[int, int] = {}
     reps: list[int] = []
     for i in range(n):
@@ -412,15 +450,8 @@ def equalizer(f: MonotoneMap, g: MonotoneMap) -> tuple[Preorder, MonotoneMap]:
         raise CarrierMismatchError("equalizer needs a parallel pair")
     kept = [i for i in range(f.source.size) if f.func.table[i] == g.func.table[i]]
     carrier = FinSet(tuple(f.source.carrier.elements[i] for i in kept))
-    rows = []
-    for i in kept:
-        mask = 0
-        for c, j in enumerate(kept):
-            if f.source.le_idx(i, j):
-                mask |= 1 << c
-        rows.append(mask)
     cls = Poset if isinstance(f.source, Poset) else Preorder
-    sub = cls(carrier, Relation(carrier, carrier, tuple(rows)))
+    sub = cls(carrier, Relation(carrier, carrier, _restricted_rows(f.source, kept)))
     incl = MonotoneMap(sub, f.source, FinFunction(carrier, f.source.carrier, tuple(kept)))
     return sub, incl
 
@@ -444,17 +475,9 @@ class PowerOrder:
         return Subset(self.base, i)
 
     def opposite(self) -> Poset:
-        """Reverse inclusion; equal to ``opposite(self.poset)`` without the transpose.
-
-        Row i holds the subsets of i: those of i minus its lowest element,
-        with and without that element (a shift by its bit value).
-        """
-        rows = [1] * self.size
-        for i in range(1, self.size):
-            rest = i & (i - 1)
-            rows[i] = rows[rest] | rows[rest] << (i ^ rest)
+        """Reverse inclusion; equal to ``opposite(self.poset)`` without the transpose."""
         carrier = self.poset.carrier
-        return _trusted(Poset, carrier=carrier, leq=Relation(carrier, carrier, tuple(rows)))
+        return _trusted(Poset, carrier=carrier, leq=Relation(carrier, carrier, _subset_rows(self.size)))
 
     def index_of(self, x: Subset) -> int:
         if x.carrier != self.base:
@@ -530,45 +553,63 @@ def down_segment(p: Preorder, a: str) -> Subset:
     return Subset(p.carrier, mask)
 
 
-def bounds(p: Preorder, x: Subset) -> tuple[Subset, Subset]:
-    """Common upper and lower bounds of x; both are the full carrier for x empty."""
+def _check_subset(p: Preorder, x: Subset):
     if x.carrier != p.carrier:
         raise CarrierMismatchError("bounds: subset not over the order's carrier")
+
+
+def bounds(p: Preorder, x: Subset) -> tuple[Subset, Subset]:
+    """Common upper and lower bounds of x; both are the full carrier for x empty."""
+    _check_subset(p, x)
     upper = derive_forward(p.leq, x)
     lower = derive_reverse(p.leq, x)
     return upper, lower
 
 
 def poset_join(p: Preorder, x: Subset) -> int | None:
-    """Least upper bound of x as a carrier index, or None if it does not exist."""
-    upper, _ = bounds(p, x)
-    for i in upper.indices():
-        if all(p.le_idx(i, j) for j in upper.indices()):
+    """Least upper bound of x as a carrier index, or None if it does not exist.
+
+    The upper bounds are the AND of the rows over x; the join is the lowest
+    upper bound whose own row holds all of them.
+    """
+    _check_subset(p, x)
+    rows = p.leq.rows
+    upper = meet_bits(rows, x.bits, p.carrier.full_mask)
+    for i in _bits(upper):
+        if upper & ~rows[i] == 0:
             return i
     return None
 
 
 def poset_meet(p: Preorder, x: Subset) -> int | None:
-    """Greatest lower bound of x as a carrier index, or None."""
-    _, lower = bounds(p, x)
-    for i in lower.indices():
-        if all(p.le_idx(j, i) for j in lower.indices()):
-            return i
-    return None
+    """Greatest lower bound of x as a carrier index, or None.
+
+    The lower bounds are the elements whose rows hold x; the meet is the
+    lowest lower bound that lies in the row of every lower bound.
+    """
+    _check_subset(p, x)
+    rows = p.leq.rows
+    lower = derive_reverse(p.leq, x).bits
+    meets = lower & meet_bits(rows, lower, p.carrier.full_mask)
+    return (meets & -meets).bit_length() - 1 if meets else None
 
 
 def is_complete_lattice(p: Preorder) -> bool:
-    """For finite posets: antisymmetric, nonempty, and closed under pair joins/meets."""
+    """For finite posets: antisymmetric, nonempty, with a bottom and pair joins.
+
+    The upper bounds of i and j are rows[i] & rows[j], and they have a least
+    element exactly when that AND is some element's row.  A finite poset
+    with a bottom and all pair joins has every join, so every meet too.
+    """
     if p.size == 0 or not p.is_poset():
         return False
-    if poset_join(p, Subset.empty(p.carrier)) is None:  # bottom
+    rows = p.leq.rows
+    row_set = set(rows)
+    if p.carrier.full_mask not in row_set:  # no bottom
         return False
-    if poset_meet(p, Subset.empty(p.carrier)) is None:  # top
-        return False
-    for i in range(p.size):
-        for j in range(i + 1, p.size):
-            pair = Subset(p.carrier, (1 << i) | (1 << j))
-            if poset_join(p, pair) is None or poset_meet(p, pair) is None:
+    for i, row in enumerate(rows):
+        for other in rows[i + 1:]:
+            if row & other not in row_set:
                 return False
     return True
 
@@ -663,20 +704,42 @@ def _all_preorders(max_size: int) -> Iterator[Preorder]:
 
 
 def all_monotone_maps(p: Preorder, q: Preorder) -> Iterator[MonotoneMap]:
-    """Enumerate every monotone map p -> q (exponential; keep carriers small)."""
-    import itertools
+    """Enumerate every monotone map p -> q (exponential; keep carriers small).
 
-    for table in itertools.product(range(q.size), repeat=p.size):
-        ok = True
-        for i in range(p.size):
-            for j in range(p.size):
-                if p.le_idx(i, j) and not q.le_idx(table[i], table[j]):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            yield MonotoneMap(p, q, FinFunction(p.carrier, q.carrier, table))
+    Tables come in lexicographic order, assigned one index at a time: the
+    values allowed at i lie above the images of the earlier elements below
+    i and below the images of the earlier elements above i, one row AND per
+    earlier element comparable with i.
+    """
+    n = p.size
+    if n == 0:
+        yield _monotone(p, q, ())
+        return
+    p_rows, q_rows = p.leq.rows, q.leq.rows
+    p_cols, q_cols = transpose(p.leq).rows, transpose(q.leq).rows
+    table = [0] * n
+
+    def allowed(i: int) -> int:
+        mask = q.carrier.full_mask
+        for j in _bits(p_cols[i] & ((1 << i) - 1)):
+            mask &= q_rows[table[j]]
+        for j in _bits(p_rows[i] & ((1 << i) - 1)):
+            mask &= q_cols[table[j]]
+        return mask
+
+    pending = [allowed(0)]  # pending[i]: values still to try at index i
+    while pending:
+        i = len(pending) - 1
+        if not pending[i]:
+            pending.pop()
+            continue
+        low = pending[i] & -pending[i]
+        pending[i] ^= low
+        table[i] = low.bit_length() - 1
+        if i + 1 < n:
+            pending.append(allowed(i + 1))
+        else:
+            yield _monotone(p, q, table)
 
 
 def hasse_edges(p: Preorder) -> list[tuple[int, int]]:

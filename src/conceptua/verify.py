@@ -121,10 +121,14 @@ class LawReport:
     def ok(self) -> bool:
         return not self.failures
 
-    def check(self, condition: bool, witness: str):
+    def check(self, condition: bool, witness: str, *args):
+        """Count a check; on failure record the witness, ``witness.format(*args)`` when args are given.
+
+        Passing the parts as args keeps the text unformatted while the check holds.
+        """
         self.cases += 1
         if not condition:
-            self.failures.append(witness)
+            self.failures.append(witness.format(*args) if args else witness)
 
     def lines(self) -> list[str]:
         status = "ok" if self.ok else "FAILED"
@@ -237,16 +241,21 @@ def finrel_suite(seed: int, cases: int) -> LawReport:
     report = LawReport("finrel")
     start = time.perf_counter()
 
-    # residuation adjointness, exhaustive on 2-element carriers
+    # residuation adjointness, exhaustive on 2-element carriers; the residuals
+    # depend on two of the three relations, so each is computed once
     a2, b2, c2 = _letters("a", 2), _letters("b", 2), _letters("c", 2)
+    ts = list(_all_relations(a2, c2))
+    ss = list(_all_relations(b2, c2))
+    right_residuals = [[residuate_right(s, t) for t in ts] for s in ss]
     for r in _all_relations(a2, b2):
-        for s in _all_relations(b2, c2):
+        left_residuals = [residuate_left(r, t) for t in ts]
+        for s, rights in zip(ss, right_residuals):
             rs = compose(r, s)
-            for t in _all_relations(a2, c2):
-                report.check((rs <= t) == (s <= residuate_left(r, t)),
-                             f"left adjointness: r={r.rows} s={s.rows} t={t.rows}")
-                report.check((rs <= t) == (r <= residuate_right(s, t)),
-                             f"right adjointness: r={r.rows} s={s.rows} t={t.rows}")
+            for t, left, right in zip(ts, left_residuals, rights):
+                report.check((rs <= t) == (s <= left),
+                             "left adjointness: r={} s={} t={}", r.rows, s.rows, t.rows)
+                report.check((rs <= t) == (r <= right),
+                             "right adjointness: r={} s={} t={}", r.rows, s.rows, t.rows)
 
     # randomized laws on carriers up to 5
     for _ in range(cases):
@@ -309,16 +318,18 @@ def finrel_suite(seed: int, cases: int) -> LawReport:
             if n > 0 and m == 0:
                 continue
             A, B = _letters("x", n), _letters("y", m)
+            ys = [Subset(B, yb) for yb in range(1 << m)]
             for f in _all_functions(A, B):
                 ex, inv, un = images(f)
+                inverses = [inv(Y) for Y in ys]
                 for xb in range(1 << n):
                     X = Subset(A, xb)
-                    for yb in range(1 << m):
-                        Y = Subset(B, yb)
-                        report.check((ex(X) <= Y) == (X <= inv(Y)),
-                                     f"existential adjoint: f={f.table} X={xb} Y={yb}")
-                        report.check((inv(Y) <= X) == (Y <= un(X)),
-                                     f"universal adjoint: f={f.table} X={xb} Y={yb}")
+                    ex_x, un_x = ex(X), un(X)
+                    for yb, (Y, inv_y) in enumerate(zip(ys, inverses)):
+                        report.check((ex_x <= Y) == (X <= inv_y),
+                                     "existential adjoint: f={} X={} Y={}", f.table, xb, yb)
+                        report.check((inv_y <= X) == (Y <= un_x),
+                                     "universal adjoint: f={} X={} Y={}", f.table, xb, yb)
 
     # epi-mono factorization recomposes, exhaustive for carriers up to 3/4
     for n in range(4):
@@ -327,7 +338,7 @@ def finrel_suite(seed: int, cases: int) -> LawReport:
             for f in _all_functions(A, B):
                 epi, mono = image_factorize(f)
                 report.check(epi.then(mono) == FinFunction(A, B, f.table),
-                             f"image factorization recomposes for {f.table}")
+                             "image factorization recomposes for {}", f.table)
                 report.check(mono.is_injective(), "mono part is injective")
                 report.check(epi.is_surjective(), "epi part is surjective")
 
@@ -344,7 +355,7 @@ def finrel_suite(seed: int, cases: int) -> LawReport:
                 report.check(po.meet(x, po.join(x, y)) == x, "absorption (meet)")
                 for z in range(1 << n):
                     report.check((z & x & ~y == 0) == (z & ~po.implies(x, y) == 0),
-                                 f"Heyting residuation at |A|={n} x={x} y={y} z={z}")
+                                 "Heyting residuation at |A|={} x={} y={} z={}", n, x, y, z)
                     report.check(po.meet(x, po.join(y, z)) ==
                                  po.join(po.meet(x, y), po.meet(x, z)),
                                  "distributivity")
@@ -357,7 +368,7 @@ def finrel_suite(seed: int, cases: int) -> LawReport:
         for a in p.carrier.elements:
             for b in p.carrier.elements:
                 report.check(p.le(a, b) == down_segment(p, a).issubset(down_segment(p, b)),
-                             f"segment order at ({a},{b})")
+                             "segment order at ({},{})", a, b)
         x = random_subset(rng, p.carrier)
         y = random_subset(rng, p.carrier)
         upper_x, _ = bounds(p, x)
@@ -474,7 +485,7 @@ def galois_suite(seed: int, cases: int) -> LawReport:
                     and h.then(prod.proj1).func.table == f2.func.table
                 ]
                 report.check(len(mediators) == 1,
-                             f"product mediator count {len(mediators)} for a cone")
+                             "product mediator count {} for a cone", len(mediators))
     one = terminal()
     for c in [chain2, Preorder.discrete(_letters("d", 3))]:
         report.check(len(list(all_monotone_maps(c, one))) == 1,
@@ -527,7 +538,7 @@ def clsn_suite(seed: int, cases: int) -> LawReport:
             for tm in _all_functions(a.types, b.types):
                 rep = check_infomorphism(Infomorphism(a, b, im, tm))
                 report.check(rep.versions_agree,
-                             f"versions disagree for inst={im.table} typ={tm.table}")
+                             "versions disagree for inst={} typ={}", im.table, tm.table)
 
     for _ in range(cases // 10 + 5):
         report.check(derivation_equals_bounds(random_preorder(rng, 6)),
@@ -675,8 +686,8 @@ def institution_suite(seed: int, cases: int, satisfaction_size: int = 2,
             for table in itertools.product(range(s2.size), repeat=s1.size):
                 sigma = SignatureMorphism(s1, s2, FinFunction(s1.vars, s2.vars, table))
                 rep = check_satisfaction_condition(sigma, SatisfactionConfig(depth=satisfaction_depth))
-                report.check(rep.ok, "satisfaction condition for table "
-                             f"{table}: " + (rep.failures[0] if rep.failures else ""))
+                report.check(rep.ok, "satisfaction condition for table {}: {}",
+                             table, rep.failures[0] if rep.failures else "")
 
     for n in range(3):
         fib = theory_fiber(Signature.of(*"pqr"[:n]))

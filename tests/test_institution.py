@@ -214,6 +214,17 @@ def test_theory_fiber_size_cap():
         theory_fiber(Signature.of(*"pqrst"))
 
 
+def test_theory_fiber_four_variables_raise_within_budget(time_budget):
+    with time_budget(1):
+        with pytest.raises(SizeLimitError) as err:
+            theory_fiber(Signature.of(*"pqrs"))
+    message = str(err.value)
+    assert "2^(2^4)" in message
+    assert "512 MiB" in message
+    assert "3 variables" in message
+    assert theory_fiber.cache_info().maxsize == 32  # still cached for the smaller fibers
+
+
 # --------------------------------------------------------------- transport
 
 
@@ -443,6 +454,68 @@ def test_deeply_nested_sentence_parses_and_evaluates():
     assert truth_table(SIG_PQ, s) == truth_table(SIG_PQ, And(Var("p"), Var("q")))
     odd = parse_sentence("(not " + text + ")")
     assert truth_table(SIG_PQ, odd) == truth_table(SIG_PQ, Not(And(Var("p"), Var("q"))))
+
+
+def nested_nots(depth, body):
+    s = body
+    for _ in range(depth):
+        s = Not(s)
+    return s
+
+
+def test_sentence_functions_take_5000_nested_nots():
+    s = nested_nots(5000, Var("p"))
+    text = "(not " * 5000 + "(var p)" + ")" * 5000
+    assert render_sentence(s) == text
+    assert render_sentence(parse_sentence(text)) == text
+    assert sentence_depth(s) == 5001
+    assert satisfies(model_of(SIG_P, "p"), s)
+    assert not satisfies(model_of(SIG_P, "p"), Not(s))
+    sigma = SignatureMorphism.of(SIG_P, Signature.of("q"), {"p": "q"})
+    assert render_sentence(translate_sentence(sigma, s)) == text.replace("(var p)", "(var q)")
+
+
+def test_satisfies_short_circuits_like_and_or():
+    m = model_of(SIG_P, "p")
+    assert not satisfies(m, And(Bottom(), Var("zz")))
+    assert satisfies(m, Or(Top(), Var("zz")))
+    assert satisfies(m, Implies(Bottom(), Var("zz")))
+    with pytest.raises(UnknownElementError):
+        satisfies(m, And(Top(), Var("zz")))
+    with pytest.raises(TypeError, match="not a sentence: 'x'"):
+        satisfies(m, Or(Bottom(), "x"))
+
+
+def recursive_render(s):
+    if isinstance(s, Var):
+        return f"(var {s.name})"
+    if isinstance(s, Not):
+        return f"(not {recursive_render(s.body)})"
+    if isinstance(s, (And, Or, Implies)):
+        name = {And: "and", Or: "or", Implies: "implies"}[type(s)]
+        return f"({name} {recursive_render(s.lhs)} {recursive_render(s.rhs)})"
+    return "top" if isinstance(s, Top) else "bottom"
+
+
+def recursive_depth(s):
+    if isinstance(s, (Var, Top, Bottom)):
+        return 1
+    if isinstance(s, Not):
+        return 1 + recursive_depth(s.body)
+    return 1 + max(recursive_depth(s.lhs), recursive_depth(s.rhs))
+
+
+def test_stack_sentence_functions_match_recursive_definitions():
+    sigma = SignatureMorphism.of(SIG_PQ, SIG_PQ, {"p": "q", "q": "p"})
+    sentences = enumerate_sentences(SIG_PQ, 3)
+    deeper = [And(Not(a), Implies(b, Or(a, Not(b)))) for a, b in zip(sentences, sentences[1:])]
+    for s in sentences + tuple(deeper):
+        assert render_sentence(s) == recursive_render(s)
+        assert sentence_depth(s) == recursive_depth(s)
+        swapped = recursive_render(s).replace("var p", "var #").replace("var q", "var p")
+        assert render_sentence(translate_sentence(sigma, s)) == swapped.replace("var #", "var q")
+        for m in all_models(SIG_PQ):
+            assert satisfies(m, s) == bool(truth_table(SIG_PQ, s) >> m.valuation.bits & 1)
 
 
 @pytest.mark.parametrize("text, message", [

@@ -9,7 +9,10 @@ from conceptua.clg import concept_lattice, validate_concept_lattice
 from conceptua.clsn import Classification, derivation
 from conceptua.errors import SizeLimitError
 from conceptua.finrel import FinSet, Relation
-from conceptua.order import MonotoneMap, Poset, opposite, power_order
+from conceptua.galois import check_adjunction, closure_interior, downset_coreflection, \
+    enumerate_adjunctions, polar_factorize, recompose, upset_reflection
+from conceptua.institution import Signature, theory_fiber
+from conceptua.order import MonotoneMap, Poset, all_monotone_maps, opposite, power_order
 
 
 def carrier(prefix, n):
@@ -134,3 +137,74 @@ def test_size_guard_names_size_elements_and_override(build, monkeypatch):
     with pytest.raises(SizeLimitError) as err:
         build(a, 3)
     assert "larger bound" in str(err.value)
+
+
+def seeded_adjunctions(count, seed):
+    rng = random.Random(seed)
+    return [derivation(random_context(rng, rng.randint(0, 4), rng.randint(0, 4))).adjunction
+            for _ in range(count)]
+
+
+def test_composites_pass_the_public_constructor():
+    for g in seeded_adjunctions(30, 11):
+        for f in (g.left.then(g.right), g.right.then(g.left),
+                  g.left.then(g.right).then(g.left)):
+            assert rebuilt_map(f) == f
+        composed = recompose(polar_factorize(g))
+        for f in (composed.left, composed.right):
+            assert rebuilt_map(f) == f
+        assert check_adjunction(composed.left, composed.right) is not None
+
+
+def test_fixed_point_subposets_pass_the_public_constructors():
+    for g in seeded_adjunctions(30, 12):
+        ci = closure_interior(g)
+        for sub, incl in ((ci.closed, ci.closed_inclusion), (ci.open, ci.open_inclusion)):
+            assert rebuilt_order(sub) == sub
+            assert rebuilt_map(incl) == incl
+        pf = polar_factorize(g)
+        axis = pf.axis
+        for m in range(axis.size):
+            for adj in (upset_reflection(axis, m), downset_coreflection(axis, m)):
+                for p in (adj.source, adj.target):
+                    assert rebuilt_order(p) == p
+                for f in (adj.left, adj.right):
+                    assert rebuilt_map(f) == f
+
+
+def test_fixed_point_subposet_of_a_preorder_is_still_classified():
+    c = carrier("e", 2)
+    p = order.Preorder(c, Relation(c, c, (0b11, 0b11)))
+    with pytest.raises(ValueError, match="not antisymmetric"):
+        upset_reflection(p, 0)
+
+
+def test_polar_factorization_passes_the_public_constructors():
+    for g in seeded_adjunctions(40, 13):
+        pf = polar_factorize(g)
+        assert rebuilt_order(pf.axis) == pf.axis
+        for adj in (pf.extent_reflection, pf.intent_coreflection):
+            for f in (adj.left, adj.right):
+                assert rebuilt_map(f) == f
+            assert check_adjunction(rebuilt_map(adj.left), rebuilt_map(adj.right)) is not None
+        assert recompose(pf).left.func.table == g.left.func.table
+
+
+def test_theory_fibers_pass_the_public_constructor():
+    for n in range(4):
+        fib = theory_fiber(Signature.of(*"pqr"[:n]))
+        assert rebuilt_order(fib.poset) == fib.poset
+        assert type(fib.poset) is Poset
+
+
+def test_enumerated_maps_pass_the_public_constructor():
+    rng = random.Random(14)
+    orders = [order.Preorder.from_pairs(carrier("e", n), [
+        (f"e{rng.randrange(n)}", f"e{rng.randrange(n)}") for _ in range(n)]) for n in range(4)]
+    orders.append(order.Preorder.chain("a", "b", "c"))
+    for p in orders:
+        for q in orders:
+            for f in all_monotone_maps(p, q):
+                assert rebuilt_map(f) == f
+            for adj in enumerate_adjunctions(p, q):
+                assert check_adjunction(rebuilt_map(adj.left), rebuilt_map(adj.right)) is not None
