@@ -2,10 +2,15 @@
 
 Signatures are finite sets of propositional variables, models are
 valuations, sentences are classical formulas deduplicated by truth table.
-Satisfaction is invariant under signature translation; theories live
+A signature morphism's reduct is one function from target models to
+source models, the instance map of the truth infomorphism. Theories live
 extensionally as model classes, each signature carries a complete lattice
-of them, transports along signature morphisms form adjunctions between
-fibers, and colimit-style merging intersects transported model classes
+of them, and every institution operation is an image or a preimage along
+the reduct map: transport is the inverse image, inverse transport the
+direct image, and the two form an adjunction between fibers. The
+satisfaction condition is checked on truth tables: the preimage of a
+sentence's table along the reduct must equal the table of its
+translation. Colimit-style merging intersects transported model classes
 over a signature pushout.
 """
 
@@ -15,7 +20,8 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import CarrierMismatchError, ParseError, SizeLimitError, UnknownElementError
-from .finrel import FinFunction, FinSet, Relation, Subset, image_bits, preimage_bits
+from .finrel import FinFunction, FinSet, Relation, Subset, image_bits, preimage_bits, \
+    preimage_rows, transpose
 from .galois import Adjunction, check_adjunction
 from .order import MonotoneMap, Poset, _subset_rows, _trusted, check_carrier_bound
 from .clsn import Classification
@@ -412,19 +418,12 @@ def enumerate_sentences(sig: Signature, depth: int) -> tuple[Sentence, ...]:
 
 
 class PropositionalInstitution:
-    """Bundles the model/sentence procedures so tests can inject faults."""
+    """The ``reduct`` fault seam.
 
-    def models(self, sig: Signature) -> list[Model]:
-        return all_models(sig)
-
-    def sentences(self, sig: Signature, depth: int) -> tuple[Sentence, ...]:
-        return enumerate_sentences(sig, depth)
-
-    def satisfies(self, m: Model, s: Sentence) -> bool:
-        return satisfies(m, s)
-
-    def translate(self, sigma: SignatureMorphism, s: Sentence) -> Sentence:
-        return translate_sentence(sigma, s)
+    ``reduct_function`` tabulates ``reduct`` once per signature morphism,
+    and the satisfaction check and the style report read only that table,
+    so a subclass that overrides ``reduct`` injects its fault everywhere.
+    """
 
     def reduct(self, sigma: SignatureMorphism, m: Model) -> Model:
         """Pull a target model back along the variable map."""
@@ -432,6 +431,11 @@ class PropositionalInstitution:
             raise CarrierMismatchError("model is not over the morphism target")
         pulled = preimage_bits(sigma.map, m.valuation.bits)
         return Model(sigma.source, Subset(sigma.source.vars, pulled))
+
+    def reduct_function(self, sigma: SignatureMorphism) -> FinFunction:
+        """The reduct as a map from the target's models to the source's, by model number."""
+        return FinFunction(model_carrier(sigma.target), model_carrier(sigma.source), tuple(
+            self.reduct(sigma, m).valuation.bits for m in all_models(sigma.target)))
 
 
 @dataclass(frozen=True)
@@ -458,50 +462,46 @@ def check_satisfaction_condition(
     institution: PropositionalInstitution | None = None,
 ) -> SatisfactionReport:
     """reduct(m) satisfies s iff m satisfies translate(s), for all target
-    models and source sentences up to the configured depth."""
+    models and source sentences up to the configured depth.
+
+    Per sentence, the preimage of its truth table along the reduct map is
+    compared with the truth table of its translation; failures are listed
+    model by model, sentence by sentence within a model.
+    """
     inst = institution or PropositionalInstitution()
-    report = SatisfactionReport()
-    sentences = inst.sentences(sigma.source, config.depth)
+    sentences = enumerate_sentences(sigma.source, config.depth)
     if config.max_sentences is not None and len(sentences) > config.max_sentences:
         import random
 
         rng = random.Random(config.seed)
         sentences = rng.sample(sentences, config.max_sentences)
-    models = inst.models(sigma.target)
-    report.models_checked = len(models)
-    report.sentences_checked = len(sentences)
-    for m in models:
-        reduced = inst.reduct(sigma, m)
-        for s in sentences:
-            lhs = inst.satisfies(reduced, s)
-            rhs = inst.satisfies(m, inst.translate(sigma, s))
-            if lhs != rhs:
-                report.failures.append(
-                    f"model {m.label()} sentence {render_sentence(s)}: "
-                    f"reduct-side {lhs}, translate-side {rhs}"
-                )
+    r = inst.reduct_function(sigma)
+    sides = [(s, preimage_bits(r, truth_table(sigma.source, s)),
+              truth_table(sigma.target, translate_sentence(sigma, s))) for s in sentences]
+    report = SatisfactionReport(models_checked=r.source.size, sentences_checked=len(sentences))
+    wrong = 0
+    for _, lhs, rhs in sides:
+        wrong |= lhs ^ rhs
+    for m in Subset(r.source, wrong).indices():
+        report.failures += [
+            f"model {r.source.elements[m]} sentence {render_sentence(s)}: "
+            f"reduct-side {bool(lhs >> m & 1)}, translate-side {bool(rhs >> m & 1)}"
+            for s, lhs, rhs in sides if (lhs ^ rhs) >> m & 1]
     return report
 
 
-def classification_of_signature(
-    sig: Signature, depth: int, institution: PropositionalInstitution | None = None
-) -> Classification:
-    """Models as instances, depth-bounded deduplicated sentences as types."""
+def classification_of_signature(sig: Signature, depth: int) -> Classification:
+    """Models as instances, depth-bounded deduplicated sentences as types.
+
+    The sentences' truth tables are the columns of the incidence.
+    """
     if sig.size > 5:
         raise SizeLimitError("signature too large to materialize the model set")
-    inst = institution or PropositionalInstitution()
-    models = inst.models(sig)
-    sentences = inst.sentences(sig, depth)
-    instances = FinSet(tuple(m.label() for m in models))
+    sentences = enumerate_sentences(sig, depth)
+    instances = model_carrier(sig)
     types = FinSet(tuple(render_sentence(s) for s in sentences))
-    rows = []
-    for m in models:
-        mask = 0
-        for j, s in enumerate(sentences):
-            if inst.satisfies(m, s):
-                mask |= 1 << j
-        rows.append(mask)
-    return Classification(instances, types, Relation(instances, types, tuple(rows)))
+    columns = Relation(types, instances, tuple(truth_table(sig, s) for s in sentences))
+    return Classification(instances, types, transpose(columns))
 
 
 # ------------------------------------------------------------------ theories
@@ -579,42 +579,36 @@ def theory_fiber(sig: Signature) -> TheoryFiber:
     return TheoryFiber(sig, poset, theories)
 
 
-def transport_theory(sigma: SignatureMorphism, t: TheoryObject,
-                     institution: PropositionalInstitution | None = None) -> TheoryObject:
-    """Target models whose reduct lies in the theory (the existential direction)."""
+def transport_theory(sigma: SignatureMorphism, t: TheoryObject) -> TheoryObject:
+    """Target models whose reduct lies in the theory: its inverse image along the reduct."""
     if t.signature != sigma.source:
         raise CarrierMismatchError("theory is not over the morphism source")
-    inst = institution or PropositionalInstitution()
-    mask = 0
-    for m_idx, m in enumerate(inst.models(sigma.target)):
-        if t.mask >> inst.reduct(sigma, m).valuation.bits & 1:
-            mask |= 1 << m_idx
-    return TheoryObject.of_mask(sigma.target, mask)
+    r = PropositionalInstitution().reduct_function(sigma)
+    return TheoryObject.of_mask(sigma.target, preimage_bits(r, t.mask))
 
 
-def inverse_transport(sigma: SignatureMorphism, t: TheoryObject,
-                      institution: PropositionalInstitution | None = None) -> TheoryObject:
-    """Source theory of all reducts of the theory's models."""
+def inverse_transport(sigma: SignatureMorphism, t: TheoryObject) -> TheoryObject:
+    """Source theory of all reducts of the theory's models: its direct image along the reduct."""
     if t.signature != sigma.target:
         raise CarrierMismatchError("theory is not over the morphism target")
-    inst = institution or PropositionalInstitution()
-    mask = 0
-    models = inst.models(sigma.target)
-    for m_idx in Subset(model_carrier(sigma.target), t.mask).indices():
-        mask |= 1 << inst.reduct(sigma, models[m_idx]).valuation.bits
-    return TheoryObject.of_mask(sigma.source, mask)
+    r = PropositionalInstitution().reduct_function(sigma)
+    return TheoryObject.of_mask(sigma.source, image_bits(r, t.mask))
 
 
 def fiber_transport_adjunction(sigma: SignatureMorphism) -> Adjunction:
-    """transport -| inverse_transport between the two theory fibers."""
+    """transport -| inverse_transport between the two theory fibers.
+
+    A theory's index in its fiber is its model-class mask, so the two
+    tables are the preimages and the images of every mask along the reduct.
+    """
     f1 = theory_fiber(sigma.source)
     f2 = theory_fiber(sigma.target)
+    r = PropositionalInstitution().reduct_function(sigma)
     left = MonotoneMap(f1.poset, f2.poset, FinFunction(
-        f1.poset.carrier, f2.poset.carrier,
-        tuple(transport_theory(sigma, t).mask for t in f1.theories)))
+        f1.poset.carrier, f2.poset.carrier, preimage_rows(r, range(len(f1.theories)))))
     right = MonotoneMap(f2.poset, f1.poset, FinFunction(
         f2.poset.carrier, f1.poset.carrier,
-        tuple(inverse_transport(sigma, t).mask for t in f2.theories)))
+        tuple(image_bits(r, mask) for mask in range(len(f2.theories)))))
     return check_adjunction(left, right)
 
 
@@ -659,9 +653,6 @@ def flatten(signatures, morphisms) -> FlattenedTheoryCategory:
     laws are checked on all composable pairs and triples.
     """
     signatures = tuple(signatures)
-    for sig in signatures:
-        if sig.size > 3:
-            raise SizeLimitError("flatten caps signatures at 3 variables")
     sig_index = {sig: i for i, sig in enumerate(signatures)}
     sig_morphs: list[tuple[int, int, SignatureMorphism]] = []
     for i, sig in enumerate(signatures):
@@ -683,10 +674,9 @@ def flatten(signatures, morphisms) -> FlattenedTheoryCategory:
     if len(objects) > 5000:
         raise SizeLimitError("flattened category would be too large")
 
-    transport_tables = []
-    for si, ti, sm in sig_morphs:
-        transport_tables.append(tuple(
-            transport_theory(sm, t).mask for t in fibers[si].theories))
+    inst = PropositionalInstitution()
+    transport_tables = [preimage_rows(inst.reduct_function(sm), range(len(fibers[si].theories)))
+                        for si, _, sm in sig_morphs]
 
     morphs: list[tuple[int, int, int]] = []
     for mi, (si, ti, sm) in enumerate(sig_morphs):
@@ -935,10 +925,10 @@ def style_interconvert(sigma: SignatureMorphism, depth: int,
     inst = institution or PropositionalInstitution()
     witnesses: dict = {}
 
-    a = classification_of_signature(sigma.source, depth, inst)
-    b = classification_of_signature(sigma.target, depth, inst)
-    source_sentences = inst.sentences(sigma.source, depth)
-    target_sentences = inst.sentences(sigma.target, depth)
+    a = classification_of_signature(sigma.source, depth)
+    b = classification_of_signature(sigma.target, depth)
+    source_sentences = enumerate_sentences(sigma.source, depth)
+    target_sentences = enumerate_sentences(sigma.target, depth)
     target_tables = {truth_table(sigma.target, s): j for j, s in enumerate(target_sentences)}
 
     # Class-Rel: the satisfaction condition, sentence by sentence.
@@ -948,13 +938,10 @@ def style_interconvert(sigma: SignatureMorphism, depth: int,
         witnesses["class_rel"] = rel_report.failures[0]
 
     # The infomorphism data shared by the remaining styles.
-    inst_table = tuple(
-        inst.reduct(sigma, m).valuation.bits for m in inst.models(sigma.target)
-    )
     typ_table = []
     translatable = True
     for s in source_sentences:
-        t = truth_table(sigma.target, inst.translate(sigma, s))
+        t = truth_table(sigma.target, translate_sentence(sigma, s))
         if t not in target_tables:
             translatable = False
             witnesses["class_adj"] = f"translated sentence table {t:#x} not reachable at depth {depth}"
@@ -963,8 +950,7 @@ def style_interconvert(sigma: SignatureMorphism, depth: int,
 
     class_adj = conc_adj = conc_rel = False
     if translatable:
-        info = Infomorphism(a, b,
-                            FinFunction(b.instances, a.instances, inst_table),
+        info = Infomorphism(a, b, inst.reduct_function(sigma),
                             FinFunction(a.types, b.types, tuple(typ_table)))
         class_adj = check_infomorphism(info).adjunction_version
         if not class_adj:
@@ -991,7 +977,6 @@ def style_interconvert(sigma: SignatureMorphism, depth: int,
 
         # Conc-Rel: theory-level satisfaction with closure-then-image translation.
         conc_rel = True
-        models_b = inst.models(sigma.target)
         for k, c in enumerate(la_concepts):
             reduced = preimage_bits(info.inst_map, c.extent.bits)
             translated = b.extent_of(Subset(b.types, image_bits(info.typ_map, c.intent.bits))).bits
@@ -1000,7 +985,7 @@ def style_interconvert(sigma: SignatureMorphism, depth: int,
                 m_idx = (diff & -diff).bit_length() - 1
                 conc_rel = False
                 witnesses["conc_rel"] = (
-                    f"model {models_b[m_idx].label()} vs theory c{k}: reduct-side "
+                    f"model {b.instances.elements[m_idx]} vs theory c{k}: reduct-side "
                     f"{bool(reduced >> m_idx & 1)}, translated {bool(translated >> m_idx & 1)}")
                 break
     else:

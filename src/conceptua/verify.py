@@ -46,7 +46,6 @@ from .galois import (
     check_reflection_lattice_transfer,
     closure_interior,
     compose_adjunctions,
-    diagonalize,
     downset_coreflection,
     enumerate_adjunctions,
     factorization_equivalence_check,
@@ -204,15 +203,19 @@ def random_valid_infomorphism(rng: random.Random, max_side: int = 3) -> Infomorp
     return None
 
 
-def _squares_from_infomorphisms(rng: random.Random, count: int):
-    squares = []
+def _valid_infomorphisms(rng: random.Random, count: int) -> list[Infomorphism]:
+    infos = []
     attempts = 0
-    while len(squares) < count and attempts < count * 30:
+    while len(infos) < count and attempts < count * 30:
         attempts += 1
         f = random_valid_infomorphism(rng, max_side=2)
         if f is not None:
-            squares.append(derivation_square(f))
-    return squares
+            infos.append(f)
+    return infos
+
+
+def _squares_from_infomorphisms(rng: random.Random, count: int):
+    return [derivation_square(f) for f in _valid_infomorphisms(rng, count)]
 
 
 def corrupted_factorization_witness() -> str | None:
@@ -441,13 +444,9 @@ def galois_suite(seed: int, cases: int) -> LawReport:
     report.check(not fs.check_composition_closure(m_pairs), "coreflections compose")
 
     # diagonalization on commuting squares built from infomorphisms
-    for g1, g2, a_adj, b_adj in _squares_from_infomorphisms(rng, max(3, cases // 40)):
-        pf1, pf2 = polar_factorize(g1), polar_factorize(g2)
+    for f in _valid_infomorphisms(rng, max(3, cases // 40)):
         try:
-            diagonalize(pf1.extent_reflection,
-                        compose_adjunctions(pf1.intent_coreflection, b_adj),
-                        compose_adjunctions(a_adj, pf2.extent_reflection),
-                        pf2.intent_coreflection)
+            diagonal_of_infomorphism(f)
             report.check(True, "")
         except ConceptuaError as exc:
             report.check(False, f"diagonalization failed on a commuting square: {exc}")
