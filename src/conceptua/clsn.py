@@ -94,7 +94,7 @@ class DerivationAdjunction:
     adjunction: Adjunction
 
 
-def derivation(a: Classification, bound: int | None = None) -> DerivationAdjunction:
+def derivation(a: Classification) -> DerivationAdjunction:
     """Build deriv(a) : power(instances) <=> power(types) with the type side reversed.
 
     Both derivation operators are antitone in the plain inclusion orders, so
@@ -102,10 +102,10 @@ def derivation(a: Classification, bound: int | None = None) -> DerivationAdjunct
     for every incidence, so nothing is re-checked.  Each table entry is one
     AND over the incidence rows or columns (``meet_table``).
     """
-    limit = check_carrier_bound(a.instances.size, bound, "derivation: the instance carrier")
-    check_carrier_bound(a.types.size, bound, "derivation: the type carrier")
-    ip = power_order(a.instances, bound=limit)
-    tp = power_order(a.types, bound=limit)
+    check_carrier_bound(a.instances.size, "derivation: the instance carrier")
+    check_carrier_bound(a.types.size, "derivation: the type carrier")
+    ip = power_order(a.instances)
+    tp = power_order(a.types)
     tp_op = tp.opposite()
     left = _monotone(ip.poset, tp_op, meet_table(a.incidence.rows, a.types.full_mask))
     right = _monotone(tp_op, ip.poset,
@@ -213,9 +213,9 @@ def order_as_classification(p: Preorder) -> Classification:
     return Classification(p.carrier, p.carrier, p.leq)
 
 
-def bounds_adjunction(p: Preorder, bound: int | None = None) -> DerivationAdjunction:
+def bounds_adjunction(p: Preorder) -> DerivationAdjunction:
     """The upper/lower bound Galois connection, as derivation of the order context."""
-    return derivation(order_as_classification(p), bound=bound)
+    return derivation(order_as_classification(p))
 
 
 def _infomorphism_label(inst_table, typ_table) -> str:

@@ -260,12 +260,9 @@ class Relation:
         full = self.target.full_mask
         return Relation(self.source, self.target, tuple(~r & full for r in self.rows))
 
-    def issubrelation(self, other: "Relation") -> bool:
+    def __le__(self, other: "Relation") -> bool:
         self._check_same_shape(other)
         return all(a & ~b == 0 for a, b in zip(self.rows, other.rows))
-
-    def __le__(self, other: "Relation") -> bool:
-        return self.issubrelation(other)
 
     def fiber10(self, j: int) -> Subset:
         """Sources related to target index j (a column)."""

@@ -475,10 +475,16 @@ def check_satisfaction_condition(
 
         rng = random.Random(config.seed)
         sentences = rng.sample(sentences, config.max_sentences)
+    return _satisfaction(sigma, sentences, [truth_table(sigma.source, s) for s in sentences],
+                         inst)[0]
+
+
+def _satisfaction(sigma: SignatureMorphism, sentences, source_tables, inst):
+    """The report, the reduct table and the translated sentences' truth tables."""
     r = inst.reduct_function(sigma)
-    sides = [(s, preimage_bits(r, truth_table(sigma.source, s)),
-              truth_table(sigma.target, translate_sentence(sigma, s))) for s in sentences]
-    report = SatisfactionReport(models_checked=r.source.size, sentences_checked=len(sentences))
+    sides = [(s, preimage_bits(r, table), truth_table(sigma.target, translate_sentence(sigma, s)))
+             for s, table in zip(sentences, source_tables)]
+    report = SatisfactionReport(models_checked=r.source.size, sentences_checked=len(sides))
     wrong = 0
     for _, lhs, rhs in sides:
         wrong |= lhs ^ rhs
@@ -487,7 +493,7 @@ def check_satisfaction_condition(
             f"model {r.source.elements[m]} sentence {render_sentence(s)}: "
             f"reduct-side {bool(lhs >> m & 1)}, translate-side {bool(rhs >> m & 1)}"
             for s, lhs, rhs in sides if (lhs ^ rhs) >> m & 1]
-    return report
+    return report, r, [rhs for _, _, rhs in sides]
 
 
 def classification_of_signature(sig: Signature, depth: int) -> Classification:
@@ -529,9 +535,6 @@ class TheoryObject:
     @property
     def mask(self) -> int:
         return self.model_class.bits
-
-    def is_inconsistent(self) -> bool:
-        return self.mask == 0
 
 
 @dataclass(frozen=True)
@@ -835,7 +838,7 @@ def merge_theories(span: MergeSpan) -> MergeResult:
     flagged, not raised.
     """
     pushout, inj_left, inj_right = pushout_signature(span.base, span.left_map, span.right_map)
-    check_carrier_bound(pushout.size, None, "merge: the pushout signature")
+    check_carrier_bound(pushout.size, "merge: the pushout signature")
     moved_left = transport_theory(inj_left, span.left_theory)
     moved_right = transport_theory(inj_right, span.right_theory)
     merged_mask = moved_left.mask & moved_right.mask
@@ -927,12 +930,11 @@ def style_interconvert(sigma: SignatureMorphism, depth: int,
 
     a = classification_of_signature(sigma.source, depth)
     b = classification_of_signature(sigma.target, depth)
-    source_sentences = enumerate_sentences(sigma.source, depth)
-    target_sentences = enumerate_sentences(sigma.target, depth)
-    target_tables = {truth_table(sigma.target, s): j for j, s in enumerate(target_sentences)}
+    target_tables = {t: j for j, t in enumerate(transpose(b.incidence).rows)}
 
     # Class-Rel: the satisfaction condition, sentence by sentence.
-    rel_report = check_satisfaction_condition(sigma, SatisfactionConfig(depth=depth), inst)
+    rel_report, r, translated = _satisfaction(sigma, enumerate_sentences(sigma.source, depth),
+                                              transpose(a.incidence).rows, inst)
     class_rel = rel_report.ok
     if not class_rel:
         witnesses["class_rel"] = rel_report.failures[0]
@@ -940,8 +942,7 @@ def style_interconvert(sigma: SignatureMorphism, depth: int,
     # The infomorphism data shared by the remaining styles.
     typ_table = []
     translatable = True
-    for s in source_sentences:
-        t = truth_table(sigma.target, translate_sentence(sigma, s))
+    for t in translated:
         if t not in target_tables:
             translatable = False
             witnesses["class_adj"] = f"translated sentence table {t:#x} not reachable at depth {depth}"
@@ -950,8 +951,7 @@ def style_interconvert(sigma: SignatureMorphism, depth: int,
 
     class_adj = conc_adj = conc_rel = False
     if translatable:
-        info = Infomorphism(a, b, inst.reduct_function(sigma),
-                            FinFunction(a.types, b.types, tuple(typ_table)))
+        info = Infomorphism(a, b, r, FinFunction(a.types, b.types, tuple(typ_table)))
         class_adj = check_infomorphism(info).adjunction_version
         if not class_adj:
             witnesses.setdefault("class_adj", "derivation square fails")
@@ -1032,7 +1032,7 @@ def theory_from_json(data, what: str = "theory") -> TheoryObject:
             ("models" not in data and "sentence" not in data):
         raise ParseError(f"{what} needs 'signature' plus 'models' or 'sentence'")
     sig = signature_from_json(data["signature"], f"{what} signature")
-    check_carrier_bound(sig.size, None, f"{what} signature")
+    check_carrier_bound(sig.size, f"{what} signature")
     if "sentence" in data:
         if not isinstance(data["sentence"], str):
             raise ParseError(f"{what} sentence must be a string")

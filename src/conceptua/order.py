@@ -4,7 +4,7 @@ import os
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import CarrierMismatchError, SizeLimitError, UnknownElementError
+from .errors import CarrierMismatchError, ParseError, SizeLimitError, UnknownElementError
 from .finrel import (
     FinFunction,
     FinSet,
@@ -56,29 +56,31 @@ __all__ = [
     "preorder_to_dot",
 ]
 
-DEFAULT_CARRIER_BOUND = 20
+# The largest n for which derivation on an n x n context and `conceptua lattice`
+# on contranominal-n both peak under 2 GiB (2-vCPU VM, Python 3.11).
+DEFAULT_CARRIER_BOUND = 16
 
 
 def carrier_bound() -> int:
-    """Power-order size cap; CONCEPTUA_MAX_CARRIER overrides the default of 20."""
-    return int(os.environ.get("CONCEPTUA_MAX_CARRIER", DEFAULT_CARRIER_BOUND))
+    """CONCEPTUA_MAX_CARRIER, else 16; ``ParseError`` unless a non-negative integer."""
+    text = os.environ.get("CONCEPTUA_MAX_CARRIER", str(DEFAULT_CARRIER_BOUND))
+    try:
+        if (value := int(text)) >= 0:
+            return value
+    except ValueError:
+        pass
+    raise ParseError(f"CONCEPTUA_MAX_CARRIER must be a non-negative integer, got {text!r}")
 
 
-def check_carrier_bound(size: int, bound: int | None, what: str) -> int:
-    """The effective carrier bound; raises if a power order of ``size`` would exceed it.
-
-    The message names the carrier size, the 2^size elements the power order
-    would have, and how to raise the bound.
-    """
-    limit = carrier_bound() if bound is None else bound
+def check_carrier_bound(size: int, what: str):
+    """Raises if a power order of ``size`` elements would exceed the carrier bound,
+    naming the size, the 2^size elements and the setting that raises the bound."""
+    limit = carrier_bound()
     if size > limit:
         elements = f"2^{size}" + (f" = {1 << size}" if size <= 64 else "")
-        remedy = ("set CONCEPTUA_MAX_CARRIER to raise it" if bound is None
-                  else "pass a larger bound to raise it")
         raise SizeLimitError(
             f"{what} has {size} elements; its power order would have {elements} elements, "
-            f"above the carrier bound {limit}; {remedy}")
-    return limit
+            f"above the carrier bound {limit}; set CONCEPTUA_MAX_CARRIER to raise it")
 
 
 def _trusted(cls, **fields):
@@ -471,9 +473,6 @@ class PowerOrder:
     def size(self) -> int:
         return self.poset.size
 
-    def subset_at(self, i: int) -> Subset:
-        return Subset(self.base, i)
-
     def opposite(self) -> Poset:
         """Reverse inclusion; equal to ``opposite(self.poset)`` without the transpose."""
         carrier = self.poset.carrier
@@ -506,7 +505,7 @@ class PowerOrder:
         return acc
 
 
-def power_order(a: FinSet, bound: int | None = None) -> PowerOrder:
+def power_order(a: FinSet) -> PowerOrder:
     """The subset lattice of ``a``; refuses carriers above the bound.
 
     Inclusion is stored as one bitset row per subset, the supersets of i,
@@ -514,7 +513,7 @@ def power_order(a: FinSet, bound: int | None = None) -> PowerOrder:
     that element): 2^n big-int ANDs of 2^n-bit rows, and 2^n labels.  The
     result is a poset by construction and is not re-validated.
     """
-    check_carrier_bound(a.size, bound, "power_order: the carrier")
+    check_carrier_bound(a.size, "power_order: the carrier")
     n = 1 << a.size
     # col[b]: the subsets that contain element b, as a mask over subset indices;
     # one period is 2^b clear bits then 2^b set bits, repeated up to n bits.

@@ -192,6 +192,39 @@ def test_derivation_and_concept_lattice_tables_pass_the_full_checks():
             for y in range(1 << a.types.size))
 
 
+def eager_adjunction_tables(a):
+    """The earlier ``concept_lattice``: both power orders and all four tables at once."""
+    from conceptua.order import power_order
+
+    lattice, concepts = concept_poset(a)
+    pos = {c.extent.bits: k for k, c in enumerate(concepts)}
+    ipower = power_order(a.instances)
+    tpower_op = power_order(a.types).opposite()
+    intent_of = meet_table(a.incidence.rows, a.types.full_mask)
+    extent_of = meet_table([a.incidence.fiber10(j).bits for j in range(a.types.size)],
+                           a.instances.full_mask)
+    embed_src = tuple(pos[extent_of[m]] for m in intent_of)
+    embed_tgt = tuple(pos[e] for e in extent_of)
+    return {
+        "orders": (ipower.poset, lattice, tpower_op),
+        "tables": (embed_src, tuple(c.extent.bits for c in concepts),
+                   tuple(c.intent.bits for c in concepts), embed_tgt),
+        "iota": tuple(embed_src[1 << i] for i in range(a.instances.size)),
+        "tau": tuple(embed_tgt[1 << t] for t in range(a.types.size)),
+    }
+
+
+def test_lazy_adjunctions_equal_the_eager_tables_on_seeded_contexts():
+    for a in seeded_contexts(40, 6, seed=409) + seeded_contexts(20, 9, seed=404):
+        lat = concept_lattice(a)
+        eager = eager_adjunction_tables(a)
+        assert (lat.iota_embed.table, lat.tau_embed.table) == (eager["iota"], eager["tau"])
+        ext, inten = lat.extent_reflection, lat.intent_coreflection
+        assert (ext.source, ext.target, inten.target) == eager["orders"]
+        assert (ext.left.func.table, ext.right.func.table, inten.left.func.table,
+                inten.right.func.table) == eager["tables"]
+
+
 # -------------------------------------------------------- infomorphism versions
 
 

@@ -6,8 +6,8 @@ import pytest
 
 from conceptua.errors import NotAConceptLatticeError
 from conceptua.finrel import FinFunction, FinSet, Relation, Subset, finset
-from conceptua.galois import Adjunction, polar_factorize
-from conceptua.order import MonotoneMap, Poset, Preorder, poset_join, poset_meet, power_order
+from conceptua.galois import polar_factorize
+from conceptua.order import Poset, Preorder, poset_join, poset_meet
 from conceptua.clsn import (
     Classification,
     derivation,
@@ -379,27 +379,10 @@ def diamond_lattice_parts(order_labels):
     concepts[roles["y"]] = FormalConcept(Subset.of(instances, ["i2"]), Subset.of(types, ["t2"]))
     concepts[roles["top"]] = FormalConcept(Subset.of(instances, ["i1", "i2"]), Subset.of(types, []))
 
-    ipower = power_order(instances)
-    tpower = power_order(types)
-    from conceptua.order import opposite
-
-    tpow_op = opposite(tpower.poset)
-    by_extent = {concepts[k].extent.bits: k for k in range(4)}
-    by_intent = {concepts[k].intent.bits: k for k in range(4)}
-    embed_src = MonotoneMap(ipower.poset, lattice, FinFunction(
-        ipower.poset.carrier, carrier, tuple(by_extent[x] for x in range(4))))
-    project_src = MonotoneMap(lattice, ipower.poset, FinFunction(
-        carrier, ipower.poset.carrier, tuple(concepts[k].extent.bits for k in range(4))))
-    project_tgt = MonotoneMap(lattice, tpow_op, FinFunction(
-        carrier, tpow_op.carrier, tuple(concepts[k].intent.bits for k in range(4))))
-    embed_tgt = MonotoneMap(tpow_op, lattice, FinFunction(
-        tpow_op.carrier, carrier, tuple(by_intent[y] for y in range(4))))
     iota = FinFunction(instances, carrier, (roles["x"], roles["y"]))
     tau = FinFunction(types, carrier, (roles["x"], roles["y"]))
     return dict(
         instances=instances, types=types, lattice=lattice, concepts=tuple(concepts),
-        extent_reflection=Adjunction(ipower.poset, lattice, embed_src, project_src),
-        intent_coreflection=Adjunction(lattice, tpow_op, project_tgt, embed_tgt),
         iota_embed=iota, tau_embed=tau,
     )
 

@@ -217,8 +217,6 @@ def test_power_order_respects_size_bound():
     big = FinSet(tuple(f"v{i}" for i in range(25)))
     with pytest.raises(SizeLimitError):
         power_order(big)
-    with pytest.raises(SizeLimitError):
-        power_order(finset("a", "b"), bound=1)
 
 
 def test_power_order_env_override(monkeypatch):

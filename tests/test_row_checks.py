@@ -339,7 +339,6 @@ def test_classification_of_matches_pairwise_on_arbitrary_embeddings():
         labels = lat.lattice.carrier
         scrambled = ConceptLattice(
             lat.instances, lat.types, lat.lattice, lat.concepts,
-            lat.extent_reflection, lat.intent_coreflection,
             FinFunction(a.instances, labels, random_table(rng, a.instances, labels)),
             FinFunction(a.types, labels, random_table(rng, a.types, labels)))
         assert classification_of(scrambled).incidence.rows == \

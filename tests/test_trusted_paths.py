@@ -121,22 +121,19 @@ def test_public_poset_still_rejects_each_axiom():
 
 
 @pytest.mark.parametrize("build", [
-    lambda a, bound: power_order(a.instances, bound=bound),
-    lambda a, bound: derivation(a, bound=bound),
-    lambda a, bound: concept_lattice(a, bound=bound),
+    lambda a: power_order(a.instances),
+    lambda a: derivation(a),
+    lambda a: concept_lattice(a).extent_reflection,
 ])
 def test_size_guard_names_size_elements_and_override(build, monkeypatch):
     a = random_context(random.Random(3), 5, 2)
     monkeypatch.setenv("CONCEPTUA_MAX_CARRIER", "4")
     with pytest.raises(SizeLimitError) as err:
-        build(a, None)
+        build(a)
     message = str(err.value)
     assert "5 elements" in message
     assert "2^5 = 32" in message
     assert "CONCEPTUA_MAX_CARRIER" in message
-    with pytest.raises(SizeLimitError) as err:
-        build(a, 3)
-    assert "larger bound" in str(err.value)
 
 
 def seeded_adjunctions(count, seed):
