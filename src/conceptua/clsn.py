@@ -24,7 +24,6 @@ from .finrel import (
 )
 from .galois import Adjunction
 from .order import (
-    PowerOrder,
     Preorder,
     _monotone,
     bounds,
@@ -35,7 +34,6 @@ from .order import (
 __all__ = [
     "Classification",
     "Infomorphism",
-    "DerivationAdjunction",
     "derivation",
     "check_infomorphism",
     "InfomorphismReport",
@@ -84,18 +82,8 @@ def involution_classification(a: Classification) -> Classification:
     return Classification(a.types, a.instances, transpose(a.incidence))
 
 
-@dataclass(frozen=True)
-class DerivationAdjunction:
-    """The Galois connection of derivation, between materialized power lattices."""
-
-    classification: Classification
-    instance_power: PowerOrder
-    type_power: PowerOrder
-    adjunction: Adjunction
-
-
-def derivation(a: Classification) -> DerivationAdjunction:
-    """Build deriv(a) : power(instances) <=> power(types) with the type side reversed.
+def derivation(a: Classification) -> Adjunction:
+    """deriv(a) : power(instances) <=> power(types), the type side by reverse inclusion.
 
     Both derivation operators are antitone in the plain inclusion orders, so
     monotone into the reversed type side, and they form a Galois connection
@@ -104,13 +92,12 @@ def derivation(a: Classification) -> DerivationAdjunction:
     """
     check_carrier_bound(a.instances.size, "derivation: the instance carrier")
     check_carrier_bound(a.types.size, "derivation: the type carrier")
-    ip = power_order(a.instances)
-    tp = power_order(a.types)
-    tp_op = tp.opposite()
-    left = _monotone(ip.poset, tp_op, meet_table(a.incidence.rows, a.types.full_mask))
-    right = _monotone(tp_op, ip.poset,
+    source = power_order(a.instances)
+    target = power_order(a.types, reverse=True)
+    left = _monotone(source, target, meet_table(a.incidence.rows, a.types.full_mask))
+    right = _monotone(target, source,
                       meet_table(transpose(a.incidence).rows, a.instances.full_mask))
-    return DerivationAdjunction(a, ip, tp, Adjunction(ip.poset, tp_op, left, right))
+    return Adjunction(source, target, left, right)
 
 
 @dataclass(frozen=True)
@@ -213,7 +200,7 @@ def order_as_classification(p: Preorder) -> Classification:
     return Classification(p.carrier, p.carrier, p.leq)
 
 
-def bounds_adjunction(p: Preorder) -> DerivationAdjunction:
+def bounds_adjunction(p: Preorder) -> Adjunction:
     """The upper/lower bound Galois connection, as derivation of the order context."""
     return derivation(order_as_classification(p))
 

@@ -115,25 +115,76 @@ class Var:
     name: str
 
 
-@dataclass(frozen=True)
-class Not:
+class _Connective:
+    """``==``, ``hash`` and ``repr`` of the connectives over explicit stacks, so
+    sentences nested past the recursion limit can still be compared, hashed
+    and printed.  ``repr`` reads as the dataclass one would."""
+
+    __slots__ = ()
+
+    def _prefix(self) -> tuple:
+        """Connective classes and leaves in prefix order, which determine the
+        sentence since each class has a fixed arity."""
+        todo: list = [self]
+        prefix: list = []
+        while todo:
+            t = todo.pop()
+            if isinstance(t, _Connective):
+                prefix.append(type(t))
+                todo += (t.body,) if type(t) is Not else (t.rhs, t.lhs)
+            else:
+                prefix.append(t)
+        return tuple(prefix)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._prefix() == other._prefix()
+
+    def __hash__(self):
+        return hash(self._prefix())
+
+    def __repr__(self):
+        out: list[str] = []
+        todo: list = [self]
+        while todo:
+            t = todo.pop()
+            if type(t) is _Text:
+                out.append(t)
+            elif type(t) is Not:
+                out.append("Not(body=")
+                todo += (_Text(")"), t.body)
+            elif isinstance(t, _Connective):
+                out.append(f"{type(t).__qualname__}(lhs=")
+                todo += (_Text(")"), t.rhs, _Text(", rhs="), t.lhs)
+            else:
+                out.append(repr(t))
+        return "".join(out)
+
+
+class _Text(str):
+    """A piece of ``repr`` text queued between operands."""
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Not(_Connective):
     body: "Sentence"
 
 
-@dataclass(frozen=True)
-class And:
+@dataclass(frozen=True, eq=False, repr=False)
+class And(_Connective):
     lhs: "Sentence"
     rhs: "Sentence"
 
 
-@dataclass(frozen=True)
-class Or:
+@dataclass(frozen=True, eq=False, repr=False)
+class Or(_Connective):
     lhs: "Sentence"
     rhs: "Sentence"
 
 
-@dataclass(frozen=True)
-class Implies:
+@dataclass(frozen=True, eq=False, repr=False)
+class Implies(_Connective):
     lhs: "Sentence"
     rhs: "Sentence"
 
@@ -564,8 +615,8 @@ def theory_fiber(sig: Signature) -> TheoryFiber:
     """The complete lattice of the 2^(2^n) model classes of the signature.
 
     Row T holds the model classes inside T (reverse inclusion, weaker
-    theories below), built as ``PowerOrder.opposite`` builds its rows; a
-    poset by construction, so it is not re-validated.
+    theories below), the rows of ``power_order(..., reverse=True)``; a poset
+    by construction, so it is not re-validated.
     """
     n = sig.size
     if n > THEORY_FIBER_MAX_VARS:

@@ -35,7 +35,6 @@ __all__ = [
     "product",
     "terminal",
     "equalizer",
-    "PowerOrder",
     "power_order",
     "carrier_bound",
     "check_carrier_bound",
@@ -458,83 +457,42 @@ def equalizer(f: MonotoneMap, g: MonotoneMap) -> tuple[Preorder, MonotoneMap]:
     return sub, incl
 
 
-@dataclass(frozen=True)
-class PowerOrder:
-    """The lattice of all subsets of a base carrier, ordered by inclusion.
+def power_order(a: FinSet, reverse: bool = False) -> Poset:
+    """The subsets of ``a`` by inclusion, or by reverse inclusion; refuses
+    carriers above the bound.
 
-    Carrier element i is the subset with bitset value i, so indices double as
-    bitmasks; the element order is bitset value ascending.
-    """
-
-    base: FinSet
-    poset: Poset
-
-    @property
-    def size(self) -> int:
-        return self.poset.size
-
-    def opposite(self) -> Poset:
-        """Reverse inclusion; equal to ``opposite(self.poset)`` without the transpose."""
-        carrier = self.poset.carrier
-        return _trusted(Poset, carrier=carrier, leq=Relation(carrier, carrier, _subset_rows(self.size)))
-
-    def index_of(self, x: Subset) -> int:
-        if x.carrier != self.base:
-            raise CarrierMismatchError("subset not over this power order's base")
-        return x.bits
-
-    def meet(self, i: int, j: int) -> int:
-        return i & j
-
-    def join(self, i: int, j: int) -> int:
-        return i | j
-
-    def implies(self, i: int, j: int) -> int:
-        return (~i | j) & self.base.full_mask
-
-    def family_intersection(self, indices) -> int:
-        acc = self.base.full_mask
-        for i in indices:
-            acc &= i
-        return acc
-
-    def family_union(self, indices) -> int:
-        acc = 0
-        for i in indices:
-            acc |= i
-        return acc
-
-
-def power_order(a: FinSet) -> PowerOrder:
-    """The subset lattice of ``a``; refuses carriers above the bound.
-
-    Inclusion is stored as one bitset row per subset, the supersets of i,
-    built with rows[i] = rows[i minus its lowest element] & (subsets holding
-    that element): 2^n big-int ANDs of 2^n-bit rows, and 2^n labels.  The
-    result is a poset by construction and is not re-validated.
+    Element i is the subset with bitset value i, labelled by its members.
+    Inclusion stores row i as the supersets of i, built with rows[i] =
+    rows[i minus its lowest element] & (subsets holding that element): 2^n
+    big-int ANDs of 2^n-bit rows.  Reverse inclusion stores the subsets of i
+    (``_subset_rows``).  Either is a poset by construction and is not
+    re-validated.
     """
     check_carrier_bound(a.size, "power_order: the carrier")
     n = 1 << a.size
-    # col[b]: the subsets that contain element b, as a mask over subset indices;
-    # one period is 2^b clear bits then 2^b set bits, repeated up to n bits.
-    col = []
-    for b in range(a.size):
-        mask = ((1 << (1 << b)) - 1) << (1 << b)
-        width = 1 << (b + 1)
-        while width < n:
-            mask |= mask << width
-            width <<= 1
-        col.append(mask)
-    rows = [(1 << n) - 1] * n
     members = [""] * n  # comma-joined labels of subset i, ascending
     for i in range(1, n):
         rest = i & (i - 1)
-        b = (i ^ rest).bit_length() - 1
-        rows[i] = rows[rest] & col[b]
-        members[i] = a.elements[b] + ("," + members[rest] if rest else "")
+        members[i] = a.elements[(i ^ rest).bit_length() - 1] + ("," + members[rest] if rest else "")
     carrier = FinSet(tuple("{" + m + "}" for m in members))
-    leq = Relation(carrier, carrier, tuple(rows))
-    return PowerOrder(a, _trusted(Poset, carrier=carrier, leq=leq))
+    if reverse:
+        rows = _subset_rows(n)
+    else:
+        # col[b]: the subsets that contain element b, as a mask over subset indices;
+        # one period is 2^b clear bits then 2^b set bits, repeated up to n bits.
+        col = []
+        for b in range(a.size):
+            mask = ((1 << (1 << b)) - 1) << (1 << b)
+            width = 1 << (b + 1)
+            while width < n:
+                mask |= mask << width
+                width <<= 1
+            col.append(mask)
+        rows = [(1 << n) - 1] * n
+        for i in range(1, n):
+            rest = i & (i - 1)
+            rows[i] = rows[rest] & col[(i ^ rest).bit_length() - 1]
+    return _trusted(Poset, carrier=carrier, leq=Relation(carrier, carrier, tuple(rows)))
 
 
 def up_segment(p: Preorder, a: str) -> Subset:
@@ -749,18 +707,23 @@ def hasse_edges(p: Preorder) -> list[tuple[int, int]]:
     S_i, descending from its lowest index, and removes it with everything
     strictly above it; what is left is never strictly above a removed element,
     so each round yields a cover.  When no element lies above a lower index,
-    as for concepts in lectic order, the lowest index is already minimal, no
-    transpose is needed, and each cover costs a few big-int operations.
+    as for concepts in lectic order, the lowest index is already minimal and
+    the covers are read straight off the rows, with no transpose and no copy
+    of the order: each cover costs a few big-int operations.
     """
     rows = p.leq.rows
-    if all(row & ((1 << i) - 1) == 0 for i, row in enumerate(rows)):
-        strict_up = [row ^ 1 << i for i, row in enumerate(rows)]
-        strict_down = [0] * len(rows)
-    else:
-        cols = transpose(p.leq).rows
-        strict_up = [row & ~col for row, col in zip(rows, cols)]
-        strict_down = [col & ~row for row, col in zip(rows, cols)]
     edges = []
+    if all(row & ((1 << i) - 1) == 0 for i, row in enumerate(rows)):
+        for i, row in enumerate(rows):
+            rest = row ^ 1 << i
+            while rest:
+                k = (rest & -rest).bit_length() - 1
+                edges.append((i, k))
+                rest &= ~rows[k]
+        return edges
+    cols = transpose(p.leq).rows
+    strict_up = [row & ~col for row, col in zip(rows, cols)]
+    strict_down = [col & ~row for row, col in zip(rows, cols)]
     for i, rest in enumerate(strict_up):
         covers = 0
         while rest:

@@ -176,7 +176,7 @@ def test_meet_table_matches_meet_bits_and_derivation():
 def test_derivation_and_concept_lattice_tables_pass_the_full_checks():
     for a in seeded_contexts(40, 6, seed=409):
         d = derivation(a)
-        assert check_adjunction(d.adjunction.left, d.adjunction.right) is not None
+        assert check_adjunction(d.left, d.right) is not None
         lat = concept_lattice(a)
         assert validate_concept_lattice(lat) == []
 
@@ -199,14 +199,14 @@ def eager_adjunction_tables(a):
     lattice, concepts = concept_poset(a)
     pos = {c.extent.bits: k for k, c in enumerate(concepts)}
     ipower = power_order(a.instances)
-    tpower_op = power_order(a.types).opposite()
+    tpower_op = power_order(a.types, reverse=True)
     intent_of = meet_table(a.incidence.rows, a.types.full_mask)
     extent_of = meet_table([a.incidence.fiber10(j).bits for j in range(a.types.size)],
                            a.instances.full_mask)
     embed_src = tuple(pos[extent_of[m]] for m in intent_of)
     embed_tgt = tuple(pos[e] for e in extent_of)
     return {
-        "orders": (ipower.poset, lattice, tpower_op),
+        "orders": (ipower, lattice, tpower_op),
         "tables": (embed_src, tuple(c.extent.bits for c in concepts),
                    tuple(c.intent.bits for c in concepts), embed_tgt),
         "iota": tuple(embed_src[1 << i] for i in range(a.instances.size)),

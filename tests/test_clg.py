@@ -231,7 +231,7 @@ def test_lattice_equals_polar_factorization_of_derivation():
     for _ in range(40):
         a = random_classification(rng, 4)
         lat = concept_lattice(a)
-        pf = polar_factorize(derivation(a).adjunction)
+        pf = polar_factorize(derivation(a))
         assert lat.size == len(pf.bipoles)
         # same concepts: polar bipoles are (extent bits, intent index in the
         # reversed type power, which is also the intent bits)
@@ -289,8 +289,8 @@ def test_connection_agrees_with_derivation_square_diagonal():
         f = rng.choice(infos)
         h = concept_morphism_of(f)
         d = diagonal_of_infomorphism(f)
-        pf_a = polar_factorize(derivation(a).adjunction)
-        pf_b = polar_factorize(derivation(b).adjunction)
+        pf_a = polar_factorize(derivation(a))
+        pf_b = polar_factorize(derivation(b))
         exts_b = [c.extent.bits for c in h.target.concepts]
         exts_a = [c.extent.bits for c in h.source.concepts]
         for k, (closed_bits, _) in enumerate(pf_b.bipoles):
@@ -404,6 +404,38 @@ def test_roundtrip_iso_is_identity_on_generated_lattices():
         lat = concept_lattice(a)
         iso = lattice_roundtrip_iso(lat)
         assert iso.forward.table == tuple(range(lat.size))
+
+
+def relabelled_parts(lat, perm):
+    """The parts of ``lat`` with concept k moved to carrier position perm[k]."""
+    n = lat.size
+    inv = [0] * n
+    for k, j in enumerate(perm):
+        inv[j] = k
+    carrier = FinSet(tuple(f"d{j}" for j in range(n)))
+    rows = tuple(sum(1 << perm[m] for m in range(n) if lat.lattice.le_idx(inv[j], m))
+                 for j in range(n))
+    return dict(
+        instances=lat.instances, types=lat.types,
+        lattice=Poset(carrier, Relation(carrier, carrier, rows)),
+        concepts=tuple(lat.concepts[inv[j]] for j in range(n)),
+        iota_embed=FinFunction(lat.instances, carrier,
+                               tuple(perm[k] for k in lat.iota_embed.table)),
+        tau_embed=FinFunction(lat.types, carrier, tuple(perm[k] for k in lat.tau_embed.table)),
+    )
+
+
+def test_roundtrip_iso_is_mutually_inverse_on_relabelled_lattices():
+    rng = random.Random(31)
+    for _ in range(40):
+        lat = concept_lattice(random_classification(rng, 4))
+        perm = list(range(lat.size))
+        rng.shuffle(perm)
+        moved = concept_lattice_from_parts(**relabelled_parts(lat, perm))
+        iso = lattice_roundtrip_iso(moved)
+        assert iso.forward.table == tuple(perm)
+        assert iso.forward.then(iso.backward).table == tuple(range(lat.size))
+        assert iso.backward.then(iso.forward).table == tuple(range(lat.size))
 
 
 def test_non_join_dense_embedding_is_rejected():

@@ -49,16 +49,16 @@ def test_derivation_of_empty_incidence():
     a = Classification.of(["1", "2"], ["x"], [])
     d = derivation(a)
     # nonempty instance sets derive to no types; the empty set derives to all
-    assert d.adjunction.left.func.table[0b01] == 0  # in the reversed type power
-    assert d.adjunction.left.func.table[0] == 1  # full type set
+    assert d.left.func.table[0b01] == 0  # in the reversed type power
+    assert d.left.func.table[0] == 1  # full type set
 
 
 def test_derivation_worked_values():
     d = derivation(WORKED)
     inst, typ = WORKED.instances, WORKED.types
     # derive_forward({2}) = {b}; derive_reverse({b}) = {1,2}
-    assert d.adjunction.left.func.table[0b10] == 0b10  # {2} -> {b}
-    assert d.adjunction.right.func.table[0b10] == 0b11  # {b} -> {1,2}
+    assert d.left.func.table[0b10] == 0b10  # {2} -> {b}
+    assert d.right.func.table[0b10] == 0b11  # {b} -> {1,2}
 
 
 def test_derivation_is_checked_adjunction_on_random_contexts():
@@ -66,7 +66,7 @@ def test_derivation_is_checked_adjunction_on_random_contexts():
     for _ in range(100):
         a = random_classification(rng, 6)
         d = derivation(a)
-        assert check_adjunction(d.adjunction.left, d.adjunction.right) is not None
+        assert check_adjunction(d.left, d.right) is not None
 
 
 def test_derivation_galois_laws_on_500_random_contexts():
@@ -169,7 +169,7 @@ def test_order_as_classification_chain_derivation_is_up_segment():
     d = derivation(order_as_classification(p))
     # derive_forward({a}) = up-segment of a
     for i, lab in enumerate(p.carrier.elements):
-        assert d.adjunction.left.func.table[1 << i] == up_segment(p, lab).bits
+        assert d.left.func.table[1 << i] == up_segment(p, lab).bits
 
 
 def test_derivation_equals_bounds_on_random_preorders():

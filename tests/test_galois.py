@@ -43,7 +43,7 @@ WORKED = Classification.of(["1", "2"], ["a", "b"], [("1", "a"), ("1", "b"), ("2"
 
 
 def rng_adjunction(rng, max_side=4):
-    return derivation(random_classification(rng, max_side)).adjunction
+    return derivation(random_classification(rng, max_side))
 
 
 # --------------------------------------------------------- check_adjunction
@@ -60,7 +60,7 @@ def test_bounds_adjunction_is_valid():
     for _ in range(20):
         q, _ = quotient(Preorder.from_pairs(
             FinSet(tuple(f"e{i}" for i in range(rng.randint(1, 5)))), []))
-        adj = derivation(order_as_classification(q)).adjunction
+        adj = derivation(order_as_classification(q))
         assert check_adjunction(adj.left, adj.right) is not None
 
 
@@ -88,7 +88,7 @@ def test_compose_associative_on_random_triples():
     rng = random.Random(2)
     for _ in range(20):
         a = random_classification(rng, 3)
-        pf = polar_factorize(derivation(a).adjunction)
+        pf = polar_factorize(derivation(a))
         f, g = pf.extent_reflection, pf.intent_coreflection
         h = upset_reflection(g.target, rng.randrange(g.target.size))
         lhs = compose_adjunctions(compose_adjunctions(f, g), h)
@@ -100,7 +100,7 @@ def test_involution_reverses_composition():
     rng = random.Random(3)
     for _ in range(10):
         a = random_classification(rng, 3)
-        pf = polar_factorize(derivation(a).adjunction)
+        pf = polar_factorize(derivation(a))
         f, g = pf.extent_reflection, pf.intent_coreflection
         lhs = involution(compose_adjunctions(f, g))
         rhs = compose_adjunctions(involution(g), involution(f))
@@ -111,7 +111,7 @@ def test_involution_reverses_composition():
 
 
 def test_closure_interior_of_identity():
-    p = power_order(finset("a", "b")).poset
+    p = power_order(finset("a", "b"))
     ci = closure_interior(identity_adjunction(p))
     assert ci.closure.func.table == tuple(range(p.size))
     assert ci.closed_indices == tuple(range(p.size))
@@ -121,7 +121,7 @@ def test_closure_interior_of_identity():
 def test_closed_sets_of_two_antichain_plus_top():
     # bounds adjunction of {a, b} < top: the closed subsets are the cut extents
     p = Preorder.from_pairs(finset("a", "b", "top"), [("a", "top"), ("b", "top")])
-    adj = derivation(order_as_classification(p)).adjunction
+    adj = derivation(order_as_classification(p))
     ci = closure_interior(adj)
     closed_bits = set(ci.closed_indices)  # power indices are subset bitmasks
     assert closed_bits == {0b000, 0b001, 0b010, 0b111}
@@ -156,7 +156,7 @@ def test_extent_part_is_reflection():
 
 def test_bounds_adjunction_generally_neither():
     p = Preorder.chain("0", "1")
-    adj = derivation(order_as_classification(p)).adjunction
+    adj = derivation(order_as_classification(p))
     assert not is_reflection(adj)
     assert not is_coreflection(adj)
 
@@ -165,16 +165,16 @@ def test_bounds_adjunction_generally_neither():
 
 
 def test_polar_factorize_identity_gives_same_poset():
-    p = power_order(finset("u", "v")).poset
+    p = power_order(finset("u", "v"))
     pf = polar_factorize(identity_adjunction(p))
     assert pf.axis.size == p.size
     assert find_order_isomorphism(pf.axis, p) is not None
 
 
 def test_polar_factorize_worked_context_has_two_bipoles():
-    pf = polar_factorize(derivation(WORKED).adjunction)
+    pf = polar_factorize(derivation(WORKED))
     assert len(pf.bipoles) == 2
-    assert same_adjunction(recompose(pf), derivation(WORKED).adjunction)
+    assert same_adjunction(recompose(pf), derivation(WORKED))
 
 
 def test_polar_roundtrip_on_500_random_cases():
@@ -186,8 +186,8 @@ def test_polar_roundtrip_on_500_random_cases():
 
 
 def test_polar_of_bounds_adjunction_of_complete_lattice_recovers_it():
-    lattice = power_order(finset("a", "b")).poset
-    adj = derivation(order_as_classification(lattice)).adjunction
+    lattice = power_order(finset("a", "b"))
+    adj = derivation(order_as_classification(lattice))
     pf = polar_factorize(adj)
     assert find_order_isomorphism(pf.axis, lattice) is not None
 
@@ -284,7 +284,7 @@ def test_factorization_functorial_on_composable_squares():
 
 def test_factorization_equivalence_identity_and_random_cases():
     rng = random.Random(11)
-    cases = [identity_adjunction(power_order(finset("a")).poset)]
+    cases = [identity_adjunction(power_order(finset("a")))]
     cases += [rng_adjunction(rng, 3) for _ in range(40)]
     report = factorization_equivalence_check(cases, _squares_from_infomorphisms(rng, 4))
     assert report.ok, report.failures
@@ -301,7 +301,7 @@ def test_corrupted_factorization_fails_recomposition():
 def test_polar_factorization_system_laws():
     rng = random.Random(12)
     fs = polar_factorization_system()
-    p = power_order(finset("a", "b")).poset
+    p = power_order(finset("a", "b"))
     assert fs.check_isos(p) == []
     g = rng_adjunction(rng, 3)
     assert fs.check_factor(g) == []
@@ -314,7 +314,7 @@ def test_polar_factorization_system_laws():
 
 
 def test_upset_reflection_and_downset_coreflection():
-    p = power_order(finset("a", "b")).poset
+    p = power_order(finset("a", "b"))
     refl = upset_reflection(p, 1)  # up-set of {a}
     assert is_reflection(refl)
     corefl = downset_coreflection(p, 1)
@@ -328,11 +328,11 @@ def test_reflection_lattice_transfer_on_contexts_up_to_5x5():
     rng = random.Random(13)
     for _ in range(8):
         a = random_classification(rng, 4)
-        pf = polar_factorize(derivation(a).adjunction)
+        pf = polar_factorize(derivation(a))
         assert check_reflection_lattice_transfer(pf.extent_reflection) == []
     # a full 5x5 case; large axes are checked on a seeded subset sample
     a5 = random_classification(random.Random(99), 5)
-    pf5 = polar_factorize(derivation(a5).adjunction)
+    pf5 = polar_factorize(derivation(a5))
     assert check_reflection_lattice_transfer(pf5.extent_reflection, sample_cap=512) == []
 
 

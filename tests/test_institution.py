@@ -475,6 +475,22 @@ def test_sentence_functions_take_5000_nested_nots():
     assert render_sentence(translate_sentence(sigma, s)) == text.replace("(var p)", "(var q)")
 
 
+def test_5000_deep_sentences_compare_hash_and_print(time_budget):
+    chain = "(and " * 5000 + "(var p)" + " (var q))" * 5000
+    with time_budget(5):
+        for text in ("(not " * 5000 + "(var p)" + ")" * 5000, chain):
+            s, t = parse_sentence(text), parse_sentence(text)
+            differs = parse_sentence(text.replace("(var p)", "(var q)"))
+            assert s == t and s is not t
+            assert hash(s) == hash(t)
+            assert s != differs and s != Var("p") and s != Not(s)
+            assert len({s, t, differs}) == 2
+        assert repr(nested_nots(5000, Var("p"))) == \
+            "Not(body=" * 5000 + "Var(name='p')" + ")" * 5000
+        assert repr(parse_sentence(chain)) == \
+            "And(lhs=" * 5000 + "Var(name='p')" + ", rhs=Var(name='q'))" * 5000
+
+
 def test_satisfies_short_circuits_like_and_or():
     m = model_of(SIG_P, "p")
     assert not satisfies(m, And(Bottom(), Var("zz")))

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import conceptua.clg as clg
+import conceptua.clsn as clsn
 from conceptua.cli import main
 from conceptua.clg import (
     ConceptLattice,
@@ -86,6 +87,38 @@ def test_cli_lattice_peak_rss_in_a_child(tmp_path, name, rows, n, limit_mb):
     assert stdout.startswith(f"{len(clg.concepts_of(context(rows, n, n)))} concepts\n")
 
 
+# The child builds the contranominal-14 concept order, then its covers, and
+# reports its peak RSS (KB) before, between and after.  It reads VmHWM, the
+# peak of its own address space: ru_maxrss starts at the parent's RSS when
+# the child is spawned, which would hide the baseline.
+HASSE_CHILD = (
+    "from conceptua.clg import concept_poset\n"
+    "from conceptua.clsn import Classification\n"
+    "from conceptua.finrel import FinSet, Relation\n"
+    "from conceptua.order import hasse_edges\n"
+    "def peak():\n"
+    "    with open('/proc/self/status') as status:\n"
+    "        return next(int(line.split()[1]) for line in status if line.startswith('VmHWM:'))\n"
+    "c = FinSet(tuple(f'e{i}' for i in range(14)))\n"
+    "a = Classification(c, c, Relation(c, c, tuple(0x3fff & ~(1 << i) for i in range(14))))\n"
+    "base = peak()\n"
+    "poset, _ = concept_poset(a)\n"
+    "ordered = peak()\n"
+    "edges = hasse_edges(poset)\n"
+    "print(base, ordered, peak(), len(edges))\n")
+
+
+def test_covers_of_a_concept_order_hold_no_second_copy_of_it():
+    """The 2^14 x 2^14-bit order dominates; its covers add less than half of it."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", HASSE_CHILD], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    base, ordered, covered, edges = map(int, proc.stdout.split())
+    assert edges == 14 << 13
+    assert covered - ordered < (ordered - base) / 2
+
+
 def test_contranominal_17_trips_the_default_bound_before_the_concept_order(tmp_path):
     """2^17 concepts pass the default bound of 16; the enumeration stops at 2^16 + 1."""
     path = tmp_path / "contranominal-17.cxt"
@@ -130,13 +163,13 @@ def test_malformed_carrier_bound_exits_2(tmp_path, capsys, monkeypatch, value):
 
 def test_serialization_builds_no_power_order_and_first_read_builds_them_once(monkeypatch):
     calls = []
-    real = clg.power_order
+    real = clsn.power_order
 
-    def counting(a):
+    def counting(a, reverse=False):
         calls.append(a.size)
-        return real(a)
+        return real(a, reverse=reverse)
 
-    monkeypatch.setattr(clg, "power_order", counting)
+    monkeypatch.setattr(clsn, "power_order", counting)
     lat = concept_lattice(context(random_rows(8, 0.4, 5), 8, 8))
     lattice_to_json(lat)
     lattice_to_dot(lat)

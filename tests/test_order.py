@@ -191,26 +191,30 @@ def test_product_universal_property_exhaustive_small():
 
 def test_power_order_of_empty_carrier():
     po = power_order(finset())
-    assert po.poset.size == 1
-    assert is_complete_lattice(po.poset)
+    assert po.size == 1
+    assert is_complete_lattice(po)
 
 
 def test_power_order_two_is_boolean_four():
-    po = power_order(finset("a", "b"))
-    assert po.poset.size == 4
-    assert po.poset.carrier.elements == ("{}", "{a}", "{b}", "{a,b}")
+    ab = finset("a", "b")
+    po = power_order(ab)
+    assert po.size == 4
+    assert po.carrier.elements == ("{}", "{a}", "{b}", "{a,b}")
     for x in range(4):
-        assert po.implies(x, x) == 3  # X => X is the full set
+        s = Subset(ab, x)
+        assert s.implies(s) == Subset.full(ab)  # X => X is the full set
+        assert s.complement() == s.implies(Subset.empty(ab))
 
 
 def test_power_order_heyting_residuation_exhaustive():
     for n in range(4):
-        po = power_order(FinSet(tuple(f"h{i}" for i in range(n))))
-        for x in range(1 << n):
-            for y in range(1 << n):
-                imp = po.implies(x, y)
-                for z in range(1 << n):
-                    assert (po.meet(z, x) & ~y == 0) == (z & ~imp == 0)
+        carrier = FinSet(tuple(f"h{i}" for i in range(n)))
+        subsets = [Subset(carrier, bits) for bits in range(1 << n)]
+        for x in subsets:
+            for y in subsets:
+                imp = x.implies(y)
+                for z in subsets:
+                    assert (z.intersection(x) <= y) == (z <= imp)
 
 
 def test_power_order_respects_size_bound():
@@ -224,7 +228,7 @@ def test_power_order_env_override(monkeypatch):
     with pytest.raises(SizeLimitError):
         power_order(finset("a", "b"))
     monkeypatch.setenv("CONCEPTUA_MAX_CARRIER", "2")
-    assert power_order(finset("a", "b")).poset.size == 4
+    assert power_order(finset("a", "b")).size == 4
 
 
 # ---------------------------------------------------------------- segments
@@ -332,7 +336,7 @@ def test_bimodule_embeddings_recover_maps_between_lattices():
     from conceptua.order import bimodule_01_embedding, bimodule_10_embedding
 
     rng = random.Random(17)
-    lattice = power_order(finset("a", "b")).poset
+    lattice = power_order(finset("a", "b"))
     for _ in range(30):
         base = rng.randrange(4)
         # join/meet against a fixed base are always monotone lattice maps
@@ -404,8 +408,7 @@ def test_hasse_edges_of_diamond():
 
 
 def test_join_meet_search_on_power_lattice():
-    po = power_order(finset("a", "b"))
-    p = po.poset
+    p = power_order(finset("a", "b"))
     full = Subset.full(p.carrier)
     assert poset_join(p, full) == 3
     assert poset_meet(p, full) == 0

@@ -40,21 +40,21 @@ def test_power_order_matches_brute_force_inclusion(n):
     brute = tuple(
         sum(1 << j for j in range(size) if i & ~j == 0) for i in range(size)
     )
-    assert po.poset.leq.rows == brute
-    assert Poset(po.poset.carrier, po.poset.leq) == po.poset
+    assert po.leq.rows == brute
+    assert Poset(po.carrier, po.leq) == po
 
 
 @pytest.mark.parametrize("n", range(7))
 def test_power_order_opposite_is_the_transpose(n):
-    po = power_order(carrier("e", n))
-    assert po.opposite() == opposite(po.poset)
-    assert Poset(po.opposite().carrier, po.opposite().leq) == po.opposite()
+    reverse = power_order(carrier("e", n), reverse=True)
+    assert reverse == opposite(power_order(carrier("e", n)))
+    assert Poset(reverse.carrier, reverse.leq) == reverse
 
 
 def test_opposite_keeps_the_order_class():
     p = order.Preorder.from_pairs(carrier("e", 3), [("e0", "e1"), ("e1", "e0")])
     assert type(opposite(p)) is order.Preorder
-    assert type(opposite(power_order(carrier("e", 2)).poset)) is Poset
+    assert type(opposite(power_order(carrier("e", 2)))) is Poset
 
 
 def test_concept_lattice_and_derivation_pass_the_public_constructors():
@@ -71,10 +71,9 @@ def test_concept_lattice_and_derivation_pass_the_public_constructors():
         assert validate_concept_lattice(lat) == []
 
         deriv = derivation(a)
-        for p in (deriv.instance_power.poset, deriv.type_power.poset,
-                  deriv.adjunction.source, deriv.adjunction.target):
+        for p in (deriv.source, deriv.target):
             assert rebuilt_order(p) == p
-        for f in (deriv.adjunction.left, deriv.adjunction.right):
+        for f in (deriv.left, deriv.right):
             assert rebuilt_map(f) == f
 
 
@@ -138,7 +137,7 @@ def test_size_guard_names_size_elements_and_override(build, monkeypatch):
 
 def seeded_adjunctions(count, seed):
     rng = random.Random(seed)
-    return [derivation(random_context(rng, rng.randint(0, 4), rng.randint(0, 4))).adjunction
+    return [derivation(random_context(rng, rng.randint(0, 4), rng.randint(0, 4)))
             for _ in range(count)]
 
 
