@@ -22,7 +22,6 @@ from .finrel import (
     meet_bits,
     preimage_bits,
     preimage_rows,
-    transpose,
 )
 from .galois import (
     Adjunction,
@@ -127,7 +126,7 @@ def _concepts_lectic(a: Classification) -> list[tuple[int, int]]:
     """
     n = a.instances.size
     rows = a.incidence.rows
-    cols = transpose(a.incidence).rows
+    cols = a.incidence.columns
     full_g, full_m = a.instances.full_mask, a.types.full_mask
     extent = meet_bits(cols, full_m, full_g)
     intent = meet_bits(rows, extent, full_m)
@@ -198,7 +197,7 @@ def concept_lattice(a: Classification) -> ConceptLattice:
     """
     lattice, concepts = concept_poset(a)
     pos = {c.extent.bits: k for k, c in enumerate(concepts)}
-    cols = transpose(a.incidence).rows
+    cols = a.incidence.columns
     full = a.instances.full_mask
     iota = FinFunction(a.instances, lattice.carrier, tuple(
         pos[meet_bits(cols, row, full)] for row in a.incidence.rows))
@@ -216,10 +215,10 @@ def _power_adjunctions(lat: ConceptLattice) -> tuple[Adjunction, Adjunction]:
     extent, derived intent, concept of a set of types) are monotone by the
     Galois connection and are not re-checked.
     """
-    deriv = derivation(classification_of(lat))
     extents = [c.extent.bits for c in lat.concepts]
     if lat.lattice.leq.rows != _inclusion_rows(extents, lat.instances.size):
         raise NotAConceptLatticeError("concept order is not extent inclusion")
+    deriv = derivation(classification_of(lat))
     intent_of, extent_of = deriv.left.func.table, deriv.right.func.table
     pos = {e: k for k, e in enumerate(extents)}
     if missing := [e for e in extent_of if e not in pos]:
@@ -294,16 +293,15 @@ def concept_transport(f: Infomorphism, source_concepts,
     pos_b = {c.extent.bits: k for k, c in enumerate(target_concepts)}
     left = []
     for c in target_concepts:
-        ext = a.extent_of(Subset(a.types, preimage_bits(f.typ_map, c.intent.bits))).bits
-        pushed = Subset(a.instances, image_bits(f.inst_map, c.extent.bits))
-        if ext != a.extent_of(a.intent_of(pushed)).bits:
+        ext = a.extent_of(preimage_bits(f.typ_map, c.intent.bits))
+        if ext != a.extent_of(a.intent_of(image_bits(f.inst_map, c.extent.bits))):
             raise CarrierMismatchError(
                 f"concept transport formulas disagree at target concept with extent {c.extent}")
         left.append(pos_a[ext])
     right = []
     for c in source_concepts:
         pre = preimage_bits(f.inst_map, c.extent.bits)
-        if pre != b.extent_of(Subset(b.types, image_bits(f.typ_map, c.intent.bits))).bits:
+        if pre != b.extent_of(image_bits(f.typ_map, c.intent.bits)):
             raise CarrierMismatchError(
                 f"concept transport formulas disagree at source concept with extent {c.extent}")
         right.append(pos_b[pre])
@@ -402,11 +400,10 @@ def lattice_joins_meets(lat: ConceptLattice, members: Subset) -> tuple[int, int]
 def _check_density(lat: ConceptLattice) -> list[str]:
     failures = []
     leq = lat.lattice.leq
-    cols = transpose(leq).rows
     embedded_instances = image_bits(lat.iota_embed, lat.instances.full_mask)
     embedded_types = image_bits(lat.tau_embed, lat.types.full_mask)
-    for k in range(lat.size):
-        below = embedded_instances & cols[k]
+    for k, col in enumerate(leq.columns):
+        below = embedded_instances & col
         if poset_join(lat.lattice, Subset(lat.lattice.carrier, below)) != k:
             failures.append(f"instance embedding is not join-dense at c{k}")
             break
@@ -444,11 +441,10 @@ def validate_concept_lattice(lat: ConceptLattice) -> list[str]:
             failures.append("tau embedding differs from the singleton restriction")
             break
     failures.extend(_check_density(lat))
-    recovered = classification_of(lat).incidence
-    rows, cols = recovered.rows, transpose(recovered).rows
+    recovered = classification_of(lat)
     for c in lat.concepts:
-        if meet_bits(rows, c.extent.bits, lat.types.full_mask) != c.intent.bits or \
-           meet_bits(cols, c.intent.bits, lat.instances.full_mask) != c.extent.bits:
+        if recovered.intent_of(c.extent.bits) != c.intent.bits or \
+           recovered.extent_of(c.intent.bits) != c.extent.bits:
             failures.append(f"bipole condition fails for {c.label()}")
             break
     return failures

@@ -15,9 +15,8 @@ from .finrel import (
     FinSet,
     Relation,
     Subset,
-    derive_forward,
-    derive_reverse,
     image_bits,
+    meet_bits,
     meet_table,
     preimage_bits,
     transpose,
@@ -70,11 +69,13 @@ class Classification:
     def holds(self, instance: str, type_: str) -> bool:
         return self.incidence.holds(instance, type_)
 
-    def intent_of(self, x: Subset) -> Subset:
-        return derive_forward(self.incidence, x)
+    def intent_of(self, x: int) -> int:
+        """The types shared by every instance of the bitset ``x``."""
+        return meet_bits(self.incidence.rows, x, self.types.full_mask)
 
-    def extent_of(self, y: Subset) -> Subset:
-        return derive_reverse(self.incidence, y)
+    def extent_of(self, y: int) -> int:
+        """The instances of every type of the bitset ``y``."""
+        return meet_bits(self.incidence.columns, y, self.instances.full_mask)
 
 
 def involution_classification(a: Classification) -> Classification:
@@ -95,8 +96,7 @@ def derivation(a: Classification) -> Adjunction:
     source = power_order(a.instances)
     target = power_order(a.types, reverse=True)
     left = _monotone(source, target, meet_table(a.incidence.rows, a.types.full_mask))
-    right = _monotone(target, source,
-                      meet_table(transpose(a.incidence).rows, a.instances.full_mask))
+    right = _monotone(target, source, meet_table(a.incidence.columns, a.instances.full_mask))
     return Adjunction(source, target, left, right)
 
 
@@ -164,19 +164,13 @@ def check_infomorphism(f: Infomorphism) -> InfomorphismReport:
 
     inst_map, typ_map = f.inst_map, f.typ_map
     # Extents pull back along the instance map, intents along the type map.
+    a_cols, b_cols = a.incidence.columns, b.incidence.columns
     morphism_ok = all(
-        preimage_bits(inst_map, a.incidence.fiber10(y).bits)
-        == b.incidence.fiber10(typ_map.table[y]).bits for y in range(a.types.size)
+        preimage_bits(inst_map, col) == b_cols[typ_map.table[y]] for y, col in enumerate(a_cols)
     ) and all(
         preimage_bits(typ_map, b.incidence.rows[x]) == a.incidence.rows[inst_map.table[x]]
         for x in range(b.instances.size)
     )
-
-    def intent(c: Classification, bits: int) -> int:
-        return derive_forward(c.incidence, Subset(c.instances, bits)).bits
-
-    def extent(c: Classification, bits: int) -> int:
-        return derive_reverse(c.incidence, Subset(c.types, bits)).bits
 
     def generators(n: int) -> list[int]:
         return [0] + [1 << i for i in range(n)]
@@ -185,10 +179,10 @@ def check_infomorphism(f: Infomorphism) -> InfomorphismReport:
     # its paths send unions to intersections, so the empty set and the
     # singletons, which generate every subset by unions, suffice.
     adjunction_ok = all(
-        intent(a, image_bits(inst_map, xbits)) == preimage_bits(typ_map, intent(b, xbits))
+        a.intent_of(image_bits(inst_map, xbits)) == preimage_bits(typ_map, b.intent_of(xbits))
         for xbits in generators(b.instances.size)
     ) and all(
-        preimage_bits(inst_map, extent(a, ybits)) == extent(b, image_bits(typ_map, ybits))
+        preimage_bits(inst_map, a.extent_of(ybits)) == b.extent_of(image_bits(typ_map, ybits))
         for ybits in generators(a.types.size)
     )
 
@@ -222,7 +216,7 @@ def enumerate_infomorphisms(a: Classification, b: Classification,
         raise SizeLimitError("type-map search space too large")
     results: list[Infomorphism] = []
 
-    a_cols = [a.incidence.fiber10(y).bits for y in range(n_a_typ)]
+    a_cols = a.incidence.columns
     b_rows = b.incidence.rows
 
     def candidates(typ_table: tuple[int, ...]) -> list[list[int]]:
@@ -295,10 +289,7 @@ def derivation_equals_bounds(p: Preorder) -> bool:
     """Derivation of the order-as-classification agrees with upper/lower bounds."""
     a = order_as_classification(p)
     for bits in range(1 << p.size):
-        x = Subset(p.carrier, bits)
-        upper, lower = bounds(p, x)
-        if derive_forward(a.incidence, x) != upper:
-            return False
-        if derive_reverse(a.incidence, x) != lower:
+        upper, lower = bounds(p, Subset(p.carrier, bits))
+        if a.intent_of(bits) != upper.bits or a.extent_of(bits) != lower.bits:
             return False
     return True

@@ -3,9 +3,14 @@
 Everything is bitset-encoded: a subset of a carrier with elements indexed
 0..n-1 is an int whose bit i records membership of element i, and a relation
 is one bitmask row per source element.  All equality is bit-exact.
+
+A relation's columns (the rows of its transpose) are computed once, on first
+read of ``Relation.columns``, and kept.  Both derivations are ``meet_bits``:
+the forward one over the rows, the reverse one over the columns.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterator, NamedTuple
 
 from .errors import CarrierMismatchError, UnknownElementError
@@ -264,14 +269,22 @@ class Relation:
         self._check_same_shape(other)
         return all(a & ~b == 0 for a, b in zip(self.rows, other.rows))
 
+    @cached_property
+    def columns(self) -> tuple[int, ...]:
+        """Column j: the sources related to target j; built on first read and kept.
+
+        Not a field, so equality and hashing see only the rows.
+        """
+        cols = [0] * self.target.size
+        for i, row in enumerate(self.rows):
+            bit = 1 << i
+            for j in _bits(row):
+                cols[j] |= bit
+        return tuple(cols)
+
     def fiber10(self, j: int) -> Subset:
         """Sources related to target index j (a column)."""
-        bit = 1 << j
-        mask = 0
-        for i, row in enumerate(self.rows):
-            if row & bit:
-                mask |= 1 << i
-        return Subset(self.source, mask)
+        return Subset(self.source, self.columns[j])
 
 
 def compose(r: Relation, s: Relation) -> Relation:
@@ -288,12 +301,7 @@ def compose(r: Relation, s: Relation) -> Relation:
 
 
 def transpose(r: Relation) -> Relation:
-    rows = [0] * r.target.size
-    for i, row in enumerate(r.rows):
-        bit = 1 << i
-        for j in _bits(row):
-            rows[j] |= bit
-    return Relation(r.target, r.source, tuple(rows))
+    return Relation(r.target, r.source, r.columns)
 
 
 def residuate_left(r: Relation, s: Relation) -> Relation:
@@ -305,15 +313,7 @@ def residuate_left(r: Relation, s: Relation) -> Relation:
     if r.source != s.source:
         raise CarrierMismatchError("residuate_left: relations must share their source")
     full = s.target.full_mask
-    rows = []
-    for b in range(r.target.size):
-        bit = 1 << b
-        acc = full
-        for a, row in enumerate(r.rows):
-            if row & bit:
-                acc &= s.rows[a]
-        rows.append(acc)
-    return Relation(r.target, s.target, tuple(rows))
+    return Relation(r.target, s.target, tuple(meet_bits(s.rows, col, full) for col in r.columns))
 
 
 def residuate_right(r: Relation, s: Relation) -> Relation:
@@ -377,11 +377,7 @@ def derive_reverse(r: Relation, y: Subset) -> Subset:
     """Sources related to every member of y: {a | all b in y have r(a,b)}."""
     if y.carrier != r.target:
         raise CarrierMismatchError("derive_reverse: subset not over the relation target")
-    mask = 0
-    for a, row in enumerate(r.rows):
-        if y.bits & ~row == 0:
-            mask |= 1 << a
-    return Subset(r.source, mask)
+    return Subset(r.source, meet_bits(r.columns, y.bits, r.source.full_mask))
 
 
 def meet_bits(lines, bits: int, full: int) -> int:

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 from .errors import AdjunctionError, CarrierMismatchError
-from .finrel import FinFunction, FinSet, Relation, Subset, preimage_rows
+from .finrel import FinFunction, FinSet, Relation, Subset, image_bits, preimage_rows
 from .order import (
     MonotoneMap,
     Poset,
@@ -442,10 +442,7 @@ def check_reflection_lattice_transfer(g: Adjunction, sample_cap: int = 4096,
         candidates.extend([0, (1 << tgt.size) - 1])
     for ybits in candidates:
         y = Subset(tgt.carrier, ybits)
-        image_bits = 0
-        for b in y.indices():
-            image_bits |= 1 << g.right_idx(b)
-        image = Subset(src.carrier, image_bits)
+        image = Subset(src.carrier, image_bits(g.right.func, ybits))
         join_a = poset_join(src, image)
         meet_a = poset_meet(src, image)
         join_b = poset_join(tgt, y)

@@ -23,7 +23,7 @@ from .errors import CarrierMismatchError, ParseError, SizeLimitError, UnknownEle
 from .finrel import FinFunction, FinSet, Relation, Subset, image_bits, preimage_bits, \
     preimage_rows, transpose
 from .galois import Adjunction, check_adjunction
-from .order import MonotoneMap, Poset, _subset_rows, _trusted, check_carrier_bound
+from .order import MonotoneMap, Poset, _member_masks, _subset_rows, _trusted, check_carrier_bound
 from .clsn import Classification
 
 __all__ = [
@@ -405,6 +405,7 @@ def truth_table(sig: Signature, s: Sentence) -> int:
 
     Evaluated in post-order over an explicit stack: a connective's class is
     pushed below its operands and applied to their tables once they are done.
+    A variable's table is its member mask, the models that set it.
     """
     n = sig.size
     full = (1 << (1 << n)) - 1
@@ -418,12 +419,7 @@ def truth_table(sig: Signature, s: Sentence) -> int:
             rhs, lhs = done.pop(), done.pop()
             done.append({And: lhs & rhs, Or: lhs | rhs, Implies: (~lhs | rhs) & full}[t])
         elif isinstance(t, Var):
-            v = sig.vars.index(t.name)
-            mask = 0
-            for m in range(1 << n):
-                if m >> v & 1:
-                    mask |= 1 << m
-            done.append(mask)
+            done.append(_member_masks(n)[sig.vars.index(t.name)])
         elif isinstance(t, Not):
             todo += (Not, t.body)
         elif isinstance(t, (And, Or, Implies)):
@@ -595,9 +591,6 @@ class TheoryFiber:
     signature: Signature
     poset: Poset
     theories: tuple[TheoryObject, ...]
-
-    def index_of(self, t: TheoryObject) -> int:
-        return t.mask
 
     def le(self, t1: TheoryObject, t2: TheoryObject) -> bool:
         """t1 <= t2 iff t1's model class contains t2's (t2 entails t1)."""
@@ -981,11 +974,11 @@ def style_interconvert(sigma: SignatureMorphism, depth: int,
 
     a = classification_of_signature(sigma.source, depth)
     b = classification_of_signature(sigma.target, depth)
-    target_tables = {t: j for j, t in enumerate(transpose(b.incidence).rows)}
+    target_tables = {t: j for j, t in enumerate(b.incidence.columns)}
 
     # Class-Rel: the satisfaction condition, sentence by sentence.
     rel_report, r, translated = _satisfaction(sigma, enumerate_sentences(sigma.source, depth),
-                                              transpose(a.incidence).rows, inst)
+                                              a.incidence.columns, inst)
     class_rel = rel_report.ok
     if not class_rel:
         witnesses["class_rel"] = rel_report.failures[0]
@@ -1030,7 +1023,7 @@ def style_interconvert(sigma: SignatureMorphism, depth: int,
         conc_rel = True
         for k, c in enumerate(la_concepts):
             reduced = preimage_bits(info.inst_map, c.extent.bits)
-            translated = b.extent_of(Subset(b.types, image_bits(info.typ_map, c.intent.bits))).bits
+            translated = b.extent_of(image_bits(info.typ_map, c.intent.bits))
             if reduced != translated:
                 diff = reduced ^ translated
                 m_idx = (diff & -diff).bit_length() - 1

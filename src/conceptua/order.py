@@ -1,5 +1,6 @@
 """Finite preorders and posets, monotone maps, limits, and power lattices."""
 
+import functools
 import os
 from dataclasses import dataclass
 from typing import Iterator
@@ -15,6 +16,7 @@ from .finrel import (
     derive_forward,
     derive_reverse,
     meet_bits,
+    meet_table,
     preimage_rows,
     transpose,
 )
@@ -117,6 +119,26 @@ def _restricted_rows(p: "Preorder", kept) -> tuple[int, ...]:
     return tuple(sum(1 << pos[j] for j in _bits(p.leq.rows[i] & mask)) for i in kept)
 
 
+@functools.lru_cache(maxsize=32)
+def _member_masks(size: int) -> tuple[int, ...]:
+    """Entry b: the subsets of a ``size``-element carrier that hold element b,
+    as a mask over the 2^size subset indices.
+
+    One period of entry b is 2^b clear bits then 2^b set bits, doubled up to
+    2^size bits.
+    """
+    n = 1 << size
+    masks = []
+    for b in range(size):
+        mask = ((1 << (1 << b)) - 1) << (1 << b)
+        width = 1 << (b + 1)
+        while width < n:
+            mask |= mask << width
+            width <<= 1
+        masks.append(mask)
+    return tuple(masks)
+
+
 def _subset_rows(size: int) -> tuple[int, ...]:
     """Reverse inclusion on the ``size`` bitsets below ``size`` (a power of two).
 
@@ -212,9 +234,6 @@ class Preorder:
 
     def is_poset(self) -> bool:
         return classify_endorelation(self.leq).antisymmetric
-
-    def elements(self) -> tuple[str, ...]:
-        return self.carrier.elements
 
 
 @dataclass(frozen=True)
@@ -335,13 +354,8 @@ def bimodule_of_map(f: MonotoneMap, direction: str = "forward") -> OrderBimodule
         rows = tuple(tgt.leq.rows[f.func.table[i]] for i in range(f.source.size))
         return OrderBimodule(f.source, tgt, Relation(f.source.carrier, tgt.carrier, rows))
     if direction == "reverse":
-        rows = []
-        for b in range(tgt.size):
-            mask = 0
-            for a in range(f.source.size):
-                if tgt.le_idx(b, f.func.table[a]):
-                    mask |= 1 << a
-            rows.append(mask)
+        # Row b: the a whose image lies in the up-set of b.
+        rows = preimage_rows(f.func, tgt.leq.rows)
         return OrderBimodule(tgt, f.source, Relation(tgt.carrier, f.source.carrier, tuple(rows)))
     raise ValueError(f"direction must be 'forward' or 'reverse', got {direction!r}")
 
@@ -368,10 +382,9 @@ def bimodule_10_embedding(r: OrderBimodule) -> MonotoneMap:
     Inverts ``bimodule_of_map(f, "reverse")`` when the bimodule's source is a
     complete lattice: the join of {b | b <= f(a)} is f(a).
     """
-    cols = transpose(r.rel)
     table = []
-    for j in range(r.target.size):
-        i = poset_join(r.source, Subset(r.source.carrier, cols.rows[j]))
+    for col in r.rel.columns:
+        i = poset_join(r.source, Subset(r.source.carrier, col))
         if i is None:
             raise ValueError("column has no join; source is not a complete lattice")
         table.append(i)
@@ -386,7 +399,7 @@ def quotient(p: Preorder) -> tuple[Poset, MonotoneMap]:
     the representative's label wrapped in braces.
     """
     n = p.size
-    equiv_rows = [row & col for row, col in zip(p.leq.rows, transpose(p.leq).rows)]
+    equiv_rows = [row & col for row, col in zip(p.leq.rows, p.leq.columns)]
     rep_of: dict[int, int] = {}
     reps: list[int] = []
     for i in range(n):
@@ -398,14 +411,7 @@ def quotient(p: Preorder) -> tuple[Poset, MonotoneMap]:
                     rep_of[j] = cls_idx
     labels = tuple("{" + p.carrier.elements[r] + "}" for r in reps)
     qcarrier = FinSet(labels)
-    rows = []
-    for r in reps:
-        mask = 0
-        for c, s in enumerate(reps):
-            if p.le_idx(r, s):
-                mask |= 1 << c
-        rows.append(mask)
-    q = Poset(qcarrier, Relation(qcarrier, qcarrier, tuple(rows)))
+    q = Poset(qcarrier, Relation(qcarrier, qcarrier, _restricted_rows(p, reps)))
     canon = MonotoneMap(p, q, FinFunction(p.carrier, qcarrier, tuple(rep_of[i] for i in range(n))))
     return q, canon
 
@@ -462,11 +468,10 @@ def power_order(a: FinSet, reverse: bool = False) -> Poset:
     carriers above the bound.
 
     Element i is the subset with bitset value i, labelled by its members.
-    Inclusion stores row i as the supersets of i, built with rows[i] =
-    rows[i minus its lowest element] & (subsets holding that element): 2^n
-    big-int ANDs of 2^n-bit rows.  Reverse inclusion stores the subsets of i
-    (``_subset_rows``).  Either is a poset by construction and is not
-    re-validated.
+    Inclusion stores row i as the supersets of i, the AND of the member masks
+    of its elements (``meet_table``): 2^n big-int ANDs of 2^n-bit rows.
+    Reverse inclusion stores the subsets of i (``_subset_rows``).  Either is
+    a poset by construction and is not re-validated.
     """
     check_carrier_bound(a.size, "power_order: the carrier")
     n = 1 << a.size
@@ -475,23 +480,7 @@ def power_order(a: FinSet, reverse: bool = False) -> Poset:
         rest = i & (i - 1)
         members[i] = a.elements[(i ^ rest).bit_length() - 1] + ("," + members[rest] if rest else "")
     carrier = FinSet(tuple("{" + m + "}" for m in members))
-    if reverse:
-        rows = _subset_rows(n)
-    else:
-        # col[b]: the subsets that contain element b, as a mask over subset indices;
-        # one period is 2^b clear bits then 2^b set bits, repeated up to n bits.
-        col = []
-        for b in range(a.size):
-            mask = ((1 << (1 << b)) - 1) << (1 << b)
-            width = 1 << (b + 1)
-            while width < n:
-                mask |= mask << width
-                width <<= 1
-            col.append(mask)
-        rows = [(1 << n) - 1] * n
-        for i in range(1, n):
-            rest = i & (i - 1)
-            rows[i] = rows[rest] & col[(i ^ rest).bit_length() - 1]
+    rows = _subset_rows(n) if reverse else meet_table(_member_masks(a.size), (1 << n) - 1)
     return _trusted(Poset, carrier=carrier, leq=Relation(carrier, carrier, tuple(rows)))
 
 
@@ -502,12 +491,7 @@ def up_segment(p: Preorder, a: str) -> Subset:
 
 def down_segment(p: Preorder, a: str) -> Subset:
     """All x with x <= a."""
-    j = p.carrier.index(a)
-    mask = 0
-    for i, row in enumerate(p.leq.rows):
-        if row >> j & 1:
-            mask |= 1 << i
-    return Subset(p.carrier, mask)
+    return Subset(p.carrier, p.leq.columns[p.carrier.index(a)])
 
 
 def _check_subset(p: Preorder, x: Subset):
@@ -578,9 +562,7 @@ def find_order_isomorphism(p: Preorder, q: Preorder) -> FinFunction | None:
         return None
 
     def profile(order: Preorder, i: int) -> tuple[int, int]:
-        up = sum(1 for j in range(order.size) if order.le_idx(i, j))
-        down = sum(1 for j in range(order.size) if order.le_idx(j, i))
-        return up, down
+        return order.leq.rows[i].bit_count(), order.leq.columns[i].bit_count()
 
     p_prof = [profile(p, i) for i in range(n)]
     q_prof = [profile(q, i) for i in range(n)]
@@ -673,7 +655,7 @@ def all_monotone_maps(p: Preorder, q: Preorder) -> Iterator[MonotoneMap]:
         yield _monotone(p, q, ())
         return
     p_rows, q_rows = p.leq.rows, q.leq.rows
-    p_cols, q_cols = transpose(p.leq).rows, transpose(q.leq).rows
+    p_cols, q_cols = p.leq.columns, q.leq.columns
     table = [0] * n
 
     def allowed(i: int) -> int:
@@ -708,7 +690,7 @@ def hasse_edges(p: Preorder) -> list[tuple[int, int]]:
     strictly above it; what is left is never strictly above a removed element,
     so each round yields a cover.  When no element lies above a lower index,
     as for concepts in lectic order, the lowest index is already minimal and
-    the covers are read straight off the rows, with no transpose and no copy
+    the covers are read straight off the rows, with no columns and no copy
     of the order: each cover costs a few big-int operations.
     """
     rows = p.leq.rows
@@ -721,7 +703,7 @@ def hasse_edges(p: Preorder) -> list[tuple[int, int]]:
                 edges.append((i, k))
                 rest &= ~rows[k]
         return edges
-    cols = transpose(p.leq).rows
+    cols = p.leq.columns
     strict_up = [row & ~col for row, col in zip(rows, cols)]
     strict_down = [col & ~row for row, col in zip(rows, cols)]
     for i, rest in enumerate(strict_up):

@@ -29,11 +29,14 @@ from conceptua.order import Poset
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# The child runs the CLI and reports its own peak RSS (KB on Linux) last on stdout.
-CHILD = ("import resource, sys\n"
+# The child runs the CLI and reports its own peak RSS (KB) last on stdout.  It
+# reads VmHWM, the peak of its own address space: ru_maxrss starts at the RSS of
+# the process that spawned it, so it would count the test runner too.
+CHILD = ("import sys\n"
          "from conceptua.cli import main\n"
          "code = main(sys.argv[1:])\n"
-         "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+         "with open('/proc/self/status') as status:\n"
+         "    print(next(int(line.split()[1]) for line in status if line.startswith('VmHWM:')))\n"
          "sys.exit(code)\n")
 
 
@@ -213,6 +216,27 @@ def test_order_other_than_extent_inclusion_is_reported():
         lattice_roundtrip_iso(raw)
     with pytest.raises(NotAConceptLatticeError):
         concept_lattice_from_parts(**parts)
+
+
+@pytest.fixture
+def power_order_calls(monkeypatch):
+    """Carrier sizes of the power orders that ``derivation`` builds while the test runs."""
+    calls = []
+    real = clsn.power_order
+
+    def counting(a, reverse=False):
+        calls.append(a.size)
+        return real(a, reverse=reverse)
+
+    monkeypatch.setattr(clsn, "power_order", counting)
+    return calls
+
+
+def test_order_is_checked_before_any_power_order_is_built(power_order_calls):
+    lat = concept_lattice(context(random_rows(8, 0.4, 5), 8, 8))
+    raw = dataclasses.replace(lat, lattice=Poset.discrete(lat.lattice.carrier))
+    assert validate_concept_lattice(raw) == ["concept order is not extent inclusion"]
+    assert power_order_calls == []
 
 
 def test_missing_closed_extent_is_reported():
