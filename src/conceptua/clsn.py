@@ -8,6 +8,7 @@ operators of a classification as a Galois connection between power lattices.
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import CarrierMismatchError, SizeLimitError
 from .finrel import (
@@ -76,6 +77,17 @@ class Classification:
     def extent_of(self, y: int) -> int:
         """The instances of every type of the bitset ``y``."""
         return meet_bits(self.incidence.columns, y, self.instances.full_mask)
+
+    @cached_property
+    def concepts(self) -> tuple:
+        """The formal concepts in lectic order of extents (``clg.concepts_of``),
+        enumerated on first read and kept.
+
+        Not a field, so equality and hashing see only the incidence.  A
+        failed enumeration (past the size bound) keeps nothing.
+        """
+        from .clg import _concepts_lectic
+        return _concepts_lectic(self)
 
 
 def involution_classification(a: Classification) -> Classification:

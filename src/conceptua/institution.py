@@ -960,6 +960,29 @@ class StyleReport:
         return len({self.class_rel, self.class_adj, self.conc_adj, self.conc_rel}) == 1
 
 
+def _adjointness_failures(a: Classification, b: Classification, source_concepts,
+                          target_concepts, left_table, right_table) -> list[str]:
+    """Whether the two concept transports form an adjunction between the
+    concept orders of ``a`` and ``b``, as at most one failure string.
+
+    Row k holds when the up-set of left(k) in the source order equals the
+    preimage under the right table of the up-set of k in the target order,
+    the k2 whose right image holds k's extent; the failure names the first
+    such k and the lowest k2 where they differ.
+    """
+    from .clg import _inclusion_rows
+
+    source_up = _inclusion_rows([c.extent.bits for c in source_concepts], a.instances.size)
+    target_extents = [c.extent.bits for c in target_concepts]
+    pulled_up = _inclusion_rows(target_extents, b.instances.size,
+                                [target_extents[k] for k in right_table])
+    for k, pulled in enumerate(pulled_up):
+        if diff := source_up[left_table[k]] ^ pulled:
+            k2 = (diff & -diff).bit_length() - 1
+            return [f"transports are not adjoint at concepts c{k}, c{k2}"]
+    return []
+
+
 def style_interconvert(sigma: SignatureMorphism, depth: int,
                        institution: PropositionalInstitution | None = None) -> StyleReport:
     """Build all four institution presentations from the same data and
@@ -1007,14 +1030,10 @@ def style_interconvert(sigma: SignatureMorphism, depth: int,
         except CarrierMismatchError as exc:
             witnesses["conc_adj"] = str(exc)
         else:
-            # The transports must form an adjunction between the theory lattices.
-            failures = [
-                f"transports are not adjoint at concepts c{k}, c{k2}"
-                for k, cb in enumerate(lb_concepts) for k2, ca in enumerate(la_concepts)
-                if (la_concepts[left_table[k]].extent.bits & ~ca.extent.bits == 0)
-                != (cb.extent.bits & ~lb_concepts[right_table[k2]].extent.bits == 0)
-            ][:1] or concept_square_failures(info.inst_map, info.typ_map, la_concepts,
-                                             lb_concepts, left_table, right_table)
+            failures = _adjointness_failures(
+                a, b, la_concepts, lb_concepts, left_table, right_table
+            ) or concept_square_failures(info.inst_map, info.typ_map, la_concepts,
+                                         lb_concepts, left_table, right_table)
             conc_adj = not failures
             if failures:
                 witnesses["conc_adj"] = failures[0]

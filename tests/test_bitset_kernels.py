@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from conceptua import clg
 from conceptua.clg import FormalConcept, concept_lattice, concept_poset, concepts_of, \
     validate_concept_lattice
 from conceptua.clsn import Classification, Infomorphism, check_infomorphism, derivation
@@ -64,6 +65,11 @@ def seeded_contexts(count, max_side, seed):
     return out
 
 
+def contranominal(n):
+    full = (1 << n) - 1
+    return context(n, n, [full & ~(1 << i) for i in range(n)])
+
+
 # ------------------------------------------------------------ concept enumeration
 
 
@@ -96,6 +102,83 @@ def test_concepts_of_matches_derive_nextclosure_on_seeded_contexts():
     contexts = seeded_contexts(48, 9, seed=404)
     for a in contexts:
         assert concepts_of(a) == nextclosure_concepts(a)
+
+
+def int_nextclosure(a, meet=meet_bits):
+    """The earlier NextClosure on plain ints, without its size guard: the
+    successor of extent A is the closure of (A below i) + i for the largest i
+    outside A whose closure adds nothing below i.  Closures go through ``meet``."""
+    n = a.instances.size
+    rows = a.incidence.rows
+    cols = a.incidence.columns
+    full_g, full_m = a.instances.full_mask, a.types.full_mask
+    extent = meet(cols, full_m, full_g)
+    intent = meet(rows, extent, full_m)
+    out = [(extent, intent)]
+    while True:
+        prefix = [full_m] * (n + 1)  # prefix[i]: intent of the members of extent below i
+        for i in range(n):
+            prefix[i + 1] = prefix[i] & rows[i] if extent >> i & 1 else prefix[i]
+        for i in range(n - 1, -1, -1):
+            if extent >> i & 1:
+                continue
+            intent = prefix[i] & rows[i]
+            candidate = meet(cols, intent, full_g)
+            if candidate & ((1 << i) - 1) & ~extent == 0:
+                extent = candidate
+                out.append((extent, intent))
+                break
+        else:
+            return out
+
+
+def fcbo_pairs(a):
+    return [(c.extent.bits, c.intent.bits) for c in clg._concepts_lectic(a)]
+
+
+def test_fcbo_matches_int_nextclosure_on_seeded_contexts():
+    for a in seeded_contexts(48, 9, seed=404):
+        assert fcbo_pairs(a) == int_nextclosure(a)
+
+
+@pytest.mark.parametrize("n", [12, 14])
+def test_fcbo_matches_int_nextclosure_on_contranominal(n):
+    a = contranominal(n)
+    pairs = fcbo_pairs(a)
+    assert len(pairs) == 1 << n
+    assert pairs == int_nextclosure(a)
+
+
+def test_fcbo_matches_int_nextclosure_on_random_40x40():
+    a = random_context(random.Random(414), 40, 40, 0.3)
+    assert fcbo_pairs(a) == int_nextclosure(a)
+
+
+def test_fcbo_matches_int_nextclosure_on_wide_shapes():
+    """100 contexts of the shapes and densities of the lattice-wide workload."""
+    rng = random.Random(415)
+    shapes = ((24, 24), (40, 14), (14, 40), (30, 18), (18, 30))
+    for k in range(100):
+        a = random_context(rng, *shapes[k % 5], (0.25, 0.3)[k // 5 % 2])
+        assert fcbo_pairs(a) == int_nextclosure(a)
+
+
+def test_fcbo_makes_no_more_closures_than_nextclosure(monkeypatch):
+    """Every closure of either enumeration is one ``meet_bits`` over the columns."""
+    a = random_context(random.Random(416), 10, 8, 0.4)
+    closures = {"fcbo": 0, "nextclosure": 0}
+
+    def counting(name):
+        def meet(lines, bits, full):
+            closures[name] += lines is a.incidence.columns
+            return meet_bits(lines, bits, full)
+        return meet
+
+    monkeypatch.setattr(clg, "meet_bits", counting("fcbo"))
+    found = fcbo_pairs(a)
+    assert found == int_nextclosure(a, counting("nextclosure"))
+    assert len(found) > 10
+    assert closures["fcbo"] <= closures["nextclosure"]
 
 
 # ----------------------------------------------------------------- concept order
@@ -381,11 +464,6 @@ def test_mediator_count_matches_enumeration_on_broken_cocones():
 
 
 # -------------------------------------------------------------- time budgets
-
-
-def contranominal(n):
-    full = (1 << n) - 1
-    return context(n, n, [full & ~(1 << i) for i in range(n)])
 
 
 def test_contranominal_12_covers_within_budget(time_budget):

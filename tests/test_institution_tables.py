@@ -7,12 +7,16 @@ the oracle. Transports are compared for every theory of every signature
 morphism between signatures of up to 3 variables, the satisfaction check
 on every morphism between signatures of up to 2 variables, honest and with
 a corrupted reduct. Results, failure lists and counts must be identical.
+The row check that the two concept transports of ``style_interconvert``
+are adjoint runs beside the earlier check over every pair of concepts.
 """
 
 import itertools
+import random
 
 import pytest
 
+import conceptua.institution as institution
 from conceptua.errors import SizeLimitError
 from conceptua.finrel import FinFunction, FinSet, Subset
 from conceptua.institution import (
@@ -33,6 +37,7 @@ from conceptua.institution import (
     model_carrier,
     render_sentence,
     satisfies,
+    style_interconvert,
     theory_fiber,
     transport_theory,
     translate_sentence,
@@ -193,3 +198,67 @@ def test_flatten_on_four_variables_trips_the_fiber_cap(time_budget):
     with time_budget(1):
         with pytest.raises(SizeLimitError, match=r"2\^\(2\^4\)"):
             flatten([Signature.of("p", "q", "r", "s")], [])
+
+
+# -------------------------------------------------------- style interconversion
+
+
+def oracle_adjointness_failures(a, b, source_concepts, target_concepts, left_table,
+                                right_table):
+    """The earlier check over every (target, source) concept pair, first failure kept."""
+    return [
+        f"transports are not adjoint at concepts c{k}, c{k2}"
+        for k, cb in enumerate(target_concepts) for k2, ca in enumerate(source_concepts)
+        if (source_concepts[left_table[k]].extent.bits & ~ca.extent.bits == 0)
+        != (cb.extent.bits & ~target_concepts[right_table[k2]].extent.bits == 0)
+    ][:1]
+
+
+def style_cases():
+    """The 23 morphisms from 0-2 to 1-3 variables, each at depths 1-3."""
+    for source, target in itertools.product(SIGNATURES[:3], SIGNATURES[1:]):
+        for table in itertools.product(range(target.size), repeat=source.size):
+            sigma = SignatureMorphism(source, target, FinFunction(source.vars, target.vars, table))
+            for depth in (1, 2, 3):
+                yield sigma, depth
+
+
+@pytest.mark.parametrize("inst", [PropositionalInstitution(), Corrupted()],
+                         ids=["honest", "corrupted"])
+def test_style_reports_match_pairwise_adjointness_oracle(monkeypatch, inst):
+    cases = list(style_cases())
+    got = [style_interconvert(sigma, depth, inst) for sigma, depth in cases]
+    monkeypatch.setattr(institution, "_adjointness_failures", oracle_adjointness_failures)
+    want = [style_interconvert(sigma, depth, inst) for sigma, depth in cases]
+    assert len(cases) == 69
+    assert got == want
+    assert all(r.conc_adj for r in got) == (not isinstance(inst, Corrupted))
+
+
+def test_adjointness_rows_match_pairwise_oracle_on_perturbed_transports(monkeypatch):
+    """The honest transports of every case, then each with one entry of one table moved."""
+    recorded = []
+    real = institution._adjointness_failures
+
+    def recording(*args):
+        recorded.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(institution, "_adjointness_failures", recording)
+    for sigma, depth in style_cases():
+        style_interconvert(sigma, depth)
+    assert len(recorded) == 69
+    rng = random.Random(418)
+    failing = set()
+    for a, b, source_concepts, target_concepts, left, right in recorded:
+        assert real(a, b, source_concepts, target_concepts, left, right) == []
+        assert oracle_adjointness_failures(a, b, source_concepts, target_concepts, left, right) == []
+        for _ in range(4):
+            left2, right2 = list(left), list(right)
+            table, size = rng.choice([(left2, len(source_concepts)), (right2, len(target_concepts))])
+            table[rng.randrange(len(table))] = rng.randrange(size)
+            got = real(a, b, source_concepts, target_concepts, left2, right2)
+            assert got == oracle_adjointness_failures(a, b, source_concepts, target_concepts,
+                                                      left2, right2)
+            failing.update(got)
+    assert len(failing) > 20
