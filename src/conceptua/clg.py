@@ -9,7 +9,7 @@ bit-exactly.  The enumeration runs once per classification and is kept on
 it (``Classification.concepts``), so ``concepts_of``, ``concept_poset`` and
 ``concept_lattice`` on the same classification share it.  The extent
 reflection and the intent coreflection run through both power orders, so
-they are built only when first read.
+they are built only when first read, and validation reads neither.
 """
 
 from dataclasses import dataclass
@@ -32,13 +32,12 @@ from .galois import (
     check_adjunction,
     compose_adjunctions,
     diagonalize,
-    is_coreflection,
-    is_reflection,
     polar_factorize,
 )
 from .order import (
     MonotoneMap,
     Poset,
+    _bits_in_bytes,
     _monotone,
     _trusted,
     carrier_bound,
@@ -122,8 +121,9 @@ class ConceptLattice:
 
 def _too_many_concepts(bound: int, limit: int) -> SizeLimitError:
     return SizeLimitError(
-        f"concept enumeration passed 2^{bound} = {limit} concepts, whose order "
-        f"takes 2^{2 * bound} bits; set CONCEPTUA_MAX_CARRIER to raise the bound")
+        f"concept enumeration passed 2^{bound} = {limit} concepts, whose order takes "
+        f"2^{2 * bound} bits ({_bits_in_bytes(2 * bound)}); set CONCEPTUA_MAX_CARRIER "
+        "to raise the bound")
 
 
 def _concepts_lectic(a: Classification) -> tuple[FormalConcept, ...]:
@@ -237,25 +237,40 @@ def concept_lattice(a: Classification) -> ConceptLattice:
     return ConceptLattice(a.instances, a.types, lattice, concepts, iota, tau)
 
 
+def _closure_failure(lat: ConceptLattice, recovered: Classification) -> str | None:
+    """Why the listed extents are not the closed sets of ``recovered``, or None.
+
+    The order must be extent inclusion, and the full instance set and E & column
+    m, for each closed listed E and type m, must be listed: by induction on sets
+    of types every closed set is then listed.  An unclosed E is skipped.
+    """
+    extents = [c.extent.bits for c in lat.concepts]
+    if lat.lattice.leq.rows != _inclusion_rows(extents, lat.instances.size):
+        return "concept order is not extent inclusion"
+    listed, cols = set(extents), recovered.incidence.columns
+    closed = [e for e in extents if recovered.extent_of(recovered.intent_of(e)) == e]
+    for e in [lat.instances.full_mask] + [e & col for e in closed for col in cols]:
+        if e not in listed:
+            return f"closed extent {Subset(lat.instances, e)} is not a listed concept"
+    return None
+
+
 def _power_adjunctions(lat: ConceptLattice) -> tuple[Adjunction, Adjunction]:
     """The extent reflection and the intent coreflection, read off the
     derivation of ``classification_of(lat)``: its power orders are their outer
     orders and its tables the closure and the concept of a set of types.
 
-    Raises ``NotAConceptLatticeError`` unless the order is extent inclusion
-    and every closure is a listed extent; then the four maps (closure,
-    extent, derived intent, concept of a set of types) are monotone by the
-    Galois connection and are not re-checked.
+    Raises ``NotAConceptLatticeError`` on a ``_closure_failure``; past it every
+    closure is listed, and the four maps (closure, extent, derived intent,
+    concept of a set of types) are monotone by the Galois connection.
     """
-    extents = [c.extent.bits for c in lat.concepts]
-    if lat.lattice.leq.rows != _inclusion_rows(extents, lat.instances.size):
-        raise NotAConceptLatticeError("concept order is not extent inclusion")
-    deriv = derivation(classification_of(lat))
+    recovered = classification_of(lat)
+    if failure := _closure_failure(lat, recovered):
+        raise NotAConceptLatticeError(failure)
+    deriv = derivation(recovered)
     intent_of, extent_of = deriv.left.func.table, deriv.right.func.table
+    extents = [c.extent.bits for c in lat.concepts]
     pos = {e: k for k, e in enumerate(extents)}
-    if missing := [e for e in extent_of if e not in pos]:
-        raise NotAConceptLatticeError(
-            f"closed extent {Subset(lat.instances, missing[0])} is not a listed concept")
     lattice, ipower, tpower_op = lat.lattice, deriv.source, deriv.target
     embed_src = _monotone(ipower, lattice, (pos[extent_of[m]] for m in intent_of))
     project_src = _monotone(lattice, ipower, extents)
@@ -450,30 +465,32 @@ def _check_density(lat: ConceptLattice) -> list[str]:
 def validate_concept_lattice(lat: ConceptLattice) -> list[str]:
     """All structural invariants of a conceptual structure, as failure strings.
 
-    A failure to build the two adjunctions is reported alone.  Their
-    composite is derivation by construction, so it is not compared.
+    Decided on the extents, the embeddings and ``classification_of(lat)``,
+    with no power order; a ``_closure_failure`` is reported alone.  The
+    reflection and the coreflection fail exactly when a listed extent is not
+    closed.  Else the extents are a closure system, a complete lattice, and
+    density follows unless an embedding is misplaced, so neither is checked.
     """
-    try:
-        reflection, coreflection = lat.extent_reflection, lat.intent_coreflection
-    except NotAConceptLatticeError as exc:
-        return [str(exc)]
-    failures = []
-    if not is_complete_lattice(lat.lattice):
-        failures.append("concept order is not a complete lattice")
-    if not is_reflection(reflection):
-        failures.append("extent adjunction is not a reflection")
-    if not is_coreflection(coreflection):
-        failures.append("intent adjunction is not a coreflection")
-    for i in range(lat.instances.size):
-        if lat.iota_embed.table[i] != reflection.left.func.table[1 << i]:
-            failures.append("iota embedding differs from the singleton restriction")
-            break
-    for t in range(lat.types.size):
-        if lat.tau_embed.table[t] != coreflection.right.func.table[1 << t]:
-            failures.append("tau embedding differs from the singleton restriction")
-            break
-    failures.extend(_check_density(lat))
     recovered = classification_of(lat)
+    if failure := _closure_failure(lat, recovered):
+        return [failure]
+    pos = {c.extent.bits: k for k, c in enumerate(lat.concepts)}
+
+    def concept(e: int) -> int:
+        return pos[recovered.extent_of(recovered.intent_of(e))]
+
+    failures = []
+    if any(concept(c.extent.bits) != k for k, c in enumerate(lat.concepts)):
+        if not is_complete_lattice(lat.lattice):
+            failures.append("concept order is not a complete lattice")
+        failures += ["extent adjunction is not a reflection",
+                     "intent adjunction is not a coreflection"]
+    if lat.iota_embed.table != tuple(concept(1 << i) for i in range(lat.instances.size)):
+        failures.append("iota embedding differs from the singleton restriction")
+    if lat.tau_embed.table != tuple(pos[col] for col in recovered.incidence.columns):
+        failures.append("tau embedding differs from the singleton restriction")
+    if failures:
+        failures.extend(_check_density(lat))
     for c in lat.concepts:
         if recovered.intent_of(c.extent.bits) != c.intent.bits or \
            recovered.extent_of(c.intent.bits) != c.extent.bits:
@@ -486,8 +503,7 @@ def concept_lattice_from_parts(instances, types, lattice, concepts,
                                iota_embed, tau_embed) -> ConceptLattice:
     """Manual constructor; rejects any density or bipole violation eagerly."""
     lat = ConceptLattice(instances, types, lattice, tuple(concepts), iota_embed, tau_embed)
-    failures = validate_concept_lattice(lat)
-    if failures:
+    if failures := validate_concept_lattice(lat):
         raise NotAConceptLatticeError("; ".join(failures))
     return lat
 
@@ -501,23 +517,18 @@ class LatticeIsomorphism:
 def lattice_roundtrip_iso(lat: ConceptLattice) -> LatticeIsomorphism:
     """Explicit order-iso between the lattice rebuilt from the classification and ``lat``.
 
-    Sends a rebuilt concept to the join of the embedded instances of its
-    extent; the inverse reads off extents.  Raises when ``lat`` is not a
-    genuine concept lattice (density failures and the like).  Once
-    validation passes, the listed extents are exactly the closed sets, each
-    once (the order is extent inclusion and antisymmetric), and the join of
-    the embedded instances of a closed set is the concept with that extent;
-    so both tables are bijections, inverse to each other, that keep extents,
-    and both orders are extent inclusion.
+    Raises when ``lat`` is not a genuine concept lattice (density failures
+    and the like).  Once validation passes, the listed extents are exactly the
+    closed sets, each once (the order is extent inclusion and antisymmetric),
+    so the two tables, which keep extents, are inverse bijections, and both
+    orders are extent inclusion.
     """
-    failures = validate_concept_lattice(lat)
-    if failures:
+    if failures := validate_concept_lattice(lat):
         raise NotAConceptLatticeError("; ".join(failures))
     rebuilt = concept_lattice(classification_of(lat))
     labels, rebuilt_labels = lat.lattice.carrier, rebuilt.lattice.carrier
-    forward = FinFunction(rebuilt_labels, labels, tuple(
-        poset_join(lat.lattice, Subset(labels, image_bits(lat.iota_embed, c.extent.bits)))
-        for c in rebuilt.concepts))
+    pos = {c.extent.bits: k for k, c in enumerate(lat.concepts)}
+    forward = FinFunction(rebuilt_labels, labels, tuple(pos[c.extent.bits] for c in rebuilt.concepts))
     ext_pos = {c.extent.bits: k for k, c in enumerate(rebuilt.concepts)}
     backward = FinFunction(labels, rebuilt_labels,
                            tuple(ext_pos[c.extent.bits] for c in lat.concepts))

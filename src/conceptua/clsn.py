@@ -224,8 +224,9 @@ def enumerate_infomorphisms(a: Classification, b: Classification,
     into every consistent instance-map choice.
     """
     n_b_inst, n_a_typ = b.instances.size, a.types.size
-    if b.types.size ** n_a_typ > 1_000_000:
-        raise SizeLimitError("type-map search space too large")
+    if (type_maps := b.types.size ** n_a_typ) > 1_000_000:
+        raise SizeLimitError(f"type-map search space too large: {b.types.size}^{n_a_typ} = "
+                             f"{type_maps} type maps, above the fixed cap of 10^6")
     results: list[Infomorphism] = []
 
     a_cols = a.incidence.columns
@@ -249,7 +250,8 @@ def enumerate_infomorphisms(a: Classification, b: Classification,
 
     def extend(typ_table: list[int]):
         if len(results) > max_results:
-            raise SizeLimitError("infomorphism enumeration exceeded the result cap")
+            raise SizeLimitError(f"infomorphism enumeration passed max_results = {max_results} "
+                                 "infomorphisms, the result cap")
         cand = candidates(tuple(typ_table))
         if any(not c for c in cand):
             return

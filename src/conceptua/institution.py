@@ -23,7 +23,8 @@ from .errors import CarrierMismatchError, ParseError, SizeLimitError, UnknownEle
 from .finrel import FinFunction, FinSet, Relation, Subset, image_bits, preimage_bits, \
     preimage_rows, transpose
 from .galois import Adjunction, check_adjunction
-from .order import MonotoneMap, Poset, _member_masks, _subset_rows, _trusted, check_carrier_bound
+from .order import MonotoneMap, Poset, _bits_in_bytes, _member_masks, _subset_rows, _trusted, \
+    check_carrier_bound
 from .clsn import Classification
 
 __all__ = [
@@ -549,7 +550,9 @@ def classification_of_signature(sig: Signature, depth: int) -> Classification:
     The sentences' truth tables are the columns of the incidence.
     """
     if sig.size > 5:
-        raise SizeLimitError("signature too large to materialize the model set")
+        raise SizeLimitError(
+            f"signature too large to materialize the model set: {sig.size} variables have "
+            f"2^{sig.size} = {1 << sig.size} models, above the fixed cap of 5 variables")
     sentences = enumerate_sentences(sig, depth)
     instances = model_carrier(sig)
     types = FinSet(tuple(render_sentence(s) for s in sentences))
@@ -613,11 +616,9 @@ def theory_fiber(sig: Signature) -> TheoryFiber:
     """
     n = sig.size
     if n > THEORY_FIBER_MAX_VARS:
-        mib_log2 = (1 << (n + 1)) - 23  # 2^(2^(n+1)) bits = 2^(2^(n+1) - 23) MiB
-        mib = 1 << mib_log2 if mib_log2 <= 20 else f"2^{mib_log2}"
         raise SizeLimitError(
             f"theory fiber of {n} variables has 2^(2^{n}) theories; its order would take "
-            f"2^(2^{n}) rows of 2^(2^{n}) bits, about {mib} MiB; "
+            f"2^(2^{n}) rows of 2^(2^{n}) bits, {_bits_in_bytes(1 << n + 1)}; "
             f"the cap is {THEORY_FIBER_MAX_VARS} variables")
     n_theories = 1 << (1 << n)
     labels = FinSet(tuple(f"T{mask}" for mask in range(n_theories)))
@@ -719,7 +720,8 @@ def flatten(signatures, morphisms) -> FlattenedTheoryCategory:
             obj_index[(i, mask)] = len(objects)
             objects.append((i, mask))
     if len(objects) > 5000:
-        raise SizeLimitError("flattened category would be too large")
+        raise SizeLimitError(f"flattened category would be too large: {len(objects)} "
+                             "objects, above the fixed cap of 5000")
 
     inst = PropositionalInstitution()
     transport_tables = [preimage_rows(inst.reduct_function(sm), range(len(fibers[si].theories)))

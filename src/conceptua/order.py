@@ -73,15 +73,23 @@ def carrier_bound() -> int:
     raise ParseError(f"CONCEPTUA_MAX_CARRIER must be a non-negative integer, got {text!r}")
 
 
+def _bits_in_bytes(log2_bits: int) -> str:
+    """2^log2_bits bits in binary units, as in "128 B" or "2 GiB"; less than a byte is 1 B."""
+    if (log2 := max(log2_bits - 3, 0)) >= 50:
+        return f"2^{log2} B"
+    return f"{1 << log2 % 10} {('B', 'KiB', 'MiB', 'GiB', 'TiB')[log2 // 10]}"
+
+
 def check_carrier_bound(size: int, what: str):
     """Raises if a power order of ``size`` elements would exceed the carrier bound,
-    naming the size, the 2^size elements and the setting that raises the bound."""
+    naming the size, the 2^size elements, their bytes and the setting that raises the bound."""
     limit = carrier_bound()
     if size > limit:
         elements = f"2^{size}" + (f" = {1 << size}" if size <= 64 else "")
         raise SizeLimitError(
             f"{what} has {size} elements; its power order would have {elements} elements, "
-            f"above the carrier bound {limit}; set CONCEPTUA_MAX_CARRIER to raise it")
+            f"2^{size} rows of 2^{size} bits ({_bits_in_bytes(2 * size)}), above the carrier "
+            f"bound {limit}; set CONCEPTUA_MAX_CARRIER to raise it")
 
 
 def _trusted(cls, **fields):

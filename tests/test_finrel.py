@@ -153,7 +153,7 @@ def test_residuate_right_identity_unit():
         assert residuate_left(Relation.identity(A2), t) == t
 
 
-@settings(max_examples=60)
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
 @given(st.data())
 def test_transpose_duality_on_random_3x3(data):
     x3 = finset("x0", "x1", "x2")
@@ -164,7 +164,7 @@ def test_transpose_duality_on_random_3x3(data):
     assert transpose(residuate_left(r, t)) == residuate_right(transpose(r), transpose(t))
 
 
-@settings(max_examples=60)
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
 @given(st.data())
 def test_residuation_adjointness_randomized_up_to_5(data):
     n = data.draw(st.integers(1, 5))

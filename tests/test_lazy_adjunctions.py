@@ -275,3 +275,61 @@ def test_listed_extent_that_is_not_closed_fails_the_bipole_condition():
     failures = validate_concept_lattice(raw)
     assert "extent adjunction is not a reflection" in failures
     assert failures[-1] == "bipole condition fails for {i0}|{t0}"
+
+
+# ------------------------------------------------- validation by the basic theorem
+
+
+def test_validation_builds_no_power_order_on_a_valid_lattice(power_order_calls, monkeypatch):
+    """Nor does it run the complete-lattice or density checks: both follow."""
+    skipped = []
+    for name in ("is_complete_lattice", "_check_density"):
+        real = getattr(clg, name)
+        monkeypatch.setattr(clg, name, lambda x, name=name, real=real:
+                            skipped.append(name) or real(x))
+    lat = concept_lattice(context(random_rows(8, 0.4, 5), 8, 8))
+    assert validate_concept_lattice(lat) == []
+    assert lattice_roundtrip_iso(lat).forward.table == tuple(range(lat.size))
+    parts = {f.name: getattr(lat, f.name) for f in dataclasses.fields(lat)}
+    assert concept_lattice_from_parts(**parts) == lat
+    assert power_order_calls == [] and skipped == []
+
+
+def test_17x12_context_round_trips_past_the_carrier_bound():
+    a = context([row & 0xfff for row in random_rows(17, 0.3, 17)], 17, 12)
+    lat = concept_lattice(a)
+    parts = {f.name: getattr(lat, f.name) for f in dataclasses.fields(lat)}
+    rebuilt = concept_lattice_from_parts(**parts)
+    assert lattice_roundtrip_iso(rebuilt).forward.table == tuple(range(lat.size))
+    assert clg.classification_of(rebuilt) == a
+
+
+@pytest.mark.parametrize("rows, n", [(contranominal_rows(12), 12),
+                                     (random_rows(40, 0.3, 414), 40)])
+def test_large_lattices_validate_within_budget(time_budget, rows, n):
+    lat = concept_lattice(context(rows, n, n))
+    with time_budget(2):
+        assert validate_concept_lattice(lat) == []
+
+
+# The child validates the concept lattice of a random 16 x 16 context and
+# reports its own peak RSS (KB), read from VmHWM as in CHILD.
+VALIDATE_CHILD = (
+    "import random\n"
+    "from conceptua.clg import concept_lattice, validate_concept_lattice\n"
+    "from conceptua.clsn import Classification\n"
+    "from conceptua.finrel import FinSet, Relation\n"
+    "rng = random.Random(5)\n"
+    "c = FinSet(tuple(f'e{i}' for i in range(16)))\n"
+    "rows = tuple(sum(1 << j for j in range(16) if rng.random() < 0.4) for _ in range(16))\n"
+    "assert validate_concept_lattice(concept_lattice(Classification(c, c, Relation(c, c, rows)))) == []\n"
+    "with open('/proc/self/status') as status:\n"
+    "    print(next(int(line.split()[1]) for line in status if line.startswith('VmHWM:')))\n")
+
+
+def test_random_16x16_validates_in_a_child_under_50_mb():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", VALIDATE_CHILD], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout.split()[-1]) / 1024 < 50

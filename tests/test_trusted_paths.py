@@ -5,13 +5,14 @@ import random
 import pytest
 
 import conceptua.order as order
-from conceptua.clg import concept_lattice, validate_concept_lattice
-from conceptua.clsn import Classification, derivation
+import conceptua.clg as clg
+from conceptua.clg import concept_lattice, concepts_of, validate_concept_lattice
+from conceptua.clsn import Classification, derivation, enumerate_infomorphisms
 from conceptua.errors import SizeLimitError
 from conceptua.finrel import FinSet, Relation
 from conceptua.galois import check_adjunction, closure_interior, downset_coreflection, \
     enumerate_adjunctions, polar_factorize, recompose, upset_reflection
-from conceptua.institution import Signature, theory_fiber
+from conceptua.institution import Signature, classification_of_signature, flatten, theory_fiber
 from conceptua.order import MonotoneMap, Poset, all_monotone_maps, opposite, power_order
 
 
@@ -133,6 +134,45 @@ def test_size_guard_names_size_elements_and_override(build, monkeypatch):
     assert "5 elements" in message
     assert "2^5 = 32" in message
     assert "CONCEPTUA_MAX_CARRIER" in message
+
+
+def context_of(n_inst, n_typ, rows):
+    inst, typ = carrier("g", n_inst), carrier("m", n_typ)
+    return Classification(inst, typ, Relation(inst, typ, tuple(rows)))
+
+
+@pytest.mark.parametrize("bound, build, parts", [
+    ("4", lambda: power_order(carrier("e", 5)),
+     ["5 elements", "2^5 = 32", "2^5 rows of 2^5 bits (128 B)", "bound 4", "CONCEPTUA_MAX_CARRIER"]),
+    (None, lambda: power_order(carrier("e", 17)),
+     ["2^17 rows of 2^17 bits (2 GiB)", "bound 16", "CONCEPTUA_MAX_CARRIER"]),
+    ("3", lambda: concepts_of(context_of(4, 4, (0b1111 & ~(1 << i) for i in range(4)))),
+     ["2^3 = 8 concepts", "2^6 bits (8 B)", "CONCEPTUA_MAX_CARRIER"]),
+    (None, lambda: classification_of_signature(Signature.of(*"uvwxyz"), 1),
+     ["6 variables", "2^6 = 64 models", "fixed cap of 5 variables"]),
+    (None, lambda: flatten([Signature.of(f"a{i}", f"b{i}", f"c{i}") for i in range(20)], []),
+     ["5120 objects", "fixed cap of 5000"]),
+    (None, lambda: enumerate_infomorphisms(context_of(1, 7, [0]), context_of(1, 8, [0])),
+     ["8^7 = 2097152 type maps", "fixed cap of 10^6"]),
+    (None, lambda: enumerate_infomorphisms(context_of(2, 2, [0, 0]), context_of(2, 2, [0, 0]),
+                                           max_results=2),
+     ["max_results = 2", "result cap"]),
+], ids=["power-order-bytes", "power-order-default", "concept-count", "signature",
+        "flatten", "type-map-search", "result-cap"])
+def test_size_errors_state_the_size_and_the_cap(monkeypatch, bound, build, parts):
+    if bound is None:
+        monkeypatch.delenv("CONCEPTUA_MAX_CARRIER", raising=False)
+    else:
+        monkeypatch.setenv("CONCEPTUA_MAX_CARRIER", bound)
+    with pytest.raises(SizeLimitError) as err:
+        build()
+    for part in parts:
+        assert part in str(err.value)
+
+
+def test_concept_bound_message_states_the_bytes_of_the_default():
+    message = str(clg._too_many_concepts(16, 1 << 16))
+    assert "2^16 = 65536 concepts" in message and "2^32 bits (512 MiB)" in message
 
 
 def seeded_adjunctions(count, seed):
