@@ -249,16 +249,16 @@ def enumerate_infomorphisms(a: Classification, b: Classification,
         return cand
 
     def extend(typ_table: list[int]):
-        if len(results) > max_results:
-            raise SizeLimitError(f"infomorphism enumeration passed max_results = {max_results} "
-                                 "infomorphisms, the result cap")
         cand = candidates(tuple(typ_table))
         if any(not c for c in cand):
             return
         if len(typ_table) == n_a_typ:
+            typ_map = FinFunction(a.types, b.types, tuple(typ_table))
             for choice in itertools.product(*cand):
+                if len(results) == max_results:
+                    raise SizeLimitError(f"infomorphism enumeration passed max_results = "
+                                         f"{max_results} infomorphisms, the result cap")
                 inst_map = FinFunction(b.instances, a.instances, tuple(choice))
-                typ_map = FinFunction(a.types, b.types, tuple(typ_table))
                 results.append(Infomorphism(a, b, inst_map, typ_map))
             return
         for ty in range(b.types.size):

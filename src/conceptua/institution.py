@@ -12,6 +12,10 @@ satisfaction condition is checked on truth tables: the preimage of a
 sentence's table along the reduct must equal the table of its
 translation. Colimit-style merging intersects transported model classes
 over a signature pushout.
+
+Every sentence operation but the short-circuiting ``satisfies`` reads one
+prefix-order walk over an explicit stack, so sentences may nest past the
+recursion limit.
 """
 
 import functools
@@ -117,54 +121,20 @@ class Var:
 
 
 class _Connective:
-    """``==``, ``hash`` and ``repr`` of the connectives over explicit stacks, so
-    sentences nested past the recursion limit can still be compared, hashed
-    and printed.  ``repr`` reads as the dataclass one would."""
+    """``==`` and ``hash`` compare the prefix order with connectives mapped to
+    their classes; ``repr`` reads as the dataclass one would."""
 
-    __slots__ = ()
-
-    def _prefix(self) -> tuple:
-        """Connective classes and leaves in prefix order, which determine the
-        sentence since each class has a fixed arity."""
-        todo: list = [self]
-        prefix: list = []
-        while todo:
-            t = todo.pop()
-            if isinstance(t, _Connective):
-                prefix.append(type(t))
-                todo += (t.body,) if type(t) is Not else (t.rhs, t.lhs)
-            else:
-                prefix.append(t)
-        return tuple(prefix)
+    def _prefix(self) -> list:
+        return [type(t) if isinstance(t, _Connective) else t for t in _preorder(self)]
 
     def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._prefix() == other._prefix()
+        return self._prefix() == other._prefix() if type(other) is type(self) else NotImplemented
 
     def __hash__(self):
-        return hash(self._prefix())
+        return hash(tuple(self._prefix()))
 
     def __repr__(self):
-        out: list[str] = []
-        todo: list = [self]
-        while todo:
-            t = todo.pop()
-            if type(t) is _Text:
-                out.append(t)
-            elif type(t) is Not:
-                out.append("Not(body=")
-                todo += (_Text(")"), t.body)
-            elif isinstance(t, _Connective):
-                out.append(f"{type(t).__qualname__}(lhs=")
-                todo += (_Text(")"), t.rhs, _Text(", rhs="), t.lhs)
-            else:
-                out.append(repr(t))
-        return "".join(out)
-
-
-class _Text(str):
-    """A piece of ``repr`` text queued between operands."""
+        return _write(self, _REPR_OPENERS, ", rhs=", repr)
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -202,45 +172,71 @@ class Bottom:
 
 Sentence = Var | Not | And | Or | Implies | Top | Bottom
 
-_BINARY = {And: "and", Or: "or", Implies: "implies"}
+# The connectives by name in the sentence syntax; each class's arity is its field count.
+_CONNECTIVES = {"not": Not, "and": And, "or": Or, "implies": Implies}
+_RENDER_OPENERS = {cls: f"({name} " for name, cls in _CONNECTIVES.items()}
+_REPR_OPENERS = {cls: f"{cls.__qualname__}({cls.__match_args__[0]}="
+                 for cls in _CONNECTIVES.values()}
 
 
-# Text pieces queued between operands by ``render_sentence``.
-_SPACE, _CLOSE = object(), object()
-
-
-def render_sentence(s: Sentence) -> str:
-    """Prefix s-expression text, written left to right from an explicit stack."""
-    out: list[str] = []
-    todo: list = [s]
+def _preorder(s) -> list:
+    """The nodes of a sentence in prefix order, over an explicit stack; any
+    node that is not a connective is a leaf.  Read backwards with a value
+    stack, it gives post-order with a connective's lhs value on top."""
+    order = []
+    todo = [s]
     while todo:
         t = todo.pop()
-        if t is _SPACE:
-            out.append(" ")
-        elif t is _CLOSE:
-            out.append(")")
-        elif isinstance(t, Var):
-            out.append(f"(var {t.name})")
-        elif isinstance(t, Not):
-            out.append("(not ")
-            todo += (_CLOSE, t.body)
-        elif isinstance(t, (And, Or, Implies)):
-            out.append(f"({_BINARY[type(t)]} ")
-            todo += (_CLOSE, t.rhs, _SPACE, t.lhs)
-        elif isinstance(t, Top):
-            out.append("top")
-        elif isinstance(t, Bottom):
-            out.append("bottom")
+        while True:  # down the left spine, leaving right operands for later
+            order.append(t)
+            if type(t) is Not:
+                t = t.body
+            elif isinstance(t, _Connective):
+                todo.append(t.rhs)
+                t = t.lhs
+            else:
+                break
+    return order
+
+
+def _write(s, openers: dict, separator: str, leaf) -> str:
+    """Each connective's opener, its operands split by the separator, then ``)``.
+
+    ``seps`` holds, per binary connective waiting for its rhs, the number of
+    connectives open just after it opened: a leaf closes those opened since
+    the innermost one, then writes its separator.
+    """
+    out, seps, opened = [], [], 0
+    for t in _preorder(s):
+        head = openers.get(type(t))
+        if head is not None:
+            out.append(head)
+            opened += 1
+            if type(t) is not Not:
+                seps.append(opened)
         else:
-            raise TypeError(f"not a sentence: {t!r}")
+            out.append(leaf(t))
+            if seps:
+                j = seps.pop()
+                out.append(")" * (opened - j) + separator)
+                opened = j
+    out.append(")" * opened)
     return "".join(out)
 
 
-def _tokenize(text: str) -> list[str]:
-    return text.replace("(", " ( ").replace(")", " ) ").split()
+def _leaf_text(t) -> str:
+    if isinstance(t, Var):
+        return f"(var {t.name})"
+    if isinstance(t, Top):
+        return "top"
+    if isinstance(t, Bottom):
+        return "bottom"
+    raise TypeError(f"not a sentence: {t!r}")
 
 
-_CONNECTIVES = {"not": (Not, 1), "and": (And, 2), "or": (Or, 2), "implies": (Implies, 2)}
+def render_sentence(s: Sentence) -> str:
+    """Prefix s-expression text, as ``parse_sentence`` reads it."""
+    return _write(s, _RENDER_OPENERS, " ", _leaf_text)
 
 
 def parse_sentence(text: str) -> Sentence:
@@ -249,23 +245,18 @@ def parse_sentence(text: str) -> Sentence:
     Open connectives wait on an explicit stack, so nesting depth is bounded
     by memory, not by the interpreter's recursion limit.
     """
-    tokens = _tokenize(text)
-    pos = 0
+    tokens = text.replace("(", " ( ").replace(")", " ) ").split()[::-1]  # next token last
 
     def take(missing: str = "unexpected end of sentence") -> str:
-        nonlocal pos
-        if pos >= len(tokens):
+        if not tokens:
             raise ParseError(missing)
-        pos += 1
-        return tokens[pos - 1]
+        return tokens.pop()
 
     def close():
-        nonlocal pos
-        if pos >= len(tokens) or tokens[pos] != ")":
+        if not tokens or tokens.pop() != ")":
             raise ParseError("missing closing parenthesis")
-        pos += 1
 
-    open_: list[tuple[str, list[Sentence]]] = []
+    open_: list[tuple[type, list[Sentence]]] = []
     while True:
         tok = take()
         if tok == "top":
@@ -280,61 +271,50 @@ def parse_sentence(text: str) -> Sentence:
                 node = Var(take("missing variable name"))
                 close()
             elif head in _CONNECTIVES:
-                open_.append((head, []))
+                open_.append((_CONNECTIVES[head], []))
                 continue
             else:
                 raise ParseError(f"unknown connective {head!r}")
         # Hand the finished operand to the innermost open connective,
         # closing every connective it completes.
         while open_:
-            head, args = open_[-1]
+            cls, args = open_[-1]
             args.append(node)
-            cls, arity = _CONNECTIVES[head]
-            if len(args) < arity:
+            if len(args) < len(cls.__match_args__):
                 break
             open_.pop()
             close()
             node = cls(*args)
         if not open_:
             break
-    if pos != len(tokens):
+    if tokens:
         raise ParseError("trailing tokens after sentence")
     return node
 
 
 def sentence_depth(s: Sentence) -> int:
-    """Nodes on the longest root-to-leaf path, over an explicit stack."""
-    depth = 0
-    todo = [(s, 1)]
-    while todo:
-        t, d = todo.pop()
-        if isinstance(t, (Var, Top, Bottom)):
-            depth = max(depth, d)
-        elif isinstance(t, Not):
-            todo.append((t.body, d + 1))
+    """Nodes on the longest root-to-leaf path."""
+    done: list[int] = []
+    for t in reversed(_preorder(s)):
+        if type(t) is Not:
+            done.append(done.pop() + 1)
+        elif isinstance(t, _Connective):
+            done.append(max(done.pop(), done.pop()) + 1)
         else:
-            lhs, rhs = t.lhs, t.rhs
-            todo += ((rhs, d + 1), (lhs, d + 1))
-    return depth
+            done.append(1)
+    return done[0]
 
 
 def translate_sentence(sigma: SignatureMorphism, s: Sentence) -> Sentence:
     """Rename the variables along sigma, rebuilding in post-order as ``truth_table`` evaluates."""
-    todo: list = [s]
     done: list[Sentence] = []
-    while todo:
-        t = todo.pop()
-        if t is Not:
-            done.append(Not(done.pop()))
-        elif isinstance(t, type):
-            rhs, lhs = done.pop(), done.pop()
-            done.append(t(lhs, rhs))
-        elif isinstance(t, Var):
+    for t in reversed(_preorder(s)):
+        if isinstance(t, Var):
             done.append(Var(sigma.map.apply_label(t.name)))
-        elif isinstance(t, Not):
-            todo += (Not, t.body)
-        elif isinstance(t, (And, Or, Implies)):
-            todo += (type(t), t.rhs, t.lhs)
+        elif type(t) is Not:
+            done.append(Not(done.pop()))
+        elif isinstance(t, _Connective):
+            done.append(type(t)(done.pop(), done.pop()))
         else:
             done.append(t)
     return done[0]
@@ -404,27 +384,25 @@ def satisfies(m: Model, s: Sentence) -> bool:
 def truth_table(sig: Signature, s: Sentence) -> int:
     """Bit m of the result is the value of the sentence in model number m.
 
-    Evaluated in post-order over an explicit stack: a connective's class is
-    pushed below its operands and applied to their tables once they are done.
+    Evaluated in post-order, reading the prefix order backwards: each
+    connective applies to the tables of its operands on top of the stack.
     A variable's table is its member mask, the models that set it.
     """
     n = sig.size
     full = (1 << (1 << n)) - 1
-    todo: list = [s]
     done: list[int] = []
-    while todo:
-        t = todo.pop()
-        if t is Not:
-            done.append(~done.pop() & full)
-        elif isinstance(t, type):
-            rhs, lhs = done.pop(), done.pop()
-            done.append({And: lhs & rhs, Or: lhs | rhs, Implies: (~lhs | rhs) & full}[t])
-        elif isinstance(t, Var):
+    for t in reversed(_preorder(s)):
+        cls = type(t)
+        if cls is Var:
             done.append(_member_masks(n)[sig.vars.index(t.name)])
-        elif isinstance(t, Not):
-            todo += (Not, t.body)
-        elif isinstance(t, (And, Or, Implies)):
-            todo += (type(t), t.rhs, t.lhs)
+        elif cls is Not:
+            done.append(~done.pop() & full)
+        elif cls is And:
+            done.append(done.pop() & done.pop())
+        elif cls is Or:
+            done.append(done.pop() | done.pop())
+        elif cls is Implies:
+            done.append((~done.pop() | done.pop()) & full)
         else:
             done.append(full if isinstance(t, Top) else 0)
     return done[0]

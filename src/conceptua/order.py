@@ -213,21 +213,14 @@ class Preorder:
 
     @classmethod
     def from_pairs(cls, carrier: FinSet, pairs) -> "Preorder":
-        """Reflexive-transitive closure of the given pairs."""
+        """Reflexive-transitive closure of the given pairs, in one Warshall
+        pass: for each k, every row that holds k takes in row k."""
         rows = [1 << i for i in range(carrier.size)]
         for a, b in pairs:
             rows[carrier.index(a)] |= 1 << carrier.index(b)
-        changed = True
-        while changed:
-            changed = False
-            for i in range(carrier.size):
-                acc = rows[i]
-                for j in range(carrier.size):
-                    if acc >> j & 1:
-                        acc |= rows[j]
-                if acc != rows[i]:
-                    rows[i] = acc
-                    changed = True
+        for k in range(carrier.size):
+            row_k = rows[k]
+            rows = [row | row_k if row >> k & 1 else row for row in rows]
         return cls(carrier, Relation(carrier, carrier, tuple(rows)))
 
     @property

@@ -43,11 +43,10 @@ from .order import (
 )
 from .galois import (
     Adjunction,
+    _diagonal_count,
     check_reflection_lattice_transfer,
     closure_interior,
-    compose_adjunctions,
     downset_coreflection,
-    enumerate_adjunctions,
     factorization_equivalence_check,
     is_coreflection,
     is_reflection,
@@ -498,11 +497,8 @@ def galois_suite(seed: int, cases: int) -> LawReport:
     for g in small[:3]:
         pf = polar_factorize(g)
         pf2 = polar_factorize(recompose(pf))
-        count = sum(
-            1 for d in enumerate_adjunctions(pf.axis, pf2.axis)
-            if same_adjunction(compose_adjunctions(pf.extent_reflection, d), pf2.extent_reflection)
-            and same_adjunction(compose_adjunctions(d, pf2.intent_coreflection), pf.intent_coreflection)
-        )
+        count = _diagonal_count(pf.extent_reflection, pf.intent_coreflection,
+                                pf2.extent_reflection, pf2.intent_coreflection)
         report.check(count == 1, f"diagonal uniqueness: found {count}")
 
     report.seconds = time.perf_counter() - start

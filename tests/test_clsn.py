@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conceptua.errors import CarrierMismatchError
+from conceptua.errors import CarrierMismatchError, SizeLimitError
 from conceptua.finrel import (
     FinFunction,
     FinSet,
@@ -219,6 +219,17 @@ def test_enumerate_matches_brute_force_on_small_contexts():
         infos = enumerate_infomorphisms(a, b)
         assert sorted((f.inst_map.table, f.typ_map.table) for f in infos) == \
             sorted(brute_force_infomorphisms(a, b))
+
+
+@pytest.mark.parametrize("n_typ", [0, 1], ids=["no-types", "one-empty-type"])
+def test_enumerate_infomorphisms_stops_at_the_result_cap(n_typ):
+    # No incidence constrains the instance map: all 2^10 of them are infomorphisms.
+    a = Classification.of(["g0", "g1"], ["m"][:n_typ], [])
+    b = Classification.of([f"h{i}" for i in range(10)], ["n"][:n_typ], [])
+    assert len(enumerate_infomorphisms(a, b, max_results=1024)) == 1024
+    for cap in (5, 1023):
+        with pytest.raises(SizeLimitError, match=f"max_results = {cap} .*the result cap"):
+            enumerate_infomorphisms(a, b, max_results=cap)
 
 
 def test_exponent_contains_identity():

@@ -7,6 +7,7 @@ import pytest
 from conceptua.errors import AdjunctionError
 from conceptua.finrel import FinFunction, FinSet, finset
 from conceptua.galois import (
+    _diagonal_count,
     check_adjunction,
     check_reflection_lattice_transfer,
     closure_interior,
@@ -288,6 +289,22 @@ def test_factorization_equivalence_identity_and_random_cases():
     cases += [rng_adjunction(rng, 3) for _ in range(40)]
     report = factorization_equivalence_check(cases, _squares_from_infomorphisms(rng, 4))
     assert report.ok, report.failures
+
+
+def test_diagonal_count_is_one_between_factorizations_and_none_above_the_cap():
+    rng = random.Random(12)
+    counted = 0
+    for g in [rng_adjunction(rng, 3) for _ in range(20)]:
+        pf = polar_factorize(g)
+        pf2 = polar_factorize(recompose(pf))
+        count = _diagonal_count(pf.extent_reflection, pf.intent_coreflection,
+                                pf2.extent_reflection, pf2.intent_coreflection)
+        assert count == (1 if pf.axis.size <= 4 else None)
+        counted += count is not None
+    assert counted > 5
+    big = polar_factorize(identity_adjunction(power_order(finset("a", "b", "c"))))
+    assert _diagonal_count(big.extent_reflection, big.intent_coreflection,
+                           big.extent_reflection, big.intent_coreflection) is None
 
 
 def test_corrupted_factorization_fails_recomposition():

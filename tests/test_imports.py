@@ -1,9 +1,12 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and every
+private module-level name is read somewhere in the package.
 
 No linter ships with the test dependencies, so this parses each module of
 ``conceptua`` (the package ``__init__`` re-exports by design and is left out)
-and fails on an imported name that no expression of the module reads.  A
-name read only inside a string annotation counts as read.
+and fails on an imported name that no expression of the module reads, or on
+a function, class or assignment named with a leading underscore that no
+module of the package reads, by name or as a module attribute.  A name read
+only inside a string annotation counts as read.
 """
 
 import ast
@@ -40,7 +43,7 @@ def _annotations(tree: ast.Module):
 
 def _read(tree: ast.Module) -> set[str]:
     """Names loaded anywhere, including those inside string annotations."""
-    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
     for annotation in filter(None, _annotations(tree)):
         for node in ast.walk(annotation):
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
@@ -60,3 +63,47 @@ def test_every_imported_name_is_used(path):
 def test_the_check_sees_an_unused_import():
     tree = ast.parse("from x import a, b\nimport c.d\ndef f(y: 'b') -> None:\n    return c\n")
     assert set(_imported(tree)) - _read(tree) == {"a"}
+
+
+def _private(tree: ast.Module) -> dict[str, int]:
+    """Line of every module-level function, class or assignment whose name has
+    one leading underscore."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound = [n.id for t in targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+        else:
+            continue
+        names.update((name, node.lineno) for name in bound
+                     if name.startswith("_") and not name.startswith("__"))
+    return names
+
+
+def _read_anywhere(trees) -> set[str]:
+    """Names read in any of the trees, by name or as an attribute."""
+    read = set()
+    for tree in trees:
+        read |= _read(tree)
+        read |= {n.attr for n in ast.walk(tree)
+                 if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    return read
+
+
+def test_every_private_name_is_read_in_the_package():
+    trees = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
+    read = _read_anywhere(trees.values())
+    unread = [f"{name}:{line} {private}" for name, tree in trees.items() if name != "__init__.py"
+              for private, line in _private(tree).items() if private not in read]
+    assert not unread, "private names no module reads: " + ", ".join(unread)
+
+
+def test_the_check_sees_an_unread_private_name():
+    tree = ast.parse("import m\n_a = 1\n_b, c = 2, 3\n_d: int = m._e\n__all__ = []\n"
+                     "def _f():\n    return _a\nclass _C:\n    pass\nx: '_C' = None\n")
+    other = ast.parse("import m\ny = m._d\n")
+    assert set(_private(tree)) == {"_a", "_b", "_d", "_f", "_C"}
+    assert set(_private(tree)) - _read_anywhere([tree, other]) == {"_b", "_f"}

@@ -491,6 +491,20 @@ def test_5000_deep_sentences_compare_hash_and_print(time_budget):
             "And(lhs=" * 5000 + "Var(name='p')" + ", rhs=Var(name='q'))" * 5000
 
 
+def test_every_sentence_operation_takes_a_200000_deep_chain(time_budget):
+    depth = 200_000
+    s, t = nested_nots(depth, Var("p")), nested_nots(depth, Var("p"))
+    sigma = SignatureMorphism.of(SIG_P, Signature.of("q"), {"p": "q"})
+    with time_budget(10):
+        assert render_sentence(s) == "(not " * depth + "(var p)" + ")" * depth
+        assert repr(s) == "Not(body=" * depth + "Var(name='p')" + ")" * depth
+        assert s == t and s is not t and s != Not(t)
+        assert hash(s) == hash(t)
+        assert sentence_depth(s) == depth + 1
+        assert truth_table(SIG_P, s) == truth_table(SIG_P, Var("p"))
+        assert sentence_depth(translate_sentence(sigma, s)) == depth + 1
+
+
 def test_satisfies_short_circuits_like_and_or():
     m = model_of(SIG_P, "p")
     assert not satisfies(m, And(Bottom(), Var("zz")))
@@ -521,14 +535,36 @@ def recursive_depth(s):
     return 1 + max(recursive_depth(s.lhs), recursive_depth(s.rhs))
 
 
+def recursive_repr(s):
+    if isinstance(s, Not):
+        return f"Not(body={recursive_repr(s.body)})"
+    if isinstance(s, (And, Or, Implies)):
+        return f"{type(s).__name__}(lhs={recursive_repr(s.lhs)}, rhs={recursive_repr(s.rhs)})"
+    return repr(s)
+
+
+def random_sentence(rng, names, depth):
+    if depth == 0 or rng.random() < 0.2:
+        return rng.choice([Var(name) for name in names] + [Top(), Bottom()])
+    op = rng.choice([Not, And, Or, Implies])
+    if op is Not:
+        return Not(random_sentence(rng, names, depth - 1))
+    return op(random_sentence(rng, names, depth - 1), random_sentence(rng, names, depth - 1))
+
+
 def test_stack_sentence_functions_match_recursive_definitions():
     sigma = SignatureMorphism.of(SIG_PQ, SIG_PQ, {"p": "q", "q": "p"})
     sentences = enumerate_sentences(SIG_PQ, 3)
     deeper = [And(Not(a), Implies(b, Or(a, Not(b)))) for a, b in zip(sentences, sentences[1:])]
-    for s in sentences + tuple(deeper):
-        assert render_sentence(s) == recursive_render(s)
+    rng = random.Random(1201)
+    seeded = [random_sentence(rng, ["p", "q"], rng.randint(1, 9)) for _ in range(300)]
+    for s in sentences + tuple(deeper) + tuple(seeded):
+        text = recursive_render(s)
+        assert render_sentence(s) == text
+        assert repr(s) == recursive_repr(s)
         assert sentence_depth(s) == recursive_depth(s)
-        swapped = recursive_render(s).replace("var p", "var #").replace("var q", "var p")
+        assert parse_sentence(text) == s and hash(parse_sentence(text)) == hash(s)
+        swapped = text.replace("var p", "var #").replace("var q", "var p")
         assert render_sentence(translate_sentence(sigma, s)) == swapped.replace("var #", "var q")
         for m in all_models(SIG_PQ):
             assert satisfies(m, s) == bool(truth_table(SIG_PQ, s) >> m.valuation.bits & 1)

@@ -6,7 +6,8 @@ test, ``classification_of`` and the order check of ``lattice_roundtrip_iso``
 each run here beside the earlier per-pair loop, copied in as the oracle, on
 every preorder of up to 4 elements and on seeded random preorders of up to
 7 elements, many of them not antisymmetric.  Verdicts, results and error
-texts must be identical.
+texts must be identical.  The closure of ``Preorder.from_pairs`` runs beside
+the earlier pass-until-stable loop on seeded pair lists of up to 8 elements.
 """
 
 import itertools
@@ -154,6 +155,25 @@ def pairwise_is_complete_lattice(p):
     return True
 
 
+def fixpoint_closure_rows(carrier, pairs):
+    """The reflexive-transitive closure by passes until nothing changes."""
+    rows = [1 << i for i in range(carrier.size)]
+    for a, b in pairs:
+        rows[carrier.index(a)] |= 1 << carrier.index(b)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(carrier.size):
+            acc = rows[i]
+            for j in range(carrier.size):
+                if acc >> j & 1:
+                    acc |= rows[j]
+            if acc != rows[i]:
+                rows[i] = acc
+                changed = True
+    return tuple(rows)
+
+
 def pairwise_classification_rows(lat):
     rows = []
     for i in range(lat.instances.size):
@@ -199,6 +219,19 @@ def order_pairs(orders, seed):
     for p in orders:
         yield p, p
         yield p, rng.choice(orders)
+
+
+# ------------------------------------------------------------------ preorders
+
+
+def test_from_pairs_matches_the_fixpoint_closure():
+    rng = random.Random(1202)
+    for _ in range(400):
+        n = rng.randint(0, 8)
+        c = carrier("e", n)
+        pairs = [(c.elements[rng.randrange(n)], c.elements[rng.randrange(n)])
+                 for _ in range(rng.randint(0, 3 * n))]
+        assert Preorder.from_pairs(c, pairs).leq.rows == fixpoint_closure_rows(c, pairs)
 
 
 # --------------------------------------------------------------- monotone maps
