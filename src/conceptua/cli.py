@@ -1,31 +1,18 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 law/validation failure, 2 parse error, 3 resource
-limit.  All commands are deterministic for fixed inputs and seed.
+limit.  All commands are deterministic for fixed inputs and seed.  Each
+command imports the layers it uses when it runs, so ``lattice`` loads
+neither the institution nor the law suites.
 """
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
 
 from .errors import ConceptuaError, ParseError, SizeLimitError
-from .io import detect_format, load_json_object, read_context
-from .clg import concept_lattice, lattice_to_dot, lattice_to_json
-from .clsn import Infomorphism, check_infomorphism
-from .finrel import FinFunction, FinSet
-from .institution import (
-    MergeSpan,
-    Signature,
-    SignatureMorphism,
-    merge_theories,
-    signature_from_json,
-    style_interconvert,
-    theory_from_json,
-    theory_to_json,
-    verify_pushout_universal,
-)
-from .verify import negative_control_report, run_suite
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -40,8 +27,10 @@ def _read_file(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
-def _label_map(source: FinSet, target: FinSet, data, what: str) -> FinFunction:
+def _label_map(source: "FinSet", target: "FinSet", data, what: str) -> "FinFunction":
     """A total function from a JSON object sending every source label to a target label."""
+    from .finrel import FinFunction
+
     if not isinstance(data, dict):
         raise ParseError(f"{what} must be an object from labels to labels")
     for label in source:
@@ -54,6 +43,9 @@ def _label_map(source: FinSet, target: FinSet, data, what: str) -> FinFunction:
 
 
 def cmd_lattice(args) -> int:
+    from .io import detect_format, read_context
+    from .clg import concept_lattice, lattice_to_dot, lattice_to_json
+
     fmt = args.informat or detect_format(args.input)
     a = read_context(_read_file(args.input), fmt)
     lat = concept_lattice(a)
@@ -70,6 +62,8 @@ def cmd_lattice(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import negative_control_report, run_suite
+
     reports = run_suite(args.suite, seed=args.seed, cases=args.cases)
     if args.negative_control:
         reports.append(negative_control_report())
@@ -83,6 +77,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_infomap(args) -> int:
+    from .io import detect_format, load_json_object, read_context
+    from .clsn import Infomorphism, check_infomorphism
+
     a = read_context(_read_file(args.context_a), detect_format(args.context_a))
     b = read_context(_read_file(args.context_b), detect_format(args.context_b))
     data = load_json_object(_read_file(args.mapping), "mapping")
@@ -103,6 +100,11 @@ def cmd_infomap(args) -> int:
 
 
 def cmd_merge(args) -> int:
+    from .io import load_json_object
+    from .institution import (MergeSpan, Signature, SignatureMorphism, merge_theories,
+                              signature_from_json, theory_from_json, theory_to_json,
+                              verify_pushout_universal)
+
     data = load_json_object(_read_file(args.span), "span")
     for key in ("base", "left", "right", "left_map", "right_map"):
         if key not in data:
@@ -142,6 +144,8 @@ def cmd_merge(args) -> int:
 
 
 def cmd_institution(args) -> int:
+    from .institution import Signature, SignatureMorphism, style_interconvert
+
     names = ("p", "q", "r", "s", "t")
     if args.vars < 1 or args.vars > len(names):
         raise SizeLimitError(f"--vars must be between 1 and {len(names)}")
@@ -164,7 +168,11 @@ def cmd_institution(args) -> int:
     return EXIT_FAILURE if failed else EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by every later one:
+    parsing leaves it unchanged, and help reads the terminal width when it
+    is printed."""
     parser = argparse.ArgumentParser(
         prog="conceptua",
         description="Concept lattices, Galois adjunctions, and a lattice of theories.",

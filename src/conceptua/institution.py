@@ -224,6 +224,10 @@ def _write(s, openers: dict, separator: str, leaf) -> str:
     return "".join(out)
 
 
+def _not_a_sentence(t) -> TypeError:
+    return TypeError(f"not a sentence: {t!r}")
+
+
 def _leaf_text(t) -> str:
     if isinstance(t, Var):
         return f"(var {t.name})"
@@ -231,7 +235,7 @@ def _leaf_text(t) -> str:
         return "top"
     if isinstance(t, Bottom):
         return "bottom"
-    raise TypeError(f"not a sentence: {t!r}")
+    raise _not_a_sentence(t)
 
 
 def render_sentence(s: Sentence) -> str:
@@ -300,8 +304,10 @@ def sentence_depth(s: Sentence) -> int:
             done.append(done.pop() + 1)
         elif isinstance(t, _Connective):
             done.append(max(done.pop(), done.pop()) + 1)
-        else:
+        elif isinstance(t, (Var, Top, Bottom)):
             done.append(1)
+        else:
+            raise _not_a_sentence(t)
     return done[0]
 
 
@@ -315,8 +321,10 @@ def translate_sentence(sigma: SignatureMorphism, s: Sentence) -> Sentence:
             done.append(Not(done.pop()))
         elif isinstance(t, _Connective):
             done.append(type(t)(done.pop(), done.pop()))
-        else:
+        elif isinstance(t, (Top, Bottom)):
             done.append(t)
+        else:
+            raise _not_a_sentence(t)
     return done[0]
 
 
@@ -377,7 +385,7 @@ def satisfies(m: Model, s: Sentence) -> bool:
         elif isinstance(t, Bottom):
             value = False
         else:
-            raise TypeError(f"not a sentence: {t!r}")
+            raise _not_a_sentence(t)
     return value
 
 
@@ -403,8 +411,12 @@ def truth_table(sig: Signature, s: Sentence) -> int:
             done.append(done.pop() | done.pop())
         elif cls is Implies:
             done.append((~done.pop() | done.pop()) & full)
+        elif cls is Top:
+            done.append(full)
+        elif cls is Bottom:
+            done.append(0)
         else:
-            done.append(full if isinstance(t, Top) else 0)
+            raise _not_a_sentence(t)
     return done[0]
 
 
@@ -522,10 +534,14 @@ def _satisfaction(sigma: SignatureMorphism, sentences, source_tables, inst):
     return report, r, [rhs for _, _, rhs in sides]
 
 
+@functools.lru_cache(maxsize=32)
 def classification_of_signature(sig: Signature, depth: int) -> Classification:
     """Models as instances, depth-bounded deduplicated sentences as types.
 
-    The sentences' truth tables are the columns of the incidence.
+    The sentences' truth tables are the columns of the incidence.  The
+    result is cached per signature and depth and shared, with the concepts
+    enumerated on it, by every later call; a ``SizeLimitError`` is not
+    cached.
     """
     if sig.size > 5:
         raise SizeLimitError(

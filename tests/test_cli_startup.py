@@ -1,0 +1,116 @@
+"""CLI start-up: one parser per process, and each command imports only its layers.
+
+The parser tests compare a run of ``main`` on the shared parser with the
+same run on a parser built afresh for every call.  The import tests run in
+a child interpreter, since this process has already imported every layer.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from conceptua import cli
+
+ROOT = Path(__file__).resolve().parent.parent
+PLANETS = str(ROOT / "tests" / "golden" / "planets.cxt")
+
+# a valid call, a usage error, help, and the valid call again
+SEQUENCE = [["lattice", PLANETS], ["lattice", "--format", "svg", PLANETS], ["--help"],
+            ["lattice", PLANETS]]
+
+
+def _outcome(argv, capsys):
+    """(exit code, stdout, stderr) of ``main``, whether it returns or exits."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_one_parser_serves_a_sequence_of_calls(capsys, monkeypatch):
+    cli.build_parser.cache_clear()
+    shared = [_outcome(argv, capsys) for argv in SEQUENCE]
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = [_outcome(argv, capsys) for argv in SEQUENCE]
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 2, 0, 0]
+    assert "invalid choice: 'svg'" in shared[1][2]
+    assert shared[2][1].startswith("usage: conceptua")
+    assert shared[0] == shared[3]
+
+
+def test_shared_parser_formats_help_at_the_current_width(capsys, monkeypatch):
+    helps = []
+    for columns in ("50", "150"):
+        monkeypatch.setenv("COLUMNS", columns)
+        helps.append(_outcome(["lattice", "--help"], capsys))
+        with monkeypatch.context() as fresh:
+            fresh.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+            assert _outcome(["lattice", "--help"], capsys) == helps[-1]
+    assert helps[0] != helps[1]
+
+
+def _child(code: str, *args: str) -> dict:
+    """The JSON object a fresh interpreter prints last after running ``code``."""
+    done = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")}, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+LATTICE_CHILD = """
+import json, sys
+import conceptua.cli
+
+def heavy():
+    return sorted(m for m in ("conceptua.institution", "conceptua.verify") if m in sys.modules)
+
+after_import = heavy()
+code = conceptua.cli.main(["lattice", sys.argv[1], "--out", sys.argv[2]])
+print(json.dumps({"after_import": after_import, "code": code, "after_main": heavy()}))
+"""
+
+
+def test_lattice_loads_neither_institution_nor_verify(tmp_path):
+    got = _child(LATTICE_CHILD, PLANETS, str(tmp_path / "lattice.json"))
+    assert got == {"after_import": [], "code": 0, "after_main": []}
+    assert json.loads((tmp_path / "lattice.json").read_text())["concepts"]
+
+
+PACKAGE_CHILD = """
+import json, sys
+import conceptua
+
+loaded = sorted(m for m in sys.modules if m.startswith("conceptua."))
+listed = dir(conceptua)
+submodule = conceptua.institution.__name__
+star = {}
+exec("from conceptua import *", star)
+names = conceptua.__all__
+print(json.dumps({
+    "loaded_by_import": loaded,
+    "missing_from_dir": [n for n in names if n not in listed],
+    "missing_from_star": [n for n in names if n not in star],
+    "unresolved": [n for n in names if getattr(conceptua, n) is not star[n]],
+    "not_the_home_object": [n for n in names if n != "__version__" and getattr(conceptua, n)
+                            is not getattr(sys.modules["conceptua." + conceptua._HOME[n]], n)],
+    "submodule": submodule,
+    "unknown_name_raises": not hasattr(conceptua, "no_such_name"),
+    "count": len(names),
+}))
+"""
+
+
+def test_package_names_resolve_on_first_access():
+    got = _child(PACKAGE_CHILD)
+    assert got == {"loaded_by_import": [], "missing_from_dir": [], "missing_from_star": [],
+                   "unresolved": [], "not_the_home_object": [],
+                   "submodule": "conceptua.institution", "unknown_name_raises": True,
+                   "count": 64}
+

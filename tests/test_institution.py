@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+import conceptua.institution as institution
 from conceptua.errors import CarrierMismatchError, ParseError, SizeLimitError, UnknownElementError
 from conceptua.finrel import FinFunction, Subset
 from conceptua.galois import check_adjunction
@@ -177,6 +178,29 @@ def test_classification_size_bound():
     big = Signature.of(*[f"v{i}" for i in range(6)])
     with pytest.raises(SizeLimitError):
         classification_of_signature(big, 2)
+
+
+def test_classification_of_signature_is_cached_per_signature_and_depth(monkeypatch):
+    calls = []
+    real = institution.truth_table
+
+    def counting(sig, s):
+        calls.append(s)
+        return real(sig, s)
+
+    monkeypatch.setattr(institution, "truth_table", counting)
+    classification_of_signature.cache_clear()
+    first = classification_of_signature(SIG_PQ, 2)
+    assert calls
+    calls.clear()
+    assert classification_of_signature(Signature.of("p", "q"), 2) is first
+    assert calls == []
+    assert classification_of_signature(SIG_PQ, 3) is not first
+    big = Signature.of(*[f"v{i}" for i in range(6)])
+    for _ in range(2):
+        with pytest.raises(SizeLimitError):
+            classification_of_signature(big, 2)
+    assert classification_of_signature.cache_info().currsize == 2
 
 
 def test_concept_lattice_of_signature_classification_is_model_powerset():
@@ -514,6 +538,20 @@ def test_satisfies_short_circuits_like_and_or():
         satisfies(m, And(Top(), Var("zz")))
     with pytest.raises(TypeError, match="not a sentence: 'x'"):
         satisfies(m, Or(Bottom(), "x"))
+
+
+MALFORMED = [Or(Bottom(), "x"), Not(None), Implies("p", Var("p")), And(Top(), Not(3)), "x"]
+
+
+@pytest.mark.parametrize("s", MALFORMED, ids=repr)
+def test_every_sentence_operation_rejects_a_non_sentence_leaf(s):
+    sigma = SignatureMorphism.identity(SIG_P)
+    operations = [render_sentence, sentence_depth, lambda s: truth_table(SIG_P, s),
+                  lambda s: translate_sentence(sigma, s), lambda s: satisfies(model_of(SIG_P), s),
+                  lambda s: TheoryObject.of_sentence(SIG_P, s)]
+    for operation in operations:
+        with pytest.raises(TypeError, match="not a sentence"):
+            operation(s)
 
 
 def recursive_render(s):
