@@ -29,7 +29,6 @@ from .finrel import (
 )
 from .galois import (
     Adjunction,
-    check_adjunction,
     compose_adjunctions,
     diagonalize,
     polar_factorize,
@@ -46,7 +45,7 @@ from .order import (
     poset_join,
     poset_meet,
 )
-from .clsn import Classification, Infomorphism, check_infomorphism, derivation
+from .clsn import Classification, Infomorphism, derivation
 
 __all__ = [
     "FormalConcept",
@@ -196,16 +195,14 @@ def concepts_of(a: Classification) -> tuple[FormalConcept, ...]:
     return concepts
 
 
-def _inclusion_rows(extents, n_instances: int, holders=None) -> tuple[int, ...]:
-    """Row k: the holders (by default the extents themselves) holding extent k,
-    as the AND over its objects of the mask of holders containing the object,
-    so no pair of sets is compared."""
-    holders = extents if holders is None else holders
+def _inclusion_rows(extents, n_instances: int) -> tuple[int, ...]:
+    """Row k: the extents holding extent k, as the AND over its objects of the
+    mask of extents containing the object, so no pair of sets is compared."""
     containing = [0] * n_instances
-    for h, e in enumerate(holders):
+    for h, e in enumerate(extents):
         for g in _bits(e):
             containing[g] |= 1 << h
-    full = (1 << len(holders)) - 1
+    full = (1 << len(extents)) - 1
     return tuple(meet_bits(containing, e, full) for e in extents)
 
 
@@ -301,26 +298,20 @@ class ConceptMorphism:
     typ_map: FinFunction  # source types -> target types
 
     def check(self) -> list[str]:
-        failures = []
-        l1, l2 = self.source, self.target
-        conn = self.connection
-        for x in range(l2.instances.size):
-            for c in range(l1.size):
-                if l1.instance_of(self.inst_map.table[x], c) != \
-                   l2.instance_of(x, conn.right.func.table[c]):
-                    failures.append(f"extensional condition fails at instance "
-                                    f"{l2.instances.elements[x]}, concept c{c}")
-                    break
-        for c in range(l2.size):
-            for y in range(l1.types.size):
-                if l1.of_type(conn.left.func.table[c], y) != \
-                   l2.of_type(c, self.typ_map.table[y]):
-                    failures.append(f"intensional condition fails at concept c{c}, type "
-                                    f"{l1.types.elements[y]}")
-                    break
-        return failures + concept_square_failures(
-            self.inst_map, self.typ_map, l1.concepts, l2.concepts, conn.left.func.table,
-            conn.right.func.table)
+        """The extensional condition, inst(x) in ext(c) iff x in ext(right c), and the
+        intensional one, y in int(left c) iff typ(y) in int(c): the concept squares."""
+        return concept_square_failures(
+            self.inst_map, self.typ_map, self.source.concepts, self.target.concepts,
+            self.connection.left.func.table, self.connection.right.func.table)
+
+
+def _right_recipes(f: Infomorphism, source_concepts):
+    """Per source concept, the two recipes of its right image's extent: the
+    instance-map preimage of its extent, and the target extent of the
+    type-map image of its intent."""
+    b = f.target
+    pre = preimage_rows(f.inst_map, [c.extent.bits for c in source_concepts])
+    return zip(pre, (b.extent_of(image_bits(f.typ_map, c.intent.bits)) for c in source_concepts))
 
 
 def concept_transport(f: Infomorphism, source_concepts,
@@ -332,23 +323,27 @@ def concept_transport(f: Infomorphism, source_concepts,
     the closure of its extent pushed forward along the instance map.  The
     right table sends each source concept to the target concept whose extent
     is the instance-map preimage of its extent; equally, the derivation of
-    its intent pushed forward along the type map, so agreement also makes
-    that preimage a closed extent.  Raises when the two recipes disagree.
+    its intent pushed forward along the type map.  Raises when the two
+    recipes disagree, which happens exactly when ``f`` is not valid: the
+    right recipes at the attribute concept of y give inst(x) I y => x I typ(y),
+    and the left ones at the object concept of x the converse.  So the
+    tables need no check: they are adjoint (closure(img E) <= A iff
+    E <= pre(A) for a closed A) and preserve extents and intents.
     """
-    a, b = f.source, f.target
+    a = f.source
     pos_a = {c.extent.bits: k for k, c in enumerate(source_concepts)}
     pos_b = {c.extent.bits: k for k, c in enumerate(target_concepts)}
+    pulled = preimage_rows(f.typ_map, [c.intent.bits for c in target_concepts])
     left = []
-    for c in target_concepts:
-        ext = a.extent_of(preimage_bits(f.typ_map, c.intent.bits))
+    for c, intent in zip(target_concepts, pulled):
+        ext = a.extent_of(intent)
         if ext != a.extent_of(a.intent_of(image_bits(f.inst_map, c.extent.bits))):
             raise CarrierMismatchError(
                 f"concept transport formulas disagree at target concept with extent {c.extent}")
         left.append(pos_a[ext])
     right = []
-    for c in source_concepts:
-        pre = preimage_bits(f.inst_map, c.extent.bits)
-        if pre != b.extent_of(image_bits(f.typ_map, c.intent.bits)):
+    for c, (pre, derived) in zip(source_concepts, _right_recipes(f, source_concepts)):
+        if pre != derived:
             raise CarrierMismatchError(
                 f"concept transport formulas disagree at source concept with extent {c.extent}")
         right.append(pos_b[pre])
@@ -376,19 +371,16 @@ def concept_square_failures(inst_map: FinFunction, typ_map: FinFunction, source_
 
 
 def concept_morphism_of(f: Infomorphism) -> ConceptMorphism:
-    """Lift an infomorphism to the connection between the two concept lattices.
-
-    Both defining recipes of ``concept_transport`` are computed and must agree.
-    """
-    report = check_infomorphism(f)
-    if not report.valid:
-        raise CarrierMismatchError(f"invalid infomorphism; witness {report.witness}")
+    """Lift an infomorphism to the connection between the two concept lattices;
+    the tables of ``concept_transport`` are an adjunction, so not re-checked."""
+    if (witness := f.fundamental_witness()) is not None:
+        raise CarrierMismatchError(f"invalid infomorphism; witness {witness}")
     la = concept_lattice(f.source)
     lb = concept_lattice(f.target)
-    left_table, right_table = concept_transport(f, la.concepts, lb.concepts)
-    left = MonotoneMap(lb.lattice, la.lattice, FinFunction(lb.lattice.carrier, la.lattice.carrier, left_table))
-    right = MonotoneMap(la.lattice, lb.lattice, FinFunction(la.lattice.carrier, lb.lattice.carrier, right_table))
-    return ConceptMorphism(la, lb, check_adjunction(left, right), f.inst_map, f.typ_map)
+    left, right = concept_transport(f, la.concepts, lb.concepts)
+    connection = Adjunction(lb.lattice, la.lattice, _monotone(lb.lattice, la.lattice, left),
+                            _monotone(la.lattice, lb.lattice, right))
+    return ConceptMorphism(la, lb, connection, f.inst_map, f.typ_map)
 
 
 def compose_concept_morphisms(h1: ConceptMorphism, h2: ConceptMorphism) -> ConceptMorphism:

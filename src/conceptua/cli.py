@@ -149,6 +149,8 @@ def cmd_institution(args) -> int:
     names = ("p", "q", "r", "s", "t")
     if args.vars < 1 or args.vars > len(names):
         raise SizeLimitError(f"--vars must be between 1 and {len(names)}")
+    if args.depth < 1:
+        raise ParseError("--depth must be at least 1: depth 0 has no sentences to check")
     big = Signature.of(*names[: args.vars])
     small = Signature.of(*names[: max(args.vars - 1, 0)])
     cases = [("identity", SignatureMorphism.identity(big))]

@@ -321,3 +321,43 @@ def test_merge_check_universal_size_guard_exits_3(tmp_path, capsys, time_budget)
     err = capsys.readouterr().err
     assert "535538 candidate cocones" in err  # 1 + 2^12 + 3^12
     assert "fixed bound" in err
+
+
+ALL_PASS = "".join(
+    f"{label}: class-rel=True class-adj=True conc-adj=True conc-rel=True -> all four styles pass\n"
+    for label in ("identity", "inclusion", "collapse"))
+
+
+@pytest.mark.parametrize("n_vars", [1, 2, 3])
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_institution_demo_passes_below_the_caps(capsys, n_vars, depth):
+    assert main(["institution", "--vars", str(n_vars), "--depth", str(depth)]) == 0
+    assert capsys.readouterr().out == ALL_PASS
+
+
+@pytest.mark.parametrize("depth", ["0", "-1"])
+def test_institution_depth_below_one_exits_2(capsys, depth):
+    assert main(["institution", "--depth", depth]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("parse error: --depth must be at least 1")
+
+
+def test_institution_four_variables_depth_four_exits_3_before_enumerating_concepts(
+        capsys, time_budget):
+    with time_budget(30):
+        assert main(["institution", "--vars", "4", "--depth", "4"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "2^16 concepts x 14546 sentence types = 953286656" in captured.err
+    assert "STYLE_MAX_WORK = 4194304" in captured.err
+
+
+def test_institution_five_variables_depth_four_exits_3_before_the_fourth_level(
+        capsys, time_budget):
+    with time_budget(5):
+        assert main(["institution", "--vars", "5", "--depth", "4"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "from 1562 representatives" in captured.err
+    assert "SENTENCE_LEVEL_MAX = 1048576" in captured.err

@@ -6,6 +6,7 @@ import re
 
 import pytest
 
+import conceptua.clg as clg
 import conceptua.institution as institution
 from conceptua.errors import CarrierMismatchError, ParseError, SizeLimitError, UnknownElementError
 from conceptua.finrel import FinFunction, Subset
@@ -634,3 +635,56 @@ def test_parse_sentence_error_messages(text, message):
 def test_theory_from_json_rejects_malformed(data):
     with pytest.raises(ParseError):
         theory_from_json(data)
+
+
+# ------------------------------------------------------------- size caps
+
+
+def oracle_enumerate_sentences(sig, depth):
+    """The earlier enumeration: every level built, with no cap."""
+    reps, tables = [], set()
+
+    def add(s):
+        t = truth_table(sig, s)
+        if t not in tables:
+            tables.add(t)
+            reps.append(s)
+
+    if depth < 1:
+        return ()
+    for name in sig.vars.elements:
+        add(Var(name))
+    add(Top())
+    add(Bottom())
+    for _level in range(2, depth + 1):
+        snapshot = list(reps)
+        for s in snapshot:
+            add(Not(s))
+        for op in (And, Or, Implies):
+            for lhs in snapshot:
+                for rhs in snapshot:
+                    add(op(lhs, rhs))
+    return tuple(reps)
+
+
+def test_enumeration_stopping_at_a_fixpoint_matches_every_level_built():
+    for sig in (Signature.of(), Signature.of("p"), Signature.of("p", "q")):
+        for depth in range(7):
+            assert enumerate_sentences(sig, depth) == oracle_enumerate_sentences(sig, depth)
+        assert enumerate_sentences(sig, 10**9) == enumerate_sentences(sig, 6)
+
+
+def test_sentence_level_cap_trips_before_building_the_level(time_budget):
+    sig = Signature.of("p", "q", "r", "s", "t")
+    with time_budget(5):
+        with pytest.raises(SizeLimitError, match=r"level 4 over 5 variables would build 7321094"):
+            enumerate_sentences(sig, 4)
+    assert len(enumerate_sentences(sig, 3)) == 1562
+
+
+def test_style_cap_trips_before_concepts_are_enumerated(monkeypatch):
+    sig = Signature.of("p", "q", "r", "s")
+    assert style_interconvert(SignatureMorphism.identity(sig), 2).all_pass
+    monkeypatch.setattr(clg, "concepts_of", lambda a: pytest.fail("concepts enumerated"))
+    with pytest.raises(SizeLimitError, match=r"2\^16 concepts x 488 sentence types = 31981568"):
+        style_interconvert(SignatureMorphism.identity(sig), 3)

@@ -7,18 +7,22 @@ the oracle. Transports are compared for every theory of every signature
 morphism between signatures of up to 3 variables, the satisfaction check
 on every morphism between signatures of up to 2 variables, honest and with
 a corrupted reduct. Results, failure lists and counts must be identical.
-The row check that the two concept transports of ``style_interconvert``
-are adjoint runs beside the earlier check over every pair of concepts.
+The style report runs beside the earlier ``style_interconvert``, which
+re-checked adjointness and the concept squares after the transport
+returned, on the honest and three corrupted institutions; every pair of
+tables the transport returns passes the pairwise adjointness check.
 """
 
 import itertools
-import random
 
 import pytest
 
+import conceptua.clg as clg
 import conceptua.institution as institution
-from conceptua.errors import SizeLimitError
-from conceptua.finrel import FinFunction, FinSet, Subset
+from conceptua.clg import concept_square_failures, concepts_of
+from conceptua.clsn import Infomorphism, check_infomorphism
+from conceptua.errors import CarrierMismatchError, SizeLimitError
+from conceptua.finrel import FinFunction, FinSet, Subset, image_bits, preimage_bits
 from conceptua.institution import (
     Model,
     PropositionalInstitution,
@@ -26,6 +30,7 @@ from conceptua.institution import (
     SatisfactionReport,
     Signature,
     SignatureMorphism,
+    StyleReport,
     TheoryObject,
     all_models,
     check_satisfaction_condition,
@@ -223,42 +228,182 @@ def style_cases():
                 yield sigma, depth
 
 
-@pytest.mark.parametrize("inst", [PropositionalInstitution(), Corrupted()],
-                         ids=["honest", "corrupted"])
-def test_style_reports_match_pairwise_adjointness_oracle(monkeypatch, inst):
+class ConstantReduct(PropositionalInstitution):
+    """Sends every target model to the source model with no variable true."""
+
+    def reduct(self, sigma, m):
+        return Model(sigma.source, Subset(sigma.source.vars, 0))
+
+
+class FlipOddModels(PropositionalInstitution):
+    """Flips the first source variable of the reducts of odd-numbered models only."""
+
+    def reduct(self, sigma, m):
+        honest = super().reduct(sigma, m)
+        flipped = honest.valuation.bits ^ (m.valuation.bits & 1 if sigma.source.size else 0)
+        return Model(sigma.source, Subset(sigma.source.vars, flipped))
+
+
+INSTITUTIONS = [PropositionalInstitution(), Corrupted(), ConstantReduct(), FlipOddModels()]
+INSTITUTION_IDS = ["honest", "corrupted", "constant", "flip-odd"]
+
+
+def oracle_concept_transport(f, source_concepts, target_concepts):
+    """The earlier ``concept_transport``: one preimage per concept, recipes inline."""
+    a, b = f.source, f.target
+    pos_a = {c.extent.bits: k for k, c in enumerate(source_concepts)}
+    pos_b = {c.extent.bits: k for k, c in enumerate(target_concepts)}
+    left = []
+    for c in target_concepts:
+        ext = a.extent_of(preimage_bits(f.typ_map, c.intent.bits))
+        if ext != a.extent_of(a.intent_of(image_bits(f.inst_map, c.extent.bits))):
+            raise CarrierMismatchError(
+                f"concept transport formulas disagree at target concept with extent {c.extent}")
+        left.append(pos_a[ext])
+    right = []
+    for c in source_concepts:
+        pre = preimage_bits(f.inst_map, c.extent.bits)
+        if pre != b.extent_of(image_bits(f.typ_map, c.intent.bits)):
+            raise CarrierMismatchError(
+                f"concept transport formulas disagree at source concept with extent {c.extent}")
+        right.append(pos_b[pre])
+    return tuple(left), tuple(right)
+
+
+def oracle_row_adjointness_failures(a, b, source_concepts, target_concepts, left_table,
+                                    right_table):
+    """The earlier row check that the two transports are adjoint: row k holds when
+    the up-set of left(k) equals the k2 whose right image holds k's extent."""
+
+    def holding(extents, holders, n_instances):
+        containing = [0] * n_instances
+        for h, e in enumerate(holders):
+            for g in range(n_instances):
+                if e >> g & 1:
+                    containing[g] |= 1 << h
+        rows = []
+        for e in extents:
+            row = (1 << len(holders)) - 1
+            for g in range(n_instances):
+                if e >> g & 1:
+                    row &= containing[g]
+            rows.append(row)
+        return rows
+
+    source_extents = [c.extent.bits for c in source_concepts]
+    source_up = holding(source_extents, source_extents, a.instances.size)
+    target_extents = [c.extent.bits for c in target_concepts]
+    pulled_up = holding(target_extents, [target_extents[k] for k in right_table],
+                        b.instances.size)
+    for k, pulled in enumerate(pulled_up):
+        if diff := source_up[left_table[k]] ^ pulled:
+            k2 = (diff & -diff).bit_length() - 1
+            return [f"transports are not adjoint at concepts c{k}, c{k2}"]
+    return []
+
+
+def oracle_style_interconvert(sigma, depth, inst):
+    """The earlier ``style_interconvert``: after the transport returns, conc-adj
+    re-checks adjointness and both concept squares, and conc-rel runs its own
+    right recipe whatever the transport did."""
+    witnesses = {}
+    a = classification_of_signature(sigma.source, depth)
+    b = classification_of_signature(sigma.target, depth)
+    target_tables = {t: j for j, t in enumerate(b.incidence.columns)}
+    rel_report, r, translated = institution._satisfaction(
+        sigma, enumerate_sentences(sigma.source, depth), a.incidence.columns, inst)
+    class_rel = rel_report.ok
+    if not class_rel:
+        witnesses["class_rel"] = rel_report.failures[0]
+    typ_table = []
+    translatable = True
+    for t in translated:
+        if t not in target_tables:
+            translatable = False
+            witnesses["class_adj"] = f"translated sentence table {t:#x} not reachable at depth {depth}"
+            break
+        typ_table.append(target_tables[t])
+    class_adj = conc_adj = conc_rel = False
+    if translatable:
+        info = Infomorphism(a, b, r, FinFunction(a.types, b.types, tuple(typ_table)))
+        class_adj = check_infomorphism(info).adjunction_version
+        if not class_adj:
+            witnesses.setdefault("class_adj", "derivation square fails")
+        la_concepts = concepts_of(a)
+        lb_concepts = concepts_of(b)
+        try:
+            left_table, right_table = oracle_concept_transport(info, la_concepts, lb_concepts)
+        except CarrierMismatchError as exc:
+            witnesses["conc_adj"] = str(exc)
+        else:
+            failures = oracle_row_adjointness_failures(
+                a, b, la_concepts, lb_concepts, left_table, right_table
+            ) or concept_square_failures(info.inst_map, info.typ_map, la_concepts,
+                                         lb_concepts, left_table, right_table)
+            conc_adj = not failures
+            if failures:
+                witnesses["conc_adj"] = failures[0]
+        conc_rel = True
+        for k, c in enumerate(la_concepts):
+            reduced = preimage_bits(info.inst_map, c.extent.bits)
+            translated = b.extent_of(image_bits(info.typ_map, c.intent.bits))
+            if reduced != translated:
+                diff = reduced ^ translated
+                m_idx = (diff & -diff).bit_length() - 1
+                conc_rel = False
+                witnesses["conc_rel"] = (
+                    f"model {b.instances.elements[m_idx]} vs theory c{k}: reduct-side "
+                    f"{bool(reduced >> m_idx & 1)}, translated {bool(translated >> m_idx & 1)}")
+                break
+    else:
+        witnesses.setdefault("conc_adj", "translation not expressible at this depth")
+        witnesses.setdefault("conc_rel", "translation not expressible at this depth")
+    return StyleReport(class_rel, class_adj, conc_adj, conc_rel, witnesses)
+
+
+@pytest.mark.parametrize("inst", INSTITUTIONS, ids=INSTITUTION_IDS)
+def test_style_reports_match_earlier_style_oracle(inst):
     cases = list(style_cases())
     got = [style_interconvert(sigma, depth, inst) for sigma, depth in cases]
-    monkeypatch.setattr(institution, "_adjointness_failures", oracle_adjointness_failures)
-    want = [style_interconvert(sigma, depth, inst) for sigma, depth in cases]
+    want = [oracle_style_interconvert(sigma, depth, inst) for sigma, depth in cases]
     assert len(cases) == 69
     assert got == want
-    assert all(r.conc_adj for r in got) == (not isinstance(inst, Corrupted))
+    assert all(r.conc_adj for r in got) == (type(inst) is PropositionalInstitution)
 
 
-def test_adjointness_rows_match_pairwise_oracle_on_perturbed_transports(monkeypatch):
-    """The honest transports of every case, then each with one entry of one table moved."""
+def test_style_oracle_reports_differ_between_institutions():
+    """The corrupted reducts fail different styles with different witnesses."""
+    reports = {name: [oracle_style_interconvert(sigma, depth, inst)
+                      for sigma, depth in style_cases()]
+               for name, inst in zip(INSTITUTION_IDS, INSTITUTIONS)}
+    witnesses = {name: {key for r in rs for key in r.witnesses}
+                 for name, rs in reports.items()}
+    assert witnesses["honest"] == set()
+    for name in INSTITUTION_IDS[1:]:
+        assert {"class_rel", "conc_adj", "conc_rel"} <= witnesses[name]
+        assert any(r.all_pass for r in reports[name])
+    assert len({tuple(map(repr, rs)) for rs in reports.values()}) == 4
+
+
+def test_returned_transports_pass_pairwise_adjointness_oracle(monkeypatch):
+    """Every pair of tables the transport returns in a style check is adjoint,
+    pair by pair and row by row, and preserves extents and intents."""
     recorded = []
-    real = institution._adjointness_failures
+    real = clg.concept_transport
 
-    def recording(*args):
-        recorded.append(args)
-        return real(*args)
+    def recording(f, source_concepts, target_concepts):
+        tables = real(f, source_concepts, target_concepts)
+        recorded.append((f, source_concepts, target_concepts, *tables))
+        return tables
 
-    monkeypatch.setattr(institution, "_adjointness_failures", recording)
-    for sigma, depth in style_cases():
-        style_interconvert(sigma, depth)
-    assert len(recorded) == 69
-    rng = random.Random(418)
-    failing = set()
-    for a, b, source_concepts, target_concepts, left, right in recorded:
-        assert real(a, b, source_concepts, target_concepts, left, right) == []
-        assert oracle_adjointness_failures(a, b, source_concepts, target_concepts, left, right) == []
-        for _ in range(4):
-            left2, right2 = list(left), list(right)
-            table, size = rng.choice([(left2, len(source_concepts)), (right2, len(target_concepts))])
-            table[rng.randrange(len(table))] = rng.randrange(size)
-            got = real(a, b, source_concepts, target_concepts, left2, right2)
-            assert got == oracle_adjointness_failures(a, b, source_concepts, target_concepts,
-                                                      left2, right2)
-            failing.update(got)
-    assert len(failing) > 20
+    monkeypatch.setattr(clg, "concept_transport", recording)
+    for inst in INSTITUTIONS:
+        for sigma, depth in style_cases():
+            style_interconvert(sigma, depth, inst)
+    assert len(recorded) > 69
+    for f, source_concepts, target_concepts, left, right in recorded:
+        args = (f.source, f.target, source_concepts, target_concepts, left, right)
+        assert oracle_adjointness_failures(*args) == []
+        assert oracle_row_adjointness_failures(*args) == []
+        assert concept_square_failures(f.inst_map, f.typ_map, *args[2:]) == []
+        assert (left, right) == oracle_concept_transport(f, source_concepts, target_concepts)
