@@ -23,8 +23,8 @@ from .finrel import (
     Subset,
     _bits,
     image_bits,
+    image_tables,
     meet_bits,
-    preimage_bits,
     preimage_rows,
 )
 from .galois import (
@@ -34,7 +34,6 @@ from .galois import (
     polar_factorize,
 )
 from .order import (
-    MonotoneMap,
     Poset,
     _bits_in_bytes,
     _monotone,
@@ -359,12 +358,14 @@ def concept_square_failures(inst_map: FinFunction, typ_map: FinFunction, source_
     preimage of its intent as intent.
     """
     failures = []
-    for k, c in enumerate(source_concepts):
-        if target_concepts[right_table[k]].extent.bits != preimage_bits(inst_map, c.extent.bits):
+    extents = preimage_rows(inst_map, [c.extent.bits for c in source_concepts])
+    for k, extent in enumerate(extents):
+        if target_concepts[right_table[k]].extent.bits != extent:
             failures.append(f"extent preservation fails at concept c{k}")
             break
-    for k, c in enumerate(target_concepts):
-        if source_concepts[left_table[k]].intent.bits != preimage_bits(typ_map, c.intent.bits):
+    intents = preimage_rows(typ_map, [c.intent.bits for c in target_concepts])
+    for k, intent in enumerate(intents):
+        if source_concepts[left_table[k]].intent.bits != intent:
             failures.append(f"intent preservation fails at concept c{k}")
             break
     return failures
@@ -394,19 +395,17 @@ def compose_concept_morphisms(h1: ConceptMorphism, h2: ConceptMorphism) -> Conce
 
 def derivation_square(f: Infomorphism) -> tuple[Adjunction, Adjunction, Adjunction, Adjunction]:
     """The commuting square (g1, g2, a, b) of a valid infomorphism, where
-    g1 = deriv(target), g2 = deriv(source), a = dir(inst map), b = inv(typ map)."""
+    g1 = deriv(target), g2 = deriv(source), a = dir(inst map), b = inv(typ map);
+    a and b are ``image_tables``, adjoint along any function."""
     da = derivation(f.source)
     db = derivation(f.target)
     ip_a, ip_b, a_op, b_op = da.source, db.source, da.target, db.target
-
-    def monotone(source, target, bits_map, func):
-        return MonotoneMap(source, target, FinFunction(
-            source.carrier, target.carrier, tuple(bits_map(func, x) for x in range(source.size))))
-
-    dir_inst = Adjunction(ip_b, ip_a, monotone(ip_b, ip_a, image_bits, f.inst_map),
-                          monotone(ip_a, ip_b, preimage_bits, f.inst_map))
-    inv_typ = Adjunction(b_op, a_op, monotone(b_op, a_op, preimage_bits, f.typ_map),
-                         monotone(a_op, b_op, image_bits, f.typ_map))
+    inst_images, inst_preimages = image_tables(f.inst_map)
+    typ_images, typ_preimages = image_tables(f.typ_map)
+    dir_inst = Adjunction(ip_b, ip_a, _monotone(ip_b, ip_a, inst_images),
+                          _monotone(ip_a, ip_b, inst_preimages))
+    inv_typ = Adjunction(b_op, a_op, _monotone(b_op, a_op, typ_preimages),
+                         _monotone(a_op, b_op, typ_images))
     return db, da, dir_inst, inv_typ
 
 

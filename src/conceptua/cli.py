@@ -64,6 +64,8 @@ def cmd_lattice(args) -> int:
 def cmd_verify(args) -> int:
     from .verify import negative_control_report, run_suite
 
+    if args.cases < 0:
+        raise ParseError(f"--cases must be at least 0, got {args.cases}")
     reports = run_suite(args.suite, seed=args.seed, cases=args.cases)
     if args.negative_control:
         reports.append(negative_control_report())
@@ -147,8 +149,11 @@ def cmd_institution(args) -> int:
     from .institution import Signature, SignatureMorphism, style_interconvert
 
     names = ("p", "q", "r", "s", "t")
-    if args.vars < 1 or args.vars > len(names):
-        raise SizeLimitError(f"--vars must be between 1 and {len(names)}")
+    if args.vars < 1:
+        raise ParseError(f"--vars must be at least 1, got {args.vars}")
+    if args.vars > len(names):
+        raise SizeLimitError(f"--vars must be at most {len(names)}, the fixed cap of "
+                             "signature size")
     if args.depth < 1:
         raise ParseError("--depth must be at least 1: depth 0 has no sentences to check")
     big = Signature.of(*names[: args.vars])

@@ -19,7 +19,7 @@ from .finrel import (
     image_bits,
     meet_bits,
     meet_table,
-    preimage_bits,
+    preimage_rows,
     transpose,
 )
 from .galois import Adjunction
@@ -176,27 +176,20 @@ def check_infomorphism(f: Infomorphism) -> InfomorphismReport:
 
     inst_map, typ_map = f.inst_map, f.typ_map
     # Extents pull back along the instance map, intents along the type map.
-    a_cols, b_cols = a.incidence.columns, b.incidence.columns
-    morphism_ok = all(
-        preimage_bits(inst_map, col) == b_cols[typ_map.table[y]] for y, col in enumerate(a_cols)
-    ) and all(
-        preimage_bits(typ_map, b.incidence.rows[x]) == a.incidence.rows[inst_map.table[x]]
-        for x in range(b.instances.size)
-    )
-
-    def generators(n: int) -> list[int]:
-        return [0] + [1 << i for i in range(n)]
+    b_cols, a_rows = b.incidence.columns, a.incidence.rows
+    morphism_ok = (
+        preimage_rows(inst_map, a.incidence.columns) == [b_cols[t] for t in typ_map.table]
+        and preimage_rows(typ_map, b.incidence.rows) == [a_rows[s] for s in inst_map.table])
 
     # The derivation square commutes on every subset of each side.  Both of
     # its paths send unions to intersections, so the empty set and the
     # singletons, which generate every subset by unions, suffice.
-    adjunction_ok = all(
-        a.intent_of(image_bits(inst_map, xbits)) == preimage_bits(typ_map, b.intent_of(xbits))
-        for xbits in generators(b.instances.size)
-    ) and all(
-        preimage_bits(inst_map, a.extent_of(ybits)) == b.extent_of(image_bits(typ_map, ybits))
-        for ybits in generators(a.types.size)
-    )
+    xs, ys = ([0] + [1 << i for i in range(n)] for n in (b.instances.size, a.types.size))
+    adjunction_ok = (
+        [a.intent_of(image_bits(inst_map, x)) for x in xs]
+        == preimage_rows(typ_map, [b.intent_of(x) for x in xs])
+        and preimage_rows(inst_map, [a.extent_of(y) for y in ys])
+        == [b.extent_of(image_bits(typ_map, y)) for y in ys])
 
     return InfomorphismReport(relation_ok, morphism_ok, adjunction_ok, witness)
 

@@ -34,6 +34,7 @@ __all__ = [
     "image_bits",
     "preimage_bits",
     "preimage_rows",
+    "image_tables",
     "image_factorize",
     "relation_to_json",
     "relation_from_json",
@@ -415,18 +416,15 @@ def image_bits(f: FinFunction, bits: int) -> int:
 
 def preimage_bits(f: FinFunction, bits: int) -> int:
     """Inverse image of a target bitmask under the function."""
-    out = 0
-    for i, t in enumerate(f.table):
-        if bits >> t & 1:
-            out |= 1 << i
-    return out
+    return preimage_rows(f, (bits,))[0]
 
 
 def preimage_rows(f: FinFunction, masks) -> list[int]:
-    """``preimage_bits(f, y)`` for each target bitmask y of ``masks``.
+    """The inverse image under ``f`` of each target bitmask of ``masks``.
 
-    The fibers of f are taken in one pass over the table; each mask then
-    costs one OR per element of the image of f that it holds.
+    The one preimage kernel; ``preimage_bits`` is this on one mask.  The
+    fibers of f are taken in one pass over the table; each mask then costs
+    one OR per element of the image of f that it holds.
     """
     fibers = [0] * f.target.size
     image = 0
@@ -443,6 +441,13 @@ def preimage_rows(f: FinFunction, masks) -> list[int]:
             y ^= low
         out.append(pre)
     return out
+
+
+def image_tables(f: FinFunction) -> tuple[list[int], list[int]]:
+    """The direct image of every source bitmask and the inverse image of every
+    target bitmask along ``f``, indexed by bitmask: adjoint by inclusion for any f."""
+    images = [image_bits(f, x) for x in range(1 << f.source.size)]
+    return images, preimage_rows(f, range(1 << f.target.size))
 
 
 def image_factorize(f: FinFunction) -> tuple[FinFunction, FinFunction]:

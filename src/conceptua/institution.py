@@ -24,10 +24,10 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import CarrierMismatchError, ParseError, SizeLimitError, UnknownElementError
-from .finrel import FinFunction, FinSet, Relation, Subset, image_bits, preimage_bits, \
-    preimage_rows, transpose
-from .galois import Adjunction, check_adjunction
-from .order import MonotoneMap, Poset, _bits_in_bytes, _member_masks, _subset_rows, _trusted, \
+from .finrel import FinFunction, FinSet, Relation, Subset, image_bits, image_tables, \
+    preimage_bits, preimage_rows, transpose
+from .galois import Adjunction
+from .order import Poset, _bits_in_bytes, _member_masks, _monotone, _subset_rows, _trusted, \
     check_carrier_bound
 from .clsn import Classification
 
@@ -535,8 +535,8 @@ def check_satisfaction_condition(
 def _satisfaction(sigma: SignatureMorphism, sentences, source_tables, inst):
     """The report, the reduct table and the translated sentences' truth tables."""
     r = inst.reduct_function(sigma)
-    sides = [(s, preimage_bits(r, table), truth_table(sigma.target, translate_sentence(sigma, s)))
-             for s, table in zip(sentences, source_tables)]
+    sides = [(s, lhs, truth_table(sigma.target, translate_sentence(sigma, s)))
+             for s, lhs in zip(sentences, preimage_rows(r, source_tables))]
     report = SatisfactionReport(models_checked=r.source.size, sentences_checked=len(sides))
     wrong = 0
     for _, lhs, rhs in sides:
@@ -656,17 +656,13 @@ def fiber_transport_adjunction(sigma: SignatureMorphism) -> Adjunction:
     """transport -| inverse_transport between the two theory fibers.
 
     A theory's index in its fiber is its model-class mask, so the two
-    tables are the preimages and the images of every mask along the reduct.
+    tables are the reduct's ``image_tables``, adjoint along any function.
     """
     f1 = theory_fiber(sigma.source)
     f2 = theory_fiber(sigma.target)
-    r = PropositionalInstitution().reduct_function(sigma)
-    left = MonotoneMap(f1.poset, f2.poset, FinFunction(
-        f1.poset.carrier, f2.poset.carrier, preimage_rows(r, range(len(f1.theories)))))
-    right = MonotoneMap(f2.poset, f1.poset, FinFunction(
-        f2.poset.carrier, f1.poset.carrier,
-        tuple(image_bits(r, mask) for mask in range(len(f2.theories)))))
-    return check_adjunction(left, right)
+    images, preimages = image_tables(PropositionalInstitution().reduct_function(sigma))
+    return Adjunction(f1.poset, f2.poset, _monotone(f1.poset, f2.poset, preimages),
+                      _monotone(f2.poset, f1.poset, images))
 
 
 # --------------------------------------------------- flattened theory category

@@ -31,7 +31,6 @@ __all__ = [
     "read_context_json",
     "write_context_json",
     "read_context",
-    "write_context",
     "detect_format",
 ]
 
@@ -189,7 +188,6 @@ def write_context_json(a: Classification) -> str:
 
 
 _READERS = {"cxt": read_cxt, "csv": read_csv, "json": read_context_json}
-_WRITERS = {"cxt": write_cxt, "csv": write_csv, "json": write_context_json}
 
 
 def detect_format(path: str) -> str:
@@ -204,9 +202,3 @@ def read_context(text: str, fmt: str) -> Classification:
     if fmt not in _READERS:
         raise ParseError(f"unknown context format {fmt!r}")
     return _READERS[fmt](text)
-
-
-def write_context(a: Classification, fmt: str) -> str:
-    if fmt not in _WRITERS:
-        raise ParseError(f"unknown context format {fmt!r}")
-    return _WRITERS[fmt](a)

@@ -93,10 +93,10 @@ def check_carrier_bound(size: int, what: str):
 
 
 def _trusted(cls, **fields):
-    """An order or monotone map built without running ``__post_init__``.
+    """An order, monotone map or bimodule built without running ``__post_init__``.
 
-    Only for values that are valid by construction; every public
-    constructor validates.
+    Every value the library derives is valid by construction and built here;
+    only the public constructors validate.
     """
     obj = object.__new__(cls)
     for name, value in fields.items():
@@ -202,14 +202,14 @@ class Preorder:
 
     @classmethod
     def discrete(cls, carrier: FinSet) -> "Preorder":
-        return cls(carrier, Relation.identity(carrier))
+        return _trusted(cls, carrier=carrier, leq=Relation.identity(carrier))
 
     @classmethod
     def chain(cls, *labels: str) -> "Poset":
         n = len(labels)
         carrier = FinSet(tuple(labels))
         rows = tuple(((1 << n) - 1) & ~((1 << i) - 1) for i in range(n))
-        return Poset(carrier, Relation(carrier, carrier, rows))
+        return _trusted(Poset, carrier=carrier, leq=Relation(carrier, carrier, rows))
 
     @classmethod
     def from_pairs(cls, carrier: FinSet, pairs) -> "Preorder":
@@ -221,6 +221,7 @@ class Preorder:
         for k in range(carrier.size):
             row_k = rows[k]
             rows = [row | row_k if row >> k & 1 else row for row in rows]
+        # Validated: the closure is a preorder, but ``Poset.from_pairs`` must test antisymmetry.
         return cls(carrier, Relation(carrier, carrier, tuple(rows)))
 
     @property
@@ -284,7 +285,7 @@ class MonotoneMap:
 
     @classmethod
     def identity(cls, p: Preorder) -> "MonotoneMap":
-        return cls(p, p, FinFunction.identity(p.carrier))
+        return _monotone(p, p, range(p.size))
 
     @classmethod
     def from_map(cls, source: Preorder, target: Preorder, mapping: dict) -> "MonotoneMap":
@@ -353,11 +354,13 @@ def bimodule_of_map(f: MonotoneMap, direction: str = "forward") -> OrderBimodule
     tgt = f.target
     if direction == "forward":
         rows = tuple(tgt.leq.rows[f.func.table[i]] for i in range(f.source.size))
-        return OrderBimodule(f.source, tgt, Relation(f.source.carrier, tgt.carrier, rows))
+        return _trusted(OrderBimodule, source=f.source, target=tgt,
+                        rel=Relation(f.source.carrier, tgt.carrier, rows))
     if direction == "reverse":
         # Row b: the a whose image lies in the up-set of b.
         rows = preimage_rows(f.func, tgt.leq.rows)
-        return OrderBimodule(tgt, f.source, Relation(tgt.carrier, f.source.carrier, tuple(rows)))
+        return _trusted(OrderBimodule, source=tgt, target=f.source,
+                        rel=Relation(tgt.carrier, f.source.carrier, tuple(rows)))
     raise ValueError(f"direction must be 'forward' or 'reverse', got {direction!r}")
 
 
@@ -365,7 +368,8 @@ def bimodule_01_embedding(r: OrderBimodule) -> MonotoneMap:
     """Collapse a bimodule to a map by taking the meet of each row.
 
     Inverts ``bimodule_of_map(f, "forward")`` when the target is a complete
-    lattice: the meet of {b | f(a) <= b} is f(a).
+    lattice: the meet of {b | f(a) <= b} is f(a).  Rows shrink up the source
+    (left closure), so their meets rise.
     """
     table = []
     for i in range(r.source.size):
@@ -373,15 +377,15 @@ def bimodule_01_embedding(r: OrderBimodule) -> MonotoneMap:
         if j is None:
             raise ValueError("row has no meet; target is not a complete lattice")
         table.append(j)
-    return MonotoneMap(r.source, r.target,
-                       FinFunction(r.source.carrier, r.target.carrier, tuple(table)))
+    return _monotone(r.source, r.target, table)
 
 
 def bimodule_10_embedding(r: OrderBimodule) -> MonotoneMap:
     """Collapse a bimodule to a map by taking the join of each column.
 
     Inverts ``bimodule_of_map(f, "reverse")`` when the bimodule's source is a
-    complete lattice: the join of {b | b <= f(a)} is f(a).
+    complete lattice: the join of {b | b <= f(a)} is f(a).  Columns grow up
+    the target (right closure), so their joins rise.
     """
     table = []
     for col in r.rel.columns:
@@ -389,32 +393,24 @@ def bimodule_10_embedding(r: OrderBimodule) -> MonotoneMap:
         if i is None:
             raise ValueError("column has no join; source is not a complete lattice")
         table.append(i)
-    return MonotoneMap(r.target, r.source,
-                       FinFunction(r.target.carrier, r.source.carrier, tuple(table)))
+    return _monotone(r.target, r.source, table)
 
 
 def quotient(p: Preorder) -> tuple[Poset, MonotoneMap]:
     """Collapse each a == b (both a<=b and b<=a) class to one poset element.
 
-    Class representatives are the minimum element index; the class label is
-    the representative's label wrapped in braces.
+    Class representatives are the minimum element index, the lowest bit of
+    the class row; the class label is the representative's label wrapped in
+    braces.
     """
-    n = p.size
     equiv_rows = [row & col for row, col in zip(p.leq.rows, p.leq.columns)]
-    rep_of: dict[int, int] = {}
-    reps: list[int] = []
-    for i in range(n):
-        if i not in rep_of:
-            cls_idx = len(reps)
-            reps.append(i)
-            for j in range(i, n):
-                if equiv_rows[i] >> j & 1:
-                    rep_of[j] = cls_idx
-    labels = tuple("{" + p.carrier.elements[r] + "}" for r in reps)
-    qcarrier = FinSet(labels)
-    q = Poset(qcarrier, Relation(qcarrier, qcarrier, _restricted_rows(p, reps)))
-    canon = MonotoneMap(p, q, FinFunction(p.carrier, qcarrier, tuple(rep_of[i] for i in range(n))))
-    return q, canon
+    first = [(e & -e).bit_length() - 1 for e in equiv_rows]
+    reps = [i for i, r in enumerate(first) if r == i]
+    qcarrier = FinSet(tuple("{" + p.carrier.elements[r] + "}" for r in reps))
+    leq = Relation(qcarrier, qcarrier, _restricted_rows(p, reps))
+    q = _trusted(Poset, carrier=qcarrier, leq=leq)
+    pos = {r: k for k, r in enumerate(reps)}
+    return q, _monotone(p, q, (pos[r] for r in first))
 
 
 @dataclass(frozen=True)
@@ -425,31 +421,24 @@ class OrderProduct:
 
 
 def product(p: Preorder, q: Preorder) -> OrderProduct:
-    """Componentwise order on pairs, with its two projections."""
+    """Componentwise order on pairs, with its two projections.
+
+    Pair (i, j) is element i * |q| + j, so the row of (i, j) is row j of q
+    shifted to the block of each i2 in row i of p.
+    """
     labels = tuple(f"({a},{b})" for a in p.carrier.elements for b in q.carrier.elements)
     carrier = FinSet(labels)
     m = q.size
-    rows = []
-    for i in range(p.size):
-        for j in range(q.size):
-            mask = 0
-            prow, qrow = p.leq.rows[i], q.leq.rows[j]
-            for i2 in range(p.size):
-                if prow >> i2 & 1:
-                    for j2 in range(q.size):
-                        if qrow >> j2 & 1:
-                            mask |= 1 << (i2 * m + j2)
-            rows.append(mask)
+    rows = tuple(sum(q_row << i2 * m for i2 in _bits(p_row))
+                 for p_row in p.leq.rows for q_row in q.leq.rows)
     cls = Poset if isinstance(p, Poset) and isinstance(q, Poset) else Preorder
-    order = cls(carrier, Relation(carrier, carrier, tuple(rows)))
-    proj0 = MonotoneMap(order, p, FinFunction(carrier, p.carrier, tuple(k // m for k in range(p.size * m))))
-    proj1 = MonotoneMap(order, q, FinFunction(carrier, q.carrier, tuple(k % m for k in range(p.size * m))))
-    return OrderProduct(order, proj0, proj1)
+    order = _trusted(cls, carrier=carrier, leq=Relation(carrier, carrier, rows))
+    return OrderProduct(order, _monotone(order, p, (k // m for k in range(p.size * m))),
+                        _monotone(order, q, (k % m for k in range(p.size * m))))
 
 
 def terminal() -> Poset:
-    one = FinSet(("*",))
-    return Poset(one, Relation.identity(one))
+    return Poset.discrete(FinSet(("*",)))
 
 
 def equalizer(f: MonotoneMap, g: MonotoneMap) -> tuple[Preorder, MonotoneMap]:
@@ -459,9 +448,9 @@ def equalizer(f: MonotoneMap, g: MonotoneMap) -> tuple[Preorder, MonotoneMap]:
     kept = [i for i in range(f.source.size) if f.func.table[i] == g.func.table[i]]
     carrier = FinSet(tuple(f.source.carrier.elements[i] for i in kept))
     cls = Poset if isinstance(f.source, Poset) else Preorder
-    sub = cls(carrier, Relation(carrier, carrier, _restricted_rows(f.source, kept)))
-    incl = MonotoneMap(sub, f.source, FinFunction(carrier, f.source.carrier, tuple(kept)))
-    return sub, incl
+    leq = Relation(carrier, carrier, _restricted_rows(f.source, kept))
+    sub = _trusted(cls, carrier=carrier, leq=leq)
+    return sub, _monotone(sub, f.source, kept)
 
 
 def power_order(a: FinSet, reverse: bool = False) -> Poset:
@@ -638,9 +627,8 @@ def _all_preorders(max_size: int) -> Iterator[Preorder]:
                 if on:
                     rows[i] |= 1 << j
             rel = Relation(carrier, carrier, tuple(rows))
-            flags = classify_endorelation(rel)
-            if flags.transitive:
-                yield Preorder(carrier, rel)
+            if compose(rel, rel) <= rel:
+                yield _trusted(Preorder, carrier=carrier, leq=rel)
 
 
 def all_monotone_maps(p: Preorder, q: Preorder) -> Iterator[MonotoneMap]:

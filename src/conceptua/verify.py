@@ -669,17 +669,16 @@ def _canonical_signatures(max_size: int) -> list[Signature]:
     return [Signature.of(*names[:n]) for n in range(max_size + 1)]
 
 
-def institution_suite(seed: int, cases: int, satisfaction_size: int = 2,
-                      satisfaction_depth: int = 3) -> LawReport:
+def institution_suite(seed: int, cases: int) -> LawReport:
     report = LawReport("institution")
     start = time.perf_counter()
 
-    sigs = _canonical_signatures(satisfaction_size)
+    sigs = _canonical_signatures(2)
     for s1 in sigs:
         for s2 in sigs:
             for table in itertools.product(range(s2.size), repeat=s1.size):
                 sigma = SignatureMorphism(s1, s2, FinFunction(s1.vars, s2.vars, table))
-                rep = check_satisfaction_condition(sigma, SatisfactionConfig(depth=satisfaction_depth))
+                rep = check_satisfaction_condition(sigma, SatisfactionConfig(depth=3))
                 report.check(rep.ok, "satisfaction condition for table {}: {}",
                              table, rep.failures[0] if rep.failures else "")
 

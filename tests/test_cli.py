@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import conceptua.verify as verify
 from conceptua.cli import main
 
 CONTRA2 = "B\n\n2\n2\n\n1\n2\na\nb\n.X\nX.\n"
@@ -341,6 +342,38 @@ def test_institution_depth_below_one_exits_2(capsys, depth):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("parse error: --depth must be at least 1")
+
+
+@pytest.mark.parametrize("n_vars", ["0", "-1", "-3"])
+def test_institution_vars_below_one_exits_2(capsys, n_vars):
+    assert main(["institution", "--vars", n_vars]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("parse error: --vars must be at least 1")
+
+
+def test_institution_vars_above_the_signature_cap_exits_3(capsys):
+    assert main(["institution", "--vars", "6"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("size limit: --vars must be at most 5")
+
+
+@pytest.mark.parametrize("cases", ["-1", "-3"])
+def test_verify_negative_case_count_exits_2_before_running(capsys, monkeypatch, cases):
+    def never(*args, **kwargs):
+        raise AssertionError("a suite ran on a negative case count")
+
+    monkeypatch.setattr(verify, "run_suite", never)
+    assert main(["verify", "--suite", "finrel", "--cases", cases]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("parse error: --cases must be at least 0")
+
+
+def test_verify_zero_cases_still_runs(capsys):
+    assert main(["verify", "--suite", "galois", "--cases", "0"]) == 0
+    assert capsys.readouterr().out.startswith("suite galois: ok")
 
 
 def test_institution_four_variables_depth_four_exits_3_before_enumerating_concepts(

@@ -1,18 +1,30 @@
-"""Orders and maps built without re-validation agree with the validating constructors."""
+"""Orders and maps built without re-validation agree with the validating constructors.
 
+Only the public constructors validate.  Every builder of a derived order, map,
+bimodule or adjunction runs here on seeded inputs with the validating checks
+counted (none may run), and each result must equal its rebuild through
+the public constructors, every adjunction passing ``check_adjunction``.  The
+image tables are compared with the per-subset loops they replaced.
+"""
+
+import itertools
 import random
 
 import pytest
 
 import conceptua.order as order
 import conceptua.clg as clg
+import conceptua.clsn as clsn
+import conceptua.galois as galois
+import conceptua.institution as institution
 from conceptua.clg import concept_lattice, concepts_of, validate_concept_lattice
 from conceptua.clsn import Classification, derivation, enumerate_infomorphisms
-from conceptua.errors import SizeLimitError
-from conceptua.finrel import FinSet, Relation
+from conceptua.errors import CarrierMismatchError, SizeLimitError
+from conceptua.finrel import FinFunction, FinSet, Relation, image_tables, preimage_bits
 from conceptua.galois import check_adjunction, closure_interior, downset_coreflection, \
     enumerate_adjunctions, polar_factorize, recompose, upset_reflection
-from conceptua.institution import Signature, classification_of_signature, flatten, theory_fiber
+from conceptua.institution import Signature, SignatureMorphism, classification_of_signature, \
+    flatten, theory_fiber
 from conceptua.order import MonotoneMap, Poset, all_monotone_maps, opposite, power_order
 
 
@@ -244,3 +256,276 @@ def test_enumerated_maps_pass_the_public_constructor():
                 assert rebuilt_map(f) == f
             for adj in enumerate_adjunctions(p, q):
                 assert check_adjunction(rebuilt_map(adj.left), rebuilt_map(adj.right)) is not None
+
+
+# ------------------------------------------------ derived values built unchecked
+
+def image_bits_loop(f, bits):
+    """The per-subset direct image the derivation square read, kept as the oracle."""
+    out = 0
+    for i in range(f.source.size):
+        if bits >> i & 1:
+            out |= 1 << f.table[i]
+    return out
+
+
+def preimage_bits_loop(f, bits):
+    """The per-subset inverse image loop that ``preimage_rows`` replaced, kept as the oracle."""
+    out = 0
+    for i, t in enumerate(f.table):
+        if bits >> t & 1:
+            out |= 1 << i
+    return out
+
+
+def seeded_preorders(rng, count, max_size=4):
+    return [order.Preorder.from_pairs(carrier("e", n), [
+        (f"e{rng.randrange(n)}", f"e{rng.randrange(n)}") for _ in range(rng.randint(0, 2 * n))])
+        for n in (rng.randint(1, max_size) for _ in range(count))]
+
+
+def seeded_lattices(rng, count):
+    """Complete lattices: small power orders and concept orders of seeded contexts."""
+    lattices = [power_order(carrier("e", n)) for n in range(3)]
+    return lattices + [concept_lattice(random_context(rng, rng.randint(1, 4), rng.randint(1, 4)))
+                       .lattice for _ in range(count)]
+
+
+def seeded_maps(rng, count, lattice_targets=False):
+    sources = seeded_preorders(rng, count, 3)
+    targets = seeded_lattices(rng, count) if lattice_targets else seeded_preorders(rng, count, 3)
+    maps = []
+    for p in sources:
+        q = rng.choice(targets)
+        maps.append(rng.choice(list(all_monotone_maps(p, q))))
+    return maps
+
+
+def seeded_infomorphisms(rng, count):
+    infos = []
+    while len(infos) < count:
+        a = random_context(rng, rng.randint(1, 3), rng.randint(1, 3))
+        b = random_context(rng, rng.randint(1, 3), rng.randint(1, 3))
+        if found := enumerate_infomorphisms(a, b):
+            infos.append(rng.choice(found))
+    return infos
+
+
+def morphisms_up_to(max_vars):
+    sigs = [Signature.of(*"pqr"[:n]) for n in range(max_vars + 1)]
+    for s1, s2 in itertools.product(sigs, sigs):
+        for table in itertools.product(range(s2.size), repeat=s1.size):
+            yield SignatureMorphism(s1, s2, FinFunction(s1.vars, s2.vars, table))
+
+
+def parallel_pairs(rng, count):
+    pairs = []
+    for p in seeded_preorders(rng, count, 3):
+        maps = list(all_monotone_maps(p, rng.choice(seeded_preorders(rng, 3, 3))))
+        pairs.append((rng.choice(maps), rng.choice(maps)))
+    return pairs
+
+
+def lattice_points(rng, count):
+    return [(lat, rng.randrange(lat.size)) for lat in seeded_lattices(rng, count)]
+
+
+# builder name -> (seeded inputs, builder); each input is a tuple of arguments
+BUILDERS = {
+    "quotient": (lambda rng: [(p,) for p in seeded_preorders(rng, 30, 6)], order.quotient),
+    "product": (lambda rng: [tuple(seeded_preorders(rng, 2, 3)) for _ in range(15)],
+                order.product),
+    "equalizer": (lambda rng: parallel_pairs(rng, 20), order.equalizer),
+    "Preorder.chain": (lambda rng: [tuple(f"x{i}" for i in range(n)) for n in range(5)],
+                       order.Preorder.chain),
+    "Preorder.discrete": (lambda rng: [(carrier("d", n),) for n in range(5)],
+                          order.Preorder.discrete),
+    "Poset.discrete": (lambda rng: [(carrier("d", n),) for n in range(5)], Poset.discrete),
+    "terminal": (lambda rng: [()], order.terminal),
+    "MonotoneMap.identity": (lambda rng: [(p,) for p in seeded_preorders(rng, 10)],
+                             MonotoneMap.identity),
+    "_all_preorders": (lambda rng: [(3,)], lambda n: list(order._all_preorders(n))),
+    "involution": (lambda rng: [(g,) for g in seeded_adjunctions(20, 15)], galois.involution),
+    "upset_reflection": (lambda rng: lattice_points(rng, 20), galois.upset_reflection),
+    "downset_coreflection": (lambda rng: lattice_points(rng, 20), galois.downset_coreflection),
+    "bimodule_of_map": (lambda rng: [(f, d) for f in seeded_maps(rng, 15)
+                                     for d in ("forward", "reverse")], order.bimodule_of_map),
+    "bimodule_01_embedding": (
+        lambda rng: [(order.bimodule_of_map(f, "forward"),)
+                     for f in seeded_maps(rng, 15, lattice_targets=True)],
+        order.bimodule_01_embedding),
+    "bimodule_10_embedding": (
+        lambda rng: [(order.bimodule_of_map(f, "reverse"),)
+                     for f in seeded_maps(rng, 15, lattice_targets=True)],
+        order.bimodule_10_embedding),
+    "derivation_square": (lambda rng: [(f,) for f in seeded_infomorphisms(rng, 15)],
+                          clg.derivation_square),
+    "fiber_transport_adjunction": (lambda rng: [(s,) for s in morphisms_up_to(2)],
+                                   institution.fiber_transport_adjunction),
+}
+
+
+@pytest.fixture
+def validations(monkeypatch):
+    """Calls of the validating checks, by name, while the fixture is live."""
+    calls = []
+    classify = order.classify_endorelation
+    post_init = MonotoneMap.__post_init__
+    bimodule_post_init = order.OrderBimodule.__post_init__
+    check = galois.check_adjunction
+
+    def counting_classify(r):
+        calls.append("classify_endorelation")
+        return classify(r)
+
+    def counting_post_init(self):
+        calls.append("MonotoneMap.__post_init__")
+        post_init(self)
+
+    def counting_bimodule_post_init(self):
+        calls.append("OrderBimodule.__post_init__")
+        bimodule_post_init(self)
+
+    def counting_check(left, right):
+        calls.append("check_adjunction")
+        return check(left, right)
+
+    monkeypatch.setattr(order, "classify_endorelation", counting_classify)
+    monkeypatch.setattr(MonotoneMap, "__post_init__", counting_post_init)
+    monkeypatch.setattr(order.OrderBimodule, "__post_init__", counting_bimodule_post_init)
+    for module in (galois, clg, clsn, institution):
+        if hasattr(module, "check_adjunction"):
+            monkeypatch.setattr(module, "check_adjunction", counting_check)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_derived_builders_run_no_validation(name, validations):
+    make_inputs, build = BUILDERS[name]
+    inputs = make_inputs(random.Random(sum(map(ord, name))))
+    assert inputs
+    validations.clear()
+    for args in inputs:
+        build(*args)
+    assert validations == []
+
+
+def rebuilt_adjunction(adj):
+    """The adjunction rebuilt by the public constructors, orders included."""
+    for p in (adj.source, adj.target):
+        assert rebuilt_order(p) == p
+    for f in (adj.left, adj.right):
+        assert rebuilt_map(f) == f
+    return check_adjunction(rebuilt_map(adj.left), rebuilt_map(adj.right))
+
+
+def rebuilt_parts(value):
+    """Every order, map, bimodule and adjunction in a builder's result equals its rebuild."""
+    if isinstance(value, (tuple, list)):
+        for part in value:
+            rebuilt_parts(part)
+    elif isinstance(value, order.OrderProduct):
+        rebuilt_parts((value.order, value.proj0, value.proj1))
+    elif isinstance(value, galois.Adjunction):
+        assert rebuilt_adjunction(value) is not None
+    elif isinstance(value, MonotoneMap):
+        assert rebuilt_map(value) == value
+    elif isinstance(value, order.OrderBimodule):
+        rebuilt = order.OrderBimodule(rebuilt_order(value.source), rebuilt_order(value.target),
+                                      value.rel)
+        assert rebuilt == value
+    else:
+        assert isinstance(value, order.Preorder)
+        assert rebuilt_order(value) == value
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_derived_values_equal_their_rebuild_by_the_public_constructors(name):
+    make_inputs, build = BUILDERS[name]
+    for args in make_inputs(random.Random(sum(map(ord, name)))):
+        rebuilt_parts(build(*args))
+
+
+def test_all_preorders_up_to_three_are_every_reflexive_transitive_relation():
+    orders = list(order._all_preorders(3))
+    assert [p.size for p in orders].count(3) == 29
+    assert len(orders) == 1 + 1 + 4 + 29
+    assert all(order.classify_endorelation(p.leq).transitive for p in orders)
+
+
+def test_product_and_quotient_match_the_loops_they_replaced():
+    rng = random.Random(16)
+    for p, q in (seeded_preorders(rng, 2, 4) for _ in range(40)):
+        m = q.size
+        rows = []
+        for prow in p.leq.rows:
+            for qrow in q.leq.rows:
+                rows.append(sum(1 << (i2 * m + j2) for i2 in range(p.size) if prow >> i2 & 1
+                                for j2 in range(m) if qrow >> j2 & 1))
+        assert order.product(p, q).order.leq.rows == tuple(rows)
+    for p in seeded_preorders(rng, 60, 7):
+        equiv = [row & col for row, col in zip(p.leq.rows, p.leq.columns)]
+        rep_of, reps = {}, []
+        for i in range(p.size):
+            if i not in rep_of:
+                reps.append(i)
+                rep_of.update((j, len(reps) - 1) for j in range(i, p.size) if equiv[i] >> j & 1)
+        q, canon = order.quotient(p)
+        assert q.carrier.elements == tuple("{" + p.carrier.elements[r] + "}" for r in reps)
+        assert canon.func.table == tuple(rep_of[i] for i in range(p.size))
+
+
+def test_derivation_square_tables_equal_the_per_subset_loops():
+    for f in seeded_infomorphisms(random.Random(17), 40):
+        _, _, dir_inst, inv_typ = clg.derivation_square(f)
+        inst, typ = f.inst_map, f.typ_map
+        assert dir_inst.left.func.table == tuple(
+            image_bits_loop(inst, x) for x in range(1 << inst.source.size))
+        assert dir_inst.right.func.table == tuple(
+            preimage_bits_loop(inst, x) for x in range(1 << inst.target.size))
+        assert inv_typ.left.func.table == tuple(
+            preimage_bits_loop(typ, y) for y in range(1 << typ.target.size))
+        assert inv_typ.right.func.table == tuple(
+            image_bits_loop(typ, y) for y in range(1 << typ.source.size))
+
+
+def test_fiber_transport_tables_equal_the_per_subset_loops():
+    for sigma in morphisms_up_to(2):
+        adj = institution.fiber_transport_adjunction(sigma)
+        r = institution.PropositionalInstitution().reduct_function(sigma)
+        assert adj.left.func.table == tuple(
+            preimage_bits_loop(r, mask) for mask in range(1 << r.target.size))
+        assert adj.right.func.table == tuple(
+            image_bits_loop(r, mask) for mask in range(1 << r.source.size))
+
+
+def test_image_tables_and_preimage_bits_equal_the_loops_on_every_small_function():
+    for n, m in itertools.product(range(4), range(4)):
+        for table in itertools.product(range(m), repeat=n):
+            f = FinFunction(carrier("a", n), carrier("b", m), table)
+            images, preimages = image_tables(f)
+            assert images == [image_bits_loop(f, x) for x in range(1 << n)]
+            assert preimages == [preimage_bits_loop(f, y) for y in range(1 << m)]
+            assert [preimage_bits(f, y) for y in range(1 << m)] == preimages
+
+
+def test_rejections_survive_the_unchecked_builds():
+    v = carrier("v", 3)  # the V shape: v1 and v2 above v0, with no join
+    vee = Poset(v, Relation(v, v, (0b111, 0b010, 0b100)))
+    with pytest.raises(ValueError, match="join with the base element does not exist"):
+        galois.upset_reflection(vee, 1)
+    wedge = opposite(vee)
+    with pytest.raises(ValueError, match="meet with the base element does not exist"):
+        galois.downset_coreflection(wedge, 1)
+    one = order.Preorder.discrete(carrier("o", 1))
+    with pytest.raises(ValueError, match="no meet"):  # the empty row: vee has no top
+        order.bimodule_01_embedding(order.OrderBimodule(one, vee, Relation(one.carrier, v, (0,))))
+    with pytest.raises(ValueError, match="no join"):  # the empty column: wedge has no bottom
+        order.bimodule_10_embedding(order.OrderBimodule(wedge, one, Relation(v, one.carrier, (0,) * 3)))
+    f = MonotoneMap.identity(vee)
+    chain = order.Preorder.chain("a", "b")
+    g = MonotoneMap.identity(chain)
+    with pytest.raises(CarrierMismatchError, match="parallel pair"):
+        order.equalizer(f, g)
+    with pytest.raises(ValueError, match="not antisymmetric"):
+        Poset.from_pairs(carrier("e", 2), [("e0", "e1"), ("e1", "e0")])
