@@ -22,6 +22,7 @@ from .finrel import (
     Relation,
     Subset,
     _bits,
+    derive_bits,
     image_bits,
     image_tables,
     meet_bits,
@@ -134,19 +135,20 @@ def _concepts_lectic(a: Classification) -> tuple[FormalConcept, ...]:
     the largest j popped first, which is lectic order.  A closure that fails
     at j is handed down as ``failed[j]``: a descendant's closure at j
     contains it, so whenever it adds to the descendant's extent below j that
-    closure is not computed.  Raises ``SizeLimitError`` once more than
-    2^carrier_bound() concepts have been emitted.
+    closure is not computed.  Each closure is one ``derive_bits``: at most
+    min(|intent|, |instances|) line operations.  Raises ``SizeLimitError``
+    once more than 2^carrier_bound() concepts have been emitted.
     """
     inst, typ = a.instances, a.types
     n = inst.size
     rows = a.incidence.rows
     cols = a.incidence.columns
     full_g, full_m = inst.full_mask, typ.full_mask
-    extent = meet_bits(cols, full_m, full_g)
+    extent = derive_bits(cols, rows, full_m, full_g)
     bound = carrier_bound()
     limit = 1 << min(bound, 64)
     out = []
-    stack = [(extent, meet_bits(rows, extent, full_m), 0, [0] * n)]
+    stack = [(extent, derive_bits(rows, cols, extent, full_m), 0, [0] * n)]
     while stack:
         extent, intent, start, failed = stack.pop()
         out.append((extent, intent))
@@ -163,7 +165,7 @@ def _concepts_lectic(a: Classification) -> tuple[FormalConcept, ...]:
             if failed[j] & outside:
                 continue
             child_intent = intent & rows[j]
-            child = meet_bits(cols, child_intent, full_g)
+            child = derive_bits(cols, rows, child_intent, full_g)
             if child & outside:
                 if handed is failed:
                     handed = failed.copy()
@@ -313,6 +315,20 @@ def _right_recipes(f: Infomorphism, source_concepts):
     return zip(pre, (b.extent_of(image_bits(f.typ_map, c.intent.bits)) for c in source_concepts))
 
 
+def _first_disagreement(f: Infomorphism, source_concepts, target_concepts) -> str | None:
+    """The first concept at which the two recipes of a table disagree, target
+    concepts (left table) before source concepts (right table), or None."""
+    a = f.source
+    pulled = preimage_rows(f.typ_map, [c.intent.bits for c in target_concepts])
+    for c, intent in zip(target_concepts, pulled):
+        if a.extent_of(intent) != a.extent_of(a.intent_of(image_bits(f.inst_map, c.extent.bits))):
+            return f"concept transport formulas disagree at target concept with extent {c.extent}"
+    for c, (pre, derived) in zip(source_concepts, _right_recipes(f, source_concepts)):
+        if pre != derived:
+            return f"concept transport formulas disagree at source concept with extent {c.extent}"
+    return None
+
+
 def concept_transport(f: Infomorphism, source_concepts,
                       target_concepts) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The concept-level connection of ``f`` as two index tables over ``concepts_of`` output.
@@ -322,31 +338,30 @@ def concept_transport(f: Infomorphism, source_concepts,
     the closure of its extent pushed forward along the instance map.  The
     right table sends each source concept to the target concept whose extent
     is the instance-map preimage of its extent; equally, the derivation of
-    its intent pushed forward along the type map.  Raises when the two
-    recipes disagree, which happens exactly when ``f`` is not valid: the
-    right recipes at the attribute concept of y give inst(x) I y => x I typ(y),
-    and the left ones at the object concept of x the converse.  So the
-    tables need no check: they are adjoint (closure(img E) <= A iff
-    E <= pre(A) for a closed A) and preserve extents and intents.
+    its intent pushed forward along the type map.  The two recipes of a
+    table agree everywhere exactly when ``f`` is valid: the right recipes at
+    the attribute concept of y give inst(x) I y => x I typ(y), and the left
+    ones at the object concept of x the converse.
+
+    So validity, one batched preimage of the source columns compared with
+    the target columns they map to, is the gate.  On a valid ``f`` both
+    tables are lookups: a left image has the type-map preimage of the target
+    intent as its intent, and a right image the instance-map preimage of the
+    source extent as its extent.  The tables need no check: they are adjoint
+    (closure(img E) <= A iff E <= pre(A) for a closed A) and preserve extents
+    and intents.  On an invalid ``f`` the recipes are scanned concept by
+    concept, target concepts first, and this raises at the first
+    disagreement.
     """
-    a = f.source
-    pos_a = {c.extent.bits: k for k, c in enumerate(source_concepts)}
-    pos_b = {c.extent.bits: k for k, c in enumerate(target_concepts)}
+    a, b = f.source, f.target
+    target_cols = b.incidence.columns
+    if preimage_rows(f.inst_map, a.incidence.columns) != [target_cols[t] for t in f.typ_map.table]:
+        raise CarrierMismatchError(_first_disagreement(f, source_concepts, target_concepts))
+    by_intent = {c.intent.bits: k for k, c in enumerate(source_concepts)}
+    by_extent = {c.extent.bits: k for k, c in enumerate(target_concepts)}
     pulled = preimage_rows(f.typ_map, [c.intent.bits for c in target_concepts])
-    left = []
-    for c, intent in zip(target_concepts, pulled):
-        ext = a.extent_of(intent)
-        if ext != a.extent_of(a.intent_of(image_bits(f.inst_map, c.extent.bits))):
-            raise CarrierMismatchError(
-                f"concept transport formulas disagree at target concept with extent {c.extent}")
-        left.append(pos_a[ext])
-    right = []
-    for c, (pre, derived) in zip(source_concepts, _right_recipes(f, source_concepts)):
-        if pre != derived:
-            raise CarrierMismatchError(
-                f"concept transport formulas disagree at source concept with extent {c.extent}")
-        right.append(pos_b[pre])
-    return tuple(left), tuple(right)
+    pre = preimage_rows(f.inst_map, [c.extent.bits for c in source_concepts])
+    return tuple(by_intent[i] for i in pulled), tuple(by_extent[e] for e in pre)
 
 
 def concept_square_failures(inst_map: FinFunction, typ_map: FinFunction, source_concepts,

@@ -16,8 +16,8 @@ from .finrel import (
     FinSet,
     Relation,
     Subset,
+    derive_bits,
     image_bits,
-    meet_bits,
     meet_table,
     preimage_rows,
     transpose,
@@ -72,11 +72,13 @@ class Classification:
 
     def intent_of(self, x: int) -> int:
         """The types shared by every instance of the bitset ``x``."""
-        return meet_bits(self.incidence.rows, x, self.types.full_mask)
+        inc = self.incidence
+        return derive_bits(inc.rows, inc.columns, x, self.types.full_mask)
 
     def extent_of(self, y: int) -> int:
         """The instances of every type of the bitset ``y``."""
-        return meet_bits(self.incidence.columns, y, self.instances.full_mask)
+        inc = self.incidence
+        return derive_bits(inc.columns, inc.rows, y, self.instances.full_mask)
 
     @cached_property
     def concepts(self) -> tuple:

@@ -7,6 +7,7 @@ is one bitmask row per source element.  All equality is bit-exact.
 A relation's columns (the rows of its transpose) are computed once, on first
 read of ``Relation.columns``, and kept.  Both derivations are ``meet_bits``:
 the forward one over the rows, the reverse one over the columns.
+``derive_bits`` computes either one from whichever side is cheaper.
 """
 
 from dataclasses import dataclass
@@ -30,6 +31,7 @@ __all__ = [
     "derive_forward",
     "derive_reverse",
     "meet_bits",
+    "derive_bits",
     "meet_table",
     "image_bits",
     "preimage_bits",
@@ -392,6 +394,25 @@ def meet_bits(lines, bits: int, full: int) -> int:
         full &= lines[low.bit_length() - 1]
         bits ^= low
     return full
+
+
+def derive_bits(lines, opposite, bits: int, full: int) -> int:
+    """The derivation of ``bits`` across one relation, from its cheaper side.
+
+    ``lines`` and ``opposite`` are the two sides of the relation (its rows
+    and its columns, either way round) and ``full`` is the mask of all
+    ``len(opposite)`` indices.  The derivation is ``meet_bits(lines, bits,
+    full)``, the AND of |bits| lines; it is equally the set of indices of
+    the ``opposite`` lines that hold all of ``bits``.  Whichever of those
+    two counts is smaller is scanned.
+    """
+    if bits.bit_count() < len(opposite):
+        return meet_bits(lines, bits, full)
+    out = 0
+    for i, line in enumerate(opposite):
+        if line & bits == bits:
+            out |= 1 << i
+    return out
 
 
 def meet_table(lines, full: int) -> list[int]:

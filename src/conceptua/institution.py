@@ -967,12 +967,15 @@ class StyleReport:
         return len({self.class_rel, self.class_adj, self.conc_adj, self.conc_rel}) == 1
 
 
-# Largest style check run.  Enumerating a classification's concepts, at most
-# 2^min(|models|, |types|), and transporting them takes up to one AND per
-# concept and sentence type: 2.2M at 4 variables and depth 2 (the CLI demo
-# runs in 0.3 s), 32M at depth 3 (44 s, nearly all in concept_transport) on
-# a 2-vCPU VM.
-STYLE_MAX_WORK = 1 << 22
+# Largest style check run, in intent bits: a classification has at most
+# 2^min(|models|, |types|) concepts, each with an intent of |types| bits.
+# Enumeration ANDs those intents, the concept transport ORs one fiber per
+# intent bit and keys a dict by intents, and they are what stays in memory.
+# On a 2-vCPU VM (Python 3.11) the CLI demo takes 0.03 s at 4 variables and
+# depth 2 (2.2M bits) and 1.0 s at depth 3 (32M bits, 63 488 concepts:
+# 0.4 s enumeration, 0.6 s transport, 60 MB peak).  The cap is twice that;
+# depth 4 (953M bits) would hold ~120 MB of intents alone.
+STYLE_MAX_WORK = 1 << 26
 
 
 def style_interconvert(sigma: SignatureMorphism, depth: int,
@@ -998,7 +1001,7 @@ def style_interconvert(sigma: SignatureMorphism, depth: int,
         if (work := (1 << n) * c.types.size) > STYLE_MAX_WORK:
             raise SizeLimitError(
                 f"style check at depth {depth} would take up to 2^{n} concepts x "
-                f"{c.types.size} sentence types = {work} ANDs, above the fixed cap of "
+                f"{c.types.size} sentence types = {work} intent bits, above the fixed cap of "
                 f"STYLE_MAX_WORK = {STYLE_MAX_WORK}")
     target_tables = {t: j for j, t in enumerate(b.incidence.columns)}
 

@@ -221,8 +221,9 @@ class Preorder:
         for k in range(carrier.size):
             row_k = rows[k]
             rows = [row | row_k if row >> k & 1 else row for row in rows]
-        # Validated: the closure is a preorder, but ``Poset.from_pairs`` must test antisymmetry.
-        return cls(carrier, Relation(carrier, carrier, tuple(rows)))
+        leq = Relation(carrier, carrier, tuple(rows))
+        # The closure is a preorder by construction; only ``Poset.from_pairs`` tests antisymmetry.
+        return _trusted(cls, carrier=carrier, leq=leq) if cls is Preorder else cls(carrier, leq)
 
     @property
     def size(self) -> int:

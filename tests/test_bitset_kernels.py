@@ -20,6 +20,7 @@ from conceptua.finrel import (
     FinSet,
     Relation,
     Subset,
+    derive_bits,
     derive_forward,
     derive_reverse,
     image_bits,
@@ -164,21 +165,24 @@ def test_fcbo_matches_int_nextclosure_on_wide_shapes():
 
 
 def test_fcbo_makes_no_more_closures_than_nextclosure(monkeypatch):
-    """Every closure of either enumeration is one ``meet_bits`` over the columns."""
+    """Every closure of either enumeration is one derivation of an intent: a
+    ``derive_bits`` over the columns in FCbO, a ``meet_bits`` in NextClosure."""
     a = random_context(random.Random(416), 10, 8, 0.4)
     closures = {"fcbo": 0, "nextclosure": 0}
 
-    def counting(name):
-        def meet(lines, bits, full):
-            closures[name] += lines is a.incidence.columns
-            return meet_bits(lines, bits, full)
-        return meet
+    def counting_derive(lines, opposite, bits, full):
+        closures["fcbo"] += lines is a.incidence.columns
+        return derive_bits(lines, opposite, bits, full)
 
-    monkeypatch.setattr(clg, "meet_bits", counting("fcbo"))
+    def counting_meet(lines, bits, full):
+        closures["nextclosure"] += lines is a.incidence.columns
+        return meet_bits(lines, bits, full)
+
+    monkeypatch.setattr(clg, "derive_bits", counting_derive)
     found = fcbo_pairs(a)
-    assert found == int_nextclosure(a, counting("nextclosure"))
+    assert found == int_nextclosure(a, counting_meet)
     assert len(found) > 10
-    assert closures["fcbo"] <= closures["nextclosure"]
+    assert 0 < closures["fcbo"] <= closures["nextclosure"]
 
 
 # ----------------------------------------------------------------- concept order
@@ -254,6 +258,59 @@ def test_meet_table_matches_meet_bits_and_derivation():
                        for y in range(1 << a.types.size)]
         x = rng.randrange(1 << a.instances.size)
         assert meet_bits(a.incidence.rows, x, a.types.full_mask) == fwd[x]
+
+
+def relation_sides(n_rows, n_cols, rows):
+    rows = tuple(rows)
+    cols = tuple(sum((row >> j & 1) << i for i, row in enumerate(rows)) for j in range(n_cols))
+    return rows, cols
+
+
+def assert_derive_bits_matches_meet_bits(rows, cols, masks_of_rows, masks_of_cols):
+    """Both derivations, from both sides of the relation, on the given masks."""
+    full_cols, full_rows = (1 << len(cols)) - 1, (1 << len(rows)) - 1
+    for x in masks_of_rows:
+        assert derive_bits(rows, cols, x, full_cols) == meet_bits(rows, x, full_cols)
+    for y in masks_of_cols:
+        assert derive_bits(cols, rows, y, full_rows) == meet_bits(cols, y, full_rows)
+
+
+def test_derive_bits_matches_meet_bits_on_every_relation_up_to_3x3():
+    """Every mask of both sides, so each side of the size threshold is taken."""
+    checked = 0
+    for n_rows, n_cols in itertools.product(range(4), repeat=2):
+        for rows in itertools.product(range(1 << n_cols), repeat=n_rows):
+            sides = relation_sides(n_rows, n_cols, rows)
+            assert_derive_bits_matches_meet_bits(*sides, range(1 << n_rows), range(1 << n_cols))
+            checked += 1
+    assert checked == sum(1 << (r * c) for r in range(4) for c in range(4))
+
+
+def threshold_masks(rng, n, threshold):
+    """0, the full mask, and masks of |threshold| - 1, |threshold| and
+    |threshold| + 1 bits (where they fit), plus a few random ones."""
+    masks = [0, (1 << n) - 1] + [rng.getrandbits(n) if n else 0 for _ in range(4)]
+    for k in (threshold - 1, threshold, threshold + 1):
+        if 0 <= k <= n:
+            masks.append(sum(1 << i for i in rng.sample(range(n), k)))
+    return masks
+
+
+def test_derive_bits_matches_meet_bits_on_seeded_relations():
+    rng = random.Random(417)
+    shapes = [(4, 60), (60, 4)] * 10 + [(rng.randint(0, 30), rng.randint(0, 30))
+                                        for _ in range(180)]
+    crossed = set()
+    for n_rows, n_cols in shapes:
+        density = rng.choice((0.1, 0.5, 0.9))
+        rows = [sum(1 << j for j in range(n_cols) if rng.random() < density)
+                for _ in range(n_rows)]
+        rows, cols = relation_sides(n_rows, n_cols, rows)
+        row_masks = threshold_masks(rng, n_rows, n_cols)
+        col_masks = threshold_masks(rng, n_cols, n_rows)
+        assert_derive_bits_matches_meet_bits(rows, cols, row_masks, col_masks)
+        crossed |= {x.bit_count() < n_cols for x in row_masks}
+    assert len(shapes) == 200 and crossed == {True, False}
 
 
 def test_derivation_and_concept_lattice_tables_pass_the_full_checks():

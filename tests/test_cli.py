@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import conceptua.clg as clg
 import conceptua.verify as verify
 from conceptua.cli import main
 
@@ -383,7 +384,26 @@ def test_institution_four_variables_depth_four_exits_3_before_enumerating_concep
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "2^16 concepts x 14546 sentence types = 953286656" in captured.err
-    assert "STYLE_MAX_WORK = 4194304" in captured.err
+    assert "STYLE_MAX_WORK = 67108864" in captured.err
+
+
+def test_institution_four_variables_depth_three_passes_all_four_styles(capsys, time_budget):
+    with time_budget(10):
+        assert main(["institution", "--vars", "4", "--depth", "3"]) == 0
+    assert capsys.readouterr().out == ALL_PASS
+
+
+def test_institution_five_variables_depth_two_exits_3_before_enumerating_concepts(
+        capsys, monkeypatch):
+    def never(_classification):
+        raise AssertionError("concepts were enumerated")
+
+    monkeypatch.setattr(clg, "_concepts_lectic", never)
+    assert main(["institution", "--vars", "5", "--depth", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "2^32 concepts x 52 sentence types = 223338299392" in captured.err
+    assert "STYLE_MAX_WORK = 67108864" in captured.err
 
 
 def test_institution_five_variables_depth_four_exits_3_before_the_fourth_level(

@@ -5,8 +5,13 @@ tables it returns pass every check that once followed it: the adjointness
 check over every pair of concepts, the concept squares, ``MonotoneMap``
 and ``check_adjunction``.  This runs over every map pair between any two
 2x2 contexts, and over seeded pairs between contexts up to 4x4, most of
-them invalid.  ``ConceptMorphism.check`` runs beside its earlier loops
-over the lattice order, copied in, on perturbed connections.
+them invalid.  The transport that scanned both recipes at every concept
+is copied in as the oracle: the transport that decides validity first and
+looks its tables up must return the same
+tables, or raise the same message, on every map pair between contexts up to
+2x2, on 3x2 and 2x3 contexts and on the seeded pairs.
+``ConceptMorphism.check`` runs beside its earlier loops over the lattice
+order, copied in, on perturbed connections.
 """
 
 import itertools
@@ -22,7 +27,7 @@ from conceptua.clg import (
 )
 from conceptua.clsn import Classification, Infomorphism, enumerate_infomorphisms
 from conceptua.errors import CarrierMismatchError
-from conceptua.finrel import FinFunction, FinSet, Relation
+from conceptua.finrel import FinFunction, FinSet, Relation, image_bits, preimage_rows
 from conceptua.galois import Adjunction, check_adjunction
 from conceptua.order import MonotoneMap, _monotone
 from conceptua.verify import random_classification
@@ -80,6 +85,77 @@ def test_transport_returns_iff_valid_on_every_2x2_map_pair():
     assert returned > 200 and rejected > 2000
 
 
+def oracle_right_recipes(f, source_concepts):
+    b = f.target
+    pre = preimage_rows(f.inst_map, [c.extent.bits for c in source_concepts])
+    return zip(pre, (b.extent_of(image_bits(f.typ_map, c.intent.bits)) for c in source_concepts))
+
+
+def oracle_concept_transport(f, source_concepts, target_concepts):
+    """The earlier ``concept_transport``: both recipes of both tables at every concept."""
+    a = f.source
+    pos_a = {c.extent.bits: k for k, c in enumerate(source_concepts)}
+    pos_b = {c.extent.bits: k for k, c in enumerate(target_concepts)}
+    pulled = preimage_rows(f.typ_map, [c.intent.bits for c in target_concepts])
+    left = []
+    for c, intent in zip(target_concepts, pulled):
+        ext = a.extent_of(intent)
+        if ext != a.extent_of(a.intent_of(image_bits(f.inst_map, c.extent.bits))):
+            raise CarrierMismatchError(
+                f"concept transport formulas disagree at target concept with extent {c.extent}")
+        left.append(pos_a[ext])
+    right = []
+    for c, (pre, derived) in zip(source_concepts, oracle_right_recipes(f, source_concepts)):
+        if pre != derived:
+            raise CarrierMismatchError(
+                f"concept transport formulas disagree at source concept with extent {c.extent}")
+        right.append(pos_b[pre])
+    return tuple(left), tuple(right)
+
+
+def outcome(transport, f):
+    """("return", tables) or ("raise", message)."""
+    try:
+        return "return", transport(f, concepts_of(f.source), concepts_of(f.target))
+    except CarrierMismatchError as exc:
+        return "raise", str(exc)
+
+
+def assert_transport_matches_oracle(pairs):
+    """The same outcome on every pair; returns the counts of returns and raises."""
+    counts = {"return": 0, "raise": 0}
+    for f in pairs:
+        got = outcome(concept_transport, f)
+        assert got == outcome(oracle_concept_transport, f)
+        counts[got[0]] += 1
+    return counts
+
+
+def contexts_of_shape(n_inst, n_typ):
+    inst = FinSet(tuple(f"i{k}" for k in range(n_inst)))
+    typ = FinSet(tuple(f"t{k}" for k in range(n_typ)))
+    return [Classification(inst, typ, Relation(inst, typ, rows))
+            for rows in itertools.product(range(1 << n_typ), repeat=n_inst)]
+
+
+def test_transport_matches_oracle_on_every_map_pair_up_to_2x2():
+    contexts = [c for shape in itertools.product(range(3), repeat=2)
+                for c in contexts_of_shape(*shape)]
+    assert len(contexts) == 31
+    counts = assert_transport_matches_oracle(
+        f for a, b in itertools.product(contexts, contexts) for f in map_pairs(a, b))
+    assert counts == {"return": 1005, "raise": 5276}
+
+
+def test_transport_matches_oracle_on_3x2_and_2x3_contexts():
+    """Every map pair between 8 seeded contexts of each shape, both ways."""
+    rng = random.Random(16)
+    contexts = rng.sample(contexts_of_shape(3, 2), 8) + rng.sample(contexts_of_shape(2, 3), 8)
+    counts = assert_transport_matches_oracle(
+        f for a, b in itertools.product(contexts, contexts) for f in map_pairs(a, b))
+    assert counts == {"return": 821, "raise": 22283}
+
+
 def random_map_pair(rng, a, b):
     return Infomorphism(
         a, b,
@@ -112,6 +188,12 @@ def test_transport_returns_iff_valid_on_seeded_4x4_map_pairs():
             assert_connection_checks_pass(f, *tables)
             returned += 1
     assert returned > 100 and rejected > 100
+
+
+def test_transport_matches_oracle_on_seeded_4x4_map_pairs():
+    for seed in (14, 15):
+        counts = assert_transport_matches_oracle(seeded_map_pairs(seed, count=600))
+        assert counts["return"] > 100 and counts["raise"] > 100
 
 
 def earlier_check_loops(h):

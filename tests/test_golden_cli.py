@@ -28,6 +28,8 @@ CASES = {
     "infomap-invalid": (["infomap", "@info_a.cxt", "@info_b.cxt", "@info_invalid.json"], 1),
     "merge-check-universal": (["merge", "@span.json", "--check-universal"], 0),
     "institution-vars-2": (["institution", "--vars", "2"], 0),
+    "institution-vars-3": (["institution", "--vars", "3"], 0),
+    "institution-vars-4-depth-2": (["institution", "--vars", "4", "--depth", "2"], 0),
     "verify-all-negative-control": (
         ["verify", "--suite", "all", "--cases", "5", "--negative-control"], 1),
 }

@@ -683,8 +683,13 @@ def test_sentence_level_cap_trips_before_building_the_level(time_budget):
 
 
 def test_style_cap_trips_before_concepts_are_enumerated(monkeypatch):
-    sig = Signature.of("p", "q", "r", "s")
-    assert style_interconvert(SignatureMorphism.identity(sig), 2).all_pass
+    identity = SignatureMorphism.identity(Signature.of("p", "q", "r", "s"))
+    work = (1 << 16) * 34
+    monkeypatch.setattr(institution, "STYLE_MAX_WORK", work)
+    assert style_interconvert(identity, 2).all_pass
+    monkeypatch.setattr(institution, "STYLE_MAX_WORK", work - 1)
     monkeypatch.setattr(clg, "concepts_of", lambda a: pytest.fail("concepts enumerated"))
-    with pytest.raises(SizeLimitError, match=r"2\^16 concepts x 488 sentence types = 31981568"):
-        style_interconvert(SignatureMorphism.identity(sig), 3)
+    with pytest.raises(SizeLimitError, match=r"2\^16 concepts x 34 sentence types = 2228224 "
+                                             r"intent bits, above the fixed cap of "
+                                             r"STYLE_MAX_WORK = 2228223"):
+        style_interconvert(identity, 2)

@@ -278,10 +278,15 @@ def preimage_bits_loop(f, bits):
     return out
 
 
-def seeded_preorders(rng, count, max_size=4):
-    return [order.Preorder.from_pairs(carrier("e", n), [
+def seeded_pair_lists(rng, count, max_size=4):
+    """(carrier, pairs) inputs of ``Preorder.from_pairs``."""
+    return [(carrier("e", n), [
         (f"e{rng.randrange(n)}", f"e{rng.randrange(n)}") for _ in range(rng.randint(0, 2 * n))])
         for n in (rng.randint(1, max_size) for _ in range(count))]
+
+
+def seeded_preorders(rng, count, max_size=4):
+    return [order.Preorder.from_pairs(*args) for args in seeded_pair_lists(rng, count, max_size)]
 
 
 def seeded_lattices(rng, count):
@@ -338,6 +343,7 @@ BUILDERS = {
     "equalizer": (lambda rng: parallel_pairs(rng, 20), order.equalizer),
     "Preorder.chain": (lambda rng: [tuple(f"x{i}" for i in range(n)) for n in range(5)],
                        order.Preorder.chain),
+    "Preorder.from_pairs": (lambda rng: seeded_pair_lists(rng, 30, 6), order.Preorder.from_pairs),
     "Preorder.discrete": (lambda rng: [(carrier("d", n),) for n in range(5)],
                           order.Preorder.discrete),
     "Poset.discrete": (lambda rng: [(carrier("d", n),) for n in range(5)], Poset.discrete),
