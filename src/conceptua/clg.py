@@ -22,6 +22,7 @@ from .finrel import (
     Relation,
     Subset,
     _bits,
+    _trusted,
     derive_bits,
     image_bits,
     image_tables,
@@ -38,7 +39,6 @@ from .order import (
     Poset,
     _bits_in_bytes,
     _monotone,
-    _trusted,
     carrier_bound,
     hasse_edges,
     is_complete_lattice,

@@ -8,6 +8,12 @@ A relation's columns (the rows of its transpose) are computed once, on first
 read of ``Relation.columns``, and kept.  Both derivations are ``meet_bits``:
 the forward one over the rows, the reverse one over the columns.
 ``derive_bits`` computes either one from whichever side is cheaper.
+
+Only the public constructors validate.  A value that is valid by
+construction (the result of a kernel here, or an order or map derived
+elsewhere in the library) is built by ``_trusted``.  Carrier checks test
+identity before comparing labels, so carriers shared by object cost one
+pointer compare.
 """
 
 from dataclasses import dataclass
@@ -43,6 +49,19 @@ __all__ = [
 ]
 
 
+def _trusted(cls, **fields):
+    """A value built without running ``__post_init__``: the fields are written
+    to the instance dict in one step.
+
+    Every value the library derives is valid by construction and built here;
+    only the public constructors validate.  Sequence fields must already be
+    tuples.
+    """
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 def _bits(mask: int) -> Iterator[int]:
     """Yield the indices of the set bits of ``mask`` in ascending order."""
     while mask:
@@ -64,6 +83,14 @@ class FinSet:
         # Plain attributes, not fields: set once, left out of eq and hash.
         object.__setattr__(self, "size", len(self.elements))
         object.__setattr__(self, "full_mask", (1 << self.size) - 1)
+
+    def __eq__(self, other):
+        """Identity first, then labels; ``hash`` stays the dataclass one."""
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.elements == other.elements
 
     def index(self, label: str) -> int:
         try:
@@ -125,24 +152,25 @@ class Subset:
         return bool(self.bits >> self.carrier.index(label) & 1)
 
     def _check(self, other: "Subset"):
-        if self.carrier != other.carrier:
+        if self.carrier is not other.carrier and self.carrier != other.carrier:
             raise CarrierMismatchError("subsets over different carriers")
 
     def union(self, other: "Subset") -> "Subset":
         self._check(other)
-        return Subset(self.carrier, self.bits | other.bits)
+        return _trusted(Subset, carrier=self.carrier, bits=self.bits | other.bits)
 
     def intersection(self, other: "Subset") -> "Subset":
         self._check(other)
-        return Subset(self.carrier, self.bits & other.bits)
+        return _trusted(Subset, carrier=self.carrier, bits=self.bits & other.bits)
 
     def implies(self, other: "Subset") -> "Subset":
         """Relative pseudo-complement: {a | a in self => a in other}."""
         self._check(other)
-        return Subset(self.carrier, (~self.bits | other.bits) & self.carrier.full_mask)
+        return _trusted(Subset, carrier=self.carrier,
+                        bits=(~self.bits | other.bits) & self.carrier.full_mask)
 
     def complement(self) -> "Subset":
-        return Subset(self.carrier, ~self.bits & self.carrier.full_mask)
+        return _trusted(Subset, carrier=self.carrier, bits=~self.bits & self.carrier.full_mask)
 
     def issubset(self, other: "Subset") -> bool:
         self._check(other)
@@ -187,9 +215,10 @@ class FinFunction:
 
     def then(self, other: "FinFunction") -> "FinFunction":
         """Diagrammatic composition: self first, then other."""
-        if self.target != other.source:
+        if self.target is not other.source and self.target != other.source:
             raise CarrierMismatchError("composing functions with mismatched carriers")
-        return FinFunction(self.source, other.target, tuple(other.table[t] for t in self.table))
+        return _trusted(FinFunction, source=self.source, target=other.target,
+                        table=tuple(map(other.table.__getitem__, self.table)))
 
     def is_injective(self) -> bool:
         return len(set(self.table)) == len(self.table)
@@ -199,7 +228,8 @@ class FinFunction:
 
     def as_relation(self) -> "Relation":
         """The graph of the function, viewed as a relation source -> target."""
-        return Relation(self.source, self.target, tuple(1 << t for t in self.table))
+        return _trusted(Relation, source=self.source, target=self.target,
+                        rows=tuple(1 << t for t in self.table))
 
 
 @dataclass(frozen=True)
@@ -253,24 +283,29 @@ class Relation:
         return sum(row.bit_count() for row in self.rows)
 
     def _check_same_shape(self, other: "Relation"):
-        if self.source != other.source or self.target != other.target:
+        if (self.source is not other.source and self.source != other.source
+                or self.target is not other.target and self.target != other.target):
             raise CarrierMismatchError("relations over different carriers")
 
     def union(self, other: "Relation") -> "Relation":
         self._check_same_shape(other)
-        return Relation(self.source, self.target, tuple(a | b for a, b in zip(self.rows, other.rows)))
+        return _trusted(Relation, source=self.source, target=self.target,
+                        rows=tuple(map(int.__or__, self.rows, other.rows)))
 
     def intersection(self, other: "Relation") -> "Relation":
         self._check_same_shape(other)
-        return Relation(self.source, self.target, tuple(a & b for a, b in zip(self.rows, other.rows)))
+        return _trusted(Relation, source=self.source, target=self.target,
+                        rows=tuple(map(int.__and__, self.rows, other.rows)))
 
     def complement(self) -> "Relation":
         full = self.target.full_mask
-        return Relation(self.source, self.target, tuple(~r & full for r in self.rows))
+        return _trusted(Relation, source=self.source, target=self.target,
+                        rows=tuple(~r & full for r in self.rows))
 
     def __le__(self, other: "Relation") -> bool:
+        """Row-wise inclusion: each row ORed with the other's row gives the other's."""
         self._check_same_shape(other)
-        return all(a & ~b == 0 for a, b in zip(self.rows, other.rows))
+        return tuple(map(int.__or__, self.rows, other.rows)) == other.rows
 
     @cached_property
     def columns(self) -> tuple[int, ...]:
@@ -287,12 +322,12 @@ class Relation:
 
     def fiber10(self, j: int) -> Subset:
         """Sources related to target index j (a column)."""
-        return Subset(self.source, self.columns[j])
+        return _trusted(Subset, carrier=self.source, bits=self.columns[j])
 
 
 def compose(r: Relation, s: Relation) -> Relation:
     """Relational composition: (a,c) related iff some b has r(a,b) and s(b,c)."""
-    if r.target != s.source:
+    if r.target is not s.source and r.target != s.source:
         raise CarrierMismatchError("compose: target of first relation differs from source of second")
     rows = []
     for row in r.rows:
@@ -300,11 +335,11 @@ def compose(r: Relation, s: Relation) -> Relation:
         for b in _bits(row):
             acc |= s.rows[b]
         rows.append(acc)
-    return Relation(r.source, s.target, tuple(rows))
+    return _trusted(Relation, source=r.source, target=s.target, rows=tuple(rows))
 
 
 def transpose(r: Relation) -> Relation:
-    return Relation(r.target, r.source, r.columns)
+    return _trusted(Relation, source=r.target, target=r.source, rows=r.columns)
 
 
 def residuate_left(r: Relation, s: Relation) -> Relation:
@@ -313,10 +348,11 @@ def residuate_left(r: Relation, s: Relation) -> Relation:
     (b,c) holds iff every a with r(a,b) also has s(a,c); this is the unique
     relation with  r o x <= s  iff  x <= r\\s.
     """
-    if r.source != s.source:
+    if r.source is not s.source and r.source != s.source:
         raise CarrierMismatchError("residuate_left: relations must share their source")
     full = s.target.full_mask
-    return Relation(r.target, s.target, tuple(meet_bits(s.rows, col, full) for col in r.columns))
+    return _trusted(Relation, source=r.target, target=s.target,
+                    rows=tuple(meet_bits(s.rows, col, full) for col in r.columns))
 
 
 def residuate_right(r: Relation, s: Relation) -> Relation:
@@ -325,7 +361,7 @@ def residuate_right(r: Relation, s: Relation) -> Relation:
     (c,a) holds iff every b with r(a,b) also has s(c,b); this is the unique
     relation with  x o r <= s  iff  x <= s/r.
     """
-    if r.target != s.target:
+    if r.target is not s.target and r.target != s.target:
         raise CarrierMismatchError("residuate_right: relations must share their target")
     rows = []
     for c in range(s.source.size):
@@ -335,7 +371,7 @@ def residuate_right(r: Relation, s: Relation) -> Relation:
             if rrow & ~srow == 0:
                 acc |= 1 << a
         rows.append(acc)
-    return Relation(s.source, r.source, tuple(rows))
+    return _trusted(Relation, source=s.source, target=r.source, rows=tuple(rows))
 
 
 class ImageTriple(NamedTuple):
@@ -354,17 +390,18 @@ def images(f: FinFunction) -> ImageTriple:
     def existential(x: Subset) -> Subset:
         if x.carrier != source:
             raise CarrierMismatchError("existential image: subset not over the function source")
-        return Subset(target, image_bits(f, x.bits))
+        return _trusted(Subset, carrier=target, bits=image_bits(f, x.bits))
 
     def inverse(y: Subset) -> Subset:
         if y.carrier != target:
             raise CarrierMismatchError("inverse image: subset not over the function target")
-        return Subset(source, preimage_bits(f, y.bits))
+        return _trusted(Subset, carrier=source, bits=preimage_bits(f, y.bits))
 
     def universal(x: Subset) -> Subset:
         if x.carrier != source:
             raise CarrierMismatchError("universal image: subset not over the function source")
-        return Subset(target, ~image_bits(f, ~x.bits & source.full_mask) & target.full_mask)
+        return _trusted(Subset, carrier=target,
+                        bits=~image_bits(f, ~x.bits & source.full_mask) & target.full_mask)
 
     return ImageTriple(existential, inverse, universal)
 
@@ -373,14 +410,14 @@ def derive_forward(r: Relation, x: Subset) -> Subset:
     """Targets shared by every member of x: {b | all a in x have r(a,b)}."""
     if x.carrier != r.source:
         raise CarrierMismatchError("derive_forward: subset not over the relation source")
-    return Subset(r.target, meet_bits(r.rows, x.bits, r.target.full_mask))
+    return _trusted(Subset, carrier=r.target, bits=meet_bits(r.rows, x.bits, r.target.full_mask))
 
 
 def derive_reverse(r: Relation, y: Subset) -> Subset:
     """Sources related to every member of y: {a | all b in y have r(a,b)}."""
     if y.carrier != r.target:
         raise CarrierMismatchError("derive_reverse: subset not over the relation target")
-    return Subset(r.source, meet_bits(r.columns, y.bits, r.source.full_mask))
+    return _trusted(Subset, carrier=r.source, bits=meet_bits(r.columns, y.bits, r.source.full_mask))
 
 
 def meet_bits(lines, bits: int, full: int) -> int:

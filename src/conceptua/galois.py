@@ -9,14 +9,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 from .errors import AdjunctionError, CarrierMismatchError
-from .finrel import FinSet, Relation, Subset, image_bits, preimage_rows
+from .finrel import FinSet, Relation, Subset, _trusted, image_bits, preimage_rows
 from .order import (
     MonotoneMap,
     Poset,
     Preorder,
     _monotone,
     _restricted_rows,
-    _trusted,
     all_monotone_maps,
     opposite,
     poset_join,

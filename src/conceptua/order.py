@@ -12,6 +12,7 @@ from .finrel import (
     Relation,
     Subset,
     _bits,
+    _trusted,
     compose,
     derive_forward,
     derive_reverse,
@@ -90,18 +91,6 @@ def check_carrier_bound(size: int, what: str):
             f"{what} has {size} elements; its power order would have {elements} elements, "
             f"2^{size} rows of 2^{size} bits ({_bits_in_bytes(2 * size)}), above the carrier "
             f"bound {limit}; set CONCEPTUA_MAX_CARRIER to raise it")
-
-
-def _trusted(cls, **fields):
-    """An order, monotone map or bimodule built without running ``__post_init__``.
-
-    Every value the library derives is valid by construction and built here;
-    only the public constructors validate.
-    """
-    obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
-    return obj
 
 
 def _monotone(source: "Preorder", target: "Preorder", table) -> "MonotoneMap":
@@ -253,8 +242,10 @@ class Poset(Preorder):
 
 
 def same_order(p: Preorder, q: Preorder) -> bool:
-    """Carrier-label plus matrix equality, regardless of Preorder/Poset class."""
-    return p.carrier == q.carrier and p.leq == q.leq
+    """Carrier-label plus matrix equality, regardless of Preorder/Poset class;
+    shared carriers and relations compare by identity."""
+    return ((p.carrier is q.carrier or p.carrier == q.carrier)
+            and (p.leq is q.leq or p.leq == q.leq))
 
 
 def opposite(p: Preorder) -> Preorder:

@@ -1,6 +1,11 @@
 """Command-line interface: commands, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -379,12 +384,27 @@ def test_verify_zero_cases_still_runs(capsys):
 
 def test_institution_four_variables_depth_four_exits_3_before_enumerating_concepts(
         capsys, time_budget):
-    with time_budget(30):
+    with time_budget(5):
         assert main(["institution", "--vars", "4", "--depth", "4"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "2^16 concepts x 14546 sentence types = 953286656" in captured.err
     assert "STYLE_MAX_WORK = 67108864" in captured.err
+
+
+def test_institution_four_variables_depth_four_exits_3_quickly_in_a_child_process():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    start = time.perf_counter()
+    child = subprocess.run([sys.executable, "-m", "conceptua.cli", "institution", "--vars", "4",
+                            "--depth", "4"], capture_output=True, text=True, env=env, timeout=60)
+    seconds = time.perf_counter() - start
+    assert child.returncode == 3
+    assert child.stdout == ""
+    assert child.stderr == (
+        "size limit: style check at depth 4 would take up to 2^16 concepts x 14546 sentence "
+        "types = 953286656 intent bits, above the fixed cap of STYLE_MAX_WORK = 67108864\n")
+    assert seconds < 5  # 0.4 s measured on a 2-vCPU VM; the bound leaves room for a loaded one
 
 
 def test_institution_four_variables_depth_three_passes_all_four_styles(capsys, time_budget):

@@ -32,6 +32,8 @@ CASES = {
     "institution-vars-4-depth-2": (["institution", "--vars", "4", "--depth", "2"], 0),
     "verify-all-negative-control": (
         ["verify", "--suite", "all", "--cases", "5", "--negative-control"], 1),
+    "verify-all-seed-0": (["verify", "--suite", "all", "--seed", "0", "--cases", "100"], 0),
+    "verify-all-seed-1": (["verify", "--suite", "all", "--seed", "1", "--cases", "100"], 0),
 }
 
 

@@ -641,7 +641,8 @@ def test_theory_from_json_rejects_malformed(data):
 
 
 def oracle_enumerate_sentences(sig, depth):
-    """The earlier enumeration: every level built, with no cap."""
+    """The earlier enumeration: one ``truth_table`` per candidate sentence,
+    every level built, with no cap."""
     reps, tables = [], set()
 
     def add(s):
@@ -672,6 +673,10 @@ def test_enumeration_stopping_at_a_fixpoint_matches_every_level_built():
         for depth in range(7):
             assert enumerate_sentences(sig, depth) == oracle_enumerate_sentences(sig, depth)
         assert enumerate_sentences(sig, 10**9) == enumerate_sentences(sig, 6)
+    for sig, depths in ((Signature.of("p", "q", "r"), (1, 2, 3)),
+                        (Signature.of("p", "q", "r", "s"), (2, 3))):
+        for depth in depths:
+            assert enumerate_sentences(sig, depth) == oracle_enumerate_sentences(sig, depth)
 
 
 def test_sentence_level_cap_trips_before_building_the_level(time_budget):

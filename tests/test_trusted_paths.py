@@ -1,10 +1,12 @@
-"""Orders and maps built without re-validation agree with the validating constructors.
+"""Values built without re-validation agree with the validating constructors.
 
 Only the public constructors validate.  Every builder of a derived order, map,
 bimodule or adjunction runs here on seeded inputs with the validating checks
 counted (none may run), and each result must equal its rebuild through
 the public constructors, every adjunction passing ``check_adjunction``.  The
-image tables are compared with the per-subset loops they replaced.
+``finrel`` kernels' results must equal and hash like their rebuilds, with
+tuple fields of in-range ints.  The image tables are compared with the
+per-subset loops they replaced.
 """
 
 import itertools
@@ -20,7 +22,8 @@ import conceptua.institution as institution
 from conceptua.clg import concept_lattice, concepts_of, validate_concept_lattice
 from conceptua.clsn import Classification, derivation, enumerate_infomorphisms
 from conceptua.errors import CarrierMismatchError, SizeLimitError
-from conceptua.finrel import FinFunction, FinSet, Relation, image_tables, preimage_bits
+from conceptua.finrel import FinFunction, FinSet, Relation, Subset, compose, derive_forward, \
+    derive_reverse, image_tables, images, preimage_bits, residuate_left, residuate_right, transpose
 from conceptua.galois import check_adjunction, closure_interior, downset_coreflection, \
     enumerate_adjunctions, polar_factorize, recompose, upset_reflection
 from conceptua.institution import Signature, SignatureMorphism, classification_of_signature, \
@@ -535,3 +538,88 @@ def test_rejections_survive_the_unchecked_builds():
         order.equalizer(f, g)
     with pytest.raises(ValueError, match="not antisymmetric"):
         Poset.from_pairs(carrier("e", 2), [("e0", "e1"), ("e1", "e0")])
+
+
+def rebuilt_value(v):
+    """A finrel kernel's result rebuilt by its public constructor, after the
+    checks of the fields that constructor would make."""
+    if isinstance(v, Relation):
+        assert type(v.rows) is tuple and len(v.rows) == v.source.size
+        assert all(type(row) is int and 0 <= row <= v.target.full_mask for row in v.rows)
+        return Relation(v.source, v.target, v.rows)
+    if isinstance(v, Subset):
+        assert type(v.bits) is int and 0 <= v.bits <= v.carrier.full_mask
+        return Subset(v.carrier, v.bits)
+    assert type(v.table) is tuple and len(v.table) == v.source.size
+    assert all(type(t) is int and 0 <= t < v.target.size for t in v.table)
+    return FinFunction(v.source, v.target, v.table)
+
+
+def kernel_results(rng):
+    """One result of every finrel kernel that builds unchecked, on seeded inputs."""
+    a, b, c = (carrier(p, rng.randint(0, 4)) for p in "abc")
+
+    def rel(s, t):
+        return Relation(s, t, tuple(rng.getrandbits(t.size) for _ in range(s.size)))
+
+    def func(s, t):
+        return FinFunction(s, t, tuple(rng.randrange(t.size) for _ in range(s.size)))
+
+    def sub(s):
+        return Subset(s, rng.getrandbits(s.size))
+
+    r, r2, s_bc, t_ac = rel(a, b), rel(a, b), rel(b, c), rel(a, c)
+    x, x2, y = sub(a), sub(a), sub(b)
+    results = [compose(r, s_bc), transpose(r), residuate_left(r, t_ac), residuate_right(s_bc, t_ac),
+               r.union(r2), r.intersection(r2), r.complement(),
+               x.union(x2), x.intersection(x2), x.implies(x2), x.complement(),
+               derive_forward(r, x), derive_reverse(r, y), *(r.fiber10(j) for j in range(b.size))]
+    if b.size or not a.size:  # a function a -> b exists
+        f = func(a, b)
+        existential, inverse, universal = images(f)
+        results += [f.as_relation(), existential(sub(a)), inverse(sub(b)), universal(sub(a))]
+        if c.size or not b.size:
+            results.append(f.then(func(b, c)))
+    return results
+
+
+def test_finrel_kernel_results_equal_and_hash_like_their_public_rebuilds():
+    rng = random.Random(17)
+    for _ in range(300):
+        for v in kernel_results(rng):
+            rebuilt = rebuilt_value(v)
+            assert rebuilt == v and v == rebuilt
+            assert hash(rebuilt) == hash(v)
+            assert type(rebuilt) is type(v)
+
+
+def test_trusted_relations_keep_their_columns_and_inclusion():
+    rng = random.Random(5)
+    for _ in range(100):
+        a, b = carrier("a", rng.randint(1, 4)), carrier("b", rng.randint(1, 4))
+        r = Relation(a, b, tuple(rng.getrandbits(b.size) for _ in range(a.size)))
+        assert transpose(transpose(r)) == r
+        assert transpose(r).columns == r.rows
+        assert r.intersection(r.complement()) <= r <= r.union(r.complement())
+
+
+def test_public_constructors_still_reject_invalid_fields():
+    a, b = carrier("a", 2), carrier("b", 3)
+    with pytest.raises(ValueError, match="row has bits outside the target carrier"):
+        Relation(a, b, (0, 0b1000))
+    with pytest.raises(ValueError, match="row has bits outside the target carrier"):
+        Relation(a, b, (-1, 0))
+    with pytest.raises(ValueError, match="row count differs from source size"):
+        Relation(a, b, (0,))
+    with pytest.raises(ValueError, match="bitset 0x4 out of range for carrier of size 2"):
+        Subset(a, a.full_mask + 1)
+    with pytest.raises(ValueError, match="out of range"):
+        Subset(a, -1)
+    with pytest.raises(ValueError, match="table entry 3 is not a valid target index"):
+        FinFunction(a, b, (0, 3))
+    with pytest.raises(ValueError, match="table entry -1 is not a valid target index"):
+        FinFunction(a, b, (-1, 0))
+    with pytest.raises(ValueError, match="table length differs from source size"):
+        FinFunction(a, b, (0,))
+    assert Relation(a, b, [1, 2]).rows == (1, 2)
+    assert FinFunction(a, b, [2, 1]).table == (2, 1)
