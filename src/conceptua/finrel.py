@@ -501,11 +501,28 @@ def preimage_rows(f: FinFunction, masks) -> list[int]:
     return out
 
 
+def _join_table(lines) -> list[int]:
+    """The OR of ``lines[i]`` over the set bits i of y, for every y below
+    2^len(lines), indexed by y; the recurrence of ``meet_table`` with OR."""
+    table = [0] * (1 << len(lines))
+    for y in range(1, len(table)):
+        rest = y & (y - 1)
+        table[y] = table[rest] | lines[(y ^ rest).bit_length() - 1]
+    return table
+
+
 def image_tables(f: FinFunction) -> tuple[list[int], list[int]]:
     """The direct image of every source bitmask and the inverse image of every
-    target bitmask along ``f``, indexed by bitmask: adjoint by inclusion for any f."""
-    images = [image_bits(f, x) for x in range(1 << f.source.size)]
-    return images, preimage_rows(f, range(1 << f.target.size))
+    target bitmask along ``f``, indexed by bitmask: adjoint by inclusion for any f.
+
+    Each entry takes one OR: the image of x is the image of x minus its
+    lowest bit, plus the image of that bit; the preimage of y likewise
+    joins the fiber of y's lowest bit.
+    """
+    fibers = [0] * f.target.size
+    for i, t in enumerate(f.table):
+        fibers[t] |= 1 << i
+    return _join_table([1 << t for t in f.table]), _join_table(fibers)
 
 
 def image_factorize(f: FinFunction) -> tuple[FinFunction, FinFunction]:

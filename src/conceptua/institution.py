@@ -439,8 +439,16 @@ def enumerate_sentences(sig: Signature, depth: int) -> tuple[Sentence, ...]:
     ``SizeLimitError`` before a level of more than ``SENTENCE_LEVEL_MAX``
     candidates.
     """
+    return _sentences_and_tables(sig, depth)[0]
+
+
+@functools.lru_cache(maxsize=256)
+def _sentences_and_tables(sig: Signature, depth: int) -> tuple[tuple[Sentence, ...],
+                                                                tuple[int, ...]]:
+    """``enumerate_sentences`` and the truth table of each representative,
+    which the enumeration computes anyway."""
     if depth < 1:
-        return ()
+        return (), ()
     full = (1 << (1 << sig.size)) - 1
     reps: list[Sentence] = []
     tables: list[int] = []  # tables[i] is the truth table of reps[i]
@@ -478,7 +486,7 @@ def enumerate_sentences(sig: Signature, depth: int) -> tuple[Sentence, ...]:
                         add(t, op, lhs, level_reps[j])
         if len(reps) == len(level_reps):  # a level that adds nothing repeats itself
             break
-    return tuple(reps)
+    return tuple(reps), tuple(tables)
 
 
 class PropositionalInstitution:
@@ -564,19 +572,19 @@ def _satisfaction(sigma: SignatureMorphism, sentences, source_tables, inst):
 def classification_of_signature(sig: Signature, depth: int) -> Classification:
     """Models as instances, depth-bounded deduplicated sentences as types.
 
-    The sentences' truth tables are the columns of the incidence.  The
-    result is cached per signature and depth and shared, with the concepts
-    enumerated on it, by every later call; a ``SizeLimitError`` is not
-    cached.
+    The sentences' truth tables, as the enumeration computed them, are the
+    columns of the incidence.  The result is cached per signature and depth
+    and shared, with the concepts enumerated on it, by every later call; a
+    ``SizeLimitError`` is not cached.
     """
     if sig.size > 5:
         raise SizeLimitError(
             f"signature too large to materialize the model set: {sig.size} variables have "
             f"2^{sig.size} = {1 << sig.size} models, above the fixed cap of 5 variables")
-    sentences = enumerate_sentences(sig, depth)
+    sentences, tables = _sentences_and_tables(sig, depth)
     instances = model_carrier(sig)
     types = FinSet(tuple(render_sentence(s) for s in sentences))
-    columns = Relation(types, instances, tuple(truth_table(sig, s) for s in sentences))
+    columns = _trusted(Relation, source=types, target=instances, rows=tables)
     return Classification(instances, types, transpose(columns))
 
 

@@ -50,6 +50,18 @@ def _carrier(names: list, what: str, lines: list[int] | None = None) -> FinSet:
     return FinSet(tuple(names))
 
 
+# Rows are checked and converted at C speed; only a row that fails the
+# check is scanned cell by cell, for the first bad cell.
+_CSV_CELLS = frozenset(("0", "1", ".", "X"))
+_DIGITS = str.maketrans(".X", "01")
+
+
+def _row_mask(cells: str) -> int:
+    """The bitmask whose bit j is set when ``cells[j]`` is "1" or "X"; every
+    cell is one of "0", "1", "." and "X"."""
+    return int(cells[::-1].translate(_DIGITS), 2) if cells else 0
+
+
 def read_cxt(text: str) -> Classification:
     lines = text.split("\n")
     if lines and lines[-1] == "":
@@ -90,13 +102,10 @@ def read_cxt(text: str) -> Classification:
         row = get(idx + i)
         if len(row) != n_att:
             raise ParseError(f"row has length {len(row)}, expected {n_att}", line=idx + i + 1)
-        mask = 0
-        for j, ch in enumerate(row):
-            if ch == "X":
-                mask |= 1 << j
-            elif ch != ".":
-                raise ParseError(f"unexpected cell {ch!r}", line=idx + i + 1)
-        rows.append(mask)
+        if row.strip(".X"):
+            bad = next(ch for ch in row if ch not in ".X")
+            raise ParseError(f"unexpected cell {bad!r}", line=idx + i + 1)
+        rows.append(_row_mask(row))
     idx += n_obj
     if idx != len(lines):
         raise ParseError("trailing content after the incidence rows", line=idx + 1)
@@ -127,13 +136,11 @@ def read_csv(text: str) -> Classification:
             raise ParseError(f"expected {len(attributes) + 1} cells, got {len(cells)}", line=lineno)
         objects.append(cells[0])
         object_lines.append(lineno)
-        mask = 0
-        for j, cell in enumerate(cells[1:]):
-            if cell in ("1", "X"):
-                mask |= 1 << j
-            elif cell not in ("0", "."):
-                raise ParseError(f"unexpected cell {cell!r}", line=lineno)
-        rows.append(mask)
+        del cells[0]
+        if not _CSV_CELLS.issuperset(cells):
+            bad = next(cell for cell in cells if cell not in _CSV_CELLS)
+            raise ParseError(f"unexpected cell {bad!r}", line=lineno)
+        rows.append(_row_mask("".join(cells)))
     instances = _carrier(objects, "object", object_lines)
     types = _carrier(attributes, "attribute", [1] * len(attributes))
     return Classification(instances, types, Relation(instances, types, tuple(rows)))

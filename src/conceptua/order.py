@@ -94,9 +94,14 @@ def check_carrier_bound(size: int, what: str):
 
 
 def _monotone(source: "Preorder", target: "Preorder", table) -> "MonotoneMap":
-    """A map that is monotone by construction, built without the check."""
-    return _trusted(MonotoneMap, source=source, target=target,
-                    func=FinFunction(source.carrier, target.carrier, tuple(table)))
+    """A map that is monotone by construction, built without either check.
+
+    Every caller passes a table of in-range target indices, one per source
+    element: an index list or lookup of the target carrier, or a table of
+    bitsets below 2^|carrier| into a power order.
+    """
+    func = _trusted(FinFunction, source=source.carrier, target=target.carrier, table=tuple(table))
+    return _trusted(MonotoneMap, source=source, target=target, func=func)
 
 
 def _pulled_back_up_sets(func: FinFunction, target_rows) -> list[int]:

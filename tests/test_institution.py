@@ -182,14 +182,15 @@ def test_classification_size_bound():
 
 
 def test_classification_of_signature_is_cached_per_signature_and_depth(monkeypatch):
+    """A built classification renders each sentence once; a cached one none."""
     calls = []
-    real = institution.truth_table
+    real = institution.render_sentence
 
-    def counting(sig, s):
+    def counting(s):
         calls.append(s)
-        return real(sig, s)
+        return real(s)
 
-    monkeypatch.setattr(institution, "truth_table", counting)
+    monkeypatch.setattr(institution, "render_sentence", counting)
     classification_of_signature.cache_clear()
     first = classification_of_signature(SIG_PQ, 2)
     assert calls

@@ -46,6 +46,7 @@ from conceptua.institution import (
     theory_fiber,
     transport_theory,
     translate_sentence,
+    truth_table,
 )
 
 SIGNATURES = [Signature.of(*"pqr"[:n]) for n in range(4)]
@@ -194,6 +195,17 @@ def test_classification_rows_match_per_model_oracle():
             assert a.types.elements == tuple(
                 render_sentence(s) for s in enumerate_sentences(sig, depth))
             assert a.incidence.rows == oracle_classification_rows(sig, depth)
+
+
+def test_classification_columns_are_the_truth_table_of_each_sentence():
+    """The columns are the tables the enumeration computed; each must be the
+    ``truth_table`` walk of its sentence, for 0-4 variables at depths 1-3."""
+    for sig in SIGNATURES + [Signature.of(*"pqrs")]:
+        for depth in (1, 2, 3):
+            sentences = enumerate_sentences(sig, depth)
+            columns = classification_of_signature(sig, depth).incidence.columns
+            assert columns == tuple(truth_table(sig, s) for s in sentences)
+            assert institution._sentences_and_tables(sig, depth) == (sentences, columns)
 
 
 # ------------------------------------------------------------------ fiber cap

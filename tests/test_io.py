@@ -1,10 +1,14 @@
 """Context file formats: .cxt grammar, CSV dialect, JSON mirror."""
 
+import random
+
 import pytest
 
 from conceptua.errors import ParseError
 from conceptua.clsn import Classification
+from conceptua.finrel import Relation
 from conceptua.io import (
+    _carrier,
     detect_format,
     read_csv,
     read_cxt,
@@ -164,3 +168,130 @@ def test_read_context_rejects_ambiguous_names_and_deep_json(fmt, text):
     # "{}" and "{a,b}" would each label two subsets of the power order
     with pytest.raises(ParseError):
         read_context(text, fmt)
+
+
+# ------------------------------------------- row parsing against the cell loop
+
+
+def cell_loop_read_cxt(text):
+    """The earlier ``read_cxt``, which scans every row cell by cell."""
+    lines = text.split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+
+    def get(i: int) -> str:
+        if i >= len(lines):
+            raise ParseError("unexpected end of file", line=i + 1)
+        return lines[i]
+
+    if get(0) != "B":
+        raise ParseError('expected header "B"', line=1)
+    idx = 1
+    if get(idx) != "":
+        idx += 1  # optional name line
+    if get(idx) != "":
+        raise ParseError("expected blank line after the header", line=idx + 1)
+    idx += 1
+    try:
+        n_obj = int(get(idx))
+        n_att = int(get(idx + 1))
+    except ValueError:
+        raise ParseError("expected object/attribute counts", line=idx + 1) from None
+    if n_obj < 0 or n_att < 0:
+        raise ParseError("negative carrier size", line=idx + 1)
+    idx += 2
+    if get(idx) != "":
+        raise ParseError("expected blank line after the counts", line=idx + 1)
+    idx += 1
+    objects = [get(idx + i) for i in range(n_obj)]
+    instances = _carrier(objects, "object", [idx + i + 1 for i in range(n_obj)])
+    idx += n_obj
+    attributes = [get(idx + i) for i in range(n_att)]
+    types = _carrier(attributes, "attribute", [idx + i + 1 for i in range(n_att)])
+    idx += n_att
+    rows = []
+    for i in range(n_obj):
+        row = get(idx + i)
+        if len(row) != n_att:
+            raise ParseError(f"row has length {len(row)}, expected {n_att}", line=idx + i + 1)
+        mask = 0
+        for j, ch in enumerate(row):
+            if ch == "X":
+                mask |= 1 << j
+            elif ch != ".":
+                raise ParseError(f"unexpected cell {ch!r}", line=idx + i + 1)
+        rows.append(mask)
+    idx += n_obj
+    if idx != len(lines):
+        raise ParseError("trailing content after the incidence rows", line=idx + 1)
+    return Classification(instances, types, Relation(instances, types, tuple(rows)))
+
+
+def cell_loop_read_csv(text):
+    """The earlier ``read_csv``, which scans every row cell by cell."""
+    lines = [ln for ln in text.split("\n") if ln != ""]
+    if not lines:
+        raise ParseError("empty CSV", line=1)
+    header = lines[0].split(",")
+    attributes = header[1:]
+    objects = []
+    object_lines = []
+    rows = []
+    for lineno, ln in enumerate(lines[1:], start=2):
+        cells = ln.split(",")
+        if len(cells) != len(attributes) + 1:
+            raise ParseError(f"expected {len(attributes) + 1} cells, got {len(cells)}", line=lineno)
+        objects.append(cells[0])
+        object_lines.append(lineno)
+        mask = 0
+        for j, cell in enumerate(cells[1:]):
+            if cell in ("1", "X"):
+                mask |= 1 << j
+            elif cell not in ("0", "."):
+                raise ParseError(f"unexpected cell {cell!r}", line=lineno)
+        rows.append(mask)
+    instances = _carrier(objects, "object", object_lines)
+    types = _carrier(attributes, "attribute", [1] * len(attributes))
+    return Classification(instances, types, Relation(instances, types, tuple(rows)))
+
+
+def parsed(read, text):
+    """The classification read, or the ParseError's text and line."""
+    try:
+        return read(text)
+    except ParseError as exc:
+        return str(exc), exc.line
+
+
+def seeded_rows(rng, n_att, cells, bad_cells):
+    """Valid rows, with every third row given one bad cell at a random place."""
+    rows = []
+    for i in range(rng.randint(0, 6)):
+        row = [rng.choice(cells) for _ in range(n_att)]
+        if i % 3 == 2 and n_att:
+            row[rng.randrange(n_att)] = rng.choice(bad_cells)
+        rows.append(row)
+    return rows
+
+
+def test_cxt_rows_parse_as_the_cell_loop_did():
+    rng = random.Random(1806)
+    for _ in range(400):
+        n_att = rng.randint(0, 9)
+        rows = seeded_rows(rng, n_att, ".X", ["x", "1", "0", " ", "\r", "XX", "", ".X."])
+        objects = [f"g{i}" for i in range(len(rows))]
+        attributes = [f"m{j}" for j in range(n_att)]
+        lines = ["B", "", str(len(rows)), str(n_att), ""] + objects + attributes
+        text = "\n".join(lines + ["".join(row) for row in rows]) + "\n"
+        assert parsed(read_cxt, text) == parsed(cell_loop_read_cxt, text)
+
+
+def test_csv_rows_parse_as_the_cell_loop_did():
+    rng = random.Random(1807)
+    for _ in range(400):
+        n_att = rng.randint(0, 9)
+        rows = seeded_rows(rng, n_att, ["0", "1", ".", "X"],
+                           ["x", "10", "", " 1", "1\r", "01", "X.", "2", "a,b"])
+        header = ",".join([""] + [f"m{j}" for j in range(n_att)])
+        text = "\n".join([header] + [",".join([f"g{i}"] + row) for i, row in enumerate(rows)])
+        assert parsed(read_csv, text) == parsed(cell_loop_read_csv, text)

@@ -19,11 +19,13 @@ import conceptua.clg as clg
 import conceptua.clsn as clsn
 import conceptua.galois as galois
 import conceptua.institution as institution
+import conceptua.verify as verify
 from conceptua.clg import concept_lattice, concepts_of, validate_concept_lattice
 from conceptua.clsn import Classification, derivation, enumerate_infomorphisms
 from conceptua.errors import CarrierMismatchError, SizeLimitError
 from conceptua.finrel import FinFunction, FinSet, Relation, Subset, compose, derive_forward, \
-    derive_reverse, image_tables, images, preimage_bits, residuate_left, residuate_right, transpose
+    derive_reverse, image_bits, image_tables, images, preimage_bits, preimage_rows, residuate_left, \
+    residuate_right, transpose
 from conceptua.galois import check_adjunction, closure_interior, downset_coreflection, \
     enumerate_adjunctions, polar_factorize, recompose, upset_reflection
 from conceptua.institution import Signature, SignatureMorphism, classification_of_signature, \
@@ -518,6 +520,28 @@ def test_image_tables_and_preimage_bits_equal_the_loops_on_every_small_function(
             assert [preimage_bits(f, y) for y in range(1 << m)] == preimages
 
 
+def comprehension_image_tables(f):
+    """The earlier ``image_tables``: one ``image_bits`` per source bitmask and
+    one batched preimage of every target bitmask."""
+    return ([image_bits(f, x) for x in range(1 << f.source.size)],
+            preimage_rows(f, range(1 << f.target.size)))
+
+
+def test_image_tables_equal_the_per_subset_comprehension():
+    """Every function between carriers of up to 3 elements, then seeded ones
+    of up to 8."""
+    functions = [FinFunction(carrier("a", n), carrier("b", m), table)
+                 for n, m in itertools.product(range(4), range(4))
+                 for table in itertools.product(range(m), repeat=n)]
+    rng = random.Random(1808)
+    for _ in range(80):
+        n, m = rng.randint(0, 8), rng.randint(1, 8)
+        functions.append(FinFunction(carrier("a", n), carrier("b", m),
+                                     tuple(rng.randrange(m) for _ in range(n))))
+    for f in functions:
+        assert image_tables(f) == comprehension_image_tables(f)
+
+
 def test_rejections_survive_the_unchecked_builds():
     v = carrier("v", 3)  # the V shape: v1 and v2 above v0, with no join
     vee = Poset(v, Relation(v, v, (0b111, 0b010, 0b100)))
@@ -623,3 +647,26 @@ def test_public_constructors_still_reject_invalid_fields():
         FinFunction(a, b, (0,))
     assert Relation(a, b, [1, 2]).rows == (1, 2)
     assert FinFunction(a, b, [2, 1]).table == (2, 1)
+
+
+def test_monotone_maps_of_one_verify_run_equal_their_validated_rebuilds(monkeypatch):
+    """``order._monotone`` builds its function unchecked too.  Every map it
+    builds in one ``verify --suite all`` (seed 0, 100 cases) equals, and
+    hashes like, its rebuild through the validating constructors."""
+    built = []
+    monotone = order._monotone
+
+    def recording(source, target, table):
+        built.append(monotone(source, target, table))
+        return built[-1]
+
+    for module in (order, clg, clsn, galois, institution):
+        monkeypatch.setattr(module, "_monotone", recording)
+    assert all(report.ok for report in verify.run_suite("all", 0, 100))
+    assert len(built) > 1000
+    for f in built:
+        table = f.func.table
+        assert type(table) is tuple and all(type(t) is int for t in table)
+        rebuilt = MonotoneMap(f.source, f.target,
+                              FinFunction(f.source.carrier, f.target.carrier, table))
+        assert rebuilt == f and hash(rebuilt) == hash(f)
