@@ -14,6 +14,7 @@ they are built only when first read, and validation reads neither.
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from json.encoder import encode_basestring_ascii as _json_string
 
 from .errors import CarrierMismatchError, NotAConceptLatticeError, SizeLimitError
 from .finrel import (
@@ -21,6 +22,7 @@ from .finrel import (
     FinSet,
     Relation,
     Subset,
+    _bits,
     _trusted,
     image_bits,
     image_tables,
@@ -36,6 +38,7 @@ from .galois import (
 from .order import (
     Poset,
     _bits_in_bytes,
+    _dot_quote,
     _monotone,
     carrier_bound,
     hasse_edges,
@@ -590,22 +593,41 @@ def lattice_roundtrip_iso(lat: ConceptLattice) -> LatticeIsomorphism:
     return LatticeIsomorphism(forward, backward)
 
 
-def lattice_to_json(lat: ConceptLattice) -> dict:
-    return {
-        "objects": list(lat.instances.elements),
-        "attributes": list(lat.types.elements),
-        "concepts": [
-            {"extent": list(c.extent.indices()), "intent": list(c.intent.indices())}
-            for c in lat.concepts
-        ],
-        "cover": [[i, j] for i, j in hasse_edges(lat.lattice)],
-    }
+def _json_list(items: list[str], pad: str) -> str:
+    """A list of JSON-encoded items laid out as ``json.dumps(..., indent=2)`` lays
+    out a list whose closing bracket sits at indent ``pad``."""
+    if not items:
+        return "[]"
+    inner = pad + "  "
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+
+
+def lattice_to_json(lat: ConceptLattice) -> str:
+    """The lattice as the JSON text that ``conceptua lattice`` writes, trailing newline
+    included: objects and attributes by label, each concept's extent and intent by
+    index, and the cover pairs, indented as ``json.dumps(..., indent=2)`` would."""
+    concepts = [
+        '{\n      "extent": '
+        + _json_list([str(k) for k in _bits(c.extent.bits)], "      ")
+        + ',\n      "intent": '
+        + _json_list([str(k) for k in _bits(c.intent.bits)], "      ")
+        + "\n    }"
+        for c in lat.concepts
+    ]
+    cover = [f"[\n      {i},\n      {j}\n    ]" for i, j in hasse_edges(lat.lattice)]
+    return ('{\n  "objects": '
+            + _json_list([_json_string(x) for x in lat.instances.elements], "  ")
+            + ',\n  "attributes": '
+            + _json_list([_json_string(x) for x in lat.types.elements], "  ")
+            + ',\n  "concepts": ' + _json_list(concepts, "  ")
+            + ',\n  "cover": ' + _json_list(cover, "  ")
+            + "\n}\n")
 
 
 def lattice_to_dot(lat: ConceptLattice, name: str = "lattice") -> str:
     lines = [f"digraph {name} {{", "  rankdir=BT;"]
     for k, c in enumerate(lat.concepts):
-        lines.append(f'  n{k} [label="{c.label()}"];')
+        lines.append(f"  n{k} [label={_dot_quote(c.label())}];")
     for i, j in hasse_edges(lat.lattice):
         lines.append(f"  n{i} -> n{j};")
     lines.append("}")

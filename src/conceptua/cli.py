@@ -49,10 +49,7 @@ def cmd_lattice(args) -> int:
     fmt = args.informat or detect_format(args.input)
     a = read_context(_read_file(args.input), fmt)
     lat = concept_lattice(a)
-    if args.format == "json":
-        payload = json.dumps(lattice_to_json(lat), indent=2) + "\n"
-    else:
-        payload = lattice_to_dot(lat)
+    payload = (lattice_to_json if args.format == "json" else lattice_to_dot)(lat)
     if args.out:
         Path(args.out).write_text(payload)
     else:

@@ -536,19 +536,22 @@ def check_satisfaction_condition(
     """reduct(m) satisfies s iff m satisfies translate(s), for all target
     models and source sentences up to the configured depth.
 
-    Per sentence, the preimage of its truth table along the reduct map is
-    compared with the truth table of its translation; failures are listed
-    model by model, sentence by sentence within a model.
+    Per sentence, the preimage of its truth table (as the enumeration
+    computed it) along the reduct map is compared with the truth table of its
+    translation; failures are listed model by model, sentence by sentence
+    within a model.
     """
     inst = institution or PropositionalInstitution()
-    sentences = enumerate_sentences(sigma.source, config.depth)
+    sentences, tables = _sentences_and_tables(sigma.source, config.depth)
     if config.max_sentences is not None and len(sentences) > config.max_sentences:
         import random
 
-        rng = random.Random(config.seed)
-        sentences = rng.sample(sentences, config.max_sentences)
-    return _satisfaction(sigma, sentences, [truth_table(sigma.source, s) for s in sentences],
-                         inst)[0]
+        # sample draws positions from the length alone, so sampling positions
+        # picks the same sentences as sampling the sentences themselves
+        picks = random.Random(config.seed).sample(range(len(sentences)), config.max_sentences)
+        sentences = [sentences[k] for k in picks]
+        tables = [tables[k] for k in picks]
+    return _satisfaction(sigma, sentences, tables, inst)[0]
 
 
 def _satisfaction(sigma: SignatureMorphism, sentences, source_tables, inst):

@@ -721,11 +721,17 @@ def preorder_from_json(data: dict) -> Preorder:
     return Preorder(carrier, Relation(carrier, carrier, tuple(rows)))
 
 
+def _dot_quote(text: str) -> str:
+    """``text`` as a DOT quoted string: backslashes first, then double quotes, escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def preorder_to_dot(p: Preorder, name: str = "order") -> str:
     lines = [f"digraph {name} {{", "  rankdir=BT;"]
-    for label in p.carrier.elements:
-        lines.append(f'  "{label}";')
+    quoted = [_dot_quote(label) for label in p.carrier.elements]
+    for label in quoted:
+        lines.append(f"  {label};")
     for i, j in hasse_edges(p):
-        lines.append(f'  "{p.carrier.elements[i]}" -> "{p.carrier.elements[j]}";')
+        lines.append(f"  {quoted[i]} -> {quoted[j]};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -1,5 +1,6 @@
 """Concept lattices: enumeration, round trips, morphisms, joins/meets."""
 
+import json
 import random
 
 import pytest
@@ -458,7 +459,7 @@ def test_non_join_dense_embedding_is_rejected():
 
 def test_lattice_json_and_dot_export():
     lat = concept_lattice(WORKED)
-    data = lattice_to_json(lat)
+    data = json.loads(lattice_to_json(lat))
     assert data["objects"] == ["1", "2"]
     assert data["attributes"] == ["a", "b"]
     assert data["concepts"] == [

@@ -24,6 +24,8 @@ CASES = {
     "lattice-csv-dot": (["lattice", "@animals.csv", "--format", "dot"], 0),
     "lattice-json-json": (["lattice", "@shapes.json"], 0),
     "lattice-json-dot": (["lattice", "@shapes.json", "--format", "dot"], 0),
+    "lattice-quoted-json": (["lattice", "@quoted.json"], 0),
+    "lattice-quoted-dot": (["lattice", "@quoted.json", "--format", "dot"], 0),
     "infomap-valid": (["infomap", "@info_a.cxt", "@info_b.cxt", "@info_valid.json"], 0),
     "infomap-invalid": (["infomap", "@info_a.cxt", "@info_b.cxt", "@info_invalid.json"], 1),
     "merge-check-universal": (["merge", "@span.json", "--check-universal"], 0),

@@ -6,7 +6,9 @@ loop that built one model and one reduct per target model, copied in as
 the oracle. Transports are compared for every theory of every signature
 morphism between signatures of up to 3 variables, the satisfaction check
 on every morphism between signatures of up to 2 variables, honest and with
-a corrupted reduct. Results, failure lists and counts must be identical.
+a corrupted reduct, and on two endomorphisms of 3 variables, where it may
+walk only the translated sentences' truth tables. Results, failure lists
+and counts must be identical.
 The style report runs beside the earlier ``style_interconvert``, which
 re-checked adjointness and the concept squares after the transport
 returned, on the honest and three corrupted institutions; every pair of
@@ -182,6 +184,37 @@ def test_satisfaction_check_matches_per_model_oracle(inst, config):
         assert got.sentences_checked == want.sentences_checked
         any_failure |= bool(want.failures)
     assert any_failure == isinstance(inst, Corrupted)
+
+
+@pytest.mark.parametrize("config", [SatisfactionConfig(depth=3),
+                                    SatisfactionConfig(depth=3, max_sentences=20, seed=5)],
+                         ids=["all", "sampled"])
+def test_satisfaction_check_walks_only_the_translated_sentences(config, monkeypatch):
+    """The source tables come from the enumeration, so the check walks one
+    truth table per checked sentence, that of its translation."""
+    calls = []
+    real = institution.truth_table
+
+    def counting(sig, s):
+        calls.append(sig)
+        return real(sig, s)
+
+    big = SIGNATURES[3]
+    cases = [SignatureMorphism.identity(big),
+             SignatureMorphism(big, big, FinFunction(big.vars, big.vars, (0, 0, 0)))]
+    for inst in (PropositionalInstitution(), Corrupted()):
+        for sigma in cases:
+            enumerate_sentences(sigma.source, config.depth)
+            monkeypatch.setattr(institution, "truth_table", counting)
+            got = check_satisfaction_condition(sigma, config, inst)
+            monkeypatch.setattr(institution, "truth_table", real)
+            want = oracle_satisfaction(sigma, config, inst)
+            assert got.failures == want.failures
+            assert (got.models_checked, got.sentences_checked) == (
+                want.models_checked, want.sentences_checked)
+            assert calls == [sigma.target] * want.sentences_checked
+            calls.clear()
+    assert check_satisfaction_condition(cases[0], SatisfactionConfig(depth=3)).sentences_checked == 101
 
 
 # -------------------------------------------------------------- classification
