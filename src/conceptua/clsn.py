@@ -183,17 +183,21 @@ def check_infomorphism(f: Infomorphism) -> InfomorphismReport:
         preimage_rows(inst_map, a.incidence.columns) == [b_cols[t] for t in typ_map.table]
         and preimage_rows(typ_map, b.incidence.rows) == [a_rows[s] for s in inst_map.table])
 
-    # The derivation square commutes on every subset of each side.  Both of
-    # its paths send unions to intersections, so the empty set and the
-    # singletons, which generate every subset by unions, suffice.
+    return InfomorphismReport(relation_ok, morphism_ok, _square_commutes(f), witness)
+
+
+def _square_commutes(f: Infomorphism) -> bool:
+    """The adjunction version: the derivation square commutes on every
+    subset of each side.  Both of its paths send unions to intersections,
+    so the empty set and the singletons, which generate every subset by
+    unions, suffice."""
+    a, b, inst_map, typ_map = f.source, f.target, f.inst_map, f.typ_map
     xs, ys = ([0] + [1 << i for i in range(n)] for n in (b.instances.size, a.types.size))
-    adjunction_ok = (
+    return (
         [a.intent_of(image_bits(inst_map, x)) for x in xs]
         == preimage_rows(typ_map, [b.intent_of(x) for x in xs])
         and preimage_rows(inst_map, [a.extent_of(y) for y in ys])
         == [b.extent_of(image_bits(typ_map, y)) for y in ys])
-
-    return InfomorphismReport(relation_ok, morphism_ok, adjunction_ok, witness)
 
 
 def order_as_classification(p: Preorder) -> Classification:

@@ -1010,7 +1010,7 @@ def style_interconvert(sigma: SignatureMorphism, depth: int,
     recipe, with it.  Raises ``SizeLimitError`` before any concept is
     enumerated when either classification's work estimate passes
     ``STYLE_MAX_WORK``."""
-    from .clsn import Infomorphism, check_infomorphism
+    from .clsn import Infomorphism, _square_commutes
     from .clg import _right_recipes, concept_transport, concepts_of
 
     inst = institution or PropositionalInstitution()
@@ -1047,7 +1047,7 @@ def style_interconvert(sigma: SignatureMorphism, depth: int,
     class_adj = conc_adj = conc_rel = False
     if translatable:
         info = Infomorphism(a, b, r, FinFunction(a.types, b.types, tuple(typ_table)))
-        class_adj = check_infomorphism(info).adjunction_version
+        class_adj = _square_commutes(info)
         if not class_adj:
             witnesses.setdefault("class_adj", "derivation square fails")
 

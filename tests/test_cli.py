@@ -50,6 +50,15 @@ def test_lattice_dot_output(contra2, tmp_path, capsys):
     assert out.read_text().startswith("digraph")
 
 
+@pytest.mark.parametrize("out", ["missing/o.json", "."], ids=["missing-directory", "directory"])
+def test_lattice_unwritable_out_exits_2(contra2, tmp_path, capsys, out):
+    code = main(["lattice", str(contra2), "--out", str(tmp_path / out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"parse error: cannot write {tmp_path / out}: ")
+
+
 def test_lattice_informat_override(tmp_path, capsys):
     path = tmp_path / "context.txt"  # extension gives no hint
     path.write_text(CONTRA2)
@@ -152,6 +161,16 @@ def test_merge_span_file(tmp_path, capsys):
     assert data["signature"] == ["L.p", "C.q", "R.r"]
     assert sorted(map(tuple, data["models"])) == [("C.q", "R.r"), ("L.p", "C.q", "R.r")]
     assert data["inconsistent"] is False
+
+
+@pytest.mark.parametrize("out", ["missing/o.json", "."], ids=["missing-directory", "directory"])
+def test_merge_unwritable_out_exits_2(tmp_path, capsys, out):
+    span = Path(__file__).parent / "golden" / "span.json"
+    code = main(["merge", str(span), "--out", str(tmp_path / out)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"parse error: cannot write {tmp_path / out}: ")
 
 
 def test_merge_inconsistent_warns_but_exits_0(tmp_path, capsys):

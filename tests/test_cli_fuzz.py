@@ -108,12 +108,17 @@ def payloads(structured=st.nothing()):
     )
 
 
+GOLDEN = Path(__file__).parent / "golden"
+# An --out path whose directory does not exist.
+MISSING_OUT = "missing/o.json"
+
 CONTEXTS = st.tuples(st.sampled_from(["cxt", "csv", "json"]),
                      payloads(near_valid(context)) | CXT_TEXT.map(str.encode))
 
 
-def run_cli(files: dict[str, bytes], argv: list[str]) -> int:
-    """Write the files to a fresh directory and run the CLI there with output captured.
+def run_cli(files: dict[str, bytes], argv: list[str], out: str | None = None) -> int:
+    """Write the files to a fresh directory and run the CLI there with output captured,
+    with ``--out`` set to ``out`` under that directory when it is given.
 
     The carrier bound is lowered so a fuzzed context large enough to trip it
     takes the size-limit exit instead of materializing a power order.
@@ -123,16 +128,18 @@ def run_cli(files: dict[str, bytes], argv: list[str]) -> int:
             contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         for name, data in files.items():
             Path(tmp, name).write_bytes(data)
-        return main([str(Path(tmp, arg)) if arg in files else arg for arg in argv])
+        argv = [str(Path(tmp, arg)) if arg in files else arg for arg in argv]
+        return main(argv + (["--out", str(Path(tmp, out))] if out else []))
 
 
 @FUZZ
-@given(span=payloads(near_valid(span)))
-@example(span=b'"base left right left_map right_map"')
-@example(span=b"[" * 5000)
-@example(span=b"\xff\xfe")
-def test_merge_never_raises(span):
-    assert run_cli({"span.json": span}, ["merge", "span.json"]) in {0, 1, 2, 3}
+@given(span=payloads(near_valid(span)), out=st.none())
+@example(span=b'"base left right left_map right_map"', out=None)
+@example(span=b"[" * 5000, out=None)
+@example(span=b"\xff\xfe", out=None)
+@example(span=(GOLDEN / "span.json").read_bytes(), out=MISSING_OUT)
+def test_merge_never_raises(span, out):
+    assert run_cli({"span.json": span}, ["merge", "span.json"], out) in {0, 1, 2, 3}
 
 
 UNRELATED_FILES = st.tuples(CONTEXTS, CONTEXTS, payloads())
@@ -150,8 +157,9 @@ def test_infomap_never_raises(files):
 
 
 @FUZZ
-@given(context=CONTEXTS)
-@example(context=("json", b'{"source": ' + b"[" * 5000 + b"}"))
-def test_lattice_never_raises(context):
+@given(context=CONTEXTS, out=st.none())
+@example(context=("json", b'{"source": ' + b"[" * 5000 + b"}"), out=None)
+@example(context=("cxt", (GOLDEN / "planets.cxt").read_bytes()), out=MISSING_OUT)
+def test_lattice_never_raises(context, out):
     fmt, data = context
-    assert run_cli({f"ctx.{fmt}": data}, ["lattice", f"ctx.{fmt}"]) in {0, 1, 2, 3}
+    assert run_cli({f"ctx.{fmt}": data}, ["lattice", f"ctx.{fmt}"], out) in {0, 1, 2, 3}
