@@ -1,12 +1,14 @@
 """Concept lattices and concept morphisms.
 
-``concept_lattice`` enumerates the formal concepts of a classification with
-Close-by-One over its smaller side, one closure per distinct child intent,
-in lectic order of extents and packages them with the join-dense
-instance embedding and the meet-dense type embedding, which by the basic
-theorem determine the classification: ``classification_of`` recovers it
-bit-exactly.  The enumeration runs once per classification and is kept on
-it (``Classification.concepts``), so ``concepts_of``, ``concept_poset`` and
+``concept_lattice`` enumerates the formal concepts of a classification as
+the intersection closure of the lines of its smaller side (every intent is
+an intersection of object intents, every extent one of attribute extents),
+at most n_small x |concepts| ANDs, sorts them once into lectic order of
+extents and packages them with the join-dense instance embedding and the
+meet-dense type embedding, which by the basic theorem determine the
+classification: ``classification_of`` recovers it bit-exactly.  The
+enumeration runs once per classification and is kept on it
+(``Classification.concepts``), so ``concepts_of``, ``concept_poset`` and
 ``concept_lattice`` on the same classification share it.  The extent
 reflection and the intent coreflection run through both power orders, so
 they are built only when first read, and validation reads neither.
@@ -126,73 +128,64 @@ def _too_many_concepts(bound: int, limit: int) -> SizeLimitError:
         "to raise the bound")
 
 
-def _lectic_pairs(rows, cols, full_row: int, full_col: int, bound: int) -> list[tuple[int, int]]:
-    """Every (extent, intent) pair of the context whose objects have the
-    attribute masks ``rows`` and whose attributes have the object masks
-    ``cols``, in lectic order of extents (bit 0 most significant).
-
-    Close-by-One on bitsets.  A concept (A, B) made from object y has a
-    child for each object j >= y outside A whose closure, the extent C of
-    B & row j, adds nothing to A below j.  Objects with the same B & row j
-    share one closure, which holds them all, so only the lowest j of each
-    group can pass.  The candidates are therefore grouped by B & row j, in
-    order of their lowest j (the members of A all land in the group of B,
-    which is dropped), and one AND-of-columns closure is made per group.
-    The group's lowest j is the lowest object l of C outside A exactly when
-    C passes: l must be a candidate (l >= y) of the same group (B & row l
-    is B & row j).  The walk is a pre-order on an explicit stack with the
-    largest j popped first, which is lectic order.  Raises
-    ``SizeLimitError`` once more than 2^bound concepts have been emitted.
-    """
-    limit = 1 << min(bound, 64)
-    extent = full_row
-    for col in cols:
-        extent &= col
-    intent = full_col
-    for g, row in enumerate(rows):
-        if extent >> g & 1:
-            intent &= row
-    out = []
-    stack = [(0, extent, intent)]
-    while stack:
-        start, extent, intent = stack.pop()
-        out.append((extent, intent))
-        if len(out) > limit:
-            raise _too_many_concepts(bound, limit)
-        groups = dict.fromkeys(map(intent.__and__, rows[start:]))
-        groups.pop(intent, None)
-        for child_intent in groups:
-            child = full_row
-            bits = child_intent
-            while bits:
-                low = bits & -bits
-                child &= cols[low.bit_length() - 1]
-                bits ^= low
-            added = child ^ extent
-            j = (added & -added).bit_length()  # the lowest added object, plus one
-            if j > start and rows[j - 1] & intent == child_intent:
-                stack.append((j, child, child_intent))
-    return out
+# byte b with its eight bits in reverse order, so that the little-endian bytes of
+# a mask, translated, sort as its bits read from bit 0 down: lectic order
+_REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
 def _concepts_lectic(a: Classification) -> tuple[FormalConcept, ...]:
     """Every formal concept of ``a``, in lectic order of extents.
 
-    ``_lectic_pairs`` runs over the smaller side: on the transpose when
-    there are more instances than types, its (intent, extent) pairs then
-    swapped and sorted once by the bit reversal of the extent.  Each concept
-    and its two subsets are valid by construction and built like
-    ``finrel._trusted``, inlined.
+    The closed sets are the intersection closure of the lines of the smaller
+    side (the rows when there are no more instances than types, else the
+    columns), the empty intersection being the full mask of the other side:
+    one pass per line adds its meet with every set found so far, at most
+    n_small x |concepts| ANDs in all.  Each closed set's derivation is the
+    AND of the other side's lines over its bits or, when it has at least
+    n_small bits, the scan of the small side's lines for the ones that hold
+    it: min(|set|, n_small) lines.  The concepts are then sorted once by the
+    bit reversal of their extents.  Each concept and its two subsets are
+    valid by construction and built like ``finrel._trusted``, inlined.
+
+    The set only grows and each member is one concept's intent (or extent),
+    so the size check after each pass raises exactly when there are more
+    than 2^bound concepts; the last pass may hold up to 2 x 2^bound masks
+    before it does.
     """
     inst, typ = a.instances, a.types
     rows, cols = a.incidence.rows, a.incidence.columns
-    n, bound = inst.size, carrier_bound()
-    if n > typ.size:
-        pairs = [(e, t) for t, e in _lectic_pairs(cols, rows, typ.full_mask, inst.full_mask, bound)]
-        spelled = f"0{n}b"
-        pairs.sort(key=lambda pair: format(pair[0], spelled)[::-1])
+    bound = carrier_bound()
+    limit = 1 << min(bound, 64)
+    by_rows = inst.size <= typ.size
+    if by_rows:
+        lines, other, full, full_small = rows, cols, typ.full_mask, inst.full_mask
     else:
-        pairs = _lectic_pairs(rows, cols, inst.full_mask, typ.full_mask, bound)
+        lines, other, full, full_small = cols, rows, inst.full_mask, typ.full_mask
+    closed = {full}
+    for line in lines:
+        closed |= {line & c for c in closed}
+        if len(closed) > limit:
+            raise _too_many_concepts(bound, limit)
+    n_small = len(lines)
+    pairs = []
+    for c in closed:
+        if c.bit_count() < n_small:
+            derived = full_small
+            bits = c
+            while bits:
+                low = bits & -bits
+                derived &= other[low.bit_length() - 1]
+                bits ^= low
+        else:
+            derived = 0
+            bit = 1
+            for line in lines:
+                if line & c == c:
+                    derived |= bit
+                bit <<= 1
+        pairs.append((derived, c) if by_rows else (c, derived))
+    width = (inst.size + 7) // 8
+    pairs.sort(key=lambda pair: pair[0].to_bytes(width, "little").translate(_REVERSED_BYTES))
     new = object.__new__
     out = []
     for e, t in pairs:
@@ -209,11 +202,12 @@ def _concepts_lectic(a: Classification) -> tuple[FormalConcept, ...]:
 def concepts_of(a: Classification) -> tuple[FormalConcept, ...]:
     """Formal concepts in lectic order of extents, without any packaging.
 
-    The concepts are enumerated once per classification, by Close-by-One on
-    bitsets over the smaller side, and kept as ``Classification.concepts``;
-    every later call reads them back.  Candidates that share a child intent
-    share one closure of O(|that intent|) big-int ANDs: about 3 closures
-    of 1.7 ANDs per concept on the random 14-40 x 14-40 contexts of density
+    The concepts are enumerated once per classification, as the closure
+    under intersection of the lines of the smaller side, and kept as
+    ``Classification.concepts``; every later call reads them back.  The
+    closure makes at most n_small x |concepts| big-int ANDs and deriving the
+    closed sets reads min(|set|, n_small) lines each: 6.1 ANDs and 3.4 line
+    reads per concept on the random 14-40 x 14-40 contexts of density
     0.25-0.3 of the lattice-wide benchmark.  No power order is built, so
     this also serves classifications with many types.  Past 2^carrier_bound()
     concepts, whose order would take the bits of a power order, raises

@@ -991,12 +991,13 @@ class StyleReport:
 
 # Largest style check run, in intent bits: a classification has at most
 # 2^min(|models|, |types|) concepts, each with an intent of |types| bits.
-# Enumeration ANDs those intents, the concept transport ORs one fiber per
-# intent bit and keys a dict by intents, and they are what stays in memory.
-# On a 2-vCPU VM (Python 3.11) the CLI demo takes 0.03 s at 4 variables and
-# depth 2 (2.2M bits) and 1.0 s at depth 3 (32M bits, 63 488 concepts:
-# 0.4 s enumeration, 0.6 s transport, 60 MB peak).  The cap is twice that;
-# depth 4 (953M bits) would hold ~120 MB of intents alone.
+# Enumeration intersects the model rows with those intents, the concept
+# transport ORs one fiber per intent bit and keys a dict by intents, and
+# they are what stays in memory.  On a 2-vCPU VM (Python 3.11) the CLI demo
+# takes 0.06 s at 4 variables and depth 2 (2.2M bits) and 1.4-2.0 s at depth
+# 3 (32M bits, 63 744 concepts: 0.5-0.8 s enumeration, 0.7-1.2 s transport,
+# 96 MB peak).  The cap is twice that; depth 4 (953M bits) would hold
+# ~120 MB of intents alone.
 STYLE_MAX_WORK = 1 << 26
 
 

@@ -105,16 +105,16 @@ def test_concepts_of_matches_derive_nextclosure_on_seeded_contexts():
         assert concepts_of(a) == nextclosure_concepts(a)
 
 
-def int_nextclosure(a, meet=meet_bits):
+def int_nextclosure(a):
     """The earlier NextClosure on plain ints, without its size guard: the
     successor of extent A is the closure of (A below i) + i for the largest i
-    outside A whose closure adds nothing below i.  Closures go through ``meet``."""
+    outside A whose closure adds nothing below i."""
     n = a.instances.size
     rows = a.incidence.rows
     cols = a.incidence.columns
     full_g, full_m = a.instances.full_mask, a.types.full_mask
-    extent = meet(cols, full_m, full_g)
-    intent = meet(rows, extent, full_m)
+    extent = meet_bits(cols, full_m, full_g)
+    intent = meet_bits(rows, extent, full_m)
     out = [(extent, intent)]
     while True:
         prefix = [full_m] * (n + 1)  # prefix[i]: intent of the members of extent below i
@@ -124,7 +124,7 @@ def int_nextclosure(a, meet=meet_bits):
             if extent >> i & 1:
                 continue
             intent = prefix[i] & rows[i]
-            candidate = meet(cols, intent, full_g)
+            candidate = meet_bits(cols, intent, full_g)
             if candidate & ((1 << i) - 1) & ~extent == 0:
                 extent = candidate
                 out.append((extent, intent))
@@ -164,22 +164,46 @@ def test_fcbo_matches_int_nextclosure_on_wide_shapes():
         assert fcbo_pairs(a) == int_nextclosure(a)
 
 
-class CountingLines(tuple):
-    """Incidence lines that count the lines read from them by index."""
+class CountingLine(int):
+    """An incidence line that counts the ANDs it is the left operand of."""
 
-    reads = 0
+    def __and__(self, other):
+        self.counts["ands"] += 1
+        return int.__and__(self, other)
+
+
+class CountingLines(tuple):
+    """Incidence lines that count the lines read from them, by index and by
+    iteration, and the ANDs made with them on the left."""
+
+    def __new__(cls, lines):
+        counts = {"ands": 0, "indexed": 0, "iterated": 0}
+        counting = [CountingLine(line) for line in lines]
+        for line in counting:
+            line.counts = counts
+        out = super().__new__(cls, counting)
+        out.counts = counts
+        return out
 
     def __getitem__(self, key):
         if isinstance(key, int):
-            self.reads += 1
+            self.counts["indexed"] += 1
         return tuple.__getitem__(self, key)
 
+    def __iter__(self):
+        for line in tuple.__iter__(self):
+            self.counts["iterated"] += 1
+            yield line
 
-def test_enumeration_closures_read_no_more_lines_than_nextclosure():
-    """Every closure of either enumeration ANDs one line of the closing side
-    per element of an intent.  On both orientations (the enumeration runs
-    over the smaller side, so 10 x 8 closes over the rows and 8 x 10 over
-    the columns) it reads no more lines in closures than NextClosure does."""
+
+def test_enumeration_work_is_bounded_by_the_concepts_and_the_smaller_side():
+    """The closure makes at most n_small x |concepts| ANDs with the lines of
+    the smaller side, and deriving the closed sets reads at most
+    sum(min(|c|, n_small)) lines: the other side's lines over the bits of c
+    by index, or a scan of the n_small lines.  The closure iterates the
+    small side once, so the iterations past that first n_small are scans,
+    one AND each.  Checked on both orientations: 10 x 8 closes over the
+    columns and 8 x 10 over the rows."""
     for n_inst, n_typ in ((10, 8), (8, 10)):
         a = random_context(random.Random(416), n_inst, n_typ, 0.4)
         rows, cols = CountingLines(a.incidence.rows), CountingLines(a.incidence.columns)
@@ -188,18 +212,18 @@ def test_enumeration_closures_read_no_more_lines_than_nextclosure():
         counted.__dict__["columns"] = cols
         found = [(c.extent.bits, c.intent.bits)
                  for c in clg._concepts_lectic(Classification(a.instances, a.types, counted))]
-        nextclosure_reads = 0
-
-        def counting_meet(lines, bits, full):
-            nonlocal nextclosure_reads
-            if lines is a.incidence.columns:
-                nextclosure_reads += bits.bit_count()
-            return meet_bits(lines, bits, full)
-
-        assert found == int_nextclosure(a, counting_meet)
+        assert found == int_nextclosure(a)
         assert len(found) > 10
-        closing = rows if n_inst > n_typ else cols
-        assert 0 < closing.reads <= nextclosure_reads
+        small, other = (rows, cols) if n_inst <= n_typ else (cols, rows)
+        n_small = len(small)
+        closed = [t if small is rows else e for e, t in found]
+        scans = small.counts["iterated"] - n_small
+        closure_ands = small.counts["ands"] - scans
+        assert 0 < closure_ands <= n_small * len(found)
+        derivation_reads = other.counts["indexed"] + scans
+        assert 0 < other.counts["indexed"] and 0 < scans
+        assert derivation_reads <= sum(min(c.bit_count(), n_small) for c in closed)
+        assert other.counts["ands"] == small.counts["indexed"] == 0
 
 
 # ----------------------------------------------------------------- concept order

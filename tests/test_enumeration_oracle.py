@@ -1,13 +1,16 @@
 """Concept enumeration and the concept order against the code they replace.
 
-``clg._concepts_lectic`` (Close-by-One over the smaller side, one closure
-per distinct child intent) and ``clg._inclusion_rows`` (inline bit loops)
-run here beside the earlier FCbO and the earlier ``_inclusion_rows``,
-copied in as the oracles.  They are compared on every shape up to 6 x 6
-at three densities, on seeded 40 x 14, 14 x 40, 60 x 12 and 12 x 200
-contexts, on contranominal-10 and on empty carriers.  The concepts, their
-order and their carriers must be identical, and the size bound must trip
-at the same concept count with the same text whichever side is larger.
+``clg._concepts_lectic`` (the intersection closure of the lines of the
+smaller side) and ``clg._inclusion_rows`` (inline bit loops) run here beside
+the code they replaced, copied in as the oracles: FCbO, the later
+Close-by-One over the smaller side with one closure per distinct child
+intent, and the earlier ``_inclusion_rows``.  They are compared on every
+shape up to 6 x 6 at three densities, on seeded 40 x 14, 14 x 40, 60 x 12
+and 12 x 200 contexts, on contranominal-10 and -12, on empty carriers and
+on the truth classifications of 1-4 variables, whose intents are wide.  The
+concepts, their order and their carriers must be identical, and the size
+bound must trip at the same concept count with the same text whichever
+side is larger.
 """
 
 import random
@@ -19,6 +22,7 @@ from conceptua.clg import FormalConcept, _too_many_concepts, concept_poset, conc
 from conceptua.clsn import Classification, involution_classification
 from conceptua.errors import SizeLimitError
 from conceptua.finrel import FinSet, Relation, Subset, _bits, derive_bits, meet_bits
+from conceptua.institution import Signature, classification_of_signature
 from conceptua.order import carrier_bound
 
 DENSITIES = (0.2, 0.5, 0.8)
@@ -86,6 +90,57 @@ def fcbo_concepts(a):
     return tuple(FormalConcept(Subset(inst, e), Subset(typ, t)) for e, t in out)
 
 
+def cbo_pairs(rows, cols, full_row, full_col, bound):
+    """The earlier ``_lectic_pairs``: Close-by-One with the candidates of a
+    concept grouped by child intent, one AND-of-columns closure per group,
+    a child kept when its lowest added object is a candidate of its group."""
+    limit = 1 << min(bound, 64)
+    extent = full_row
+    for col in cols:
+        extent &= col
+    intent = full_col
+    for g, row in enumerate(rows):
+        if extent >> g & 1:
+            intent &= row
+    out = []
+    stack = [(0, extent, intent)]
+    while stack:
+        start, extent, intent = stack.pop()
+        out.append((extent, intent))
+        if len(out) > limit:
+            raise _too_many_concepts(bound, limit)
+        groups = dict.fromkeys(map(intent.__and__, rows[start:]))
+        groups.pop(intent, None)
+        for child_intent in groups:
+            child = full_row
+            bits = child_intent
+            while bits:
+                low = bits & -bits
+                child &= cols[low.bit_length() - 1]
+                bits ^= low
+            added = child ^ extent
+            j = (added & -added).bit_length()  # the lowest added object, plus one
+            if j > start and rows[j - 1] & intent == child_intent:
+                stack.append((j, child, child_intent))
+    return out
+
+
+def cbo_concepts(a):
+    """The earlier ``_concepts_lectic``: ``cbo_pairs`` over the smaller side,
+    on the transpose when there are more instances than types, its pairs then
+    swapped and sorted by the bit reversal of the extent."""
+    inst, typ = a.instances, a.types
+    rows, cols = a.incidence.rows, a.incidence.columns
+    n, bound = inst.size, carrier_bound()
+    if n > typ.size:
+        pairs = [(e, t) for t, e in cbo_pairs(cols, rows, typ.full_mask, inst.full_mask, bound)]
+        spelled = f"0{n}b"
+        pairs.sort(key=lambda pair: format(pair[0], spelled)[::-1])
+    else:
+        pairs = cbo_pairs(rows, cols, inst.full_mask, typ.full_mask, bound)
+    return tuple(FormalConcept(Subset(inst, e), Subset(typ, t)) for e, t in pairs)
+
+
 def generator_inclusion_rows(extents, n_instances):
     """The earlier ``_inclusion_rows``: ``_bits`` and one ``meet_bits`` per row."""
     containing = [0] * n_instances
@@ -100,11 +155,11 @@ def generator_inclusion_rows(extents, n_instances):
 
 
 def assert_same_concepts(a):
-    """New and old enumeration agree on ``a`` and on its transpose, with the
+    """New and old enumerations agree on ``a`` and on its transpose, with the
     same carriers, and the concept order rows agree with the old rows."""
     for c in (a, involution_classification(a)):
         found = clg._concepts_lectic(c)
-        assert found == fcbo_concepts(c)
+        assert found == fcbo_concepts(c) == cbo_concepts(c)
         assert all(k.extent.carrier is c.instances and k.intent.carrier is c.types
                    for k in found)
         extents = [k.extent.bits for k in found]
@@ -139,11 +194,26 @@ def test_contranominal_10():
     assert_same_concepts(a)
 
 
+def test_contranominal_12():
+    a = contranominal(12)
+    assert len(clg._concepts_lectic(a)) == 1 << 12
+    assert_same_concepts(a)
+
+
 @pytest.mark.parametrize("n_inst, n_typ", [(0, 0), (0, 5), (5, 0)])
 def test_empty_carriers(n_inst, n_typ):
     a = context(n_inst, n_typ, [0] * n_inst)
     assert [(c.extent.bits, c.intent.bits) for c in clg._concepts_lectic(a)] == \
         [(a.instances.full_mask, a.types.full_mask)]
+    assert_same_concepts(a)
+
+
+@pytest.mark.parametrize("n_vars, depth", [(1, 2), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3), (4, 2)])
+def test_truth_classifications(n_vars, depth):
+    """Models against sentence types: intents of up to |types| bits, many
+    more than the instances (8 models x 101 types at 3 variables)."""
+    a = classification_of_signature(Signature.of(*"pqrs"[:n_vars]), depth)
+    assert a.types.size > a.instances.size == 1 << n_vars
     assert_same_concepts(a)
 
 
