@@ -269,16 +269,19 @@ def concept_lattice(a: Classification) -> ConceptLattice:
 
     Instance i embeds at the concept of the closure of {i}, type t at the
     concept whose extent is column t: the concept order plus one closure per
-    instance, and no power order.
+    instance, and no power order.  Assembled unchecked: both embeddings look
+    up closed extents among the listed ones, so they are total and in range.
     """
     lattice, concepts = concept_poset(a)
     pos = {c.extent.bits: k for k, c in enumerate(concepts)}
     cols = a.incidence.columns
     full = a.instances.full_mask
-    iota = FinFunction(a.instances, lattice.carrier, tuple(
+    iota = _trusted(FinFunction, source=a.instances, target=lattice.carrier, table=tuple(
         pos[meet_bits(cols, row, full)] for row in a.incidence.rows))
-    tau = FinFunction(a.types, lattice.carrier, tuple(pos[col] for col in cols))
-    return ConceptLattice(a.instances, a.types, lattice, concepts, iota, tau)
+    tau = _trusted(FinFunction, source=a.types, target=lattice.carrier,
+                   table=tuple(pos[col] for col in cols))
+    return _trusted(ConceptLattice, instances=a.instances, types=a.types, lattice=lattice,
+                    concepts=concepts, iota_embed=iota, tau_embed=tau)
 
 
 def _closure_failure(lat: ConceptLattice, recovered: Classification) -> str | None:

@@ -59,6 +59,26 @@ def test_lattice_unwritable_out_exits_2(contra2, tmp_path, capsys, out):
     assert captured.err.startswith(f"parse error: cannot write {tmp_path / out}: ")
 
 
+@pytest.mark.parametrize("argv, path, reason", [
+    (["lattice", "", "--informat", "cxt"], "", "[Errno 2] No such file or directory: ''"),
+    (["lattice", "./nope.cxt"], "./nope.cxt",
+     "[Errno 2] No such file or directory: './nope.cxt'"),
+    (["lattice", "./dir.cxt"], "./dir.cxt", "[Errno 21] Is a directory: './dir.cxt'"),
+    (["lattice", "bytes.cxt"], "bytes.cxt",
+     "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    (["infomap", "w.cxt", "w.cxt", "./nope.json"], "./nope.json",
+     "[Errno 2] No such file or directory: './nope.json'"),
+], ids=["empty", "missing", "directory", "undecodable", "infomap-mapping"])
+def test_read_errors_name_the_path_as_typed(tmp_path, capsys, monkeypatch, argv, path, reason):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dir.cxt").mkdir()
+    (tmp_path / "bytes.cxt").write_bytes(b"\xff\xfe")
+    (tmp_path / "w.cxt").write_text(CONTRA2)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"parse error: cannot read {path}: {reason}\n")
+
+
 def test_lattice_informat_override(tmp_path, capsys):
     path = tmp_path / "context.txt"  # extension gives no hint
     path.write_text(CONTRA2)

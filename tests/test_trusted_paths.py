@@ -95,6 +95,45 @@ def test_concept_lattice_and_derivation_pass_the_public_constructors():
             assert rebuilt_map(f) == f
 
 
+def test_concept_lattice_is_assembled_unchecked_and_equals_its_rebuild(monkeypatch):
+    checks = []
+    post_init = FinFunction.__post_init__
+
+    def counting_post_init(self):
+        checks.append(self)
+        post_init(self)
+
+    rng = random.Random(2022)
+    for _ in range(40):
+        a = random_context(rng, rng.randint(0, 6), rng.randint(0, 6))
+        with monkeypatch.context() as counted:
+            counted.setattr(FinFunction, "__post_init__", counting_post_init)
+            lat = concept_lattice(a)
+        assert checks == []
+        iota, tau = lat.iota_embed, lat.tau_embed
+        assert FinFunction(iota.source, iota.target, iota.table) == iota
+        assert FinFunction(tau.source, tau.target, tau.table) == tau
+        assert clg.ConceptLattice(lat.instances, lat.types, lat.lattice, lat.concepts,
+                                  iota, tau) == lat
+
+
+def test_trusted_concept_lattice_builds_its_adjunctions_once(monkeypatch):
+    builds = []
+    real = clg._power_adjunctions
+
+    def counting(lat):
+        builds.append(lat)
+        return real(lat)
+
+    monkeypatch.setattr(clg, "_power_adjunctions", counting)
+    lat = concept_lattice(random_context(random.Random(5), 4, 5))
+    first = lat.extent_reflection
+    assert lat.extent_reflection is first
+    assert lat.intent_coreflection is lat.intent_coreflection
+    assert builds == [lat]
+    assert rebuilt_adjunction(first) is not None
+
+
 def test_concept_lattice_classifies_no_power_order(monkeypatch):
     sizes = []
     real = order.classify_endorelation
