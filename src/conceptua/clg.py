@@ -40,7 +40,6 @@ from .galois import (
 from .order import (
     Poset,
     _bits_in_bytes,
-    _dot_quote,
     _monotone,
     carrier_bound,
     hasse_edges,
@@ -619,6 +618,11 @@ def lattice_to_json(lat: ConceptLattice) -> str:
             + ',\n  "concepts": ' + _json_list(concepts, "  ")
             + ',\n  "cover": ' + _json_list(cover, "  ")
             + "\n}\n")
+
+
+def _dot_quote(text: str) -> str:
+    """``text`` as a DOT quoted string: backslashes first, then double quotes, escaped."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 def lattice_to_dot(lat: ConceptLattice, name: str = "lattice") -> str:

@@ -248,8 +248,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_inst = sub.add_parser("institution", help="four-style institution interconversion demo")
     p_inst.add_argument("--vars", type=int, default=2)
     p_inst.add_argument("--depth", type=int, default=3)
-    p_inst.add_argument("--demo", action="store_true",
-                        help="accepted for compatibility; the demo always runs")
     p_inst.set_defaults(func=cmd_institution)
 
     return parser

@@ -40,7 +40,6 @@ __all__ = [
     "compose_infomorphisms",
     "identity_infomorphism",
     "order_as_classification",
-    "bounds_adjunction",
     "derivation_equals_bounds",
     "exponent",
     "multiply",
@@ -203,11 +202,6 @@ def _square_commutes(f: Infomorphism) -> bool:
 def order_as_classification(p: Preorder) -> Classification:
     """Instances and types are the carrier; incidence is the order itself."""
     return Classification(p.carrier, p.carrier, p.leq)
-
-
-def bounds_adjunction(p: Preorder) -> Adjunction:
-    """The upper/lower bound Galois connection, as derivation of the order context."""
-    return derivation(order_as_classification(p))
 
 
 def _infomorphism_label(inst_table, typ_table) -> str:

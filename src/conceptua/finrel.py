@@ -44,8 +44,6 @@ __all__ = [
     "preimage_rows",
     "image_tables",
     "image_factorize",
-    "relation_to_json",
-    "relation_from_json",
 ]
 
 
@@ -542,21 +540,3 @@ def image_factorize(f: FinFunction) -> tuple[FinFunction, FinFunction]:
     mono = FinFunction(image, f.target, tuple(f.target.index(lab) for lab in image_labels))
     return epi, mono
 
-
-def relation_to_json(r: Relation) -> dict:
-    return {
-        "source": list(r.source.elements),
-        "target": list(r.target.elements),
-        "pairs": [[i, j] for i, row in enumerate(r.rows) for j in _bits(row)],
-    }
-
-
-def relation_from_json(data: dict) -> Relation:
-    source = FinSet(tuple(data["source"]))
-    target = FinSet(tuple(data["target"]))
-    rows = [0] * source.size
-    for i, j in data["pairs"]:
-        if not (0 <= i < source.size and 0 <= j < target.size):
-            raise UnknownElementError(f"pair [{i}, {j}] outside carriers")
-        rows[i] |= 1 << j
-    return Relation(source, target, tuple(rows))

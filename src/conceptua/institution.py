@@ -52,7 +52,6 @@ __all__ = [
     "model_carrier",
     "all_models",
     "PropositionalInstitution",
-    "SatisfactionConfig",
     "check_satisfaction_condition",
     "classification_of_signature",
     "TheoryObject",
@@ -510,13 +509,6 @@ class PropositionalInstitution:
             self.reduct(sigma, m).valuation.bits for m in all_models(sigma.target)))
 
 
-@dataclass(frozen=True)
-class SatisfactionConfig:
-    depth: int = 3
-    max_sentences: int | None = None
-    seed: int = 0
-
-
 @dataclass
 class SatisfactionReport:
     models_checked: int = 0
@@ -530,11 +522,11 @@ class SatisfactionReport:
 
 def check_satisfaction_condition(
     sigma: SignatureMorphism,
-    config: SatisfactionConfig = SatisfactionConfig(),
+    depth: int = 3,
     institution: PropositionalInstitution | None = None,
 ) -> SatisfactionReport:
     """reduct(m) satisfies s iff m satisfies translate(s), for all target
-    models and source sentences up to the configured depth.
+    models and source sentences up to ``depth``.
 
     Per sentence, the preimage of its truth table (as the enumeration
     computed it) along the reduct map is compared with the truth table of its
@@ -542,15 +534,7 @@ def check_satisfaction_condition(
     within a model.
     """
     inst = institution or PropositionalInstitution()
-    sentences, tables = _sentences_and_tables(sigma.source, config.depth)
-    if config.max_sentences is not None and len(sentences) > config.max_sentences:
-        import random
-
-        # sample draws positions from the length alone, so sampling positions
-        # picks the same sentences as sampling the sentences themselves
-        picks = random.Random(config.seed).sample(range(len(sentences)), config.max_sentences)
-        sentences = [sentences[k] for k in picks]
-        tables = [tables[k] for k in picks]
+    sentences, tables = _sentences_and_tables(sigma.source, depth)
     return _satisfaction(sigma, sentences, tables, inst)[0]
 
 

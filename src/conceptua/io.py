@@ -1,4 +1,4 @@
-"""Context file formats: Burmeister .cxt, CSV, and the JSON relation mirror.
+"""Context file formats: Burmeister .cxt, CSV, and JSON index pairs.
 
 The .cxt grammar accepted is exactly:
 
@@ -12,24 +12,20 @@ The .cxt grammar accepted is exactly:
     |M| attribute-name lines
     |G| incidence rows of length |M| over {'.', 'X'}
 
-with the trailing newline optional.  The writer emits the canonical form,
-which has no name line, so canonical files round-trip byte-identically.
+with the trailing newline optional.
 """
 
 import json
 
 from .errors import ParseError
-from .finrel import FinSet, Relation, relation_to_json
+from .finrel import FinSet, Relation
 from .clsn import Classification
 
 __all__ = [
     "read_cxt",
-    "write_cxt",
     "read_csv",
-    "write_csv",
     "load_json_object",
     "read_context_json",
-    "write_context_json",
     "read_context",
     "detect_format",
 ]
@@ -112,15 +108,6 @@ def read_cxt(text: str) -> Classification:
     return Classification(instances, types, Relation(instances, types, tuple(rows)))
 
 
-def write_cxt(a: Classification) -> str:
-    out = ["B", "", str(a.instances.size), str(a.types.size), ""]
-    out.extend(a.instances.elements)
-    out.extend(a.types.elements)
-    for row in a.incidence.rows:
-        out.append("".join("X" if row >> j & 1 else "." for j in range(a.types.size)))
-    return "\n".join(out) + "\n"
-
-
 def read_csv(text: str) -> Classification:
     lines = [ln for ln in text.split("\n") if ln != ""]
     if not lines:
@@ -144,15 +131,6 @@ def read_csv(text: str) -> Classification:
     instances = _carrier(objects, "object", object_lines)
     types = _carrier(attributes, "attribute", [1] * len(attributes))
     return Classification(instances, types, Relation(instances, types, tuple(rows)))
-
-
-def write_csv(a: Classification) -> str:
-    out = ["," + ",".join(a.types.elements)]
-    for i, obj in enumerate(a.instances.elements):
-        row = a.incidence.rows[i]
-        cells = ["1" if row >> j & 1 else "0" for j in range(a.types.size)]
-        out.append(obj + "," + ",".join(cells))
-    return "\n".join(out) + "\n"
 
 
 def load_json_object(text: str, what: str) -> dict:
@@ -188,10 +166,6 @@ def read_context_json(text: str) -> Classification:
             raise ParseError(f"pair {pair!r} lies outside the carriers")
         rows[i] |= 1 << j
     return Classification(instances, types, Relation(instances, types, tuple(rows)))
-
-
-def write_context_json(a: Classification) -> str:
-    return json.dumps(relation_to_json(a.incidence), indent=2) + "\n"
 
 
 _READERS = {"cxt": read_cxt, "csv": read_csv, "json": read_context_json}

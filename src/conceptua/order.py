@@ -5,7 +5,7 @@ import os
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import CarrierMismatchError, ParseError, SizeLimitError, UnknownElementError
+from .errors import CarrierMismatchError, ParseError, SizeLimitError
 from .finrel import (
     FinFunction,
     FinSet,
@@ -42,7 +42,6 @@ __all__ = [
     "carrier_bound",
     "check_carrier_bound",
     "opposite",
-    "up_segment",
     "down_segment",
     "bounds",
     "bimodule_of_map",
@@ -53,9 +52,6 @@ __all__ = [
     "is_complete_lattice",
     "find_order_isomorphism",
     "hasse_edges",
-    "preorder_to_json",
-    "preorder_from_json",
-    "preorder_to_dot",
 ]
 
 # The largest n for which derivation on an n x n context and `conceptua lattice`
@@ -471,11 +467,6 @@ def power_order(a: FinSet, reverse: bool = False) -> Poset:
     return _trusted(Poset, carrier=carrier, leq=Relation(carrier, carrier, tuple(rows)))
 
 
-def up_segment(p: Preorder, a: str) -> Subset:
-    """All x with a <= x."""
-    return Subset(p.carrier, p.leq.rows[p.carrier.index(a)])
-
-
 def down_segment(p: Preorder, a: str) -> Subset:
     """All x with x <= a."""
     return Subset(p.carrier, p.leq.columns[p.carrier.index(a)])
@@ -703,35 +694,3 @@ def hasse_edges(p: Preorder) -> list[tuple[int, int]]:
         edges.extend((i, j) for j in _bits(covers))
     return edges
 
-
-def preorder_to_json(p: Preorder) -> dict:
-    return {
-        "elements": list(p.carrier.elements),
-        "leq": [[i, j] for i in range(p.size) for j in range(p.size) if p.le_idx(i, j)],
-    }
-
-
-def preorder_from_json(data: dict) -> Preorder:
-    carrier = FinSet(tuple(data["elements"]))
-    rows = [0] * carrier.size
-    for i, j in data["leq"]:
-        if not (0 <= i < carrier.size and 0 <= j < carrier.size):
-            raise UnknownElementError(f"leq pair [{i}, {j}] outside the carrier")
-        rows[i] |= 1 << j
-    return Preorder(carrier, Relation(carrier, carrier, tuple(rows)))
-
-
-def _dot_quote(text: str) -> str:
-    """``text`` as a DOT quoted string: backslashes first, then double quotes, escaped."""
-    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
-def preorder_to_dot(p: Preorder, name: str = "order") -> str:
-    lines = [f"digraph {name} {{", "  rankdir=BT;"]
-    quoted = [_dot_quote(label) for label in p.carrier.elements]
-    for label in quoted:
-        lines.append(f"  {label};")
-    for i, j in hasse_edges(p):
-        lines.append(f"  {quoted[i]} -> {quoted[j]};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"

@@ -83,7 +83,6 @@ from .clg import (
 from .institution import (
     And,
     MergeSpan,
-    SatisfactionConfig,
     Signature,
     SignatureMorphism,
     TheoryObject,
@@ -683,7 +682,7 @@ def institution_suite(seed: int, cases: int) -> LawReport:
         for s2 in sigs:
             for table in itertools.product(range(s2.size), repeat=s1.size):
                 sigma = SignatureMorphism(s1, s2, FinFunction(s1.vars, s2.vars, table))
-                rep = check_satisfaction_condition(sigma, SatisfactionConfig(depth=3))
+                rep = check_satisfaction_condition(sigma, depth=3)
                 report.check(rep.ok, "satisfaction condition for table {}: {}",
                              table, rep.failures[0] if rep.failures else "")
 

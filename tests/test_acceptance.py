@@ -42,7 +42,6 @@ from conceptua.institution import (
     MergeSpan,
     PropositionalInstitution,
     Model,
-    SatisfactionConfig,
     Signature,
     SignatureMorphism,
     TheoryObject,
@@ -326,7 +325,7 @@ def test_criterion_8_satisfaction_condition_exhaustive():
                 morphisms += 1
                 if len(set(table)) < len(table):
                     non_injective += 1
-                rep = check_satisfaction_condition(sigma, SatisfactionConfig(depth=4))
+                rep = check_satisfaction_condition(sigma, depth=4)
                 if not rep.ok:
                     failures += 1
     elapsed = time.perf_counter() - start

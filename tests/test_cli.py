@@ -235,7 +235,7 @@ def test_merge_bad_span_exits_2(tmp_path, capsys):
 
 
 def test_institution_demo(capsys):
-    code = main(["institution", "--vars", "2", "--depth", "3", "--demo"])
+    code = main(["institution", "--vars", "2", "--depth", "3"])
     assert code == 0
     out = capsys.readouterr().out
     assert out.count("all four styles pass") == 3

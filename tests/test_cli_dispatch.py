@@ -119,10 +119,12 @@ def test_console_script_path_reads_sys_argv(argv, monkeypatch, tmp_path):
 
 
 def test_leftover_words_get_the_top_level_message(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(resolve(["lattice", "@planets.cxt", "extra"], GOLDEN))
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("usage: conceptua [-h]")
-    assert err.splitlines()[-1] == "conceptua: error: unrecognized arguments: extra"
+    for argv, word in [(["lattice", "@planets.cxt", "extra"], "extra"),
+                       (["institution", "--demo"], "--demo")]:
+        with pytest.raises(SystemExit) as exc:
+            cli.main(resolve(argv, GOLDEN))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: conceptua [-h]")
+        assert err.splitlines()[-1] == f"conceptua: error: unrecognized arguments: {word}"
 

@@ -18,8 +18,6 @@ from conceptua.finrel import (
     finset,
     image_factorize,
     images,
-    relation_from_json,
-    relation_to_json,
     residuate_left,
     residuate_right,
     transpose,
@@ -323,15 +321,3 @@ def test_image_factorize_recomposes_exhaustively_up_to_4():
                 assert epi.then(mono) == f
                 assert epi.is_surjective() and mono.is_injective()
 
-
-# ---------------------------------------------------------------- JSON I/O
-
-
-def test_relation_json_roundtrip():
-    r = Relation.of(A2, B2, [("a0", "b1"), ("a1", "b0")])
-    assert relation_from_json(relation_to_json(r)) == r
-
-
-def test_relation_json_rejects_bad_pairs():
-    with pytest.raises(UnknownElementError):
-        relation_from_json({"source": ["a"], "target": ["b"], "pairs": [[0, 3]]})

@@ -1,20 +1,27 @@
-"""Every name a library module imports is used in that module, and every
-private module-level name is read somewhere in the package.
+"""Every name a library module imports is used in that module, every
+private module-level name is read somewhere in the package, and every public
+name is reached by something other than the tests.
 
 No linter ships with the test dependencies, so this parses each module of
 ``conceptua`` (the package ``__init__`` re-exports by design and is left out)
 and fails on an imported name that no expression of the module reads, or on
 a function, class or assignment named with a leading underscore that no
 module of the package reads, by name or as a module attribute.  A name read
-only inside a string annotation counts as read.
+only inside a string annotation counts as read.  A name in a module's
+``__all__`` must be read by the package or by ``bench/``, re-exported by the
+package, or kept on ``TEST_REACHED`` with its reason.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
 
+import conceptua
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "conceptua"
+BENCH = SRC.parent.parent / "bench"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -107,3 +114,38 @@ def test_the_check_sees_an_unread_private_name():
     other = ast.parse("import m\ny = m._d\n")
     assert set(_private(tree)) == {"_a", "_b", "_d", "_f", "_C"}
     assert set(_private(tree)) - _read_anywhere([tree, other]) == {"_b", "_f"}
+
+
+# Public names that only the tests reach, each kept for what it states or checks.
+TEST_REACHED = {
+    "finset": "validating constructor: a carrier from its labels, as the tests write it",
+    "find_order_isomorphism": "test oracle: order isomorphism by search",
+    "bimodule_of_map": "paper law: a monotone map as an order bimodule",
+    "bimodule_01_embedding": "paper law: the bimodule-to-map embedding by row meets",
+    "bimodule_10_embedding": "paper law: the bimodule-to-map embedding by column joins",
+    "involution": "paper law: the duality that reverses an adjunction",
+    "sentence_depth": "test oracle: the depth bound of the sentence enumeration",
+    "concept_lattice_from_parts": "validating constructor: rejects a non-concept lattice",
+}
+
+
+def _bench_reads() -> set[str]:
+    """Names ``bench/`` reads, by name, as an attribute, or as a dotted string
+    (the tracer looks its targets up by name)."""
+    trees = [ast.parse(p.read_text(), filename=str(p)) for p in sorted(BENCH.glob("*.py"))]
+    strings = {part for tree in trees for n in ast.walk(tree)
+               if isinstance(n, ast.Constant) and isinstance(n.value, str)
+               for part in n.value.split(".")}
+    return _read_anywhere(trees) | strings
+
+
+def test_every_public_name_is_reached_outside_the_tests():
+    reached = _read_anywhere(ast.parse(p.read_text(), filename=str(p)) for p in MODULES)
+    reached |= _bench_reads()
+    reached |= {name for names in conceptua._EXPORTS.values() for name in names}
+    public = {f"{path.stem}.{name}": name for path in MODULES
+              for name in getattr(importlib.import_module(f"conceptua.{path.stem}"), "__all__", ())}
+    unreached = {dotted: name for dotted, name in public.items() if name not in reached}
+    extra = sorted(dotted for dotted, name in unreached.items() if name not in TEST_REACHED)
+    assert not extra, "public names only the tests reach: " + ", ".join(extra)
+    assert sorted(unreached.values()) == sorted(TEST_REACHED), "stale TEST_REACHED entries"

@@ -22,7 +22,6 @@ from conceptua.institution import (
     Not,
     Or,
     PropositionalInstitution,
-    SatisfactionConfig,
     Signature,
     SignatureMorphism,
     TheoryObject,
@@ -125,8 +124,7 @@ def test_enumerate_sentences_deduplicates_by_truth_table():
 
 
 def test_satisfaction_condition_identity():
-    rep = check_satisfaction_condition(SignatureMorphism.identity(SIG_PQ),
-                                       SatisfactionConfig(depth=3))
+    rep = check_satisfaction_condition(SignatureMorphism.identity(SIG_PQ), depth=3)
     assert rep.ok
 
 
@@ -138,7 +136,7 @@ def test_satisfaction_condition_inclusion_against_truth_tables():
         lhs = satisfies(inst.reduct(sigma, m), phi)
         rhs = satisfies(m, translate_sentence(sigma, phi))
         assert lhs == rhs
-    assert check_satisfaction_condition(sigma, SatisfactionConfig(depth=4)).ok
+    assert check_satisfaction_condition(sigma, depth=4).ok
 
 
 def test_satisfaction_condition_non_injective_collapse():
@@ -148,7 +146,7 @@ def test_satisfaction_condition_non_injective_collapse():
     translated = translate_sentence(sigma, phi)
     assert render_sentence(translated) == "(and (var r) (not (var r)))"
     assert truth_table(sig_r, translated) == 0  # unsatisfiable
-    assert check_satisfaction_condition(sigma, SatisfactionConfig(depth=4)).ok
+    assert check_satisfaction_condition(sigma, depth=4).ok
 
 
 def test_satisfaction_condition_detects_corrupted_reduct():
@@ -159,7 +157,7 @@ def test_satisfaction_condition_detects_corrupted_reduct():
             return Model(sigma.source, Subset(sigma.source.vars, flipped))
 
     sigma = SignatureMorphism.of(SIG_P, SIG_PQ, {"p": "p"})
-    rep = check_satisfaction_condition(sigma, SatisfactionConfig(depth=2), Corrupted())
+    rep = check_satisfaction_condition(sigma, 2, Corrupted())
     assert not rep.ok
 
 

@@ -28,7 +28,6 @@ from conceptua.finrel import FinFunction, FinSet, Subset, image_bits, preimage_b
 from conceptua.institution import (
     Model,
     PropositionalInstitution,
-    SatisfactionConfig,
     SatisfactionReport,
     Signature,
     SignatureMorphism,
@@ -94,15 +93,10 @@ def oracle_inverse_transport(sigma, t):
     return TheoryObject.of_mask(sigma.source, mask)
 
 
-def oracle_satisfaction(sigma, config, inst):
+def oracle_satisfaction(sigma, depth, inst):
     """The earlier ``check_satisfaction_condition`` loop over models and sentences."""
     report = SatisfactionReport()
-    sentences = enumerate_sentences(sigma.source, config.depth)
-    if config.max_sentences is not None and len(sentences) > config.max_sentences:
-        import random
-
-        rng = random.Random(config.seed)
-        sentences = rng.sample(sentences, config.max_sentences)
+    sentences = enumerate_sentences(sigma.source, depth)
     models = all_models(sigma.target)
     report.models_checked = len(models)
     report.sentences_checked = len(sentences)
@@ -171,14 +165,12 @@ def test_reduct_function_tabulates_reduct():
 
 @pytest.mark.parametrize("inst", [PropositionalInstitution(), Corrupted()],
                          ids=["honest", "corrupted"])
-@pytest.mark.parametrize("config", [SatisfactionConfig(depth=3),
-                                    SatisfactionConfig(depth=3, max_sentences=5, seed=2)],
-                         ids=["all", "sampled"])
-def test_satisfaction_check_matches_per_model_oracle(inst, config):
+@pytest.mark.parametrize("depth", [3], ids=["all"])
+def test_satisfaction_check_matches_per_model_oracle(inst, depth):
     any_failure = False
     for sigma in morphisms(2):
-        got = check_satisfaction_condition(sigma, config, inst)
-        want = oracle_satisfaction(sigma, config, inst)
+        got = check_satisfaction_condition(sigma, depth, inst)
+        want = oracle_satisfaction(sigma, depth, inst)
         assert got.failures == want.failures
         assert got.models_checked == want.models_checked
         assert got.sentences_checked == want.sentences_checked
@@ -186,10 +178,8 @@ def test_satisfaction_check_matches_per_model_oracle(inst, config):
     assert any_failure == isinstance(inst, Corrupted)
 
 
-@pytest.mark.parametrize("config", [SatisfactionConfig(depth=3),
-                                    SatisfactionConfig(depth=3, max_sentences=20, seed=5)],
-                         ids=["all", "sampled"])
-def test_satisfaction_check_walks_only_the_translated_sentences(config, monkeypatch):
+@pytest.mark.parametrize("depth", [3], ids=["all"])
+def test_satisfaction_check_walks_only_the_translated_sentences(depth, monkeypatch):
     """The source tables come from the enumeration, so the check walks one
     truth table per checked sentence, that of its translation."""
     calls = []
@@ -204,17 +194,17 @@ def test_satisfaction_check_walks_only_the_translated_sentences(config, monkeypa
              SignatureMorphism(big, big, FinFunction(big.vars, big.vars, (0, 0, 0)))]
     for inst in (PropositionalInstitution(), Corrupted()):
         for sigma in cases:
-            enumerate_sentences(sigma.source, config.depth)
+            enumerate_sentences(sigma.source, depth)
             monkeypatch.setattr(institution, "truth_table", counting)
-            got = check_satisfaction_condition(sigma, config, inst)
+            got = check_satisfaction_condition(sigma, depth, inst)
             monkeypatch.setattr(institution, "truth_table", real)
-            want = oracle_satisfaction(sigma, config, inst)
+            want = oracle_satisfaction(sigma, depth, inst)
             assert got.failures == want.failures
             assert (got.models_checked, got.sentences_checked) == (
                 want.models_checked, want.sentences_checked)
             assert calls == [sigma.target] * want.sentences_checked
             calls.clear()
-    assert check_satisfaction_condition(cases[0], SatisfactionConfig(depth=3)).sentences_checked == 101
+    assert check_satisfaction_condition(cases[0], depth=3).sentences_checked == 101
 
 
 # -------------------------------------------------------------- classification

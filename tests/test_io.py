@@ -14,9 +14,6 @@ from conceptua.io import (
     read_cxt,
     read_context,
     read_context_json,
-    write_csv,
-    write_cxt,
-    write_context_json,
 )
 
 WORKED = Classification.of(["1", "2"], ["a", "b"], [("1", "a"), ("1", "b"), ("2", "b")])
@@ -24,14 +21,8 @@ WORKED = Classification.of(["1", "2"], ["a", "b"], [("1", "a"), ("1", "b"), ("2"
 CANONICAL_CXT = "B\n\n2\n2\n\n1\n2\na\nb\nXX\n.X\n"
 
 
-def test_cxt_writer_emits_canonical_form():
-    assert write_cxt(WORKED) == CANONICAL_CXT
-
-
 def test_cxt_canonical_roundtrip_is_byte_identical():
-    parsed = read_cxt(CANONICAL_CXT)
-    assert parsed == WORKED
-    assert write_cxt(parsed) == CANONICAL_CXT
+    assert read_cxt(CANONICAL_CXT) == WORKED
 
 
 def test_cxt_accepts_optional_name_line():
@@ -76,13 +67,11 @@ def test_cxt_empty_incidence_one_by_one():
     text = "B\n\n1\n1\n\n1\nt\n.\n"
     a = read_cxt(text)
     assert a.incidence.count() == 0
-    assert write_cxt(a) == text
+    assert a == Classification.of(["1"], ["t"], [])
 
 
 def test_csv_roundtrip_and_aliases():
-    text = write_csv(WORKED)
-    assert text == ",a,b\n1,1,1\n2,0,1\n"
-    assert read_csv(text) == WORKED
+    assert read_csv(",a,b\n1,1,1\n2,0,1\n") == WORKED
     aliased = ",a,b\n1,X,X\n2,.,X\n"
     assert read_csv(aliased) == WORKED
 
@@ -93,7 +82,7 @@ def test_csv_rejects_ragged_rows():
 
 
 def test_json_roundtrip():
-    text = write_context_json(WORKED)
+    text = '{"source": ["1", "2"], "target": ["a", "b"], "pairs": [[0, 0], [0, 1], [1, 1]]}'
     assert read_context_json(text) == WORKED
 
 

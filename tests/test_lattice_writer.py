@@ -4,9 +4,9 @@
 encoded by ``json.dumps(..., indent=2)`` as the CLI did, is copied in as the
 oracle, and the two must agree byte for byte on every golden context, on
 seeded contexts of 0-10 per side (empty sides included) and on names that
-need JSON escapes. ``lattice_to_dot`` and ``preorder_to_dot`` must write
-only well-formed DOT quoted strings that unquote to the labels, and must
-write plain names as the earlier unquoted writer did.
+need JSON escapes. ``lattice_to_dot`` must write only well-formed DOT quoted
+strings that unquote to the labels, and must write plain names as the
+earlier unquoted writer did.
 """
 
 import json
@@ -18,7 +18,7 @@ from conceptua.clg import concept_lattice, lattice_to_dot, lattice_to_json
 from conceptua.clsn import Classification
 from conceptua.finrel import FinSet, Relation
 from conceptua.io import detect_format, read_context, read_context_json
-from conceptua.order import Preorder, hasse_edges, preorder_to_dot
+from conceptua.order import hasse_edges
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -143,9 +143,6 @@ def test_json_writer_matches_dict_oracle_on_names_needing_escapes():
 # ------------------------------------------------------------------- DOT
 
 LATTICE_LABEL = re.compile(r'^\s*n\d+ \[label="((?:[^"\\]|\\.)*)"\];$')
-QUOTED = r'"((?:[^"\\]|\\.)*)"'
-ORDER_NODE = re.compile(rf"^\s*{QUOTED};$")
-ORDER_EDGE = re.compile(rf"^\s*{QUOTED} -> {QUOTED};$")
 
 
 def unquote(text):
@@ -179,19 +176,3 @@ def test_dot_writer_matches_unquoted_oracle_on_plain_names():
         if not any('"' in x or "\\" in x for x in a.instances.elements + a.types.elements):
             assert lattice_to_dot(lat) == oracle_dot(lat)
 
-
-def test_preorder_dot_quotes_every_label():
-    c = FinSet(('say "hi"', "back\\slash", '\\"', "plain"))
-    p = Preorder.from_pairs(c, [(c.elements[0], c.elements[1]), (c.elements[2], c.elements[3])])
-    nodes, edges = [], []
-    for line in preorder_to_dot(p).split("\n")[2:-2]:
-        if node := ORDER_NODE.match(line):
-            nodes.append(unquote(node.group(1)))
-        else:
-            edge = ORDER_EDGE.match(line)
-            assert edge, line
-            edges.append((unquote(edge.group(1)), unquote(edge.group(2))))
-    assert nodes == list(c.elements)
-    assert edges == [(c.elements[0], c.elements[1]), (c.elements[2], c.elements[3])]
-    plain = Preorder.chain("lo", "hi")
-    assert preorder_to_dot(plain) == 'digraph order {\n  rankdir=BT;\n  "lo";\n  "hi";\n  "lo" -> "hi";\n}\n'
