@@ -24,6 +24,7 @@ from .finrel import (
     FinSet,
     Relation,
     Subset,
+    _Value,
     _bits,
     _trusted,
     image_bits,
@@ -72,17 +73,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class FormalConcept:
+class FormalConcept(_Value):
     """An (extent, intent) pair, each the derivation of the other."""
 
-    extent: Subset
-    intent: Subset
+    __match_args__ = ("extent", "intent")
+
+    def __init__(self, extent: Subset, intent: Subset):
+        object.__setattr__(self, "extent", extent)
+        object.__setattr__(self, "intent", intent)
 
     def label(self) -> str:
         return f"{self.extent}|{self.intent}"
 
 
+# Kept a dataclass: tests take it apart with ``dataclasses.fields`` and ``replace``.
 @dataclass(frozen=True)
 class ConceptLattice:
     """Concepts by extent inclusion and their embeddings; adjunctions built on first read."""
@@ -336,15 +340,23 @@ def classification_of(lat: ConceptLattice) -> Classification:
     return Classification(lat.instances, lat.types, Relation(lat.instances, lat.types, tuple(rows)))
 
 
-@dataclass(frozen=True)
-class ConceptMorphism:
-    """A conceptual connection between lattices plus instance/type transport."""
+class ConceptMorphism(_Value):
+    """A conceptual connection between lattices plus instance/type transport.
 
-    source: ConceptLattice
-    target: ConceptLattice
-    connection: Adjunction  # target.lattice <=> source.lattice
-    inst_map: FinFunction  # target instances -> source instances
-    typ_map: FinFunction  # source types -> target types
+    ``connection`` is target.lattice <=> source.lattice, ``inst_map`` takes
+    target instances to source instances and ``typ_map`` source types to
+    target types.
+    """
+
+    __match_args__ = ("source", "target", "connection", "inst_map", "typ_map")
+
+    def __init__(self, source: ConceptLattice, target: ConceptLattice, connection: Adjunction,
+                 inst_map: FinFunction, typ_map: FinFunction):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "connection", connection)
+        object.__setattr__(self, "inst_map", inst_map)
+        object.__setattr__(self, "typ_map", typ_map)
 
     def check(self) -> list[str]:
         """The extensional condition, inst(x) in ext(c) iff x in ext(right c), and the
@@ -562,10 +574,12 @@ def concept_lattice_from_parts(instances, types, lattice, concepts,
     return lat
 
 
-@dataclass(frozen=True)
-class LatticeIsomorphism:
-    forward: FinFunction
-    backward: FinFunction
+class LatticeIsomorphism(_Value):
+    __match_args__ = ("forward", "backward")
+
+    def __init__(self, forward: FinFunction, backward: FinFunction):
+        object.__setattr__(self, "forward", forward)
+        object.__setattr__(self, "backward", backward)
 
 
 def lattice_roundtrip_iso(lat: ConceptLattice) -> LatticeIsomorphism:

@@ -16,6 +16,7 @@ from .finrel import (
     FinSet,
     Relation,
     Subset,
+    _Value,
     derive_bits,
     image_bits,
     meet_table,
@@ -48,6 +49,7 @@ __all__ = [
 ]
 
 
+# Kept a dataclass: tests take it apart with ``dataclasses.fields`` and ``replace``.
 @dataclass(frozen=True)
 class Classification:
     """Instances, types, and an incidence relation between them."""
@@ -113,14 +115,18 @@ def derivation(a: Classification) -> Adjunction:
     return Adjunction(source, target, left, right)
 
 
-@dataclass(frozen=True)
-class Infomorphism:
+class Infomorphism(_Value):
     """Contravariant map pair source <=> target: instances backward, types forward."""
 
-    source: Classification
-    target: Classification
-    inst_map: FinFunction
-    typ_map: FinFunction
+    __match_args__ = ("source", "target", "inst_map", "typ_map")
+
+    def __init__(self, source: Classification, target: Classification, inst_map: FinFunction,
+                 typ_map: FinFunction):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "inst_map", inst_map)
+        object.__setattr__(self, "typ_map", typ_map)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.inst_map.source != self.target.instances or self.inst_map.target != self.source.instances:
@@ -129,12 +135,15 @@ class Infomorphism:
             raise CarrierMismatchError("type map must go source types -> target types")
 
     def fundamental_witness(self) -> tuple[str, str] | None:
-        """First (target instance, source type) pair violating the condition."""
+        """First (target instance, source type) pair violating the condition,
+        row by row: bit y of the source row of inst(x) against bit typ(y) of
+        the target row of x."""
         a, b = self.source, self.target
-        for x in range(b.instances.size):
-            fx = self.inst_map.table[x]
-            for y in range(a.types.size):
-                if a.incidence.holds_idx(fx, y) != b.incidence.holds_idx(x, self.typ_map.table[y]):
+        a_rows, b_rows, typ = a.incidence.rows, b.incidence.rows, self.typ_map.table
+        for x, fx in enumerate(self.inst_map.table):
+            a_row, b_row = a_rows[fx], b_rows[x]
+            for y, ty in enumerate(typ):
+                if a_row >> y & 1 != b_row >> ty & 1:
                     return b.instances.elements[x], a.types.elements[y]
         return None
 
@@ -153,12 +162,15 @@ def compose_infomorphisms(f: Infomorphism, g: Infomorphism) -> Infomorphism:
     return Infomorphism(f.source, g.target, g.inst_map.then(f.inst_map), f.typ_map.then(g.typ_map))
 
 
-@dataclass(frozen=True)
-class InfomorphismReport:
-    relation_version: bool
-    morphism_version: bool
-    adjunction_version: bool
-    witness: tuple[str, str] | None
+class InfomorphismReport(_Value):
+    __match_args__ = ("relation_version", "morphism_version", "adjunction_version", "witness")
+
+    def __init__(self, relation_version: bool, morphism_version: bool, adjunction_version: bool,
+                 witness: tuple[str, str] | None):
+        object.__setattr__(self, "relation_version", relation_version)
+        object.__setattr__(self, "morphism_version", morphism_version)
+        object.__setattr__(self, "adjunction_version", adjunction_version)
+        object.__setattr__(self, "witness", witness)
 
     @property
     def valid(self) -> bool:

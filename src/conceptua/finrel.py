@@ -16,7 +16,7 @@ identity before comparing labels, so carriers shared by object cost one
 pointer compare.
 """
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from functools import cached_property
 from typing import Callable, Iterator, NamedTuple
 
@@ -60,6 +60,47 @@ def _trusted(cls, **fields):
     return obj
 
 
+class _Record:
+    """``repr`` and ``==`` over the fields named by ``__match_args__``, as a
+    dataclass generates them; like a mutable dataclass, unhashable.
+
+    The value classes are written out rather than generated by
+    ``@dataclass``, so that importing a layer compiles no code.  Classes
+    compared on hot paths define ``__eq__`` and ``__hash__`` over their field
+    tuple directly, at the speed of the generated methods.
+    """
+
+    __match_args__ = ()
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __repr__(self):
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__match_args__])
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class _Value(_Record):
+    """A frozen record: assigning or deleting any attribute raises, and the
+    hash is that of the field tuple.  ``__init__`` sets each field with
+    ``object.__setattr__``, as the generated one does; writing the instance
+    dict instead would make every later read of a field slower."""
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+
 def _bits(mask: int) -> Iterator[int]:
     """Yield the indices of the set bits of ``mask`` in ascending order."""
     while mask:
@@ -68,11 +109,14 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-@dataclass(frozen=True)
-class FinSet:
+class FinSet(_Value):
     """An ordered carrier of distinct atom labels; order fixes indices 0..n-1."""
 
-    elements: tuple[str, ...]
+    __match_args__ = ("elements",)
+
+    def __init__(self, elements: tuple[str, ...]):
+        object.__setattr__(self, "elements", elements)
+        self.__post_init__()
 
     def __post_init__(self):
         if len(set(self.elements)) != len(self.elements):
@@ -83,12 +127,15 @@ class FinSet:
         object.__setattr__(self, "full_mask", (1 << self.size) - 1)
 
     def __eq__(self, other):
-        """Identity first, then labels; ``hash`` stays the dataclass one."""
+        """Identity first, then labels."""
         if self is other:
             return True
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self.elements == other.elements
+
+    def __hash__(self):
+        return hash((self.elements,))
 
     def index(self, label: str) -> int:
         try:
@@ -110,12 +157,23 @@ def finset(*labels: str) -> FinSet:
     return FinSet(tuple(labels))
 
 
-@dataclass(frozen=True)
-class Subset:
+class Subset(_Value):
     """A bitset over a carrier; bit i is element i of the carrier."""
 
-    carrier: FinSet
-    bits: int
+    __match_args__ = ("carrier", "bits")
+
+    def __init__(self, carrier: FinSet, bits: int):
+        object.__setattr__(self, "carrier", carrier)
+        object.__setattr__(self, "bits", bits)
+        self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.carrier, self.bits) == (other.carrier, other.bits)
+
+    def __hash__(self):
+        return hash((self.carrier, self.bits))
 
     def __post_init__(self):
         if not 0 <= self.bits <= self.carrier.full_mask:
@@ -181,13 +239,24 @@ class Subset:
         return "{" + ",".join(self.labels()) + "}"
 
 
-@dataclass(frozen=True)
-class FinFunction:
+class FinFunction(_Value):
     """A total function, tabulated as target indices per source index."""
 
-    source: FinSet
-    target: FinSet
-    table: tuple[int, ...]
+    __match_args__ = ("source", "target", "table")
+
+    def __init__(self, source: FinSet, target: FinSet, table: tuple[int, ...]):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "table", table)
+        self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.source, self.target, self.table) == (other.source, other.target, other.table)
+
+    def __hash__(self):
+        return hash((self.source, self.target, self.table))
 
     def __post_init__(self):
         object.__setattr__(self, "table", tuple(self.table))
@@ -230,13 +299,24 @@ class FinFunction:
                         rows=tuple(1 << t for t in self.table))
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(_Value):
     """A boolean matrix source x target; rows[i] is the bitmask of related targets."""
 
-    source: FinSet
-    target: FinSet
-    rows: tuple[int, ...]
+    __match_args__ = ("source", "target", "rows")
+
+    def __init__(self, source: FinSet, target: FinSet, rows: tuple[int, ...]):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "rows", rows)
+        self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.source, self.target, self.rows) == (other.source, other.target, other.rows)
+
+    def __hash__(self):
+        return hash((self.source, self.target, self.rows))
 
     def __post_init__(self):
         object.__setattr__(self, "rows", tuple(self.rows))

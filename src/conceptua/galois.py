@@ -5,11 +5,10 @@ splits as a reflection onto its axis of bipoles followed by a coreflection,
 and ``diagonalize`` fills any reflection/coreflection square uniquely.
 """
 
-from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 from .errors import AdjunctionError, CarrierMismatchError
-from .finrel import FinSet, Relation, Subset, _trusted, image_bits, preimage_rows
+from .finrel import FinSet, Relation, Subset, _Record, _Value, _trusted, image_bits, preimage_rows
 from .order import (
     MonotoneMap,
     Poset,
@@ -50,14 +49,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Adjunction:
+class Adjunction(_Value):
     """An antiparallel pair of monotone maps with left(a) <= b iff a <= right(b)."""
 
-    source: Preorder
-    target: Preorder
-    left: MonotoneMap
-    right: MonotoneMap
+    __match_args__ = ("source", "target", "left", "right")
+
+    def __init__(self, source: Preorder, target: Preorder, left: MonotoneMap, right: MonotoneMap):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
     def left_idx(self, i: int) -> int:
         return self.left.func.table[i]
@@ -115,16 +116,21 @@ def involution(f: Adjunction) -> Adjunction:
                       _monotone(tgt, src, f.left.func.table))
 
 
-@dataclass(frozen=True)
-class ClosureInterior:
-    closure: MonotoneMap
-    interior: MonotoneMap
-    closed: Poset
-    open: Poset
-    closed_inclusion: MonotoneMap
-    open_inclusion: MonotoneMap
-    closed_indices: tuple[int, ...]
-    open_indices: tuple[int, ...]
+class ClosureInterior(_Value):
+    __match_args__ = ("closure", "interior", "closed", "open", "closed_inclusion",
+                      "open_inclusion", "closed_indices", "open_indices")
+
+    def __init__(self, closure: MonotoneMap, interior: MonotoneMap, closed: Poset, open: Poset,
+                 closed_inclusion: MonotoneMap, open_inclusion: MonotoneMap,
+                 closed_indices: tuple[int, ...], open_indices: tuple[int, ...]):
+        object.__setattr__(self, "closure", closure)
+        object.__setattr__(self, "interior", interior)
+        object.__setattr__(self, "closed", closed)
+        object.__setattr__(self, "open", open)
+        object.__setattr__(self, "closed_inclusion", closed_inclusion)
+        object.__setattr__(self, "open_inclusion", open_inclusion)
+        object.__setattr__(self, "closed_indices", closed_indices)
+        object.__setattr__(self, "open_indices", open_indices)
 
 
 def _fixed_point_subposet(p: Preorder, fixed: Sequence[int]) -> tuple[Poset, MonotoneMap]:
@@ -163,13 +169,16 @@ def is_coreflection(g: Adjunction) -> bool:
     return all(g.right_idx(g.left_idx(a)) == a for a in range(g.source.size))
 
 
-@dataclass(frozen=True)
-class PolarFactorization:
-    original: Adjunction
-    axis: Poset
-    extent_reflection: Adjunction
-    intent_coreflection: Adjunction
-    bipoles: tuple[tuple[int, int], ...]
+class PolarFactorization(_Value):
+    __match_args__ = ("original", "axis", "extent_reflection", "intent_coreflection", "bipoles")
+
+    def __init__(self, original: Adjunction, axis: Poset, extent_reflection: Adjunction,
+                 intent_coreflection: Adjunction, bipoles: tuple[tuple[int, int], ...]):
+        object.__setattr__(self, "original", original)
+        object.__setattr__(self, "axis", axis)
+        object.__setattr__(self, "extent_reflection", extent_reflection)
+        object.__setattr__(self, "intent_coreflection", intent_coreflection)
+        object.__setattr__(self, "bipoles", bipoles)
 
 
 def polar_factorize(g: Adjunction) -> PolarFactorization:
@@ -255,13 +264,16 @@ def connect_factorizations(pf1: PolarFactorization, pf2: PolarFactorization) -> 
                        pf2.extent_reflection, pf2.intent_coreflection)
 
 
-@dataclass(frozen=True)
-class FactorizationSystem:
+class FactorizationSystem(_Value):
     """Morphism classes with a chosen factorization; laws are checked on demand."""
 
-    is_e: Callable[[Adjunction], bool]
-    is_m: Callable[[Adjunction], bool]
-    factor: Callable[[Adjunction], PolarFactorization]
+    __match_args__ = ("is_e", "is_m", "factor")
+
+    def __init__(self, is_e: Callable[[Adjunction], bool], is_m: Callable[[Adjunction], bool],
+                 factor: Callable[[Adjunction], PolarFactorization]):
+        object.__setattr__(self, "is_e", is_e)
+        object.__setattr__(self, "is_m", is_m)
+        object.__setattr__(self, "factor", factor)
 
     def check_factor(self, g: Adjunction) -> list[str]:
         failures = []
@@ -339,11 +351,12 @@ def _diagonal_count(e, s, r, m) -> int | None:
                and same_adjunction(compose_adjunctions(d, m), s))
 
 
-@dataclass
-class EquivalenceReport:
-    cases_run: int = 0
-    squares_run: int = 0
-    failures: list[str] = field(default_factory=list)
+class EquivalenceReport(_Record):
+    __match_args__ = ("cases_run", "squares_run", "failures")
+
+    def __init__(self, cases_run: int = 0, squares_run: int = 0, failures: list[str] | None = None):
+        self.cases_run, self.squares_run = cases_run, squares_run
+        self.failures = [] if failures is None else failures
 
     @property
     def ok(self) -> bool:

@@ -21,11 +21,10 @@ recursion limit.
 import functools
 import itertools
 import re
-from dataclasses import dataclass, field
 
 from .errors import CarrierMismatchError, ParseError, SizeLimitError, UnknownElementError
-from .finrel import FinFunction, FinSet, Relation, Subset, _trusted, image_bits, image_tables, \
-    preimage_bits, preimage_rows, transpose
+from .finrel import FinFunction, FinSet, Relation, Subset, _Record, _Value, _trusted, image_bits, \
+    image_tables, preimage_bits, preimage_rows, transpose
 from .galois import Adjunction
 from .order import Poset, _bits_in_bytes, _member_masks, _monotone, _subset_rows, \
     check_carrier_bound
@@ -74,9 +73,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Signature:
-    vars: FinSet
+class Signature(_Value):
+    __match_args__ = ("vars",)
+
+    def __init__(self, vars: FinSet):
+        object.__setattr__(self, "vars", vars)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.vars == other.vars
+
+    def __hash__(self):
+        return hash((self.vars,))
 
     @classmethod
     def of(cls, *names: str) -> "Signature":
@@ -87,11 +96,14 @@ class Signature:
         return self.vars.size
 
 
-@dataclass(frozen=True)
-class SignatureMorphism:
-    source: Signature
-    target: Signature
-    map: FinFunction
+class SignatureMorphism(_Value):
+    __match_args__ = ("source", "target", "map")
+
+    def __init__(self, source: Signature, target: Signature, map: FinFunction):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "map", map)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.map.source != self.source.vars or self.map.target != self.target.vars:
@@ -114,12 +126,14 @@ class SignatureMorphism:
 # ---------------------------------------------------------------- sentences
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Var(_Value):
+    __match_args__ = ("name",)
+
+    def __init__(self, name: str):
+        object.__setattr__(self, "name", name)
 
 
-class _Connective:
+class _Connective(_Value):
     """``==`` and ``hash`` compare the prefix order with connectives mapped to
     their classes; ``repr`` reads as the dataclass one would."""
 
@@ -136,36 +150,38 @@ class _Connective:
         return _write(self, _REPR_OPENERS, ", rhs=", repr)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Not(_Connective):
-    body: "Sentence"
+    __match_args__ = ("body",)
+
+    def __init__(self, body: "Sentence"):
+        object.__setattr__(self, "body", body)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class And(_Connective):
-    lhs: "Sentence"
-    rhs: "Sentence"
+class _Binary(_Connective):
+    __match_args__ = ("lhs", "rhs")
+
+    def __init__(self, lhs: "Sentence", rhs: "Sentence"):
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
 
-@dataclass(frozen=True, eq=False, repr=False)
-class Or(_Connective):
-    lhs: "Sentence"
-    rhs: "Sentence"
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class Implies(_Connective):
-    lhs: "Sentence"
-    rhs: "Sentence"
-
-
-@dataclass(frozen=True)
-class Top:
+class And(_Binary):
     pass
 
 
-@dataclass(frozen=True)
-class Bottom:
+class Or(_Binary):
+    pass
+
+
+class Implies(_Binary):
+    pass
+
+
+class Top(_Value):
+    pass
+
+
+class Bottom(_Value):
     pass
 
 
@@ -330,12 +346,23 @@ def translate_sentence(sigma: SignatureMorphism, s: Sentence) -> Sentence:
 # ------------------------------------------------------------------- models
 
 
-@dataclass(frozen=True)
-class Model:
+class Model(_Value):
     """A valuation: the subset of variables that are true."""
 
-    signature: Signature
-    valuation: Subset
+    __match_args__ = ("signature", "valuation")
+
+    def __init__(self, signature: Signature, valuation: Subset):
+        object.__setattr__(self, "signature", signature)
+        object.__setattr__(self, "valuation", valuation)
+        self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.signature, self.valuation) == (other.signature, other.valuation)
+
+    def __hash__(self):
+        return hash((self.signature, self.valuation))
 
     def __post_init__(self):
         if self.valuation.carrier != self.signature.vars:
@@ -509,11 +536,13 @@ class PropositionalInstitution:
             self.reduct(sigma, m).valuation.bits for m in all_models(sigma.target)))
 
 
-@dataclass
-class SatisfactionReport:
-    models_checked: int = 0
-    sentences_checked: int = 0
-    failures: list[str] = field(default_factory=list)
+class SatisfactionReport(_Record):
+    __match_args__ = ("models_checked", "sentences_checked", "failures")
+
+    def __init__(self, models_checked: int = 0, sentences_checked: int = 0,
+                 failures: list[str] | None = None):
+        self.models_checked, self.sentences_checked = models_checked, sentences_checked
+        self.failures = [] if failures is None else failures
 
     @property
     def ok(self) -> bool:
@@ -578,12 +607,15 @@ def classification_of_signature(sig: Signature, depth: int) -> Classification:
 # ------------------------------------------------------------------ theories
 
 
-@dataclass(frozen=True)
-class TheoryObject:
+class TheoryObject(_Value):
     """A closed theory, represented extensionally by its class of models."""
 
-    signature: Signature
-    model_class: Subset
+    __match_args__ = ("signature", "model_class")
+
+    def __init__(self, signature: Signature, model_class: Subset):
+        object.__setattr__(self, "signature", signature)
+        object.__setattr__(self, "model_class", model_class)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.model_class.carrier != model_carrier(self.signature):
@@ -602,13 +634,15 @@ class TheoryObject:
         return self.model_class.bits
 
 
-@dataclass(frozen=True)
-class TheoryFiber:
+class TheoryFiber(_Value):
     """All theories of one signature, ordered with weaker theories below."""
 
-    signature: Signature
-    poset: Poset
-    theories: tuple[TheoryObject, ...]
+    __match_args__ = ("signature", "poset", "theories")
+
+    def __init__(self, signature: Signature, poset: Poset, theories: tuple[TheoryObject, ...]):
+        object.__setattr__(self, "signature", signature)
+        object.__setattr__(self, "poset", poset)
+        object.__setattr__(self, "theories", theories)
 
     def le(self, t1: TheoryObject, t2: TheoryObject) -> bool:
         """t1 <= t2 iff t1's model class contains t2's (t2 entails t1)."""
@@ -674,21 +708,21 @@ def fiber_transport_adjunction(sigma: SignatureMorphism) -> Adjunction:
 # --------------------------------------------------- flattened theory category
 
 
-@dataclass
-class CategoryReport:
-    objects: int = 0
-    morphisms: int = 0
-    composable_pairs: int = 0
-    composable_triples: int = 0
-    failures: list[str] = field(default_factory=list)
+class CategoryReport(_Record):
+    __match_args__ = ("objects", "morphisms", "composable_pairs", "composable_triples", "failures")
+
+    def __init__(self, objects: int = 0, morphisms: int = 0, composable_pairs: int = 0,
+                 composable_triples: int = 0, failures: list[str] | None = None):
+        self.objects, self.morphisms = objects, morphisms
+        self.composable_pairs, self.composable_triples = composable_pairs, composable_triples
+        self.failures = [] if failures is None else failures
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
 
-@dataclass(frozen=True)
-class FlattenedTheoryCategory:
+class FlattenedTheoryCategory(_Value):
     """The category of (signature, theory) pairs glued by transports.
 
     A morphism (sig1, t1) -> (sig2, t2) is a listed signature morphism whose
@@ -696,12 +730,18 @@ class FlattenedTheoryCategory:
     transported theory).
     """
 
-    signatures: tuple[Signature, ...]
-    fibers: tuple[TheoryFiber, ...]
-    objects: tuple[tuple[int, int], ...]
-    sig_morphisms: tuple[tuple[int, int, SignatureMorphism], ...]
-    morphisms: tuple[tuple[int, int, int], ...]
-    report: CategoryReport
+    __match_args__ = ("signatures", "fibers", "objects", "sig_morphisms", "morphisms", "report")
+
+    def __init__(self, signatures: tuple[Signature, ...], fibers: tuple[TheoryFiber, ...],
+                 objects: tuple[tuple[int, int], ...],
+                 sig_morphisms: tuple[tuple[int, int, SignatureMorphism], ...],
+                 morphisms: tuple[tuple[int, int, int], ...], report: CategoryReport):
+        object.__setattr__(self, "signatures", signatures)
+        object.__setattr__(self, "fibers", fibers)
+        object.__setattr__(self, "objects", objects)
+        object.__setattr__(self, "sig_morphisms", sig_morphisms)
+        object.__setattr__(self, "morphisms", morphisms)
+        object.__setattr__(self, "report", report)
 
 
 def flatten(signatures, morphisms) -> FlattenedTheoryCategory:
@@ -809,13 +849,17 @@ def _check_category_laws(objects, sig_morphs, morphs, report: CategoryReport):
 # -------------------------------------------------------------------- merging
 
 
-@dataclass(frozen=True)
-class MergeSpan:
-    base: Signature
-    left_map: SignatureMorphism
-    right_map: SignatureMorphism
-    left_theory: TheoryObject
-    right_theory: TheoryObject
+class MergeSpan(_Value):
+    __match_args__ = ("base", "left_map", "right_map", "left_theory", "right_theory")
+
+    def __init__(self, base: Signature, left_map: SignatureMorphism, right_map: SignatureMorphism,
+                 left_theory: TheoryObject, right_theory: TheoryObject):
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "left_map", left_map)
+        object.__setattr__(self, "right_map", right_map)
+        object.__setattr__(self, "left_theory", left_theory)
+        object.__setattr__(self, "right_theory", right_theory)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.left_map.source != self.base or self.right_map.source != self.base:
@@ -826,13 +870,16 @@ class MergeSpan:
             raise CarrierMismatchError("right theory is not over the right signature")
 
 
-@dataclass(frozen=True)
-class MergeResult:
-    signature: Signature
-    left_injection: SignatureMorphism
-    right_injection: SignatureMorphism
-    theory: TheoryObject
-    inconsistent: bool
+class MergeResult(_Value):
+    __match_args__ = ("signature", "left_injection", "right_injection", "theory", "inconsistent")
+
+    def __init__(self, signature: Signature, left_injection: SignatureMorphism,
+                 right_injection: SignatureMorphism, theory: TheoryObject, inconsistent: bool):
+        object.__setattr__(self, "signature", signature)
+        object.__setattr__(self, "left_injection", left_injection)
+        object.__setattr__(self, "right_injection", right_injection)
+        object.__setattr__(self, "theory", theory)
+        object.__setattr__(self, "inconsistent", inconsistent)
 
 
 def pushout_signature(span_base: Signature, left: SignatureMorphism,
@@ -956,13 +1003,14 @@ def verify_pushout_universal(span: MergeSpan, result: MergeResult, targets) -> l
 # ------------------------------------------------------------- style checks
 
 
-@dataclass
-class StyleReport:
-    class_rel: bool
-    class_adj: bool
-    conc_adj: bool
-    conc_rel: bool
-    witnesses: dict
+class StyleReport(_Record):
+    __match_args__ = ("class_rel", "class_adj", "conc_adj", "conc_rel", "witnesses")
+
+    def __init__(self, class_rel: bool, class_adj: bool, conc_adj: bool, conc_rel: bool,
+                 witnesses: dict):
+        self.class_rel, self.class_adj = class_rel, class_adj
+        self.conc_adj, self.conc_rel = conc_adj, conc_rel
+        self.witnesses = witnesses
 
     @property
     def all_pass(self) -> bool:
@@ -1090,12 +1138,15 @@ def theory_from_json(data, what: str = "theory") -> TheoryObject:
     """Theory files carry either an explicit model list or a single sentence
     in the prefix s-expression syntax; the sentence axiomatizes the theory.
 
-    Malformed theories raise ParseError naming ``what``: a model is a list of
-    signature variables, and a sentence mentions only signature variables.
+    Malformed theories raise ParseError naming ``what``: a theory holds one of
+    the two keys, a model is a list of signature variables, and a sentence
+    mentions only signature variables.
     """
     if not isinstance(data, dict) or "signature" not in data or \
             ("models" not in data and "sentence" not in data):
         raise ParseError(f"{what} needs 'signature' plus 'models' or 'sentence'")
+    if "models" in data and "sentence" in data:
+        raise ParseError(f"{what} has both 'models' and 'sentence'; give one of them")
     sig = signature_from_json(data["signature"], f"{what} signature")
     check_carrier_bound(sig.size, f"{what} signature")
     if "sentence" in data:

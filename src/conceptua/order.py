@@ -2,7 +2,6 @@
 
 import functools
 import os
-from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import CarrierMismatchError, ParseError, SizeLimitError
@@ -11,6 +10,7 @@ from .finrel import (
     FinSet,
     Relation,
     Subset,
+    _Value,
     _bits,
     _trusted,
     compose,
@@ -150,12 +150,14 @@ def _subset_rows(size: int) -> tuple[int, ...]:
     return tuple(rows)
 
 
-@dataclass(frozen=True)
-class EndorelationFlags:
-    reflexive: bool
-    transitive: bool
-    symmetric: bool
-    antisymmetric: bool
+class EndorelationFlags(_Value):
+    __match_args__ = ("reflexive", "transitive", "symmetric", "antisymmetric")
+
+    def __init__(self, reflexive: bool, transitive: bool, symmetric: bool, antisymmetric: bool):
+        object.__setattr__(self, "reflexive", reflexive)
+        object.__setattr__(self, "transitive", transitive)
+        object.__setattr__(self, "symmetric", symmetric)
+        object.__setattr__(self, "antisymmetric", antisymmetric)
 
 
 def classify_endorelation(r: Relation) -> EndorelationFlags:
@@ -172,12 +174,15 @@ def classify_endorelation(r: Relation) -> EndorelationFlags:
     )
 
 
-@dataclass(frozen=True)
-class Preorder:
+class Preorder(_Value):
     """A carrier with a reflexive, transitive endorelation."""
 
-    carrier: FinSet
-    leq: Relation
+    __match_args__ = ("carrier", "leq")
+
+    def __init__(self, carrier: FinSet, leq: Relation):
+        object.__setattr__(self, "carrier", carrier)
+        object.__setattr__(self, "leq", leq)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.leq.source != self.carrier or self.leq.target != self.carrier:
@@ -229,7 +234,6 @@ class Preorder:
         return classify_endorelation(self.leq).antisymmetric
 
 
-@dataclass(frozen=True)
 class Poset(Preorder):
     """A preorder whose order relation is also antisymmetric."""
 
@@ -255,13 +259,16 @@ def opposite(p: Preorder) -> Preorder:
     return _trusted(cls, carrier=p.carrier, leq=transpose(p.leq))
 
 
-@dataclass(frozen=True)
-class MonotoneMap:
+class MonotoneMap(_Value):
     """An order-preserving function between preorders."""
 
-    source: Preorder
-    target: Preorder
-    func: FinFunction
+    __match_args__ = ("source", "target", "func")
+
+    def __init__(self, source: Preorder, target: Preorder, func: FinFunction):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "func", func)
+        self.__post_init__()
 
     def __post_init__(self):
         """Row i of the source must lie in the preimage of the up-set of func(i)."""
@@ -321,13 +328,16 @@ def pointwise_equiv(f: MonotoneMap, g: MonotoneMap) -> bool:
     return pointwise_le(f, g) and pointwise_le(g, f)
 
 
-@dataclass(frozen=True)
-class OrderBimodule:
+class OrderBimodule(_Value):
     """A relation between preorders closed under both orders."""
 
-    source: Preorder
-    target: Preorder
-    rel: Relation
+    __match_args__ = ("source", "target", "rel")
+
+    def __init__(self, source: Preorder, target: Preorder, rel: Relation):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "rel", rel)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.rel.source != self.source.carrier or self.rel.target != self.target.carrier:
@@ -406,11 +416,13 @@ def quotient(p: Preorder) -> tuple[Poset, MonotoneMap]:
     return q, _monotone(p, q, (pos[r] for r in first))
 
 
-@dataclass(frozen=True)
-class OrderProduct:
-    order: Preorder
-    proj0: MonotoneMap
-    proj1: MonotoneMap
+class OrderProduct(_Value):
+    __match_args__ = ("order", "proj0", "proj1")
+
+    def __init__(self, order: Preorder, proj0: MonotoneMap, proj1: MonotoneMap):
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "proj0", proj0)
+        object.__setattr__(self, "proj1", proj1)
 
 
 def product(p: Preorder, q: Preorder) -> OrderProduct:

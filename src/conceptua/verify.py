@@ -9,7 +9,6 @@ import functools
 import itertools
 import random
 import time
-from dataclasses import dataclass, field
 
 from .errors import ConceptuaError
 from .finrel import (
@@ -17,6 +16,7 @@ from .finrel import (
     FinSet,
     Relation,
     Subset,
+    _Record,
     compose,
     derive_forward,
     derive_reverse,
@@ -108,12 +108,14 @@ __all__ = [
 ]
 
 
-@dataclass
-class LawReport:
-    suite: str
-    cases: int = 0
-    failures: list[str] = field(default_factory=list)
-    seconds: float = 0.0
+class LawReport(_Record):
+    __match_args__ = ("suite", "cases", "failures", "seconds")
+
+    def __init__(self, suite: str, cases: int = 0, failures: list[str] | None = None,
+                 seconds: float = 0.0):
+        self.suite, self.cases = suite, cases
+        self.failures = [] if failures is None else failures
+        self.seconds = seconds
 
     @property
     def ok(self) -> bool:

@@ -275,6 +275,8 @@ GOOD_SPAN = {
     ({**GOOD_SPAN, "right_map": ["q"]}, "right_map must be an object"),
     ({**GOOD_SPAN, "left_map": {}}, "left_map has no entry for 'q'"),
     ({**GOOD_SPAN, "base": "q"}, "span base must be a list"),
+    ({**GOOD_SPAN, "left": {"signature": ["p"], "models": "x", "sentence": "(var p)"}},
+     "left theory has both 'models' and 'sentence'"),
 ])
 def test_merge_malformed_theory_exits_2(tmp_path, capsys, span, message):
     path = tmp_path / "span.json"

@@ -97,6 +97,36 @@ def test_one_point_infomorphism():
     assert check_infomorphism(f).valid
 
 
+def oracle_fundamental_witness(f):
+    """The earlier per-pair loop of ``Infomorphism.fundamental_witness``."""
+    a, b = f.source, f.target
+    for x in range(b.instances.size):
+        fx = f.inst_map.table[x]
+        for y in range(a.types.size):
+            if a.incidence.holds_idx(fx, y) != b.incidence.holds_idx(x, f.typ_map.table[y]):
+                return b.instances.elements[x], a.types.elements[y]
+    return None
+
+
+def test_fundamental_witness_matches_the_per_pair_loop():
+    """The same first witness, or none, on seeded random map pairs between
+    random classifications, most of them not infomorphisms."""
+    rng = random.Random(24)
+    found = 0
+    for _ in range(400):
+        a, b = random_classification(rng, 5), random_classification(rng, 5)
+        for _ in range(5):
+            inst = FinFunction(b.instances, a.instances,
+                               tuple(rng.randrange(a.instances.size) for _ in b.instances))
+            typ = FinFunction(a.types, b.types, tuple(rng.randrange(b.types.size) for _ in a.types))
+            f = Infomorphism(a, b, inst, typ)
+            assert f.fundamental_witness() == oracle_fundamental_witness(f)
+            found += f.fundamental_witness() is not None
+    for f in enumerate_infomorphisms(WORKED, WORKED):
+        assert f.fundamental_witness() is None is oracle_fundamental_witness(f)
+    assert 0 < found < 2000
+
+
 def test_three_versions_agree_exhaustively_on_2x2():
     i2, t2 = finset("i0", "i1"), finset("t0", "t1")
     rels = [Relation(i2, t2, rows) for rows in itertools.product(range(4), repeat=2)]

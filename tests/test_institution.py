@@ -630,6 +630,7 @@ def test_parse_sentence_error_messages(text, message):
     {"signature": ["p", "p"], "models": []}, {"signature": ["p"], "models": "p"},
     {"signature": ["p"], "models": [["q"]]}, {"signature": ["p"], "sentence": 1},
     {"signature": ["p"], "sentence": "(var q)"},
+    {"signature": ["p"], "models": "x", "sentence": "(var p)"},
 ])
 def test_theory_from_json_rejects_malformed(data):
     with pytest.raises(ParseError):

@@ -1,0 +1,529 @@
+"""The written-out value classes against the ``@dataclass`` declarations they replace.
+
+Each value class of ``finrel``, ``order``, ``galois``, ``clsn``, ``clg``,
+``institution`` and ``verify`` used to be a dataclass.  The declarations are
+copied in below as the oracle, fields and decorator options only, with the
+one method that changed what the decorator generated (``FinSet.__eq__``).
+On instances built by the library, each class must give what its oracle
+gives for ``repr``, ``==``, ``hash``, ``__match_args__``, the ``__init__``
+parameters and their defaults, and the errors of assigning and deleting an
+attribute.  The connectives take ``==``, ``hash`` and ``repr`` from
+``institution._Connective`` either way, so only what the decorator made for
+them is compared.
+
+A child interpreter imports every layer and checks that no method of a
+``conceptua`` class was compiled by ``dataclasses`` (whose generated code
+has the file name ``<string>``), but those of the two classes that stay
+dataclasses.
+"""
+
+from __future__ import annotations
+
+import copy
+import inspect
+import json
+import os
+import subprocess
+import sys
+from dataclasses import dataclass, field
+from pathlib import Path
+from typing import Callable
+
+import pytest
+
+from conceptua import clg, clsn, finrel, galois, institution, order, verify
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+# ------------------------------------------------------------------ oracles
+
+
+@dataclass(frozen=True)
+class FinSet:
+    elements: tuple[str, ...]
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.elements == other.elements
+
+
+@dataclass(frozen=True)
+class Subset:
+    carrier: FinSet
+    bits: int
+
+
+@dataclass(frozen=True)
+class FinFunction:
+    source: FinSet
+    target: FinSet
+    table: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class Relation:
+    source: FinSet
+    target: FinSet
+    rows: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class EndorelationFlags:
+    reflexive: bool
+    transitive: bool
+    symmetric: bool
+    antisymmetric: bool
+
+
+@dataclass(frozen=True)
+class Preorder:
+    carrier: FinSet
+    leq: Relation
+
+
+@dataclass(frozen=True)
+class Poset(Preorder):
+    pass
+
+
+@dataclass(frozen=True)
+class MonotoneMap:
+    source: Preorder
+    target: Preorder
+    func: FinFunction
+
+
+@dataclass(frozen=True)
+class OrderBimodule:
+    source: Preorder
+    target: Preorder
+    rel: Relation
+
+
+@dataclass(frozen=True)
+class OrderProduct:
+    order: Preorder
+    proj0: MonotoneMap
+    proj1: MonotoneMap
+
+
+@dataclass(frozen=True)
+class Adjunction:
+    source: Preorder
+    target: Preorder
+    left: MonotoneMap
+    right: MonotoneMap
+
+
+@dataclass(frozen=True)
+class ClosureInterior:
+    closure: MonotoneMap
+    interior: MonotoneMap
+    closed: Poset
+    open: Poset
+    closed_inclusion: MonotoneMap
+    open_inclusion: MonotoneMap
+    closed_indices: tuple[int, ...]
+    open_indices: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class PolarFactorization:
+    original: Adjunction
+    axis: Poset
+    extent_reflection: Adjunction
+    intent_coreflection: Adjunction
+    bipoles: tuple[tuple[int, int], ...]
+
+
+@dataclass(frozen=True)
+class FactorizationSystem:
+    is_e: Callable[[Adjunction], bool]
+    is_m: Callable[[Adjunction], bool]
+    factor: Callable[[Adjunction], PolarFactorization]
+
+
+@dataclass
+class EquivalenceReport:
+    cases_run: int = 0
+    squares_run: int = 0
+    failures: list[str] = field(default_factory=list)
+
+
+@dataclass(frozen=True)
+class Infomorphism:
+    source: Classification
+    target: Classification
+    inst_map: FinFunction
+    typ_map: FinFunction
+
+
+@dataclass(frozen=True)
+class InfomorphismReport:
+    relation_version: bool
+    morphism_version: bool
+    adjunction_version: bool
+    witness: tuple[str, str] | None
+
+
+@dataclass(frozen=True)
+class FormalConcept:
+    extent: Subset
+    intent: Subset
+
+
+@dataclass(frozen=True)
+class ConceptMorphism:
+    source: ConceptLattice
+    target: ConceptLattice
+    connection: Adjunction
+    inst_map: FinFunction
+    typ_map: FinFunction
+
+
+@dataclass(frozen=True)
+class LatticeIsomorphism:
+    forward: FinFunction
+    backward: FinFunction
+
+
+@dataclass(frozen=True)
+class Signature:
+    vars: FinSet
+
+
+@dataclass(frozen=True)
+class SignatureMorphism:
+    source: Signature
+    target: Signature
+    map: FinFunction
+
+
+@dataclass(frozen=True)
+class Var:
+    name: str
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Not:
+    body: Sentence
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class And:
+    lhs: Sentence
+    rhs: Sentence
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Or:
+    lhs: Sentence
+    rhs: Sentence
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Implies:
+    lhs: Sentence
+    rhs: Sentence
+
+
+@dataclass(frozen=True)
+class Top:
+    pass
+
+
+@dataclass(frozen=True)
+class Bottom:
+    pass
+
+
+@dataclass(frozen=True)
+class Model:
+    signature: Signature
+    valuation: Subset
+
+
+@dataclass
+class SatisfactionReport:
+    models_checked: int = 0
+    sentences_checked: int = 0
+    failures: list[str] = field(default_factory=list)
+
+
+@dataclass(frozen=True)
+class TheoryObject:
+    signature: Signature
+    model_class: Subset
+
+
+@dataclass(frozen=True)
+class TheoryFiber:
+    signature: Signature
+    poset: Poset
+    theories: tuple[TheoryObject, ...]
+
+
+@dataclass
+class CategoryReport:
+    objects: int = 0
+    morphisms: int = 0
+    composable_pairs: int = 0
+    composable_triples: int = 0
+    failures: list[str] = field(default_factory=list)
+
+
+@dataclass(frozen=True)
+class FlattenedTheoryCategory:
+    signatures: tuple[Signature, ...]
+    fibers: tuple[TheoryFiber, ...]
+    objects: tuple[tuple[int, int], ...]
+    sig_morphisms: tuple[tuple[int, int, SignatureMorphism], ...]
+    morphisms: tuple[tuple[int, int, int], ...]
+    report: CategoryReport
+
+
+@dataclass(frozen=True)
+class MergeSpan:
+    base: Signature
+    left_map: SignatureMorphism
+    right_map: SignatureMorphism
+    left_theory: TheoryObject
+    right_theory: TheoryObject
+
+
+@dataclass(frozen=True)
+class MergeResult:
+    signature: Signature
+    left_injection: SignatureMorphism
+    right_injection: SignatureMorphism
+    theory: TheoryObject
+    inconsistent: bool
+
+
+@dataclass
+class StyleReport:
+    class_rel: bool
+    class_adj: bool
+    conc_adj: bool
+    conc_rel: bool
+    witnesses: dict
+
+
+@dataclass
+class LawReport:
+    suite: str
+    cases: int = 0
+    failures: list[str] = field(default_factory=list)
+    seconds: float = 0.0
+
+
+MODULES = (finrel, order, galois, clsn, clg, institution, verify)
+ORACLES = {cls.__name__: cls for cls in [
+    FinSet, Subset, FinFunction, Relation,
+    EndorelationFlags, Preorder, Poset, MonotoneMap, OrderBimodule, OrderProduct,
+    Adjunction, ClosureInterior, PolarFactorization, FactorizationSystem, EquivalenceReport,
+    Infomorphism, InfomorphismReport,
+    FormalConcept, ConceptMorphism, LatticeIsomorphism,
+    Signature, SignatureMorphism, Var, Not, And, Or, Implies, Top, Bottom, Model,
+    SatisfactionReport, TheoryObject, TheoryFiber, CategoryReport, FlattenedTheoryCategory,
+    MergeSpan, MergeResult, StyleReport,
+    LawReport,
+]}
+CONNECTIVES = {"Not", "And", "Or", "Implies"}
+KEPT = {"ConceptLattice", "Classification"}
+
+
+def library_class(name):
+    return next(getattr(m, name) for m in MODULES if hasattr(m, name))
+
+
+# ---------------------------------------------------------------- instances
+
+
+def _samples() -> dict[str, list]:
+    """Per class, instances built by the library: some equal but not identical,
+    some different."""
+    c, c2 = finrel.finset("a", "b"), finrel.finset("a", "b")
+    rel = finrel.Relation.of(c, c, [("a", "b")])
+    chain, discrete = order.Preorder.chain("a", "b"), order.Poset.discrete(c)
+    cycle = order.Preorder.from_pairs(c, [("a", "b"), ("b", "a")])
+    ident = order.MonotoneMap.identity(chain)
+    flip = order.MonotoneMap.from_map(discrete, discrete, {"a": "b", "b": "a"})
+
+    a = clsn.Classification.of("xy", "pq", [("x", "p"), ("y", "q"), ("y", "p")])
+    b = clsn.Classification.of("xy", "pq", [("x", "p")])
+    infos = [clsn.identity_infomorphism(a), clsn.identity_infomorphism(a),
+             *clsn.enumerate_infomorphisms(a, b)[:2]]
+    deriv = clsn.derivation(a)
+    adjunctions = [deriv, galois.identity_adjunction(chain), galois.identity_adjunction(chain)]
+    lat = clg.concept_lattice(a)
+    a2 = clsn.Classification.of("xy", "pq", [("x", "p"), ("y", "q"), ("y", "p")])
+
+    sig, sig_pq = institution.Signature.of("p"), institution.Signature.of("p", "q")
+    into = institution.SignatureMorphism.of(sig, sig_pq, {"p": "p"})
+    sentence = institution.parse_sentence(
+        "(and (implies (var p) (not (var q))) (or top (and bottom (var p))))")
+    nodes = institution._preorder(sentence) + institution._preorder(
+        institution.parse_sentence("(and (implies (var p) (not (var q))) (or top bottom))"))
+    span = institution.MergeSpan(
+        sig, into, institution.SignatureMorphism.identity(sig),
+        institution.TheoryObject.of_mask(sig_pq, 0b0110), institution.TheoryObject.of_mask(sig, 0b10))
+    flat = institution.flatten([sig, sig_pq], [into])
+
+    return {
+        "FinSet": [c, c2, finrel.finset("a")],
+        "Subset": [finrel.Subset(c, 1), finrel.Subset.of(c2, ["a"]), finrel.Subset.full(c)],
+        "FinFunction": [finrel.FinFunction.identity(c), finrel.FinFunction.identity(c2),
+                        *finrel.image_factorize(finrel.FinFunction(c, c, (1, 1)))],
+        "Relation": [rel, finrel.transpose(finrel.transpose(rel)), finrel.Relation.identity(c)],
+        "EndorelationFlags": [order.classify_endorelation(r) for r in (rel, rel, chain.leq)],
+        "Preorder": [cycle, order.Preorder.from_pairs(c2, [("b", "a"), ("a", "b")]), chain],
+        "Poset": [chain, order.Preorder.chain("a", "b"), discrete, order.power_order(c)],
+        "MonotoneMap": [ident, order.MonotoneMap.identity(chain), flip],
+        "OrderBimodule": [order.bimodule_of_map(ident), order.bimodule_of_map(ident),
+                          order.bimodule_of_map(flip, "reverse")],
+        "OrderProduct": [order.product(chain, chain), order.product(chain, discrete)],
+        "Adjunction": adjunctions,
+        "ClosureInterior": [galois.closure_interior(g) for g in adjunctions],
+        "PolarFactorization": [galois.polar_factorize(g) for g in adjunctions],
+        "FactorizationSystem": [galois.polar_factorization_system(),
+                                galois.polar_factorization_system()],
+        "EquivalenceReport": [galois.factorization_equivalence_check(adjunctions[1:]),
+                              galois.factorization_equivalence_check(adjunctions)],
+        "Infomorphism": infos,
+        "InfomorphismReport": [clsn.check_infomorphism(f) for f in infos],
+        "FormalConcept": list(lat.concepts) + list(clg.concept_lattice(a2).concepts),
+        "ConceptMorphism": [clg.concept_morphism_of(f) for f in infos[:2]],
+        "LatticeIsomorphism": [clg.lattice_roundtrip_iso(lat), clg.lattice_roundtrip_iso(lat)],
+        "Signature": [sig, institution.signature_from_json(["p"]), sig_pq],
+        "SignatureMorphism": [into, institution.SignatureMorphism.of(sig, sig_pq, {"p": "q"}),
+                              institution.SignatureMorphism.identity(sig)],
+        "Var": [t for t in nodes if isinstance(t, institution.Var)],
+        "Not": [t for t in nodes if type(t) is institution.Not],
+        "And": [t for t in nodes if type(t) is institution.And],
+        "Or": [t for t in nodes if type(t) is institution.Or],
+        "Implies": [t for t in nodes if type(t) is institution.Implies],
+        "Top": [t for t in nodes if isinstance(t, institution.Top)],
+        "Bottom": [t for t in nodes if isinstance(t, institution.Bottom)],
+        "Model": institution.all_models(sig_pq) + institution.all_models(sig_pq)[:1],
+        "SatisfactionReport": [institution.check_satisfaction_condition(into, depth=2)] * 2,
+        "TheoryObject": [span.left_theory, institution.TheoryObject.of_mask(sig_pq, 0b0110),
+                         institution.theory_from_json({"signature": ["p"], "sentence": "(var p)"})],
+        "TheoryFiber": [institution.theory_fiber(sig), institution.theory_fiber(sig_pq)],
+        "CategoryReport": [flat.report, institution.flatten([sig], []).report],
+        "FlattenedTheoryCategory": [flat],
+        "MergeSpan": [span],
+        "MergeResult": [institution.merge_theories(span), institution.merge_theories(span)],
+        "StyleReport": [institution.style_interconvert(into, 1)] * 2,
+        "LawReport": verify.run_suite("finrel", 0, 2) + verify.run_suite("clsn", 0, 2),
+    }
+
+
+@pytest.fixture(scope="module")
+def samples():
+    return _samples()
+
+
+def test_every_value_class_has_an_oracle_and_samples(samples):
+    converted = {name for m in MODULES for name, obj in vars(m).items()
+                 if isinstance(obj, type) and issubclass(obj, finrel._Record)
+                 and not name.startswith("_")}
+    assert converted == set(ORACLES)
+    assert set(samples) == set(ORACLES)
+    assert all(samples.values())
+
+
+def _as_oracle(x):
+    oracle = ORACLES[type(x).__name__]
+    return oracle(*[getattr(x, f) for f in oracle.__match_args__])
+
+
+def _outcome(fn, *args):
+    """The result of the call, or the type and text of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the oracle may raise anything
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLES))
+def test_match_args_and_init_parameters(name):
+    cls, oracle = library_class(name), ORACLES[name]
+    assert cls.__match_args__ == oracle.__match_args__
+    params = inspect.signature(cls).parameters.values()
+    expected = inspect.signature(oracle).parameters.values()
+    assert [(p.name, p.kind) for p in params] == [(p.name, p.kind) for p in expected]
+    required = [p for p in expected if p.default is inspect.Parameter.empty]
+    assert [p.default is inspect.Parameter.empty for p in params] == \
+        [p.default is inspect.Parameter.empty for p in expected]
+    if len(required) < len(expected):
+        # Defaults, a default factory included: the same fresh value per instance.
+        args = [f"v{i}" for i in range(len(required))]
+        x, y = cls(*args), cls(*args)
+        assert repr(x) == repr(oracle(*args))
+        assert x == y and all(getattr(x, f) is not getattr(y, f) for f in cls.__match_args__
+                              if isinstance(getattr(x, f), list))
+
+
+@pytest.mark.parametrize("name", sorted(ORACLES.keys() - CONNECTIVES))
+def test_repr_eq_hash_match_the_oracle(samples, name):
+    xs = samples[name]
+    oracles = [_as_oracle(x) for x in xs]
+    for x, o in zip(xs, oracles):
+        assert repr(x) == repr(o)
+        assert _outcome(hash, x) == _outcome(hash, o)
+        assert x.__eq__(object()) is NotImplemented and o.__eq__(object()) is NotImplemented
+    pairs = [(x, y, o, p) for x, o in zip(xs, oracles) for y, p in zip(xs, oracles)]
+    pairs += [(x, copy.copy(x), o, copy.copy(o)) for x, o in zip(xs, oracles)]
+    for x, y, o, p in pairs:
+        assert (x == y) == (o == p) and (x != y) == (o != p)
+
+
+def test_equal_fields_of_another_class_compare_unequal(samples):
+    poset = samples["Poset"][0]
+    as_preorder = order.Preorder(poset.carrier, poset.leq)
+    assert (as_preorder == poset, poset == as_preorder) == (False, False)
+    assert Preorder(poset.carrier, poset.leq) != Poset(poset.carrier, poset.leq)
+    assert hash(as_preorder) == hash(poset)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLES))
+def test_assignment_and_deletion_match_the_oracle(samples, name):
+    x = samples[name][0]
+    o = _as_oracle(x)
+    for attr in (*ORACLES[name].__match_args__, "not_a_field"):
+        value = getattr(x, attr, None)
+        assert _outcome(setattr, x, attr, value) == _outcome(setattr, o, attr, value)
+        assert _outcome(delattr, x, attr) == _outcome(delattr, o, attr)
+        if not ORACLES[name].__dataclass_params__.frozen and hasattr(o, attr):  # put it back
+            setattr(x, attr, value)
+
+
+def test_no_layer_compiles_dataclass_code_on_import():
+    """In a fresh interpreter, no method of a ``conceptua`` class but those of
+    the two kept dataclasses comes from code compiled by ``dataclasses``."""
+    probe = """
+import importlib, inspect, json
+generated = []
+for layer in ("cli", "io", "finrel", "order", "galois", "clsn", "clg", "institution", "verify"):
+    module = importlib.import_module(f"conceptua.{layer}")
+    for cls in vars(module).values():
+        # A named tuple compiles its __new__ the same way; only dataclasses are checked.
+        if not isinstance(cls, type) or not cls.__module__.startswith("conceptua") \\
+                or issubclass(cls, tuple):
+            continue
+        for attr, value in vars(cls).items():
+            code = getattr(inspect.unwrap(getattr(value, "__func__", value)), "__code__", None)
+            if code is not None and code.co_filename == "<string>":
+                generated.append(f"{cls.__qualname__}.{attr}")
+print(json.dumps(sorted(set(generated))))
+"""
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC)}).stdout
+    generated = json.loads(out)
+    assert generated, "the probe finds the methods of the kept dataclasses"
+    assert {name.split(".")[0] for name in generated} == KEPT
