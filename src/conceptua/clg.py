@@ -14,7 +14,6 @@ reflection and the intent coreflection run through both power orders, so
 they are built only when first read, and validation reads neither.
 """
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from json.encoder import encode_basestring_ascii as _json_string
 
@@ -86,17 +85,20 @@ class FormalConcept(_Value):
         return f"{self.extent}|{self.intent}"
 
 
-# Kept a dataclass: tests take it apart with ``dataclasses.fields`` and ``replace``.
-@dataclass(frozen=True)
-class ConceptLattice:
+class ConceptLattice(_Value):
     """Concepts by extent inclusion and their embeddings; adjunctions built on first read."""
 
-    instances: FinSet
-    types: FinSet
-    lattice: Poset
-    concepts: tuple[FormalConcept, ...]
-    iota_embed: FinFunction
-    tau_embed: FinFunction
+    __match_args__ = ("instances", "types", "lattice", "concepts", "iota_embed", "tau_embed")
+
+    def __init__(self, instances: FinSet, types: FinSet, lattice: Poset,
+                 concepts: tuple[FormalConcept, ...], iota_embed: FinFunction,
+                 tau_embed: FinFunction):
+        object.__setattr__(self, "instances", instances)
+        object.__setattr__(self, "types", types)
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "concepts", concepts)
+        object.__setattr__(self, "iota_embed", iota_embed)
+        object.__setattr__(self, "tau_embed", tau_embed)
 
     @cached_property
     def _adjunctions(self) -> tuple[Adjunction, Adjunction]:
@@ -148,7 +150,7 @@ def _concepts_lectic(a: Classification) -> tuple[FormalConcept, ...]:
     n_small bits, the scan of the small side's lines for the ones that hold
     it: min(|set|, n_small) lines.  The concepts are then sorted once by the
     bit reversal of their extents.  Each concept and its two subsets are
-    valid by construction and built like ``finrel._trusted``, inlined.
+    valid by construction and built field by field like ``finrel._trusted``, inlined.
 
     The set only grows and each member is one concept's intent (or extent),
     so the size check after each pass raises exactly when there are more
@@ -189,15 +191,18 @@ def _concepts_lectic(a: Classification) -> tuple[FormalConcept, ...]:
         pairs.append((derived, c) if by_rows else (c, derived))
     width = (inst.size + 7) // 8
     pairs.sort(key=lambda pair: pair[0].to_bytes(width, "little").translate(_REVERSED_BYTES))
-    new = object.__new__
+    new, put = object.__new__, object.__setattr__
     out = []
     for e, t in pairs:
         extent = new(Subset)
-        extent.__dict__.update({"carrier": inst, "bits": e})
+        put(extent, "carrier", inst)
+        put(extent, "bits", e)
         intent = new(Subset)
-        intent.__dict__.update({"carrier": typ, "bits": t})
+        put(intent, "carrier", typ)
+        put(intent, "bits", t)
         concept = new(FormalConcept)
-        concept.__dict__.update({"extent": extent, "intent": intent})
+        put(concept, "extent", extent)
+        put(concept, "intent", intent)
         out.append(concept)
     return tuple(out)
 

@@ -7,7 +7,6 @@ operators of a classification as a Galois connection between power lattices.
 """
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import CarrierMismatchError, SizeLimitError
@@ -49,14 +48,16 @@ __all__ = [
 ]
 
 
-# Kept a dataclass: tests take it apart with ``dataclasses.fields`` and ``replace``.
-@dataclass(frozen=True)
-class Classification:
+class Classification(_Value):
     """Instances, types, and an incidence relation between them."""
 
-    instances: FinSet
-    types: FinSet
-    incidence: Relation
+    __match_args__ = ("instances", "types", "incidence")
+
+    def __init__(self, instances: FinSet, types: FinSet, incidence: Relation):
+        object.__setattr__(self, "instances", instances)
+        object.__setattr__(self, "types", types)
+        object.__setattr__(self, "incidence", incidence)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.incidence.source != self.instances or self.incidence.target != self.types:
@@ -228,30 +229,24 @@ def enumerate_infomorphisms(a: Classification, b: Classification,
     possible image under the instance map; complete type maps are expanded
     into every consistent instance-map choice.
     """
-    n_b_inst, n_a_typ = b.instances.size, a.types.size
+    n_a_typ = a.types.size
     if (type_maps := b.types.size ** n_a_typ) > 1_000_000:
         raise SizeLimitError(f"type-map search space too large: {b.types.size}^{n_a_typ} = "
                              f"{type_maps} type maps, above the fixed cap of 10^6")
     results: list[Infomorphism] = []
 
-    a_cols = a.incidence.columns
-    b_rows = b.incidence.rows
+    a_rows, b_rows = a.incidence.rows, b.incidence.rows
 
     def candidates(typ_table: tuple[int, ...]) -> list[list[int]]:
-        """For each target instance, the source instances consistent so far."""
-        cand = []
-        for x in range(n_b_inst):
-            ok = []
-            for ax in range(a.instances.size):
-                good = True
-                for y, ty in enumerate(typ_table):
-                    if bool(a_cols[y] >> ax & 1) != bool(b_rows[x] >> ty & 1):
-                        good = False
-                        break
-                if good:
-                    ok.append(ax)
-            cand.append(ok)
-        return cand
+        """For each target instance x, the source instances consistent so far:
+        those whose row, cut to the k types mapped so far, is x's row pulled
+        back along the partial type map, in ascending order."""
+        low = (1 << len(typ_table)) - 1
+        by_row: dict[int, list[int]] = {}
+        for ax, row in enumerate(a_rows):
+            by_row.setdefault(row & low, []).append(ax)
+        return [by_row.get(sum((row >> ty & 1) << y for y, ty in enumerate(typ_table)), [])
+                for row in b_rows]
 
     def extend(typ_table: list[int]):
         cand = candidates(tuple(typ_table))

@@ -47,16 +47,20 @@ __all__ = [
 ]
 
 
+_new, _set = object.__new__, object.__setattr__
+
+
 def _trusted(cls, **fields):
-    """A value built without running ``__post_init__``: the fields are written
-    to the instance dict in one step.
+    """A value built without running ``__post_init__``: each field is set
+    with ``object.__setattr__``, as the written-out ``__init__``s do.
 
     Every value the library derives is valid by construction and built here;
     only the public constructors validate.  Sequence fields must already be
-    tuples.
+    tuples, and fields are named in ``__match_args__`` order.
     """
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
+    obj = _new(cls)
+    for name, value in fields.items():
+        _set(obj, name, value)
     return obj
 
 
@@ -87,9 +91,9 @@ class _Record:
 
 class _Value(_Record):
     """A frozen record: assigning or deleting any attribute raises, and the
-    hash is that of the field tuple.  ``__init__`` sets each field with
-    ``object.__setattr__``, as the generated one does; writing the instance
-    dict instead would make every later read of a field slower."""
+    hash is that of the field tuple.  ``__init__`` and ``_trusted`` set each
+    field with ``object.__setattr__``, as the generated one does; touching the
+    instance dict instead would make every later field read slower."""
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")

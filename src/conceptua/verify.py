@@ -246,7 +246,6 @@ def corrupted_factorization_witness() -> str | None:
 def finrel_suite(seed: int, cases: int) -> LawReport:
     rng = random.Random(seed)
     report = LawReport("finrel")
-    start = time.perf_counter()
 
     # residuation adjointness, exhaustive on 2-element carriers; the residuals
     # depend on two of the three relations, so each is computed once
@@ -385,7 +384,6 @@ def finrel_suite(seed: int, cases: int) -> LawReport:
         report.check(bounds(p, Subset.empty(p.carrier))[0] == Subset.full(p.carrier),
                      "empty subset has every upper bound")
 
-    report.seconds = time.perf_counter() - start
     return report
 
 
@@ -395,7 +393,6 @@ def finrel_suite(seed: int, cases: int) -> LawReport:
 def galois_suite(seed: int, cases: int) -> LawReport:
     rng = random.Random(seed)
     report = LawReport("galois")
-    start = time.perf_counter()
 
     # triple identities for adjunctions between posets
     for _ in range(cases // 10 + 3):
@@ -507,7 +504,6 @@ def galois_suite(seed: int, cases: int) -> LawReport:
                                 pf2.extent_reflection, pf2.intent_coreflection)
         report.check(count == 1, f"diagonal uniqueness: found {count}")
 
-    report.seconds = time.perf_counter() - start
     return report
 
 
@@ -517,7 +513,6 @@ def galois_suite(seed: int, cases: int) -> LawReport:
 def clsn_suite(seed: int, cases: int) -> LawReport:
     rng = random.Random(seed)
     report = LawReport("clsn")
-    start = time.perf_counter()
 
     for _ in range(cases):
         a = random_classification(rng, 6)
@@ -587,7 +582,6 @@ def clsn_suite(seed: int, cases: int) -> LawReport:
                     a.incidence.holds_idx(xi, f.typ_map.table[yi]),
                     "exponent incidence formulas agree")
 
-    report.seconds = time.perf_counter() - start
     return report
 
 
@@ -597,7 +591,6 @@ def clsn_suite(seed: int, cases: int) -> LawReport:
 def clg_suite(seed: int, cases: int) -> LawReport:
     rng = random.Random(seed)
     report = LawReport("clg")
-    start = time.perf_counter()
 
     for _ in range(cases):
         a = random_classification(rng, 5)
@@ -663,7 +656,6 @@ def clg_suite(seed: int, cases: int) -> LawReport:
                 ok = False
         report.check(ok, "connection equals the diagonal of the derivation square")
 
-    report.seconds = time.perf_counter() - start
     return report
 
 
@@ -677,7 +669,6 @@ def _canonical_signatures(max_size: int) -> list[Signature]:
 
 def institution_suite(seed: int, cases: int) -> LawReport:
     report = LawReport("institution")
-    start = time.perf_counter()
 
     sigs = _canonical_signatures(2)
     for s1 in sigs:
@@ -730,7 +721,6 @@ def institution_suite(seed: int, cases: int) -> LawReport:
     sty = style_interconvert(sigma, 3)
     report.check(sty.all_pass and sty.agree, f"four styles pass together: {sty.witnesses}")
 
-    report.seconds = time.perf_counter() - start
     return report
 
 
@@ -744,11 +734,16 @@ SUITES = {
 
 
 def run_suite(name: str, seed: int, cases: int) -> list[LawReport]:
-    if name == "all":
-        return [fn(seed, cases) for fn in SUITES.values()]
-    if name not in SUITES:
+    """Run one suite, or all of them in order, and time each."""
+    if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose all|{'|'.join(SUITES)}")
-    return [SUITES[name](seed, cases)]
+    reports = []
+    for key in SUITES if name == "all" else [name]:
+        start = time.perf_counter()
+        report = SUITES[key](seed, cases)
+        report.seconds = time.perf_counter() - start
+        reports.append(report)
+    return reports
 
 
 def negative_control_report() -> LawReport:

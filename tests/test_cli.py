@@ -418,6 +418,21 @@ def test_verify_negative_case_count_exits_2_before_running(capsys, monkeypatch, 
     assert captured.err.startswith("parse error: --cases must be at least 0")
 
 
+def test_run_suite_times_each_suite_around_its_call(monkeypatch):
+    def sleeping(name):
+        def suite(seed, cases):
+            time.sleep(0.01)
+            return verify.LawReport(name, cases)
+        return suite
+
+    monkeypatch.setattr(verify, "SUITES", {name: sleeping(name) for name in verify.SUITES})
+    reports = verify.run_suite("all", 0, 3)
+    assert [r.suite for r in reports] == list(verify.SUITES)
+    assert all(r.cases == 3 and r.seconds >= 0.005 for r in reports)
+    [one] = verify.run_suite("clg", 0, 3)
+    assert one.suite == "clg" and one.seconds >= 0.005
+
+
 def test_verify_zero_cases_still_runs(capsys):
     assert main(["verify", "--suite", "galois", "--cases", "0"]) == 0
     assert capsys.readouterr().out.startswith("suite galois: ok")

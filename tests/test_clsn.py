@@ -249,6 +249,67 @@ def test_enumerate_matches_brute_force_on_small_contexts():
             sorted(brute_force_infomorphisms(a, b))
 
 
+def bit_by_bit_infomorphisms(a, b):
+    """The (instance table, type table) pairs of ``enumerate_infomorphisms`` as
+    it found them before: the same backtracking over the type map, with the
+    candidate instances tested bit by bit for every assigned type."""
+    a_cols, b_rows = a.incidence.columns, b.incidence.rows
+    found = []
+
+    def candidates(typ_table):
+        cand = []
+        for x in range(b.instances.size):
+            ok = []
+            for ax in range(a.instances.size):
+                good = True
+                for y, ty in enumerate(typ_table):
+                    if bool(a_cols[y] >> ax & 1) != bool(b_rows[x] >> ty & 1):
+                        good = False
+                        break
+                if good:
+                    ok.append(ax)
+            cand.append(ok)
+        return cand
+
+    def extend(typ_table):
+        cand = candidates(tuple(typ_table))
+        if any(not c for c in cand):
+            return
+        if len(typ_table) == a.types.size:
+            found.extend((choice, tuple(typ_table)) for choice in itertools.product(*cand))
+            return
+        for ty in range(b.types.size):
+            typ_table.append(ty)
+            extend(typ_table)
+            typ_table.pop()
+
+    extend([])
+    return found
+
+
+def seeded_context(rng, n_inst, n_typ):
+    inst = FinSet(tuple(f"g{i}" for i in range(n_inst)))
+    typ = FinSet(tuple(f"m{j}" for j in range(n_typ)))
+    return Classification(inst, typ, Relation(inst, typ, tuple(
+        rng.getrandbits(n_typ) for _ in range(n_inst))))
+
+
+def test_row_mask_candidates_list_what_the_bit_by_bit_test_listed():
+    """Same infomorphisms in the same order on seeded pairs, empty carriers included."""
+    rng = random.Random(25)
+    empty = [((0, 0), (0, 0)), ((0, 2), (0, 2)), ((2, 0), (3, 0)), ((0, 0), (2, 2)),
+             ((0, 1), (2, 2)), ((2, 2), (0, 0)), ((2, 1), (0, 2)), ((1, 0), (3, 1))]
+    pairs = [(seeded_context(rng, *sa), seeded_context(rng, *sb)) for sa, sb in empty]
+    pairs += [(seeded_context(rng, rng.randrange(5), rng.randrange(4)),
+               seeded_context(rng, rng.randrange(4), rng.randrange(1, 4))) for _ in range(60)]
+    counts = []
+    for a, b in pairs:
+        infos = enumerate_infomorphisms(a, b)
+        assert [(f.inst_map.table, f.typ_map.table) for f in infos] == bit_by_bit_infomorphisms(a, b)
+        counts.append(len(infos))
+    assert 0 in counts and max(counts) > 10
+
+
 @pytest.mark.parametrize("n_typ", [0, 1], ids=["no-types", "one-empty-type"])
 def test_enumerate_infomorphisms_stops_at_the_result_cap(n_typ):
     # No incidence constrains the instance map: all 2^10 of them are infomorphisms.

@@ -1,6 +1,5 @@
 """Concept lattices without power orders: lazy adjunctions and the one size setting."""
 
-import dataclasses
 import os
 import random
 import subprocess
@@ -43,6 +42,16 @@ CHILD = ("import sys\n"
 
 def carrier(prefix, n):
     return FinSet(tuple(f"{prefix}{i}" for i in range(n)))
+
+
+def parts_of(lat):
+    """The fields of a concept lattice by name, as its constructor takes them."""
+    return {name: getattr(lat, name) for name in ConceptLattice.__match_args__}
+
+
+def replaced(lat, **changes):
+    """``lat`` rebuilt by the public constructor with some fields changed."""
+    return ConceptLattice(**{**parts_of(lat), **changes})
 
 
 def cxt_text(rows, n_obj, n_att):
@@ -242,7 +251,7 @@ def power_order_calls(monkeypatch):
 
 def test_order_is_checked_before_any_power_order_is_built(power_order_calls):
     lat = concept_lattice(context(random_rows(8, 0.4, 5), 8, 8))
-    raw = dataclasses.replace(lat, lattice=Poset.discrete(lat.lattice.carrier))
+    raw = replaced(lat, lattice=Poset.discrete(lat.lattice.carrier))
     assert validate_concept_lattice(raw) == ["concept order is not extent inclusion"]
     assert power_order_calls == []
 
@@ -267,7 +276,7 @@ def test_wrong_listed_intent_fails_only_the_bipole_condition():
     lat = concept_lattice(context([0b11, 0b00], 2, 2))
     concepts = [c if c.extent.bits != 0b01 else FormalConcept(c.extent, Subset(lat.types, 0b01))
                 for c in lat.concepts]
-    raw = dataclasses.replace(lat, concepts=tuple(concepts))
+    raw = replaced(lat, concepts=tuple(concepts))
     assert validate_concept_lattice(raw) == ["bipole condition fails for {g0}|{m0}"]
 
 
@@ -298,7 +307,7 @@ def test_validation_builds_no_power_order_on_a_valid_lattice(power_order_calls, 
     lat = concept_lattice(context(random_rows(8, 0.4, 5), 8, 8))
     assert validate_concept_lattice(lat) == []
     assert lattice_roundtrip_iso(lat).forward.table == tuple(range(lat.size))
-    parts = {f.name: getattr(lat, f.name) for f in dataclasses.fields(lat)}
+    parts = parts_of(lat)
     assert concept_lattice_from_parts(**parts) == lat
     assert power_order_calls == [] and skipped == []
 
@@ -306,7 +315,7 @@ def test_validation_builds_no_power_order_on_a_valid_lattice(power_order_calls, 
 def test_17x12_context_round_trips_past_the_carrier_bound():
     a = context([row & 0xfff for row in random_rows(17, 0.3, 17)], 17, 12)
     lat = concept_lattice(a)
-    parts = {f.name: getattr(lat, f.name) for f in dataclasses.fields(lat)}
+    parts = parts_of(lat)
     rebuilt = concept_lattice_from_parts(**parts)
     assert lattice_roundtrip_iso(rebuilt).forward.table == tuple(range(lat.size))
     assert clg.classification_of(rebuilt) == a

@@ -13,7 +13,6 @@ order of type subsets, the new check the first missing E & column m; each
 must be closed in ``classification_of(lat)`` and not listed.
 """
 
-import dataclasses
 import random
 import re
 
@@ -35,7 +34,7 @@ from conceptua.galois import Adjunction, is_coreflection, is_reflection
 from conceptua.order import Poset, _monotone, is_complete_lattice, opposite, poset_join, poset_meet
 from conceptua.verify import random_classification
 from test_clg import diamond_lattice_parts, relabelled_parts
-from test_lazy_adjunctions import context as lazy_context, nominal_2_parts, random_rows
+from test_lazy_adjunctions import context as lazy_context, nominal_2_parts, random_rows, replaced
 
 # ------------------------------------------------------------------ the oracle
 
@@ -197,7 +196,7 @@ def corrupted(kind, lat, rng):
         labels = lat.lattice.carrier
         wrong = rng.choice([Poset.discrete(labels), Poset.chain(*labels.elements),
                             opposite(lat.lattice)])
-        return dataclasses.replace(lat, lattice=wrong)
+        return replaced(lat, lattice=wrong)
     if kind == "dropped concept":
         if lat.size == 1:
             return None
@@ -294,11 +293,11 @@ def raw_lattices_of_other_tests():
         FinFunction(inst, labels, (0, 1)), FinFunction(typ, labels, (1,))))
     both = carrier("g", 2)
     lat = concept_lattice(Classification(both, both, Relation(both, both, (0b11, 0b00))))
-    raws.append(dataclasses.replace(lat, concepts=tuple(  # a wrong listed intent
+    raws.append(replaced(lat, concepts=tuple(  # a wrong listed intent
         c if c.extent.bits != 0b01 else FormalConcept(c.extent, Subset(lat.types, 0b01))
         for c in lat.concepts)))
     lat = concept_lattice(lazy_context(random_rows(8, 0.4, 5), 8, 8))
-    raws.append(dataclasses.replace(lat, lattice=Poset.discrete(lat.lattice.carrier)))
+    raws.append(replaced(lat, lattice=Poset.discrete(lat.lattice.carrier)))
     raws.append(ConceptLattice(**diamond_lattice_parts(["top", "x", "y", "bot"])))
     parts = diamond_lattice_parts(["bot", "x", "y", "top"])
     parts["iota_embed"] = FinFunction(parts["instances"], parts["lattice"].carrier, (3, 3))
@@ -313,7 +312,7 @@ def raw_lattices_of_other_tests():
     for _ in range(40):  # arbitrary embeddings, as in test_row_checks
         lat = concept_lattice(random_classification(rng, 5))
         labels = lat.lattice.carrier
-        raws.append(dataclasses.replace(
+        raws.append(replaced(
             lat, iota_embed=FinFunction(lat.instances, labels, tuple(
                 rng.randrange(lat.size) for _ in range(lat.instances.size))),
             tau_embed=FinFunction(lat.types, labels, tuple(

@@ -11,10 +11,14 @@ attribute.  The connectives take ``==``, ``hash`` and ``repr`` from
 ``institution._Connective`` either way, so only what the decorator made for
 them is compared.
 
+Values are stored one way: every field set with ``object.__setattr__``.  A
+sample rebuilt from its fields by ``finrel._trusted``, and each concept that
+``clg._concepts_lectic`` builds inline, must be indistinguishable from the
+value the public constructors build.
+
 A child interpreter imports every layer and checks that no method of a
 ``conceptua`` class was compiled by ``dataclasses`` (whose generated code
-has the file name ``<string>``), but those of the two classes that stay
-dataclasses.
+has the file name ``<string>``).
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import copy
 import inspect
 import json
 import os
+import random
 import subprocess
 import sys
 from dataclasses import dataclass, field
@@ -31,7 +36,7 @@ from typing import Callable
 
 import pytest
 
-from conceptua import clg, clsn, finrel, galois, institution, order, verify
+from conceptua import clg, clsn, finrel, galois, institution, io, order, verify
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -155,6 +160,13 @@ class EquivalenceReport:
 
 
 @dataclass(frozen=True)
+class Classification:
+    instances: FinSet
+    types: FinSet
+    incidence: Relation
+
+
+@dataclass(frozen=True)
 class Infomorphism:
     source: Classification
     target: Classification
@@ -174,6 +186,16 @@ class InfomorphismReport:
 class FormalConcept:
     extent: Subset
     intent: Subset
+
+
+@dataclass(frozen=True)
+class ConceptLattice:
+    instances: FinSet
+    types: FinSet
+    lattice: Poset
+    concepts: tuple[FormalConcept, ...]
+    iota_embed: FinFunction
+    tau_embed: FinFunction
 
 
 @dataclass(frozen=True)
@@ -326,15 +348,14 @@ ORACLES = {cls.__name__: cls for cls in [
     FinSet, Subset, FinFunction, Relation,
     EndorelationFlags, Preorder, Poset, MonotoneMap, OrderBimodule, OrderProduct,
     Adjunction, ClosureInterior, PolarFactorization, FactorizationSystem, EquivalenceReport,
-    Infomorphism, InfomorphismReport,
-    FormalConcept, ConceptMorphism, LatticeIsomorphism,
+    Classification, Infomorphism, InfomorphismReport,
+    FormalConcept, ConceptLattice, ConceptMorphism, LatticeIsomorphism,
     Signature, SignatureMorphism, Var, Not, And, Or, Implies, Top, Bottom, Model,
     SatisfactionReport, TheoryObject, TheoryFiber, CategoryReport, FlattenedTheoryCategory,
     MergeSpan, MergeResult, StyleReport,
     LawReport,
 ]}
 CONNECTIVES = {"Not", "And", "Or", "Implies"}
-KEPT = {"ConceptLattice", "Classification"}
 
 
 def library_class(name):
@@ -394,9 +415,11 @@ def _samples() -> dict[str, list]:
                                 galois.polar_factorization_system()],
         "EquivalenceReport": [galois.factorization_equivalence_check(adjunctions[1:]),
                               galois.factorization_equivalence_check(adjunctions)],
+        "Classification": [a, a2, b],
         "Infomorphism": infos,
         "InfomorphismReport": [clsn.check_infomorphism(f) for f in infos],
         "FormalConcept": list(lat.concepts) + list(clg.concept_lattice(a2).concepts),
+        "ConceptLattice": [lat, clg.concept_lattice(a2), clg.concept_lattice(b)],
         "ConceptMorphism": [clg.concept_morphism_of(f) for f in infos[:2]],
         "LatticeIsomorphism": [clg.lattice_roundtrip_iso(lat), clg.lattice_roundtrip_iso(lat)],
         "Signature": [sig, institution.signature_from_json(["p"]), sig_pq],
@@ -499,31 +522,99 @@ def test_assignment_and_deletion_match_the_oracle(samples, name):
         value = getattr(x, attr, None)
         assert _outcome(setattr, x, attr, value) == _outcome(setattr, o, attr, value)
         assert _outcome(delattr, x, attr) == _outcome(delattr, o, attr)
-        if not ORACLES[name].__dataclass_params__.frozen and hasattr(o, attr):  # put it back
-            setattr(x, attr, value)
+        if not ORACLES[name].__dataclass_params__.frozen and attr in ORACLES[name].__match_args__:
+            setattr(x, attr, value)  # put it back: the samples are shared
 
 
 def test_no_layer_compiles_dataclass_code_on_import():
-    """In a fresh interpreter, no method of a ``conceptua`` class but those of
-    the two kept dataclasses comes from code compiled by ``dataclasses``."""
+    """In a fresh interpreter, no method of a ``conceptua`` class comes from
+    code compiled by ``dataclasses``; a dataclass of the probe's own is the
+    control that the probe finds such methods."""
     probe = """
-import importlib, inspect, json
-generated = []
+import dataclasses, importlib, inspect, json
+
+def generated(cls):
+    names = []
+    for attr, value in vars(cls).items():
+        code = getattr(inspect.unwrap(getattr(value, "__func__", value)), "__code__", None)
+        if code is not None and code.co_filename == "<string>":
+            names.append(f"{cls.__qualname__}.{attr}")
+    return names
+
+@dataclasses.dataclass(frozen=True)
+class Control:
+    field: int
+
+found = []
 for layer in ("cli", "io", "finrel", "order", "galois", "clsn", "clg", "institution", "verify"):
     module = importlib.import_module(f"conceptua.{layer}")
     for cls in vars(module).values():
         # A named tuple compiles its __new__ the same way; only dataclasses are checked.
-        if not isinstance(cls, type) or not cls.__module__.startswith("conceptua") \\
-                or issubclass(cls, tuple):
-            continue
-        for attr, value in vars(cls).items():
-            code = getattr(inspect.unwrap(getattr(value, "__func__", value)), "__code__", None)
-            if code is not None and code.co_filename == "<string>":
-                generated.append(f"{cls.__qualname__}.{attr}")
-print(json.dumps(sorted(set(generated))))
+        if isinstance(cls, type) and cls.__module__.startswith("conceptua") \\
+                and not issubclass(cls, tuple):
+            found += generated(cls)
+print(json.dumps({"control": generated(Control), "found": sorted(set(found))}))
 """
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": str(SRC)}).stdout
-    generated = json.loads(out)
-    assert generated, "the probe finds the methods of the kept dataclasses"
-    assert {name.split(".")[0] for name in generated} == KEPT
+    result = json.loads(out)
+    assert result["control"], "the probe finds the methods of a dataclass"
+    assert result["found"] == []
+
+
+# ------------------------------------------------------- one storage path
+
+
+@pytest.mark.parametrize("name", sorted(ORACLES))
+def test_trusted_rebuild_is_the_sample(samples, name):
+    """``_trusted`` from the fields gives the sample's fields, ``repr``, ``==``
+    and ``hash``, and assigning and deleting go on it as on a copy of the sample."""
+    fields = ORACLES[name].__match_args__
+    for x in samples[name]:
+        y = finrel._trusted(type(x), **{f: getattr(x, f) for f in fields})
+        assert type(y) is type(x)
+        assert all(getattr(y, f) is getattr(x, f) for f in fields)
+        assert repr(y) == repr(x)
+        assert y == x and x == y and not y != x
+        assert _outcome(hash, y) == _outcome(hash, x)
+        twin = copy.copy(x)
+        for attr in (*fields, "not_a_field"):
+            value = getattr(x, attr, None)
+            assert _outcome(setattr, y, attr, value) == _outcome(setattr, twin, attr, value)
+            assert _outcome(delattr, y, attr) == _outcome(delattr, twin, attr)
+
+
+def _golden_contexts():
+    golden = Path(__file__).resolve().parent / "golden"
+    return [io.read_context((golden / name).read_text(), io.detect_format(name))
+            for name in ("planets.cxt", "animals.csv", "shapes.json", "quoted.json",
+                         "info_a.cxt", "info_b.cxt")]
+
+
+def _seeded_contexts():
+    rng = random.Random(25)
+    out = []
+    for n_inst, n_typ in [(0, 0), (0, 3), (3, 0), (1, 1), (4, 9), (9, 4), (7, 7), (12, 10)]:
+        inst = finrel.FinSet(tuple(f"g{i}" for i in range(n_inst)))
+        typ = finrel.FinSet(tuple(f"m{j}" for j in range(n_typ)))
+        rows = tuple(rng.getrandbits(n_typ) for _ in range(n_inst))
+        out.append(clsn.Classification(inst, typ, finrel.Relation(inst, typ, rows)))
+    return out
+
+
+@pytest.mark.parametrize("a", _golden_contexts() + _seeded_contexts(),
+                         ids=lambda a: f"{a.instances.size}x{a.types.size}")
+def test_inline_concepts_are_the_public_ones(a):
+    """Each concept built inline by ``_concepts_lectic`` equals, reads, prints
+    and hashes as the one the validating constructors build from its bits."""
+    concepts = clg._concepts_lectic(a)
+    assert concepts and len({c.extent.bits for c in concepts}) == len(concepts)
+    for c in concepts:
+        public = clg.FormalConcept(finrel.Subset(a.instances, c.extent.bits),
+                                   finrel.Subset(a.types, c.intent.bits))
+        assert c == public and hash(c) == hash(public) and repr(c) == repr(public)
+        assert c.extent.carrier is a.instances and c.intent.carrier is a.types
+        assert (c.extent.bits, c.intent.bits) == (a.extent_of(c.intent.bits), a.intent_of(c.extent.bits))
+        assert _outcome(setattr, c, "extent", public.extent) == \
+            _outcome(setattr, public, "extent", public.extent)
+        assert _outcome(setattr, c.extent, "bits", 0) == _outcome(setattr, public.extent, "bits", 0)
