@@ -56,7 +56,7 @@ def _trusted(cls, **fields):
 
     Every value the library derives is valid by construction and built here;
     only the public constructors validate.  Sequence fields must already be
-    tuples, and fields are named in ``__match_args__`` order.
+    tuples.
     """
     obj = _new(cls)
     for name, value in fields.items():

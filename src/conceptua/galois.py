@@ -309,31 +309,35 @@ def polar_factorization_system() -> FactorizationSystem:
     return FactorizationSystem(is_reflection, is_coreflection, polar_factorize)
 
 
-def _segment_adjunction(p: Poset, m: int, up: bool) -> Adjunction:
-    """p and the up-set (``up``) or down-set of m, joined by their inclusion and
-    by join (or meet) with m, which sits on the left (or right) of it."""
-    kept = [i for i in range(p.size) if (p.le_idx(m, i) if up else p.le_idx(i, m))]
-    sub, incl = _fixed_point_subposet(p, kept)
-    pos = {i: k for k, i in enumerate(kept)}
-    bound, word = (poset_join, "join") if up else (poset_meet, "meet")
-    table = [bound(p, Subset(p.carrier, (1 << i) | (1 << m))) for i in range(p.size)]
-    if None in table:
-        raise ValueError(f"{word} with the base element does not exist")
-    onto = _monotone(p, sub, [pos[j] for j in table])
-    return Adjunction(p, sub, onto, incl) if up else Adjunction(sub, p, incl, onto)
-
-
 def upset_reflection(p: Poset, m: int) -> Adjunction:
     """The reflection of a lattice onto the up-set of element m via join with m.
 
     Requires every join with m to exist (true in any lattice); i v m <= k iff i <= k.
     """
-    return _segment_adjunction(p, m, up=True)
+    kept = [i for i in range(p.size) if p.le_idx(m, i)]
+    sub, incl = _fixed_point_subposet(p, kept)
+    pos = {i: k for k, i in enumerate(kept)}
+    table = []
+    for i in range(p.size):
+        j = poset_join(p, Subset(p.carrier, (1 << i) | (1 << m)))
+        if j is None:
+            raise ValueError("join with the base element does not exist")
+        table.append(pos[j])
+    return Adjunction(p, sub, _monotone(p, sub, table), incl)
 
 
 def downset_coreflection(p: Poset, m: int) -> Adjunction:
     """The coreflection including the down-set of m, with meet as right adjoint."""
-    return _segment_adjunction(p, m, up=False)
+    kept = [i for i in range(p.size) if p.le_idx(i, m)]
+    sub, incl = _fixed_point_subposet(p, kept)
+    pos = {i: k for k, i in enumerate(kept)}
+    table = []
+    for i in range(p.size):
+        j = poset_meet(p, Subset(p.carrier, (1 << i) | (1 << m)))
+        if j is None:
+            raise ValueError("meet with the base element does not exist")
+        table.append(pos[j])
+    return Adjunction(sub, p, incl, _monotone(p, sub, table))
 
 
 def _diagonal_count(e, s, r, m) -> int | None:
