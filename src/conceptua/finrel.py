@@ -14,6 +14,13 @@ construction (the result of a kernel here, or an order or map derived
 elsewhere in the library) is built by ``_trusted``.  Carrier checks test
 identity before comparing labels, so carriers shared by object cost one
 pointer compare.
+
+Every value class of the library keeps its fields, and any attribute
+derived from them (``FinSet.size`` and ``full_mask``), in ``__slots__``, so
+a value is one allocation with no instance dict.  Only a class with a
+``cached_property`` (``Relation.columns`` here, ``Classification.concepts``
+and ``ConceptLattice._adjunctions``) also lists ``__dict__``, which holds
+nothing but the cached value.
 """
 
 from dataclasses import FrozenInstanceError
@@ -51,8 +58,9 @@ _new, _set = object.__new__, object.__setattr__
 
 
 def _trusted(cls, **fields):
-    """A value built without running ``__post_init__``: each field is set
-    with ``object.__setattr__``, as the written-out ``__init__``s do.
+    """A value built without running ``__post_init__``: each field is
+    written to its slot with ``object.__setattr__``, as the written-out
+    ``__init__``s do.
 
     Every value the library derives is valid by construction and built here;
     only the public constructors validate.  Sequence fields must already be
@@ -72,9 +80,15 @@ class _Record:
     ``@dataclass``, so that importing a layer compiles no code.  Classes
     compared on hot paths define ``__eq__`` and ``__hash__`` over their field
     tuple directly, at the speed of the generated methods.
+
+    Each subclass declares ``__slots__``: its fields, then any derived
+    attribute, then ``__dict__`` only for a ``cached_property``.  So an
+    attribute that is not a field cannot be set, and ``copy`` and ``pickle``
+    go through ``__getstate__`` and ``__setstate__`` below.
     """
 
     __match_args__ = ()
+    __slots__ = ()
 
     def _astuple(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__match_args__])
@@ -88,12 +102,25 @@ class _Record:
         fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__match_args__])
         return f"{self.__class__.__qualname__}({fields})"
 
+    def __getstate__(self):
+        """Every slot, derived ones included, for ``copy`` and ``pickle``; a
+        cached value is left out and computed again on first read."""
+        return {name: getattr(self, name) for cls in type(self).__mro__
+                for name in cls.__dict__.get("__slots__", ()) if name != "__dict__"}
+
+    def __setstate__(self, state):
+        # Through ``object.__setattr__``: a frozen value's own raises.
+        for name, value in state.items():
+            _set(self, name, value)
+
 
 class _Value(_Record):
     """A frozen record: assigning or deleting any attribute raises, and the
-    hash is that of the field tuple.  ``__init__`` and ``_trusted`` set each
-    field with ``object.__setattr__``, as the generated one does; touching the
-    instance dict instead would make every later field read slower."""
+    hash is that of the field tuple.  ``__init__`` and ``_trusted`` write
+    each field to its slot with ``object.__setattr__``, past the
+    ``__setattr__`` below, as the generated ``__init__`` does."""
+
+    __slots__ = ()
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -117,6 +144,7 @@ class FinSet(_Value):
     """An ordered carrier of distinct atom labels; order fixes indices 0..n-1."""
 
     __match_args__ = ("elements",)
+    __slots__ = ("elements", "size", "full_mask")
 
     def __init__(self, elements: tuple[str, ...]):
         object.__setattr__(self, "elements", elements)
@@ -126,7 +154,7 @@ class FinSet(_Value):
         if len(set(self.elements)) != len(self.elements):
             raise ValueError(f"duplicate labels in carrier: {self.elements}")
         object.__setattr__(self, "elements", tuple(self.elements))
-        # Plain attributes, not fields: set once, left out of eq and hash.
+        # Derived slots, not fields: set once, left out of eq and hash.
         object.__setattr__(self, "size", len(self.elements))
         object.__setattr__(self, "full_mask", (1 << self.size) - 1)
 
@@ -165,6 +193,7 @@ class Subset(_Value):
     """A bitset over a carrier; bit i is element i of the carrier."""
 
     __match_args__ = ("carrier", "bits")
+    __slots__ = __match_args__
 
     def __init__(self, carrier: FinSet, bits: int):
         object.__setattr__(self, "carrier", carrier)
@@ -247,6 +276,7 @@ class FinFunction(_Value):
     """A total function, tabulated as target indices per source index."""
 
     __match_args__ = ("source", "target", "table")
+    __slots__ = __match_args__
 
     def __init__(self, source: FinSet, target: FinSet, table: tuple[int, ...]):
         object.__setattr__(self, "source", source)
@@ -307,6 +337,8 @@ class Relation(_Value):
     """A boolean matrix source x target; rows[i] is the bitmask of related targets."""
 
     __match_args__ = ("source", "target", "rows")
+    # The instance dict holds only the cached ``columns``.
+    __slots__ = (*__match_args__, "__dict__")
 
     def __init__(self, source: FinSet, target: FinSet, rows: tuple[int, ...]):
         object.__setattr__(self, "source", source)

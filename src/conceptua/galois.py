@@ -53,6 +53,7 @@ class Adjunction(_Value):
     """An antiparallel pair of monotone maps with left(a) <= b iff a <= right(b)."""
 
     __match_args__ = ("source", "target", "left", "right")
+    __slots__ = __match_args__
 
     def __init__(self, source: Preorder, target: Preorder, left: MonotoneMap, right: MonotoneMap):
         object.__setattr__(self, "source", source)
@@ -119,6 +120,7 @@ def involution(f: Adjunction) -> Adjunction:
 class ClosureInterior(_Value):
     __match_args__ = ("closure", "interior", "closed", "open", "closed_inclusion",
                       "open_inclusion", "closed_indices", "open_indices")
+    __slots__ = __match_args__
 
     def __init__(self, closure: MonotoneMap, interior: MonotoneMap, closed: Poset, open: Poset,
                  closed_inclusion: MonotoneMap, open_inclusion: MonotoneMap,
@@ -171,6 +173,7 @@ def is_coreflection(g: Adjunction) -> bool:
 
 class PolarFactorization(_Value):
     __match_args__ = ("original", "axis", "extent_reflection", "intent_coreflection", "bipoles")
+    __slots__ = __match_args__
 
     def __init__(self, original: Adjunction, axis: Poset, extent_reflection: Adjunction,
                  intent_coreflection: Adjunction, bipoles: tuple[tuple[int, int], ...]):
@@ -268,6 +271,7 @@ class FactorizationSystem(_Value):
     """Morphism classes with a chosen factorization; laws are checked on demand."""
 
     __match_args__ = ("is_e", "is_m", "factor")
+    __slots__ = __match_args__
 
     def __init__(self, is_e: Callable[[Adjunction], bool], is_m: Callable[[Adjunction], bool],
                  factor: Callable[[Adjunction], PolarFactorization]):
@@ -353,6 +357,7 @@ def _diagonal_count(e, s, r, m) -> int | None:
 
 class EquivalenceReport(_Record):
     __match_args__ = ("cases_run", "squares_run", "failures")
+    __slots__ = __match_args__
 
     def __init__(self, cases_run: int = 0, squares_run: int = 0, failures: list[str] | None = None):
         self.cases_run, self.squares_run = cases_run, squares_run

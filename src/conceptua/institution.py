@@ -43,7 +43,6 @@ __all__ = [
     "Sentence",
     "render_sentence",
     "parse_sentence",
-    "sentence_depth",
     "Model",
     "satisfies",
     "truth_table",
@@ -75,6 +74,7 @@ __all__ = [
 
 class Signature(_Value):
     __match_args__ = ("vars",)
+    __slots__ = __match_args__
 
     def __init__(self, vars: FinSet):
         object.__setattr__(self, "vars", vars)
@@ -98,6 +98,7 @@ class Signature(_Value):
 
 class SignatureMorphism(_Value):
     __match_args__ = ("source", "target", "map")
+    __slots__ = __match_args__
 
     def __init__(self, source: Signature, target: Signature, map: FinFunction):
         object.__setattr__(self, "source", source)
@@ -128,6 +129,7 @@ class SignatureMorphism(_Value):
 
 class Var(_Value):
     __match_args__ = ("name",)
+    __slots__ = __match_args__
 
     def __init__(self, name: str):
         object.__setattr__(self, "name", name)
@@ -136,6 +138,8 @@ class Var(_Value):
 class _Connective(_Value):
     """``==`` and ``hash`` compare the prefix order with connectives mapped to
     their classes; ``repr`` reads as the dataclass one would."""
+
+    __slots__ = ()
 
     def _prefix(self) -> list:
         return [type(t) if isinstance(t, _Connective) else t for t in _preorder(self)]
@@ -152,6 +156,7 @@ class _Connective(_Value):
 
 class Not(_Connective):
     __match_args__ = ("body",)
+    __slots__ = __match_args__
 
     def __init__(self, body: "Sentence"):
         object.__setattr__(self, "body", body)
@@ -159,6 +164,7 @@ class Not(_Connective):
 
 class _Binary(_Connective):
     __match_args__ = ("lhs", "rhs")
+    __slots__ = __match_args__
 
     def __init__(self, lhs: "Sentence", rhs: "Sentence"):
         object.__setattr__(self, "lhs", lhs)
@@ -166,23 +172,23 @@ class _Binary(_Connective):
 
 
 class And(_Binary):
-    pass
+    __slots__ = ()
 
 
 class Or(_Binary):
-    pass
+    __slots__ = ()
 
 
 class Implies(_Binary):
-    pass
+    __slots__ = ()
 
 
 class Top(_Value):
-    pass
+    __slots__ = ()
 
 
 class Bottom(_Value):
-    pass
+    __slots__ = ()
 
 
 Sentence = Var | Not | And | Or | Implies | Top | Bottom
@@ -311,21 +317,6 @@ def parse_sentence(text: str) -> Sentence:
     return node
 
 
-def sentence_depth(s: Sentence) -> int:
-    """Nodes on the longest root-to-leaf path."""
-    done: list[int] = []
-    for t in reversed(_preorder(s)):
-        if type(t) is Not:
-            done.append(done.pop() + 1)
-        elif isinstance(t, _Connective):
-            done.append(max(done.pop(), done.pop()) + 1)
-        elif isinstance(t, (Var, Top, Bottom)):
-            done.append(1)
-        else:
-            raise _not_a_sentence(t)
-    return done[0]
-
-
 def translate_sentence(sigma: SignatureMorphism, s: Sentence) -> Sentence:
     """Rename the variables along sigma, rebuilding in post-order as ``truth_table`` evaluates."""
     done: list[Sentence] = []
@@ -350,6 +341,7 @@ class Model(_Value):
     """A valuation: the subset of variables that are true."""
 
     __match_args__ = ("signature", "valuation")
+    __slots__ = __match_args__
 
     def __init__(self, signature: Signature, valuation: Subset):
         object.__setattr__(self, "signature", signature)
@@ -538,6 +530,7 @@ class PropositionalInstitution:
 
 class SatisfactionReport(_Record):
     __match_args__ = ("models_checked", "sentences_checked", "failures")
+    __slots__ = __match_args__
 
     def __init__(self, models_checked: int = 0, sentences_checked: int = 0,
                  failures: list[str] | None = None):
@@ -611,6 +604,7 @@ class TheoryObject(_Value):
     """A closed theory, represented extensionally by its class of models."""
 
     __match_args__ = ("signature", "model_class")
+    __slots__ = __match_args__
 
     def __init__(self, signature: Signature, model_class: Subset):
         object.__setattr__(self, "signature", signature)
@@ -638,6 +632,7 @@ class TheoryFiber(_Value):
     """All theories of one signature, ordered with weaker theories below."""
 
     __match_args__ = ("signature", "poset", "theories")
+    __slots__ = __match_args__
 
     def __init__(self, signature: Signature, poset: Poset, theories: tuple[TheoryObject, ...]):
         object.__setattr__(self, "signature", signature)
@@ -710,6 +705,7 @@ def fiber_transport_adjunction(sigma: SignatureMorphism) -> Adjunction:
 
 class CategoryReport(_Record):
     __match_args__ = ("objects", "morphisms", "composable_pairs", "composable_triples", "failures")
+    __slots__ = __match_args__
 
     def __init__(self, objects: int = 0, morphisms: int = 0, composable_pairs: int = 0,
                  composable_triples: int = 0, failures: list[str] | None = None):
@@ -731,6 +727,7 @@ class FlattenedTheoryCategory(_Value):
     """
 
     __match_args__ = ("signatures", "fibers", "objects", "sig_morphisms", "morphisms", "report")
+    __slots__ = __match_args__
 
     def __init__(self, signatures: tuple[Signature, ...], fibers: tuple[TheoryFiber, ...],
                  objects: tuple[tuple[int, int], ...],
@@ -851,6 +848,7 @@ def _check_category_laws(objects, sig_morphs, morphs, report: CategoryReport):
 
 class MergeSpan(_Value):
     __match_args__ = ("base", "left_map", "right_map", "left_theory", "right_theory")
+    __slots__ = __match_args__
 
     def __init__(self, base: Signature, left_map: SignatureMorphism, right_map: SignatureMorphism,
                  left_theory: TheoryObject, right_theory: TheoryObject):
@@ -872,6 +870,7 @@ class MergeSpan(_Value):
 
 class MergeResult(_Value):
     __match_args__ = ("signature", "left_injection", "right_injection", "theory", "inconsistent")
+    __slots__ = __match_args__
 
     def __init__(self, signature: Signature, left_injection: SignatureMorphism,
                  right_injection: SignatureMorphism, theory: TheoryObject, inconsistent: bool):
@@ -1005,6 +1004,7 @@ def verify_pushout_universal(span: MergeSpan, result: MergeResult, targets) -> l
 
 class StyleReport(_Record):
     __match_args__ = ("class_rel", "class_adj", "conc_adj", "conc_rel", "witnesses")
+    __slots__ = __match_args__
 
     def __init__(self, class_rel: bool, class_adj: bool, conc_adj: bool, conc_rel: bool,
                  witnesses: dict):

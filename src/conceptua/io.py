@@ -157,12 +157,15 @@ def read_context_json(text: str) -> Classification:
         raise ParseError("context JSON 'pairs' must be a list")
     instances = _carrier(data["source"], "object")
     types = _carrier(data["target"], "attribute")
-    rows = [0] * instances.size
+    n_instances, n_types = instances.size, types.size
+    rows = [0] * n_instances
     for pair in data["pairs"]:
-        if not (isinstance(pair, list) and len(pair) == 2 and all(type(k) is int for k in pair)):
+        # ``type(...) is int``, not ``isinstance``: JSON true and false are not indices.
+        if not (isinstance(pair, list) and len(pair) == 2
+                and type(pair[0]) is int and type(pair[1]) is int):
             raise ParseError(f"pair {pair!r} is not an [object index, attribute index] pair")
         i, j = pair
-        if not (0 <= i < instances.size and 0 <= j < types.size):
+        if not (0 <= i < n_instances and 0 <= j < n_types):
             raise ParseError(f"pair {pair!r} lies outside the carriers")
         rows[i] |= 1 << j
     return Classification(instances, types, Relation(instances, types, tuple(rows)))

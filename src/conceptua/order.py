@@ -50,7 +50,6 @@ __all__ = [
     "poset_join",
     "poset_meet",
     "is_complete_lattice",
-    "find_order_isomorphism",
     "hasse_edges",
 ]
 
@@ -152,6 +151,7 @@ def _subset_rows(size: int) -> tuple[int, ...]:
 
 class EndorelationFlags(_Value):
     __match_args__ = ("reflexive", "transitive", "symmetric", "antisymmetric")
+    __slots__ = __match_args__
 
     def __init__(self, reflexive: bool, transitive: bool, symmetric: bool, antisymmetric: bool):
         object.__setattr__(self, "reflexive", reflexive)
@@ -178,6 +178,7 @@ class Preorder(_Value):
     """A carrier with a reflexive, transitive endorelation."""
 
     __match_args__ = ("carrier", "leq")
+    __slots__ = __match_args__
 
     def __init__(self, carrier: FinSet, leq: Relation):
         object.__setattr__(self, "carrier", carrier)
@@ -237,6 +238,8 @@ class Preorder(_Value):
 class Poset(Preorder):
     """A preorder whose order relation is also antisymmetric."""
 
+    __slots__ = ()
+
     def _check_axioms(self, flags: EndorelationFlags):
         super()._check_axioms(flags)
         if not flags.antisymmetric:
@@ -263,6 +266,7 @@ class MonotoneMap(_Value):
     """An order-preserving function between preorders."""
 
     __match_args__ = ("source", "target", "func")
+    __slots__ = __match_args__
 
     def __init__(self, source: Preorder, target: Preorder, func: FinFunction):
         object.__setattr__(self, "source", source)
@@ -332,6 +336,7 @@ class OrderBimodule(_Value):
     """A relation between preorders closed under both orders."""
 
     __match_args__ = ("source", "target", "rel")
+    __slots__ = __match_args__
 
     def __init__(self, source: Preorder, target: Preorder, rel: Relation):
         object.__setattr__(self, "source", source)
@@ -418,6 +423,7 @@ def quotient(p: Preorder) -> tuple[Poset, MonotoneMap]:
 
 class OrderProduct(_Value):
     __match_args__ = ("order", "proj0", "proj1")
+    __slots__ = __match_args__
 
     def __init__(self, order: Preorder, proj0: MonotoneMap, proj1: MonotoneMap):
         object.__setattr__(self, "order", order)
@@ -543,48 +549,6 @@ def is_complete_lattice(p: Preorder) -> bool:
             if row & other not in row_set:
                 return False
     return True
-
-
-def find_order_isomorphism(p: Preorder, q: Preorder) -> FinFunction | None:
-    """Backtracking search for an order isomorphism; practical up to ~10 elements."""
-    n = p.size
-    if n != q.size:
-        return None
-
-    def profile(order: Preorder, i: int) -> tuple[int, int]:
-        return order.leq.rows[i].bit_count(), order.leq.columns[i].bit_count()
-
-    p_prof = [profile(p, i) for i in range(n)]
-    q_prof = [profile(q, i) for i in range(n)]
-    assignment: list[int] = []
-    used = [False] * n
-
-    def extend(i: int) -> bool:
-        if i == n:
-            return True
-        for cand in range(n):
-            if used[cand] or p_prof[i] != q_prof[cand]:
-                continue
-            ok = True
-            for prev in range(i):
-                if p.le_idx(i, prev) != q.le_idx(cand, assignment[prev]):
-                    ok = False
-                    break
-                if p.le_idx(prev, i) != q.le_idx(assignment[prev], cand):
-                    ok = False
-                    break
-            if ok:
-                used[cand] = True
-                assignment.append(cand)
-                if extend(i + 1):
-                    return True
-                assignment.pop()
-                used[cand] = False
-        return False
-
-    if extend(0):
-        return FinFunction(p.carrier, q.carrier, tuple(assignment))
-    return None
 
 
 def is_pseudo_epimorphism(e: MonotoneMap, probe_size: int = 3) -> bool:

@@ -110,6 +110,7 @@ __all__ = [
 
 class LawReport(_Record):
     __match_args__ = ("suite", "cases", "failures", "seconds")
+    __slots__ = __match_args__
 
     def __init__(self, suite: str, cases: int = 0, failures: list[str] | None = None,
                  seconds: float = 0.0):

@@ -19,7 +19,6 @@ from conceptua.finrel import (
     residuate_right,
 )
 from conceptua.order import (
-    find_order_isomorphism,
     is_complete_lattice,
     poset_join,
     poset_meet,
@@ -56,6 +55,8 @@ from conceptua.institution import (
     verify_pushout_universal,
 )
 from conceptua.verify import random_classification
+
+from oracles import find_order_isomorphism
 
 
 def _report(number: int, description: str, ok: bool, detail: str = ""):

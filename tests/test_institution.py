@@ -11,7 +11,7 @@ import conceptua.institution as institution
 from conceptua.errors import CarrierMismatchError, ParseError, SizeLimitError, UnknownElementError
 from conceptua.finrel import FinFunction, Subset
 from conceptua.galois import check_adjunction
-from conceptua.order import find_order_isomorphism, is_complete_lattice
+from conceptua.order import is_complete_lattice
 from conceptua.clg import concept_poset
 from conceptua.institution import (
     And,
@@ -39,7 +39,6 @@ from conceptua.institution import (
     parse_sentence,
     render_sentence,
     satisfies,
-    sentence_depth,
     style_interconvert,
     theory_fiber,
     theory_from_json,
@@ -49,6 +48,8 @@ from conceptua.institution import (
     truth_table,
     verify_pushout_universal,
 )
+
+from oracles import find_order_isomorphism, sentence_depth
 
 SIG_P = Signature.of("p")
 SIG_PQ = Signature.of("p", "q")

@@ -127,23 +127,33 @@ def test_csv_rejects_duplicate_names():
     assert err.value.line == 1
 
 
-@pytest.mark.parametrize("data", [
-    {"source": ["g", "g"], "target": ["m"], "pairs": []},
-    {"source": ["g"], "target": ["m", "m"], "pairs": []},
-    {"source": ["g"], "target": ["m"], "pairs": [["x", 0]]},
-    {"source": ["g"], "target": ["m"], "pairs": [[0]]},
-    {"source": ["g"], "target": ["m"], "pairs": [0]},
-    {"source": ["g"], "target": ["m"], "pairs": [[True, 0]]},
-    {"source": ["g"], "target": ["m"], "pairs": [[0, 1]]},
-    {"source": ["g"], "target": ["m"], "pairs": {"0": 0}},
-    {"source": "g", "target": ["m"], "pairs": []},
-    {"source": [["g"]], "target": ["m"], "pairs": []},
-])
-def test_json_rejects_malformed_context(data):
+NOT_A_PAIR = "is not an [object index, attribute index] pair"
+MALFORMED_JSON_CONTEXTS = [
+    ({"source": ["g", "g"], "target": ["m"], "pairs": []}, "duplicate object name 'g'"),
+    ({"source": ["g"], "target": ["m", "m"], "pairs": []}, "duplicate attribute name 'm'"),
+    ({"source": ["g"], "target": ["m"], "pairs": [["x", 0]]}, f"pair ['x', 0] {NOT_A_PAIR}"),
+    ({"source": ["g"], "target": ["m"], "pairs": [[0]]}, f"pair [0] {NOT_A_PAIR}"),
+    ({"source": ["g"], "target": ["m"], "pairs": [0]}, f"pair 0 {NOT_A_PAIR}"),
+    ({"source": ["g"], "target": ["m"], "pairs": [[True, 0]]}, f"pair [True, 0] {NOT_A_PAIR}"),
+    ({"source": ["g"], "target": ["m"], "pairs": [[0, 1]]}, "pair [0, 1] lies outside the carriers"),
+    ({"source": ["g"], "target": ["m"], "pairs": {"0": 0}}, "context JSON 'pairs' must be a list"),
+    ({"source": "g", "target": ["m"], "pairs": []}, "context JSON 'source' must be a list of names"),
+    ({"source": [["g"]], "target": ["m"], "pairs": []}, "context JSON 'source' must be a list of names"),
+    ({"source": ["g"], "target": ["m"], "pairs": [[0, False]]}, f"pair [0, False] {NOT_A_PAIR}"),
+    ({"source": ["g"], "target": ["m"], "pairs": [[0, 0.0]]}, f"pair [0, 0.0] {NOT_A_PAIR}"),
+    ({"source": ["g"], "target": ["m"], "pairs": [[0, 0, 0]]}, f"pair [0, 0, 0] {NOT_A_PAIR}"),
+    ({"source": ["g"], "target": ["m"], "pairs": [[-1, 0]]}, "pair [-1, 0] lies outside the carriers"),
+]
+
+
+@pytest.mark.parametrize("data, message", MALFORMED_JSON_CONTEXTS,
+                         ids=[f"data{k}" for k in range(len(MALFORMED_JSON_CONTEXTS))])
+def test_json_rejects_malformed_context(data, message):
     import json
 
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as err:
         read_context_json(json.dumps(data))
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("fmt, text", [

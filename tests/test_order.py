@@ -17,7 +17,6 @@ from conceptua.order import (
     classify_endorelation,
     down_segment,
     equalizer,
-    find_order_isomorphism,
     hasse_edges,
     is_complete_lattice,
     is_pseudo_epimorphism,
@@ -31,6 +30,8 @@ from conceptua.order import (
     quotient,
     terminal,
 )
+
+from oracles import find_order_isomorphism
 
 
 def rng_preorder(rng, max_size=6):

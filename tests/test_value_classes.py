@@ -11,10 +11,14 @@ attribute.  The connectives take ``==``, ``hash`` and ``repr`` from
 ``institution._Connective`` either way, so only what the decorator made for
 them is compared.
 
-Values are stored one way: every field set with ``object.__setattr__``.  A
-sample rebuilt from its fields by ``finrel._trusted``, and each concept that
-``clg._concepts_lectic`` builds inline, must be indistinguishable from the
-value the public constructors build.
+Values are stored one way: every field, and every attribute derived from
+the fields, in a slot.  Only a class with a ``cached_property`` also has an
+instance dict, to hold the cached value.  A sample rebuilt from its fields
+by ``finrel._trusted``, each concept that ``clg._concepts_lectic`` builds
+through the slot descriptors, and a sample copied or pickled, must be
+indistinguishable from the value the public constructors build.  The
+oracles keep their instance dict, so a mutable report, whose oracle takes
+any new attribute, is compared on that with a slotted class of its name.
 
 A child interpreter imports every layer and checks that no method of a
 ``conceptua`` class was compiled by ``dataclasses`` (whose generated code
@@ -25,18 +29,21 @@ from __future__ import annotations
 
 import copy
 import inspect
+import itertools
 import json
 import os
+import pickle
 import random
 import subprocess
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Callable
 
 import pytest
 
-from conceptua import clg, clsn, finrel, galois, institution, io, order, verify
+from conceptua import cli, clg, clsn, finrel, galois, institution, io, order, verify
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -514,15 +521,23 @@ def test_equal_fields_of_another_class_compare_unequal(samples):
     assert hash(as_preorder) == hash(poset)
 
 
+def _slotted_like(name):
+    """An instance of an empty slotted class named ``name``: what a mutable
+    record does with an attribute that is not a field."""
+    return type(name, (), {"__slots__": ()})()
+
+
 @pytest.mark.parametrize("name", sorted(ORACLES))
 def test_assignment_and_deletion_match_the_oracle(samples, name):
     x = samples[name][0]
     o = _as_oracle(x)
+    frozen = ORACLES[name].__dataclass_params__.frozen
     for attr in (*ORACLES[name].__match_args__, "not_a_field"):
         value = getattr(x, attr, None)
-        assert _outcome(setattr, x, attr, value) == _outcome(setattr, o, attr, value)
-        assert _outcome(delattr, x, attr) == _outcome(delattr, o, attr)
-        if not ORACLES[name].__dataclass_params__.frozen and attr in ORACLES[name].__match_args__:
+        ref = o if frozen or attr != "not_a_field" else _slotted_like(name)
+        assert _outcome(setattr, x, attr, value) == _outcome(setattr, ref, attr, value)
+        assert _outcome(delattr, x, attr) == _outcome(delattr, ref, attr)
+        if not frozen and attr in ORACLES[name].__match_args__:
             setattr(x, attr, value)  # put it back: the samples are shared
 
 
@@ -582,6 +597,77 @@ def test_trusted_rebuild_is_the_sample(samples, name):
             value = getattr(x, attr, None)
             assert _outcome(setattr, y, attr, value) == _outcome(setattr, twin, attr, value)
             assert _outcome(delattr, y, attr) == _outcome(delattr, twin, attr)
+
+
+LAYERS = (cli, io, finrel, order, galois, clsn, clg, institution, verify)
+# Attributes set from the fields, kept in a slot beside them.
+DERIVED = {"FinSet": {"size", "full_mask"}}
+
+
+def _slots(cls) -> list[str]:
+    return [name for c in cls.__mro__ for name in vars(c).get("__slots__", ())]
+
+
+def _cached(cls) -> set[str]:
+    return {name for c in cls.__mro__ for name, v in vars(c).items() if isinstance(v, cached_property)}
+
+
+def test_every_record_class_declares_its_slots():
+    """Each ``_Record`` class of the nine layers declares ``__slots__``: its
+    fields, any derived attribute, and ``__dict__`` exactly when it has a
+    ``cached_property`` to hold."""
+    records = {cls for m in LAYERS for cls in vars(m).values()
+               if isinstance(cls, type) and issubclass(cls, finrel._Record)}
+    assert {cls.__name__ for cls in records} == \
+        set(ORACLES) | {"_Record", "_Value", "_Connective", "_Binary"}
+    assert sorted(cls.__qualname__ for cls in records if "__slots__" not in vars(cls)) == []
+    for cls in records:
+        slots = _slots(cls)
+        assert len(slots) == len(set(slots)), cls
+        assert set(slots) - {"__dict__"} == set(cls.__match_args__) | DERIVED.get(cls.__name__, set())
+        assert ("__dict__" in slots) == bool(_cached(cls)), cls
+    assert {cls.__name__ for cls in records if _cached(cls)} == \
+        {"Relation", "Classification", "ConceptLattice"}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLES))
+def test_samples_have_no_instance_dict_but_for_a_cache(samples, name):
+    for x in samples[name]:
+        if "__dict__" in _slots(type(x)):
+            assert set(vars(x)) <= _cached(type(x))
+        else:
+            assert not hasattr(x, "__dict__")
+        assert all(hasattr(x, slot) for slot in _slots(type(x)))
+
+
+def _readable(cls) -> list[str]:
+    """Every slot and every property of ``cls``, cached ones included."""
+    props = {name for c in cls.__mro__ for name, v in vars(c).items()
+             if isinstance(v, (property, cached_property))}
+    return sorted(set(_slots(cls)) - {"__dict__"} | props)
+
+
+COPIES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    **{f"pickle-{protocol}": lambda x, protocol=protocol: pickle.loads(pickle.dumps(x, protocol))
+       for protocol in range(pickle.HIGHEST_PROTOCOL + 1)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLES))
+def test_copy_and_pickle_keep_every_attribute(samples, name):
+    """A copy of each sample, shallow, deep or pickled at any protocol, reads
+    every slot and property as the sample does, and is as frozen."""
+    for (how, make), x in itertools.product(COPIES.items(), samples[name]):
+        y = make(x)
+        assert type(y) is type(x), how
+        assert y == x and repr(y) == repr(x) and _outcome(hash, y) == _outcome(hash, x)
+        for attr in _readable(type(x)):
+            assert _outcome(getattr, y, attr) == _outcome(getattr, x, attr), attr
+        for attr in x.__match_args__[:1]:
+            value = getattr(x, attr)
+            assert _outcome(setattr, y, attr, value) == _outcome(setattr, x, attr, value)
 
 
 def _golden_contexts():
