@@ -14,7 +14,7 @@ reflection and the intent coreflection run through both power orders, so
 they are built only when first read, and validation reads neither.
 """
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii as _json_string
 
 from .errors import CarrierMismatchError, NotAConceptLatticeError, SizeLimitError
@@ -25,6 +25,7 @@ from .finrel import (
     Subset,
     _Value,
     _bits,
+    _cached,
     _trusted,
     image_bits,
     image_tables,
@@ -103,7 +104,7 @@ class ConceptLattice(_Value):
         object.__setattr__(self, "iota_embed", iota_embed)
         object.__setattr__(self, "tau_embed", tau_embed)
 
-    @cached_property
+    @_cached
     def _adjunctions(self) -> tuple[Adjunction, Adjunction]:
         return _power_adjunctions(self)
 
@@ -276,8 +277,8 @@ def concept_poset(a: Classification) -> tuple[Poset, tuple[FormalConcept, ...]]:
     concepts = concepts_of(a)
     labels = _concept_labels(len(concepts))
     rows = _inclusion_rows([c.extent.bits for c in concepts], a.instances.size)
-    leq = _trusted(Relation, source=labels, target=labels, rows=rows)
-    return _trusted(Poset, carrier=labels, leq=leq), concepts
+    leq = _trusted(Relation, labels, labels, rows)
+    return _trusted(Poset, labels, leq), concepts
 
 
 def concept_lattice(a: Classification) -> ConceptLattice:
@@ -292,12 +293,10 @@ def concept_lattice(a: Classification) -> ConceptLattice:
     pos = {c.extent.bits: k for k, c in enumerate(concepts)}
     cols = a.incidence.columns
     full = a.instances.full_mask
-    iota = _trusted(FinFunction, source=a.instances, target=lattice.carrier, table=tuple(
+    iota = _trusted(FinFunction, a.instances, lattice.carrier, tuple(
         pos[meet_bits(cols, row, full)] for row in a.incidence.rows))
-    tau = _trusted(FinFunction, source=a.types, target=lattice.carrier,
-                   table=tuple(pos[col] for col in cols))
-    return _trusted(ConceptLattice, instances=a.instances, types=a.types, lattice=lattice,
-                    concepts=concepts, iota_embed=iota, tau_embed=tau)
+    tau = _trusted(FinFunction, a.types, lattice.carrier, tuple(pos[col] for col in cols))
+    return _trusted(ConceptLattice, a.instances, a.types, lattice, concepts, iota, tau)
 
 
 def _closure_failure(lat: ConceptLattice, recovered: Classification) -> str | None:

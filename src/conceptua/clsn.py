@@ -7,7 +7,6 @@ operators of a classification as a Galois connection between power lattices.
 """
 
 import itertools
-from functools import cached_property
 
 from .errors import CarrierMismatchError, SizeLimitError
 from .finrel import (
@@ -16,6 +15,7 @@ from .finrel import (
     Relation,
     Subset,
     _Value,
+    _cached,
     derive_bits,
     image_bits,
     meet_table,
@@ -84,7 +84,7 @@ class Classification(_Value):
         inc = self.incidence
         return derive_bits(inc.columns, inc.rows, y, self.instances.full_mask)
 
-    @cached_property
+    @_cached
     def concepts(self) -> tuple:
         """The formal concepts in lectic order of extents (``clg.concepts_of``),
         enumerated on first read and kept.

@@ -11,16 +11,17 @@ the forward one over the rows, the reverse one over the columns.
 
 Only the public constructors validate.  A value that is valid by
 construction (the result of a kernel here, or an order or map derived
-elsewhere in the library) is built by ``_trusted``.  Carrier checks test
-identity before comparing labels, so carriers shared by object cost one
-pointer compare.
+elsewhere in the library) is built by ``_trusted(cls, *fields)``, which
+writes the fields, in ``__match_args__`` order, straight to their slots
+through one builder per class.  Carrier checks test identity before
+comparing labels, so carriers shared by object cost one pointer compare.
 
 Every value class of the library keeps its fields, and any attribute
 derived from them (``FinSet.size`` and ``full_mask``), in ``__slots__``, so
 a value is one allocation with no instance dict.  Only a class with a
-``cached_property`` (``Relation.columns`` here, ``Classification.concepts``
-and ``ConceptLattice._adjunctions``) also lists ``__dict__``, which holds
-nothing but the cached value.
+cached attribute (``Relation.columns`` here, ``Classification.concepts``
+and ``ConceptLattice._adjunctions``, each a ``_cached``) also lists
+``__dict__``, which holds nothing but the cached value.
 """
 
 from dataclasses import FrozenInstanceError
@@ -54,22 +55,79 @@ __all__ = [
 ]
 
 
-_new, _set = object.__new__, object.__setattr__
+_set = object.__setattr__
 
 
-def _trusted(cls, **fields):
-    """A value built without running ``__post_init__``: each field is
-    written to its slot with ``object.__setattr__``, as the written-out
-    ``__init__``s do.
+def _trusted(cls, *values):
+    """A value of ``cls`` with ``values`` as its fields, in ``__match_args__``
+    order, built without running ``__post_init__`` by the class's builder
+    (``_builder``).
 
     Every value the library derives is valid by construction and built here;
     only the public constructors validate.  Sequence fields must already be
     tuples.
     """
-    obj = _new(cls)
-    for name, value in fields.items():
-        _set(obj, name, value)
-    return obj
+    return cls._build(*values)
+
+
+def _filler(sets):
+    """``fill(obj, *values)``: each value written to ``obj`` by the setter at
+    its position in ``sets``; any other number of values raises ``TypeError``."""
+    if not sets:
+        return lambda obj: None
+    first, rest = sets[0], _filler(sets[1:])
+
+    def fill(obj, value, *values):
+        first(obj, value)
+        rest(obj, *values)
+    return fill
+
+
+def _builder(cls):
+    """``build(*values)``: a new ``cls`` whose ``__match_args__`` fields are
+    ``values``, each written straight to its slot by the slot descriptor's
+    ``__set__``, so there is no keyword dict, no loop and no lookup by name.
+    Two- and three-field records, the ones built on hot paths, get a flat
+    closure; any other arity sets its fields through ``_filler``.  A wrong
+    number of values raises ``TypeError``.
+    """
+    new = object.__new__
+    match tuple(getattr(cls, name).__set__ for name in cls.__match_args__):
+        case (s0, s1):
+            def build(a, b):
+                obj = new(cls)
+                s0(obj, a)
+                s1(obj, b)
+                return obj
+        case (s0, s1, s2):
+            def build(a, b, c):
+                obj = new(cls)
+                s0(obj, a)
+                s1(obj, b)
+                s2(obj, c)
+                return obj
+        case sets:
+            fill = _filler(sets)
+
+            def build(*values):
+                obj = new(cls)
+                fill(obj, *values)
+                return obj
+    return build
+
+
+class _cached(cached_property):
+    """``functools.cached_property`` without the lock that Python 3.11 takes
+    on every first read.  The first read stores the value in the instance
+    dict, which shadows this descriptor from then on.  Threads that read a
+    fresh value at once may each compute it; the values are equal and the
+    last one stored is kept."""
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.attrname] = self.func(instance)
+        return value
 
 
 class _Record:
@@ -84,11 +142,17 @@ class _Record:
     Each subclass declares ``__slots__``: its fields, then any derived
     attribute, then ``__dict__`` only for a ``cached_property``.  So an
     attribute that is not a field cannot be set, and ``copy`` and ``pickle``
-    go through ``__getstate__`` and ``__setstate__`` below.
+    go through ``__getstate__`` and ``__setstate__`` below.  Each subclass
+    also gets its ``_trusted`` builder, made once here from its slot
+    descriptors.
     """
 
     __match_args__ = ()
     __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._build = staticmethod(_builder(cls))
 
     def _astuple(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__match_args__])
@@ -116,9 +180,9 @@ class _Record:
 
 class _Value(_Record):
     """A frozen record: assigning or deleting any attribute raises, and the
-    hash is that of the field tuple.  ``__init__`` and ``_trusted`` write
-    each field to its slot with ``object.__setattr__``, past the
-    ``__setattr__`` below, as the generated ``__init__`` does."""
+    hash is that of the field tuple.  ``__init__`` writes each field with
+    ``object.__setattr__`` and ``_trusted`` through its slot descriptor,
+    both past the ``__setattr__`` below, as the generated ``__init__`` does."""
 
     __slots__ = ()
 
@@ -246,20 +310,19 @@ class Subset(_Value):
 
     def union(self, other: "Subset") -> "Subset":
         self._check(other)
-        return _trusted(Subset, carrier=self.carrier, bits=self.bits | other.bits)
+        return _trusted(Subset, self.carrier, self.bits | other.bits)
 
     def intersection(self, other: "Subset") -> "Subset":
         self._check(other)
-        return _trusted(Subset, carrier=self.carrier, bits=self.bits & other.bits)
+        return _trusted(Subset, self.carrier, self.bits & other.bits)
 
     def implies(self, other: "Subset") -> "Subset":
         """Relative pseudo-complement: {a | a in self => a in other}."""
         self._check(other)
-        return _trusted(Subset, carrier=self.carrier,
-                        bits=(~self.bits | other.bits) & self.carrier.full_mask)
+        return _trusted(Subset, self.carrier, (~self.bits | other.bits) & self.carrier.full_mask)
 
     def complement(self) -> "Subset":
-        return _trusted(Subset, carrier=self.carrier, bits=~self.bits & self.carrier.full_mask)
+        return _trusted(Subset, self.carrier, ~self.bits & self.carrier.full_mask)
 
     def issubset(self, other: "Subset") -> bool:
         self._check(other)
@@ -318,8 +381,8 @@ class FinFunction(_Value):
         """Diagrammatic composition: self first, then other."""
         if self.target is not other.source and self.target != other.source:
             raise CarrierMismatchError("composing functions with mismatched carriers")
-        return _trusted(FinFunction, source=self.source, target=other.target,
-                        table=tuple(map(other.table.__getitem__, self.table)))
+        return _trusted(FinFunction, self.source, other.target,
+                        tuple(map(other.table.__getitem__, self.table)))
 
     def is_injective(self) -> bool:
         return len(set(self.table)) == len(self.table)
@@ -329,8 +392,7 @@ class FinFunction(_Value):
 
     def as_relation(self) -> "Relation":
         """The graph of the function, viewed as a relation source -> target."""
-        return _trusted(Relation, source=self.source, target=self.target,
-                        rows=tuple(1 << t for t in self.table))
+        return _trusted(Relation, self.source, self.target, tuple(1 << t for t in self.table))
 
 
 class Relation(_Value):
@@ -403,25 +465,22 @@ class Relation(_Value):
 
     def union(self, other: "Relation") -> "Relation":
         self._check_same_shape(other)
-        return _trusted(Relation, source=self.source, target=self.target,
-                        rows=tuple(map(int.__or__, self.rows, other.rows)))
+        return _trusted(Relation, self.source, self.target, tuple(map(int.__or__, self.rows, other.rows)))
 
     def intersection(self, other: "Relation") -> "Relation":
         self._check_same_shape(other)
-        return _trusted(Relation, source=self.source, target=self.target,
-                        rows=tuple(map(int.__and__, self.rows, other.rows)))
+        return _trusted(Relation, self.source, self.target, tuple(map(int.__and__, self.rows, other.rows)))
 
     def complement(self) -> "Relation":
         full = self.target.full_mask
-        return _trusted(Relation, source=self.source, target=self.target,
-                        rows=tuple(~r & full for r in self.rows))
+        return _trusted(Relation, self.source, self.target, tuple(~r & full for r in self.rows))
 
     def __le__(self, other: "Relation") -> bool:
         """Row-wise inclusion: each row ORed with the other's row gives the other's."""
         self._check_same_shape(other)
         return tuple(map(int.__or__, self.rows, other.rows)) == other.rows
 
-    @cached_property
+    @_cached
     def columns(self) -> tuple[int, ...]:
         """Column j: the sources related to target j; built on first read and kept.
 
@@ -430,30 +489,35 @@ class Relation(_Value):
         cols = [0] * self.target.size
         for i, row in enumerate(self.rows):
             bit = 1 << i
-            for j in _bits(row):
-                cols[j] |= bit
+            while row:
+                low = row & -row
+                cols[low.bit_length() - 1] |= bit
+                row ^= low
         return tuple(cols)
 
     def fiber10(self, j: int) -> Subset:
         """Sources related to target index j (a column)."""
-        return _trusted(Subset, carrier=self.source, bits=self.columns[j])
+        return _trusted(Subset, self.source, self.columns[j])
 
 
 def compose(r: Relation, s: Relation) -> Relation:
     """Relational composition: (a,c) related iff some b has r(a,b) and s(b,c)."""
     if r.target is not s.source and r.target != s.source:
         raise CarrierMismatchError("compose: target of first relation differs from source of second")
+    srows = s.rows
     rows = []
     for row in r.rows:
         acc = 0
-        for b in _bits(row):
-            acc |= s.rows[b]
+        while row:
+            low = row & -row
+            acc |= srows[low.bit_length() - 1]
+            row ^= low
         rows.append(acc)
-    return _trusted(Relation, source=r.source, target=s.target, rows=tuple(rows))
+    return _trusted(Relation, r.source, s.target, tuple(rows))
 
 
 def transpose(r: Relation) -> Relation:
-    return _trusted(Relation, source=r.target, target=r.source, rows=r.columns)
+    return _trusted(Relation, r.target, r.source, r.columns)
 
 
 def residuate_left(r: Relation, s: Relation) -> Relation:
@@ -465,8 +529,7 @@ def residuate_left(r: Relation, s: Relation) -> Relation:
     if r.source is not s.source and r.source != s.source:
         raise CarrierMismatchError("residuate_left: relations must share their source")
     full = s.target.full_mask
-    return _trusted(Relation, source=r.target, target=s.target,
-                    rows=tuple(meet_bits(s.rows, col, full) for col in r.columns))
+    return _trusted(Relation, r.target, s.target, tuple(meet_bits(s.rows, col, full) for col in r.columns))
 
 
 def residuate_right(r: Relation, s: Relation) -> Relation:
@@ -485,7 +548,7 @@ def residuate_right(r: Relation, s: Relation) -> Relation:
             if rrow & ~srow == 0:
                 acc |= 1 << a
         rows.append(acc)
-    return _trusted(Relation, source=s.source, target=r.source, rows=tuple(rows))
+    return _trusted(Relation, s.source, r.source, tuple(rows))
 
 
 class ImageTriple(NamedTuple):
@@ -504,18 +567,17 @@ def images(f: FinFunction) -> ImageTriple:
     def existential(x: Subset) -> Subset:
         if x.carrier != source:
             raise CarrierMismatchError("existential image: subset not over the function source")
-        return _trusted(Subset, carrier=target, bits=image_bits(f, x.bits))
+        return _trusted(Subset, target, image_bits(f, x.bits))
 
     def inverse(y: Subset) -> Subset:
         if y.carrier != target:
             raise CarrierMismatchError("inverse image: subset not over the function target")
-        return _trusted(Subset, carrier=source, bits=preimage_bits(f, y.bits))
+        return _trusted(Subset, source, preimage_bits(f, y.bits))
 
     def universal(x: Subset) -> Subset:
         if x.carrier != source:
             raise CarrierMismatchError("universal image: subset not over the function source")
-        return _trusted(Subset, carrier=target,
-                        bits=~image_bits(f, ~x.bits & source.full_mask) & target.full_mask)
+        return _trusted(Subset, target, ~image_bits(f, ~x.bits & source.full_mask) & target.full_mask)
 
     return ImageTriple(existential, inverse, universal)
 
@@ -524,14 +586,14 @@ def derive_forward(r: Relation, x: Subset) -> Subset:
     """Targets shared by every member of x: {b | all a in x have r(a,b)}."""
     if x.carrier != r.source:
         raise CarrierMismatchError("derive_forward: subset not over the relation source")
-    return _trusted(Subset, carrier=r.target, bits=meet_bits(r.rows, x.bits, r.target.full_mask))
+    return _trusted(Subset, r.target, meet_bits(r.rows, x.bits, r.target.full_mask))
 
 
 def derive_reverse(r: Relation, y: Subset) -> Subset:
     """Sources related to every member of y: {a | all b in y have r(a,b)}."""
     if y.carrier != r.target:
         raise CarrierMismatchError("derive_reverse: subset not over the relation target")
-    return _trusted(Subset, carrier=r.source, bits=meet_bits(r.columns, y.bits, r.source.full_mask))
+    return _trusted(Subset, r.source, meet_bits(r.columns, y.bits, r.source.full_mask))
 
 
 def meet_bits(lines, bits: int, full: int) -> int:

@@ -143,7 +143,7 @@ def _fixed_point_subposet(p: Preorder, fixed: Sequence[int]) -> tuple[Poset, Mon
     """
     carrier = FinSet(tuple(p.carrier.elements[i] for i in fixed))
     leq = Relation(carrier, carrier, _restricted_rows(p, fixed))
-    sub = _trusted(Poset, carrier=carrier, leq=leq) if p.is_poset() else Poset(carrier, leq)
+    sub = _trusted(Poset, carrier, leq) if p.is_poset() else Poset(carrier, leq)
     return sub, _monotone(sub, p, fixed)
 
 
@@ -201,8 +201,7 @@ def polar_factorize(g: Adjunction) -> PolarFactorization:
     src_el, tgt_el = g.source.carrier.elements, g.target.carrier.elements
     labels = tuple(f"({src_el[a]},{tgt_el[b]})" for a, b in bipoles)
     axis_carrier = FinSet(labels)
-    axis = _trusted(Poset, carrier=axis_carrier,
-                    leq=Relation(axis_carrier, axis_carrier, ci.closed.leq.rows))
+    axis = _trusted(Poset, axis_carrier, Relation(axis_carrier, axis_carrier, ci.closed.leq.rows))
 
     pos_of_closed = {a: k for k, (a, _) in enumerate(bipoles)}
     embed_src = _monotone(g.source, axis,

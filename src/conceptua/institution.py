@@ -593,7 +593,7 @@ def classification_of_signature(sig: Signature, depth: int) -> Classification:
     sentences, tables = _sentences_and_tables(sig, depth)
     instances = model_carrier(sig)
     types = FinSet(tuple(render_sentence(s) for s in sentences))
-    columns = _trusted(Relation, source=types, target=instances, rows=tables)
+    columns = _trusted(Relation, types, instances, tables)
     return Classification(instances, types, transpose(columns))
 
 
@@ -666,7 +666,7 @@ def theory_fiber(sig: Signature) -> TheoryFiber:
             f"the cap is {THEORY_FIBER_MAX_VARS} variables")
     n_theories = 1 << (1 << n)
     labels = FinSet(tuple(f"T{mask}" for mask in range(n_theories)))
-    poset = _trusted(Poset, carrier=labels, leq=Relation(labels, labels, _subset_rows(n_theories)))
+    poset = _trusted(Poset, labels, Relation(labels, labels, _subset_rows(n_theories)))
     theories = tuple(TheoryObject.of_mask(sig, mask) for mask in range(n_theories))
     return TheoryFiber(sig, poset, theories)
 

@@ -95,8 +95,8 @@ def _monotone(source: "Preorder", target: "Preorder", table) -> "MonotoneMap":
     element: an index list or lookup of the target carrier, or a table of
     bitsets below 2^|carrier| into a power order.
     """
-    func = _trusted(FinFunction, source=source.carrier, target=target.carrier, table=tuple(table))
-    return _trusted(MonotoneMap, source=source, target=target, func=func)
+    func = _trusted(FinFunction, source.carrier, target.carrier, tuple(table))
+    return _trusted(MonotoneMap, source, target, func)
 
 
 def _pulled_back_up_sets(func: FinFunction, target_rows) -> list[int]:
@@ -198,14 +198,14 @@ class Preorder(_Value):
 
     @classmethod
     def discrete(cls, carrier: FinSet) -> "Preorder":
-        return _trusted(cls, carrier=carrier, leq=Relation.identity(carrier))
+        return _trusted(cls, carrier, Relation.identity(carrier))
 
     @classmethod
     def chain(cls, *labels: str) -> "Poset":
         n = len(labels)
         carrier = FinSet(tuple(labels))
         rows = tuple(((1 << n) - 1) & ~((1 << i) - 1) for i in range(n))
-        return _trusted(Poset, carrier=carrier, leq=Relation(carrier, carrier, rows))
+        return _trusted(Poset, carrier, Relation(carrier, carrier, rows))
 
     @classmethod
     def from_pairs(cls, carrier: FinSet, pairs) -> "Preorder":
@@ -219,7 +219,7 @@ class Preorder(_Value):
             rows = [row | row_k if row >> k & 1 else row for row in rows]
         leq = Relation(carrier, carrier, tuple(rows))
         # The closure is a preorder by construction; only ``Poset.from_pairs`` tests antisymmetry.
-        return _trusted(cls, carrier=carrier, leq=leq) if cls is Preorder else cls(carrier, leq)
+        return _trusted(cls, carrier, leq) if cls is Preorder else cls(carrier, leq)
 
     @property
     def size(self) -> int:
@@ -259,7 +259,7 @@ def same_order(p: Preorder, q: Preorder) -> bool:
 def opposite(p: Preorder) -> Preorder:
     """The reversed order; the axioms are self-dual, so ``p`` needs no re-check."""
     cls = Poset if isinstance(p, Poset) else Preorder
-    return _trusted(cls, carrier=p.carrier, leq=transpose(p.leq))
+    return _trusted(cls, p.carrier, transpose(p.leq))
 
 
 class MonotoneMap(_Value):
@@ -302,8 +302,7 @@ class MonotoneMap(_Value):
         """The composite; monotone by construction, so not re-checked."""
         if not same_order(self.target, other.source):
             raise CarrierMismatchError("composing monotone maps with mismatched orders")
-        return _trusted(MonotoneMap, source=self.source, target=other.target,
-                        func=self.func.then(other.func))
+        return _trusted(MonotoneMap, self.source, other.target, self.func.then(other.func))
 
     def is_isotone(self) -> bool:
         """Order is both preserved and reflected: each source row is the
@@ -362,13 +361,11 @@ def bimodule_of_map(f: MonotoneMap, direction: str = "forward") -> OrderBimodule
     tgt = f.target
     if direction == "forward":
         rows = tuple(tgt.leq.rows[f.func.table[i]] for i in range(f.source.size))
-        return _trusted(OrderBimodule, source=f.source, target=tgt,
-                        rel=Relation(f.source.carrier, tgt.carrier, rows))
+        return _trusted(OrderBimodule, f.source, tgt, Relation(f.source.carrier, tgt.carrier, rows))
     if direction == "reverse":
         # Row b: the a whose image lies in the up-set of b.
         rows = preimage_rows(f.func, tgt.leq.rows)
-        return _trusted(OrderBimodule, source=tgt, target=f.source,
-                        rel=Relation(tgt.carrier, f.source.carrier, tuple(rows)))
+        return _trusted(OrderBimodule, tgt, f.source, Relation(tgt.carrier, f.source.carrier, tuple(rows)))
     raise ValueError(f"direction must be 'forward' or 'reverse', got {direction!r}")
 
 
@@ -416,7 +413,7 @@ def quotient(p: Preorder) -> tuple[Poset, MonotoneMap]:
     reps = [i for i, r in enumerate(first) if r == i]
     qcarrier = FinSet(tuple("{" + p.carrier.elements[r] + "}" for r in reps))
     leq = Relation(qcarrier, qcarrier, _restricted_rows(p, reps))
-    q = _trusted(Poset, carrier=qcarrier, leq=leq)
+    q = _trusted(Poset, qcarrier, leq)
     pos = {r: k for k, r in enumerate(reps)}
     return q, _monotone(p, q, (pos[r] for r in first))
 
@@ -443,7 +440,7 @@ def product(p: Preorder, q: Preorder) -> OrderProduct:
     rows = tuple(sum(q_row << i2 * m for i2 in _bits(p_row))
                  for p_row in p.leq.rows for q_row in q.leq.rows)
     cls = Poset if isinstance(p, Poset) and isinstance(q, Poset) else Preorder
-    order = _trusted(cls, carrier=carrier, leq=Relation(carrier, carrier, rows))
+    order = _trusted(cls, carrier, Relation(carrier, carrier, rows))
     return OrderProduct(order, _monotone(order, p, (k // m for k in range(p.size * m))),
                         _monotone(order, q, (k % m for k in range(p.size * m))))
 
@@ -460,7 +457,7 @@ def equalizer(f: MonotoneMap, g: MonotoneMap) -> tuple[Preorder, MonotoneMap]:
     carrier = FinSet(tuple(f.source.carrier.elements[i] for i in kept))
     cls = Poset if isinstance(f.source, Poset) else Preorder
     leq = Relation(carrier, carrier, _restricted_rows(f.source, kept))
-    sub = _trusted(cls, carrier=carrier, leq=leq)
+    sub = _trusted(cls, carrier, leq)
     return sub, _monotone(sub, f.source, kept)
 
 
@@ -482,7 +479,7 @@ def power_order(a: FinSet, reverse: bool = False) -> Poset:
         members[i] = a.elements[(i ^ rest).bit_length() - 1] + ("," + members[rest] if rest else "")
     carrier = FinSet(tuple("{" + m + "}" for m in members))
     rows = _subset_rows(n) if reverse else meet_table(_member_masks(a.size), (1 << n) - 1)
-    return _trusted(Poset, carrier=carrier, leq=Relation(carrier, carrier, tuple(rows)))
+    return _trusted(Poset, carrier, Relation(carrier, carrier, tuple(rows)))
 
 
 def down_segment(p: Preorder, a: str) -> Subset:
@@ -592,7 +589,7 @@ def _all_preorders(max_size: int) -> Iterator[Preorder]:
                     rows[i] |= 1 << j
             rel = Relation(carrier, carrier, tuple(rows))
             if compose(rel, rel) <= rel:
-                yield _trusted(Preorder, carrier=carrier, leq=rel)
+                yield _trusted(Preorder, carrier, rel)
 
 
 def all_monotone_maps(p: Preorder, q: Preorder) -> Iterator[MonotoneMap]:

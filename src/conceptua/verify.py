@@ -152,11 +152,15 @@ def _letters(prefix: str, n: int) -> FinSet:
 
 def random_relation(rng: random.Random, source: FinSet, target: FinSet,
                     density: float = 0.5) -> Relation:
-    rows = tuple(
-        sum(1 << j for j in range(target.size) if rng.random() < density)
-        for _ in range(source.size)
-    )
-    return Relation(source, target, rows)
+    draw = rng.random
+    rows = []
+    for _ in range(source.size):
+        row = 0
+        for j in range(target.size):
+            if draw() < density:
+                row |= 1 << j
+        rows.append(row)
+    return Relation(source, target, tuple(rows))
 
 
 def random_classification(rng: random.Random, max_side: int = 6) -> Classification:

@@ -27,6 +27,7 @@ has the file name ``<string>``).
 
 from __future__ import annotations
 
+import ast
 import copy
 import inspect
 import itertools
@@ -582,11 +583,12 @@ print(json.dumps({"control": generated(Control), "found": sorted(set(found))}))
 
 @pytest.mark.parametrize("name", sorted(ORACLES))
 def test_trusted_rebuild_is_the_sample(samples, name):
-    """``_trusted`` from the fields gives the sample's fields, ``repr``, ``==``
-    and ``hash``, and assigning and deleting go on it as on a copy of the sample."""
+    """``_trusted`` from the fields, in ``__match_args__`` order, gives the
+    sample's fields, ``repr``, ``==`` and ``hash``, and assigning and deleting
+    go on it as on a copy of the sample."""
     fields = ORACLES[name].__match_args__
     for x in samples[name]:
-        y = finrel._trusted(type(x), **{f: getattr(x, f) for f in fields})
+        y = finrel._trusted(type(x), *[getattr(x, f) for f in fields])
         assert type(y) is type(x)
         assert all(getattr(y, f) is getattr(x, f) for f in fields)
         assert repr(y) == repr(x)
@@ -606,6 +608,71 @@ DERIVED = {"FinSet": {"size", "full_mask"}}
 
 def _slots(cls) -> list[str]:
     return [name for c in cls.__mro__ for name in vars(c).get("__slots__", ())]
+
+
+def _records() -> set[type]:
+    return {cls for m in LAYERS for cls in vars(m).values()
+            if isinstance(cls, type) and issubclass(cls, finrel._Record)}
+
+
+def test_each_builder_fills_exactly_its_fields_in_order():
+    """Each ``_Record`` subclass has a builder of its own, which writes value
+    k to field k of ``__match_args__`` and sets no other slot; any other
+    number of values raises ``TypeError`` and builds nothing."""
+    subclasses = _records() - {finrel._Record}
+    assert len({cls._build for cls in subclasses}) == len(subclasses)
+    for cls in subclasses:
+        fields = cls.__match_args__
+        values = [object() for _ in fields]
+        x = finrel._trusted(cls, *values)
+        assert type(x) is cls
+        assert all(getattr(x, f) is v for f, v in zip(fields, values, strict=True)), cls
+        assert {s for s in _slots(cls) if s != "__dict__" and hasattr(x, s)} == set(fields), cls
+        assert vars(x) == {} if "__dict__" in _slots(cls) else not hasattr(x, "__dict__")
+        with pytest.raises(TypeError):
+            finrel._trusted(cls, *values, object())
+        if fields:
+            with pytest.raises(TypeError):
+                finrel._trusted(cls, *values[:-1])
+
+
+def test_trusted_poset_is_a_poset():
+    """A subclass gets its own builder, not its base's: ``_trusted(Poset, ...)``
+    is a ``Poset`` and ``_trusted(Preorder, ...)`` a ``Preorder``."""
+    chain = order.Preorder.chain("a", "b", "c")
+    poset = finrel._trusted(order.Poset, chain.carrier, chain.leq)
+    preorder = finrel._trusted(order.Preorder, chain.carrier, chain.leq)
+    assert type(poset) is order.Poset and poset == chain and poset.is_poset()
+    assert type(preorder) is order.Preorder and preorder != chain
+
+
+def _calls_in(name: str, tree: ast.Module) -> list[ast.Call]:
+    return [n for n in ast.walk(tree)
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == name]
+
+
+def test_trusted_is_called_positionally_and_builds_without_a_loop():
+    """No ``_trusted`` call in the package passes a keyword; ``_trusted`` and
+    the builders hold no loop and no ``object.__setattr__``."""
+    trees = [ast.parse(path.read_text()) for path in sorted((SRC / "conceptua").glob("*.py"))]
+    calls = [call for tree in trees for call in _calls_in("_trusted", tree)]
+    assert len(calls) >= 40
+    assert [ast.unparse(c) for c in calls if c.keywords or len(c.args) < 2] == []
+    finrel_tree = ast.parse((SRC / "conceptua" / "finrel.py").read_text())
+    makers = {n.name: n for n in finrel_tree.body if isinstance(n, ast.FunctionDef)}
+    # ``_builder`` and ``_filler`` run once per class; what runs per value is
+    # ``_trusted`` and the closures they return.
+    per_value = [makers["_trusted"]] + [
+        n for name in ("_builder", "_filler") for n in ast.walk(makers[name])
+        if isinstance(n, (ast.FunctionDef, ast.Lambda)) and n is not makers[name]]
+    assert len(per_value) == 6
+    loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    for fn in per_value:
+        body = list(ast.walk(fn))
+        assert not [n for n in body if isinstance(n, loops)], ast.unparse(fn)
+        names = {n.id for n in body if isinstance(n, ast.Name)} | \
+            {n.attr for n in body if isinstance(n, ast.Attribute)}
+        assert not names & {"_set", "__setattr__", "setattr"}, ast.unparse(fn)
 
 
 def _cached(cls) -> set[str]:
@@ -638,6 +705,35 @@ def test_samples_have_no_instance_dict_but_for_a_cache(samples, name):
         else:
             assert not hasattr(x, "__dict__")
         assert all(hasattr(x, slot) for slot in _slots(type(x)))
+
+
+CACHED = [(finrel.Relation, "columns"), (clsn.Classification, "concepts"),
+          (clg.ConceptLattice, "_adjunctions")]
+
+
+@pytest.mark.parametrize("cls, attr", CACHED, ids=[f"{c.__name__}.{a}" for c, a in CACHED])
+def test_cached_attribute_runs_once_per_instance(samples, monkeypatch, cls, attr):
+    """Each cached attribute is a ``functools.cached_property`` (of the
+    lock-free kind), runs its function once per instance, and stays out of
+    ``==``, ``hash`` and ``__getstate__``."""
+    descriptor = vars(cls)[attr]
+    assert type(descriptor) is finrel._cached and isinstance(descriptor, cached_property)
+    assert getattr(cls, attr) is descriptor
+    calls = []
+    func = descriptor.func
+    monkeypatch.setattr(descriptor, "func", lambda self: calls.append(self) or func(self))
+    # Copies start without the cached value, which ``__getstate__`` leaves out.
+    fresh = [copy.copy(x) for x in samples[cls.__name__]]
+    assert all(attr not in vars(x) for x in fresh)
+    for x in fresh:
+        value = getattr(x, attr)
+        assert getattr(x, attr) is value and getattr(x, attr) is value
+        assert vars(x) == {attr: value}
+        assert attr not in x.__getstate__()
+        bare = copy.copy(x)
+        assert attr not in vars(bare)
+        assert bare == x and x == bare and _outcome(hash, bare) == _outcome(hash, x)
+    assert [id(x) for x in calls] == [id(x) for x in fresh]
 
 
 def _readable(cls) -> list[str]:
