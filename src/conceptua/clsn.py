@@ -56,9 +56,7 @@ class Classification(_Value):
     __slots__ = (*__match_args__, "__dict__")
 
     def __init__(self, instances: FinSet, types: FinSet, incidence: Relation):
-        object.__setattr__(self, "instances", instances)
-        object.__setattr__(self, "types", types)
-        object.__setattr__(self, "incidence", incidence)
+        self._fill(self, instances, types, incidence)
         self.__post_init__()
 
     def __post_init__(self):
@@ -126,10 +124,7 @@ class Infomorphism(_Value):
 
     def __init__(self, source: Classification, target: Classification, inst_map: FinFunction,
                  typ_map: FinFunction):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "inst_map", inst_map)
-        object.__setattr__(self, "typ_map", typ_map)
+        self._fill(self, source, target, inst_map, typ_map)
         self.__post_init__()
 
     def __post_init__(self):
@@ -172,10 +167,7 @@ class InfomorphismReport(_Value):
 
     def __init__(self, relation_version: bool, morphism_version: bool, adjunction_version: bool,
                  witness: tuple[str, str] | None):
-        object.__setattr__(self, "relation_version", relation_version)
-        object.__setattr__(self, "morphism_version", morphism_version)
-        object.__setattr__(self, "adjunction_version", adjunction_version)
-        object.__setattr__(self, "witness", witness)
+        self._fill(self, relation_version, morphism_version, adjunction_version, witness)
 
     @property
     def valid(self) -> bool:

@@ -9,12 +9,15 @@ read of ``Relation.columns``, and kept.  Both derivations are ``meet_bits``:
 the forward one over the rows, the reverse one over the columns.
 ``derive_bits`` computes either one from whichever side is cheaper.
 
-Only the public constructors validate.  A value that is valid by
-construction (the result of a kernel here, or an order or map derived
-elsewhere in the library) is built by ``_trusted(cls, *fields)``, which
-writes the fields, in ``__match_args__`` order, straight to their slots
-through one builder per class.  Carrier checks test identity before
-comparing labels, so carriers shared by object cost one pointer compare.
+Fields are written one way: by the class's filler ``cls._fill(obj,
+*fields)``, made once per class from its slot descriptors, which writes the
+fields in ``__match_args__`` order straight to their slots.  A public
+constructor fills its fields with it and then validates.  A value that is
+valid by construction (the result of a kernel here, or an order or map
+derived elsewhere in the library) is built by ``_trusted(cls, *fields)``,
+the same filler on a fresh object, with no validation.  Carrier checks test
+identity before comparing labels, so carriers shared by object cost one
+pointer compare.
 
 Every value class of the library keeps its fields, and any attribute
 derived from them (``FinSet.size`` and ``full_mask``), in ``__slots__``, so
@@ -55,65 +58,54 @@ __all__ = [
 ]
 
 
-_set = object.__setattr__
+_new = object.__new__
 
 
 def _trusted(cls, *values):
     """A value of ``cls`` with ``values`` as its fields, in ``__match_args__``
-    order, built without running ``__post_init__`` by the class's builder
-    (``_builder``).
+    order, written by the class's filler (``cls._fill``) without running
+    ``__post_init__``.
 
     Every value the library derives is valid by construction and built here;
     only the public constructors validate.  Sequence fields must already be
     tuples.
     """
-    return cls._build(*values)
+    return cls._fill(_new(cls), *values)
 
 
 def _filler(sets):
-    """``fill(obj, *values)``: each value written to ``obj`` by the setter at
-    its position in ``sets``; any other number of values raises ``TypeError``."""
-    if not sets:
-        return lambda obj: None
-    first, rest = sets[0], _filler(sets[1:])
-
-    def fill(obj, value, *values):
-        first(obj, value)
-        rest(obj, *values)
-    return fill
-
-
-def _builder(cls):
-    """``build(*values)``: a new ``cls`` whose ``__match_args__`` fields are
-    ``values``, each written straight to its slot by the slot descriptor's
-    ``__set__``, so there is no keyword dict, no loop and no lookup by name.
-    Two- and three-field records, the ones built on hot paths, get a flat
-    closure; any other arity sets its fields through ``_filler``.  A wrong
+    """``fill(obj, *values)``: value k written to ``obj`` by ``sets[k]``, the
+    ``__set__`` of a slot descriptor, and ``obj`` returned, with no loop and
+    no lookup by name.  Up to three values take one flat closure; more take
+    one closure per extra value ahead of the three-value one.  Any other
     number of values raises ``TypeError``.
     """
-    new = object.__new__
-    match tuple(getattr(cls, name).__set__ for name in cls.__match_args__):
+    match sets:
+        case ():
+            def fill(obj):
+                return obj
+        case (s0,):
+            def fill(obj, a):
+                s0(obj, a)
+                return obj
         case (s0, s1):
-            def build(a, b):
-                obj = new(cls)
+            def fill(obj, a, b):
                 s0(obj, a)
                 s1(obj, b)
                 return obj
         case (s0, s1, s2):
-            def build(a, b, c):
-                obj = new(cls)
+            def fill(obj, a, b, c):
                 s0(obj, a)
                 s1(obj, b)
                 s2(obj, c)
                 return obj
-        case sets:
-            fill = _filler(sets)
+        case (s0, *rest):
+            fill_rest = _filler(tuple(rest))
 
-            def build(*values):
-                obj = new(cls)
-                fill(obj, *values)
-                return obj
-    return build
+            def fill(obj, a, *values):
+                s0(obj, a)
+                return fill_rest(obj, *values)
+    return fill
 
 
 class _cached(cached_property):
@@ -143,8 +135,9 @@ class _Record:
     attribute, then ``__dict__`` only for a ``cached_property``.  So an
     attribute that is not a field cannot be set, and ``copy`` and ``pickle``
     go through ``__getstate__`` and ``__setstate__`` below.  Each subclass
-    also gets its ``_trusted`` builder, made once here from its slot
-    descriptors.
+    also gets its filler ``_fill(obj, *fields)``, made once here from its
+    slot descriptors: the one writer of its fields, behind both its
+    ``__init__`` and ``_trusted``.
     """
 
     __match_args__ = ()
@@ -152,7 +145,8 @@ class _Record:
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        cls._build = staticmethod(_builder(cls))
+        cls._fill = staticmethod(_filler(tuple(getattr(cls, name).__set__
+                                               for name in cls.__match_args__)))
 
     def _astuple(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__match_args__])
@@ -173,16 +167,17 @@ class _Record:
                 for name in cls.__dict__.get("__slots__", ()) if name != "__dict__"}
 
     def __setstate__(self, state):
-        # Through ``object.__setattr__``: a frozen value's own raises.
+        # Through the slot descriptors: a frozen value's ``__setattr__`` raises.
+        cls = type(self)
         for name, value in state.items():
-            _set(self, name, value)
+            getattr(cls, name).__set__(self, value)
 
 
 class _Value(_Record):
     """A frozen record: assigning or deleting any attribute raises, and the
-    hash is that of the field tuple.  ``__init__`` writes each field with
-    ``object.__setattr__`` and ``_trusted`` through its slot descriptor,
-    both past the ``__setattr__`` below, as the generated ``__init__`` does."""
+    hash is that of the field tuple.  ``__init__`` and ``_trusted`` write the
+    fields through ``_fill``, whose slot descriptors go past the
+    ``__setattr__`` below, as the generated ``__init__`` does."""
 
     __slots__ = ()
 
@@ -211,16 +206,16 @@ class FinSet(_Value):
     __slots__ = ("elements", "size", "full_mask")
 
     def __init__(self, elements: tuple[str, ...]):
-        object.__setattr__(self, "elements", elements)
+        self._fill(self, tuple(elements))
         self.__post_init__()
 
     def __post_init__(self):
-        if len(set(self.elements)) != len(self.elements):
+        n = len(self.elements)
+        if len(set(self.elements)) != n:
             raise ValueError(f"duplicate labels in carrier: {self.elements}")
-        object.__setattr__(self, "elements", tuple(self.elements))
         # Derived slots, not fields: set once, left out of eq and hash.
-        object.__setattr__(self, "size", len(self.elements))
-        object.__setattr__(self, "full_mask", (1 << self.size) - 1)
+        FinSet.size.__set__(self, n)
+        FinSet.full_mask.__set__(self, (1 << n) - 1)
 
     def __eq__(self, other):
         """Identity first, then labels."""
@@ -260,8 +255,7 @@ class Subset(_Value):
     __slots__ = __match_args__
 
     def __init__(self, carrier: FinSet, bits: int):
-        object.__setattr__(self, "carrier", carrier)
-        object.__setattr__(self, "bits", bits)
+        self._fill(self, carrier, bits)
         self.__post_init__()
 
     def __eq__(self, other):
@@ -342,9 +336,7 @@ class FinFunction(_Value):
     __slots__ = __match_args__
 
     def __init__(self, source: FinSet, target: FinSet, table: tuple[int, ...]):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "table", table)
+        self._fill(self, source, target, tuple(table))
         self.__post_init__()
 
     def __eq__(self, other):
@@ -356,7 +348,6 @@ class FinFunction(_Value):
         return hash((self.source, self.target, self.table))
 
     def __post_init__(self):
-        object.__setattr__(self, "table", tuple(self.table))
         if len(self.table) != self.source.size:
             raise ValueError("table length differs from source size")
         if self.table and not (0 <= min(self.table) and max(self.table) < self.target.size):
@@ -403,9 +394,7 @@ class Relation(_Value):
     __slots__ = (*__match_args__, "__dict__")
 
     def __init__(self, source: FinSet, target: FinSet, rows: tuple[int, ...]):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "rows", rows)
+        self._fill(self, source, target, tuple(rows))
         self.__post_init__()
 
     def __eq__(self, other):
@@ -417,7 +406,6 @@ class Relation(_Value):
         return hash((self.source, self.target, self.rows))
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(self.rows))
         if len(self.rows) != self.source.size:
             raise ValueError("row count differs from source size")
         if self.rows and not (0 <= min(self.rows) and max(self.rows) <= self.target.full_mask):

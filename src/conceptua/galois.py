@@ -56,10 +56,7 @@ class Adjunction(_Value):
     __slots__ = __match_args__
 
     def __init__(self, source: Preorder, target: Preorder, left: MonotoneMap, right: MonotoneMap):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
+        self._fill(self, source, target, left, right)
 
     def left_idx(self, i: int) -> int:
         return self.left.func.table[i]
@@ -125,14 +122,8 @@ class ClosureInterior(_Value):
     def __init__(self, closure: MonotoneMap, interior: MonotoneMap, closed: Poset, open: Poset,
                  closed_inclusion: MonotoneMap, open_inclusion: MonotoneMap,
                  closed_indices: tuple[int, ...], open_indices: tuple[int, ...]):
-        object.__setattr__(self, "closure", closure)
-        object.__setattr__(self, "interior", interior)
-        object.__setattr__(self, "closed", closed)
-        object.__setattr__(self, "open", open)
-        object.__setattr__(self, "closed_inclusion", closed_inclusion)
-        object.__setattr__(self, "open_inclusion", open_inclusion)
-        object.__setattr__(self, "closed_indices", closed_indices)
-        object.__setattr__(self, "open_indices", open_indices)
+        self._fill(self, closure, interior, closed, open, closed_inclusion, open_inclusion,
+                   closed_indices, open_indices)
 
 
 def _fixed_point_subposet(p: Preorder, fixed: Sequence[int]) -> tuple[Poset, MonotoneMap]:
@@ -177,11 +168,7 @@ class PolarFactorization(_Value):
 
     def __init__(self, original: Adjunction, axis: Poset, extent_reflection: Adjunction,
                  intent_coreflection: Adjunction, bipoles: tuple[tuple[int, int], ...]):
-        object.__setattr__(self, "original", original)
-        object.__setattr__(self, "axis", axis)
-        object.__setattr__(self, "extent_reflection", extent_reflection)
-        object.__setattr__(self, "intent_coreflection", intent_coreflection)
-        object.__setattr__(self, "bipoles", bipoles)
+        self._fill(self, original, axis, extent_reflection, intent_coreflection, bipoles)
 
 
 def polar_factorize(g: Adjunction) -> PolarFactorization:
@@ -274,9 +261,7 @@ class FactorizationSystem(_Value):
 
     def __init__(self, is_e: Callable[[Adjunction], bool], is_m: Callable[[Adjunction], bool],
                  factor: Callable[[Adjunction], PolarFactorization]):
-        object.__setattr__(self, "is_e", is_e)
-        object.__setattr__(self, "is_m", is_m)
-        object.__setattr__(self, "factor", factor)
+        self._fill(self, is_e, is_m, factor)
 
     def check_factor(self, g: Adjunction) -> list[str]:
         failures = []
@@ -359,8 +344,7 @@ class EquivalenceReport(_Record):
     __slots__ = __match_args__
 
     def __init__(self, cases_run: int = 0, squares_run: int = 0, failures: list[str] | None = None):
-        self.cases_run, self.squares_run = cases_run, squares_run
-        self.failures = [] if failures is None else failures
+        self._fill(self, cases_run, squares_run, [] if failures is None else failures)
 
     @property
     def ok(self) -> bool:

@@ -77,7 +77,7 @@ class Signature(_Value):
     __slots__ = __match_args__
 
     def __init__(self, vars: FinSet):
-        object.__setattr__(self, "vars", vars)
+        self._fill(self, vars)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -101,9 +101,7 @@ class SignatureMorphism(_Value):
     __slots__ = __match_args__
 
     def __init__(self, source: Signature, target: Signature, map: FinFunction):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "map", map)
+        self._fill(self, source, target, map)
         self.__post_init__()
 
     def __post_init__(self):
@@ -132,7 +130,7 @@ class Var(_Value):
     __slots__ = __match_args__
 
     def __init__(self, name: str):
-        object.__setattr__(self, "name", name)
+        self._fill(self, name)
 
 
 class _Connective(_Value):
@@ -159,7 +157,7 @@ class Not(_Connective):
     __slots__ = __match_args__
 
     def __init__(self, body: "Sentence"):
-        object.__setattr__(self, "body", body)
+        self._fill(self, body)
 
 
 class _Binary(_Connective):
@@ -167,8 +165,7 @@ class _Binary(_Connective):
     __slots__ = __match_args__
 
     def __init__(self, lhs: "Sentence", rhs: "Sentence"):
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
+        self._fill(self, lhs, rhs)
 
 
 class And(_Binary):
@@ -344,8 +341,7 @@ class Model(_Value):
     __slots__ = __match_args__
 
     def __init__(self, signature: Signature, valuation: Subset):
-        object.__setattr__(self, "signature", signature)
-        object.__setattr__(self, "valuation", valuation)
+        self._fill(self, signature, valuation)
         self.__post_init__()
 
     def __eq__(self, other):
@@ -534,8 +530,7 @@ class SatisfactionReport(_Record):
 
     def __init__(self, models_checked: int = 0, sentences_checked: int = 0,
                  failures: list[str] | None = None):
-        self.models_checked, self.sentences_checked = models_checked, sentences_checked
-        self.failures = [] if failures is None else failures
+        self._fill(self, models_checked, sentences_checked, [] if failures is None else failures)
 
     @property
     def ok(self) -> bool:
@@ -607,8 +602,7 @@ class TheoryObject(_Value):
     __slots__ = __match_args__
 
     def __init__(self, signature: Signature, model_class: Subset):
-        object.__setattr__(self, "signature", signature)
-        object.__setattr__(self, "model_class", model_class)
+        self._fill(self, signature, model_class)
         self.__post_init__()
 
     def __post_init__(self):
@@ -635,9 +629,7 @@ class TheoryFiber(_Value):
     __slots__ = __match_args__
 
     def __init__(self, signature: Signature, poset: Poset, theories: tuple[TheoryObject, ...]):
-        object.__setattr__(self, "signature", signature)
-        object.__setattr__(self, "poset", poset)
-        object.__setattr__(self, "theories", theories)
+        self._fill(self, signature, poset, theories)
 
     def le(self, t1: TheoryObject, t2: TheoryObject) -> bool:
         """t1 <= t2 iff t1's model class contains t2's (t2 entails t1)."""
@@ -709,9 +701,8 @@ class CategoryReport(_Record):
 
     def __init__(self, objects: int = 0, morphisms: int = 0, composable_pairs: int = 0,
                  composable_triples: int = 0, failures: list[str] | None = None):
-        self.objects, self.morphisms = objects, morphisms
-        self.composable_pairs, self.composable_triples = composable_pairs, composable_triples
-        self.failures = [] if failures is None else failures
+        self._fill(self, objects, morphisms, composable_pairs, composable_triples,
+                   [] if failures is None else failures)
 
     @property
     def ok(self) -> bool:
@@ -733,12 +724,7 @@ class FlattenedTheoryCategory(_Value):
                  objects: tuple[tuple[int, int], ...],
                  sig_morphisms: tuple[tuple[int, int, SignatureMorphism], ...],
                  morphisms: tuple[tuple[int, int, int], ...], report: CategoryReport):
-        object.__setattr__(self, "signatures", signatures)
-        object.__setattr__(self, "fibers", fibers)
-        object.__setattr__(self, "objects", objects)
-        object.__setattr__(self, "sig_morphisms", sig_morphisms)
-        object.__setattr__(self, "morphisms", morphisms)
-        object.__setattr__(self, "report", report)
+        self._fill(self, signatures, fibers, objects, sig_morphisms, morphisms, report)
 
 
 def flatten(signatures, morphisms) -> FlattenedTheoryCategory:
@@ -772,8 +758,7 @@ def flatten(signatures, morphisms) -> FlattenedTheoryCategory:
                              "objects, above the fixed cap of 5000")
 
     inst = PropositionalInstitution()
-    transport_tables = [preimage_rows(inst.reduct_function(sm), range(len(fibers[si].theories)))
-                        for si, _, sm in sig_morphs]
+    transport_tables = [image_tables(inst.reduct_function(sm))[1] for _, _, sm in sig_morphs]
 
     morphs: list[tuple[int, int, int]] = []
     for mi, (si, ti, sm) in enumerate(sig_morphs):
@@ -852,11 +837,7 @@ class MergeSpan(_Value):
 
     def __init__(self, base: Signature, left_map: SignatureMorphism, right_map: SignatureMorphism,
                  left_theory: TheoryObject, right_theory: TheoryObject):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "left_map", left_map)
-        object.__setattr__(self, "right_map", right_map)
-        object.__setattr__(self, "left_theory", left_theory)
-        object.__setattr__(self, "right_theory", right_theory)
+        self._fill(self, base, left_map, right_map, left_theory, right_theory)
         self.__post_init__()
 
     def __post_init__(self):
@@ -874,11 +855,7 @@ class MergeResult(_Value):
 
     def __init__(self, signature: Signature, left_injection: SignatureMorphism,
                  right_injection: SignatureMorphism, theory: TheoryObject, inconsistent: bool):
-        object.__setattr__(self, "signature", signature)
-        object.__setattr__(self, "left_injection", left_injection)
-        object.__setattr__(self, "right_injection", right_injection)
-        object.__setattr__(self, "theory", theory)
-        object.__setattr__(self, "inconsistent", inconsistent)
+        self._fill(self, signature, left_injection, right_injection, theory, inconsistent)
 
 
 def pushout_signature(span_base: Signature, left: SignatureMorphism,
@@ -1008,9 +985,7 @@ class StyleReport(_Record):
 
     def __init__(self, class_rel: bool, class_adj: bool, conc_adj: bool, conc_rel: bool,
                  witnesses: dict):
-        self.class_rel, self.class_adj = class_rel, class_adj
-        self.conc_adj, self.conc_rel = conc_adj, conc_rel
-        self.witnesses = witnesses
+        self._fill(self, class_rel, class_adj, conc_adj, conc_rel, witnesses)
 
     @property
     def all_pass(self) -> bool:

@@ -51,6 +51,8 @@ __all__ = [
     "poset_meet",
     "is_complete_lattice",
     "hasse_edges",
+    "is_pseudo_epimorphism",
+    "is_pseudo_monomorphism",
 ]
 
 # The largest n for which derivation on an n x n context and `conceptua lattice`
@@ -154,10 +156,7 @@ class EndorelationFlags(_Value):
     __slots__ = __match_args__
 
     def __init__(self, reflexive: bool, transitive: bool, symmetric: bool, antisymmetric: bool):
-        object.__setattr__(self, "reflexive", reflexive)
-        object.__setattr__(self, "transitive", transitive)
-        object.__setattr__(self, "symmetric", symmetric)
-        object.__setattr__(self, "antisymmetric", antisymmetric)
+        self._fill(self, reflexive, transitive, symmetric, antisymmetric)
 
 
 def classify_endorelation(r: Relation) -> EndorelationFlags:
@@ -181,8 +180,7 @@ class Preorder(_Value):
     __slots__ = __match_args__
 
     def __init__(self, carrier: FinSet, leq: Relation):
-        object.__setattr__(self, "carrier", carrier)
-        object.__setattr__(self, "leq", leq)
+        self._fill(self, carrier, leq)
         self.__post_init__()
 
     def __post_init__(self):
@@ -269,9 +267,7 @@ class MonotoneMap(_Value):
     __slots__ = __match_args__
 
     def __init__(self, source: Preorder, target: Preorder, func: FinFunction):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "func", func)
+        self._fill(self, source, target, func)
         self.__post_init__()
 
     def __post_init__(self):
@@ -338,9 +334,7 @@ class OrderBimodule(_Value):
     __slots__ = __match_args__
 
     def __init__(self, source: Preorder, target: Preorder, rel: Relation):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "rel", rel)
+        self._fill(self, source, target, rel)
         self.__post_init__()
 
     def __post_init__(self):
@@ -423,9 +417,7 @@ class OrderProduct(_Value):
     __slots__ = __match_args__
 
     def __init__(self, order: Preorder, proj0: MonotoneMap, proj1: MonotoneMap):
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "proj0", proj0)
-        object.__setattr__(self, "proj1", proj1)
+        self._fill(self, order, proj0, proj1)
 
 
 def product(p: Preorder, q: Preorder) -> OrderProduct:

@@ -114,9 +114,7 @@ class LawReport(_Record):
 
     def __init__(self, suite: str, cases: int = 0, failures: list[str] | None = None,
                  seconds: float = 0.0):
-        self.suite, self.cases = suite, cases
-        self.failures = [] if failures is None else failures
-        self.seconds = seconds
+        self._fill(self, suite, cases, [] if failures is None else failures, seconds)
 
     @property
     def ok(self) -> bool:

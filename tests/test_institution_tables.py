@@ -8,7 +8,9 @@ morphism between signatures of up to 3 variables, the satisfaction check
 on every morphism between signatures of up to 2 variables, honest and with
 a corrupted reduct, and on two endomorphisms of 3 variables, where it may
 walk only the translated sentences' truth tables. Results, failure lists
-and counts must be identical.
+and counts must be identical. The transport tables of ``flatten``, read
+from ``image_tables``, are compared with the ``preimage_rows`` form they
+replaced on every morphism between signatures of up to 3 variables.
 The style report runs beside the earlier ``style_interconvert``, which
 re-checked adjointness and the concept squares after the transport
 returned, on the honest and three corrupted institutions; every pair of
@@ -24,7 +26,8 @@ import conceptua.institution as institution
 from conceptua.clg import concept_square_failures, concepts_of
 from conceptua.clsn import Infomorphism, check_infomorphism
 from conceptua.errors import CarrierMismatchError, SizeLimitError
-from conceptua.finrel import FinFunction, FinSet, Subset, image_bits, preimage_bits
+from conceptua.finrel import FinFunction, FinSet, Subset, image_bits, image_tables, preimage_bits, \
+    preimage_rows
 from conceptua.institution import (
     Model,
     PropositionalInstitution,
@@ -148,6 +151,19 @@ def test_fiber_adjunction_tables_match_per_model_oracle():
                       for t in theory_fiber(sigma.target).theories)
         assert adj.left.func.table == left
         assert adj.right.func.table == right
+
+
+def test_flatten_transport_tables_match_the_preimage_rows_form():
+    """``flatten`` reads each transport table from ``image_tables``, one OR
+    per entry; the ``preimage_rows`` form it used before, one bit loop per
+    theory mask, is the oracle on every morphism between signatures of up to
+    3 variables."""
+    inst = PropositionalInstitution()
+    sigmas = list(morphisms(3))
+    assert len(sigmas) == 60
+    for sigma in sigmas:
+        r = inst.reduct_function(sigma)
+        assert image_tables(r)[1] == preimage_rows(r, range(len(theory_fiber(sigma.source).theories)))
 
 
 def test_reduct_function_tabulates_reduct():

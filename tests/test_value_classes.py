@@ -13,8 +13,10 @@ them is compared.
 
 Values are stored one way: every field, and every attribute derived from
 the fields, in a slot.  Only a class with a ``cached_property`` also has an
-instance dict, to hold the cached value.  A sample rebuilt from its fields
-by ``finrel._trusted``, each concept that ``clg._concepts_lectic`` builds
+instance dict, to hold the cached value.  Fields are written one way: by the
+class's filler ``_fill``, behind both ``__init__`` and ``finrel._trusted``.
+A sample rebuilt from its fields by ``finrel._trusted`` or by keyword
+through its constructor, each concept that ``clg._concepts_lectic`` builds
 through the slot descriptors, and a sample copied or pickled, must be
 indistinguishable from the value the public constructors build.  The
 oracles keep their instance dict, so a mutable report, whose oracle takes
@@ -615,23 +617,36 @@ def _records() -> set[type]:
             if isinstance(cls, type) and issubclass(cls, finrel._Record)}
 
 
+def _filled_slots(x) -> set[str]:
+    return {s for s in _slots(type(x)) if s != "__dict__" and hasattr(x, s)}
+
+
 def test_each_builder_fills_exactly_its_fields_in_order():
-    """Each ``_Record`` subclass has a builder of its own, which writes value
-    k to field k of ``__match_args__`` and sets no other slot; any other
-    number of values raises ``TypeError`` and builds nothing."""
+    """Each ``_Record`` subclass has a filler of its own, ``cls._fill(obj,
+    *values)``, which writes value k to field k of ``__match_args__``, sets
+    no other slot and returns ``obj``; any other number of values raises
+    ``TypeError``.  ``_trusted`` is the filler on a fresh object."""
     subclasses = _records() - {finrel._Record}
-    assert len({cls._build for cls in subclasses}) == len(subclasses)
+    assert len({cls._fill for cls in subclasses}) == len(subclasses)
     for cls in subclasses:
         fields = cls.__match_args__
         values = [object() for _ in fields]
+        obj = object.__new__(cls)
+        assert cls._fill(obj, *values) is obj
         x = finrel._trusted(cls, *values)
-        assert type(x) is cls
-        assert all(getattr(x, f) is v for f, v in zip(fields, values, strict=True)), cls
-        assert {s for s in _slots(cls) if s != "__dict__" and hasattr(x, s)} == set(fields), cls
-        assert vars(x) == {} if "__dict__" in _slots(cls) else not hasattr(x, "__dict__")
+        for y in (obj, x):
+            assert type(y) is cls
+            assert all(getattr(y, f) is v for f, v in zip(fields, values, strict=True)), cls
+            assert _filled_slots(y) == set(fields), cls
+            assert vars(y) == {} if "__dict__" in _slots(cls) else not hasattr(y, "__dict__")
+        with pytest.raises(TypeError):
+            cls._fill(object.__new__(cls), *values, object())
         with pytest.raises(TypeError):
             finrel._trusted(cls, *values, object())
         if fields:
+            short = object.__new__(cls)
+            with pytest.raises(TypeError):
+                cls._fill(short, *values[:-1])
             with pytest.raises(TypeError):
                 finrel._trusted(cls, *values[:-1])
 
@@ -651,20 +666,22 @@ def _calls_in(name: str, tree: ast.Module) -> list[ast.Call]:
             if isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == name]
 
 
+PACKAGE = {path.name: ast.parse(path.read_text(), filename=str(path))
+           for path in sorted((SRC / "conceptua").glob("*.py"))}
+
+
 def test_trusted_is_called_positionally_and_builds_without_a_loop():
     """No ``_trusted`` call in the package passes a keyword; ``_trusted`` and
-    the builders hold no loop and no ``object.__setattr__``."""
-    trees = [ast.parse(path.read_text()) for path in sorted((SRC / "conceptua").glob("*.py"))]
-    calls = [call for tree in trees for call in _calls_in("_trusted", tree)]
+    the filler closures hold no loop and no write by name."""
+    calls = [call for tree in PACKAGE.values() for call in _calls_in("_trusted", tree)]
     assert len(calls) >= 40
     assert [ast.unparse(c) for c in calls if c.keywords or len(c.args) < 2] == []
-    finrel_tree = ast.parse((SRC / "conceptua" / "finrel.py").read_text())
-    makers = {n.name: n for n in finrel_tree.body if isinstance(n, ast.FunctionDef)}
-    # ``_builder`` and ``_filler`` run once per class; what runs per value is
-    # ``_trusted`` and the closures they return.
+    makers = {n.name: n for n in PACKAGE["finrel.py"].body if isinstance(n, ast.FunctionDef)}
+    # ``_filler`` runs once per class; what runs per value is ``_trusted``
+    # and the closures it returns.
     per_value = [makers["_trusted"]] + [
-        n for name in ("_builder", "_filler") for n in ast.walk(makers[name])
-        if isinstance(n, (ast.FunctionDef, ast.Lambda)) and n is not makers[name]]
+        n for n in ast.walk(makers["_filler"])
+        if isinstance(n, (ast.FunctionDef, ast.Lambda)) and n is not makers["_filler"]]
     assert len(per_value) == 6
     loops = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
     for fn in per_value:
@@ -672,7 +689,77 @@ def test_trusted_is_called_positionally_and_builds_without_a_loop():
         assert not [n for n in body if isinstance(n, loops)], ast.unparse(fn)
         names = {n.id for n in body if isinstance(n, ast.Name)} | \
             {n.attr for n in body if isinstance(n, ast.Attribute)}
-        assert not names & {"_set", "__setattr__", "setattr"}, ast.unparse(fn)
+        assert not names & {"getattr", "__setattr__", "setattr", "__dict__"}, ast.unparse(fn)
+        # No field named in a string: the only string is a docstring.
+        doc = fn.body[0].value if isinstance(fn, ast.FunctionDef) and ast.get_docstring(fn) else None
+        assert not [n for n in body if isinstance(n, ast.Constant) and isinstance(n.value, str)
+                    and n is not doc], ast.unparse(fn)
+
+
+def _setattr_reads(tree) -> list[ast.AST]:
+    """Every read of ``setattr`` or of a ``__setattr__`` attribute."""
+    return [n for n in ast.walk(tree) if isinstance(n, ast.Name) and n.id == "setattr"
+            or isinstance(n, ast.Attribute) and n.attr == "__setattr__"]
+
+
+def test_no_module_writes_through_setattr():
+    """No module of the package calls ``setattr`` or any ``__setattr__``,
+    ``object.__setattr__`` included, nor binds one to another name."""
+    found = [f"{name}:{n.lineno} {ast.unparse(n)}" for name, tree in PACKAGE.items()
+             for n in _setattr_reads(tree)]
+    assert found == []
+
+
+def test_the_setattr_check_sees_a_write():
+    tree = ast.parse("_set = object.__setattr__\nsetattr(x, 'a', 1)\nsuper().__setattr__('b', 2)\n"
+                     "def __setattr__(self, name, value):\n    pass\n")
+    assert len(_setattr_reads(tree)) == 3
+
+
+def _own_inits() -> dict[type, ast.FunctionDef]:
+    """The ``__init__`` of every ``_Record`` class that defines one, as parsed."""
+    inits = {}
+    for m in LAYERS:
+        tree = PACKAGE[Path(m.__file__).name]
+        for node in tree.body:
+            cls = getattr(m, node.name, None) if isinstance(node, ast.ClassDef) else None
+            if isinstance(cls, type) and issubclass(cls, finrel._Record):
+                inits.update((cls, f) for f in node.body
+                             if isinstance(f, ast.FunctionDef) and f.name == "__init__")
+    return inits
+
+
+def test_every_init_writes_its_fields_with_one_fill_call():
+    """Each ``_Record`` ``__init__`` makes exactly one call, ``self._fill(self,
+    ...)``, with one value per field, and assigns no attribute; every record
+    class with fields inherits one of these ``__init__`` methods."""
+    inits = _own_inits()
+    assert len(inits) == 36
+    for cls, init in inits.items():
+        fills = [n for n in ast.walk(init) if isinstance(n, ast.Call)
+                 and isinstance(n.func, ast.Attribute) and n.func.attr == "_fill"]
+        assert [ast.unparse(n.func) for n in fills] == ["self._fill"], cls
+        assert ast.unparse(fills[0].args[0]) == "self" and not fills[0].keywords, cls
+        assert len(fills[0].args) == 1 + len(cls.__match_args__), cls
+        targets = [t for n in ast.walk(init) if isinstance(n, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+                   for t in (n.targets if isinstance(n, ast.Assign) else [n.target])]
+        assert not [t for t in targets for n in ast.walk(t) if isinstance(n, ast.Attribute)], cls
+    for cls in _records():
+        if cls.__match_args__:
+            assert next(c for c in cls.__mro__ if "__init__" in vars(c)) in inits, cls
+
+
+@pytest.mark.parametrize("name", sorted(ORACLES))
+def test_keyword_rebuild_is_the_sample(samples, name):
+    """The constructor called with each field by keyword rebuilds the sample:
+    equal, of the same class, with the same ``repr`` and the same fields."""
+    for x in samples[name]:
+        cls = type(x)
+        y = cls(**{f: getattr(x, f) for f in cls.__match_args__})
+        assert type(y) is cls
+        assert y == x and x == y and repr(y) == repr(x)
+        assert [getattr(y, f) for f in cls.__match_args__] == [getattr(x, f) for f in cls.__match_args__]
+        assert _filled_slots(y) == _filled_slots(x)
 
 
 def _cached(cls) -> set[str]:
