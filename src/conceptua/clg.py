@@ -10,8 +10,9 @@ classification: ``classification_of`` recovers it bit-exactly.  The
 enumeration runs once per classification and is kept on it
 (``Classification.concepts``), so ``concepts_of``, ``concept_poset`` and
 ``concept_lattice`` on the same classification share it.  The extent
-reflection and the intent coreflection run through both power orders, so
-they are built only when first read, and validation reads neither.
+reflection and the intent coreflection are the polar factorization of
+derivation on the lattice's own axis; their outer orders are the two power
+orders, so they are built only when first read, and validation reads neither.
 """
 
 from functools import lru_cache
@@ -34,6 +35,7 @@ from .finrel import (
 )
 from .galois import (
     Adjunction,
+    _polar_maps,
     compose_adjunctions,
     diagonalize,
     polar_factorize,
@@ -313,28 +315,17 @@ def _closure_failure(lat: ConceptLattice, recovered: Classification) -> str | No
 
 
 def _power_adjunctions(lat: ConceptLattice) -> tuple[Adjunction, Adjunction]:
-    """The extent reflection and the intent coreflection, read off the
-    derivation of ``classification_of(lat)``: its power orders are their outer
-    orders and its tables the closure and the concept of a set of types.
+    """The extent reflection and the intent coreflection: the polar
+    factorization of the derivation of ``classification_of(lat)`` on the
+    lattice's own axis, whose closed elements are the listed extents.
 
     Raises ``NotAConceptLatticeError`` on a ``_closure_failure``; past it every
-    closure is listed, and the four maps (closure, extent, derived intent,
-    concept of a set of types) are monotone by the Galois connection.
+    closure is listed.
     """
     recovered = classification_of(lat)
     if failure := _closure_failure(lat, recovered):
         raise NotAConceptLatticeError(failure)
-    deriv = derivation(recovered)
-    intent_of, extent_of = deriv.left.func.table, deriv.right.func.table
-    extents = [c.extent.bits for c in lat.concepts]
-    pos = {e: k for k, e in enumerate(extents)}
-    lattice, ipower, tpower_op = lat.lattice, deriv.source, deriv.target
-    embed_src = _monotone(ipower, lattice, (pos[extent_of[m]] for m in intent_of))
-    project_src = _monotone(lattice, ipower, extents)
-    project_tgt = _monotone(lattice, tpower_op, (intent_of[e] for e in extents))
-    embed_tgt = _monotone(tpower_op, lattice, (pos[e] for e in extent_of))
-    return (Adjunction(ipower, lattice, embed_src, project_src),
-            Adjunction(lattice, tpower_op, project_tgt, embed_tgt))
+    return _polar_maps(derivation(recovered), lat.lattice, [c.extent.bits for c in lat.concepts])
 
 
 def classification_of(lat: ConceptLattice) -> Classification:

@@ -2,7 +2,9 @@
 
 The centrepiece is ``polar_factorize``: every adjunction between posets
 splits as a reflection onto its axis of bipoles followed by a coreflection,
-and ``diagonalize`` fills any reflection/coreflection square uniquely.
+and ``diagonalize`` fills any reflection/coreflection square uniquely.  The
+closed elements and the four maps of the split are read off the adjunction's
+two tables, by the one builder the concept lattice's adjunctions use too.
 """
 
 from typing import Callable, Iterator, Sequence
@@ -171,6 +173,18 @@ class PolarFactorization(_Value):
         self._fill(self, original, axis, extent_reflection, intent_coreflection, bipoles)
 
 
+def _polar_maps(g: Adjunction, axis: Poset, closed: Sequence[int]) -> tuple[Adjunction, Adjunction]:
+    """The reflection of g's source onto ``axis`` and the coreflection out of it,
+    given the closed source elements in axis order: the closure, the inclusion,
+    left on closed elements and right, monotone by construction, so unchecked."""
+    left, right, src, tgt = g.left.func.table, g.right.func.table, g.source, g.target
+    pos = {a: k for k, a in enumerate(closed)}
+    return (Adjunction(src, axis, _monotone(src, axis, (pos[right[b]] for b in left)),
+                       _monotone(axis, src, closed)),
+            Adjunction(axis, tgt, _monotone(axis, tgt, (left[a] for a in closed)),
+                       _monotone(tgt, axis, (pos[a] for a in right))))
+
+
 def polar_factorize(g: Adjunction) -> PolarFactorization:
     """Split g into a reflection onto the poset of bipoles and a coreflection.
 
@@ -178,28 +192,19 @@ def polar_factorize(g: Adjunction) -> PolarFactorization:
     are ordered by their closed component (equivalently by their open one) and
     enumerated by ascending source index, which fixes the axis labelling.
 
-    The axis is the closed sub-poset relabelled, and its four maps are the
-    closure, the inclusion, left on closed elements and right, each followed
-    or preceded by the order embedding of the closed elements; all are
-    monotone by construction, so none is re-checked.
+    The closed elements are read off the tables (right(left(a)) = a), and the
+    axis is the source order restricted to them, relabelled by bipole.
     """
-    ci = closure_interior(g)
-    bipoles = tuple((a, g.left_idx(a)) for a in ci.closed_indices)
+    if not g.source.is_poset() or not g.target.is_poset():
+        raise ValueError("closure/interior require poset boundaries")
+    left, right = g.left.func.table, g.right.func.table
+    closed = tuple(a for a, b in enumerate(left) if right[b] == a)
+    bipoles = tuple((a, left[a]) for a in closed)
     src_el, tgt_el = g.source.carrier.elements, g.target.carrier.elements
-    labels = tuple(f"({src_el[a]},{tgt_el[b]})" for a, b in bipoles)
-    axis_carrier = FinSet(labels)
-    axis = _trusted(Poset, axis_carrier, Relation(axis_carrier, axis_carrier, ci.closed.leq.rows))
-
-    pos_of_closed = {a: k for k, (a, _) in enumerate(bipoles)}
-    embed_src = _monotone(g.source, axis,
-                          (pos_of_closed[c] for c in ci.closure.func.table))
-    project_src = _monotone(axis, g.source, (a for a, _ in bipoles))
-    project_tgt = _monotone(axis, g.target, (b for _, b in bipoles))
-    embed_tgt = _monotone(g.target, axis, (pos_of_closed[a] for a in g.right.func.table))
-
-    extent_reflection = Adjunction(g.source, axis, embed_src, project_src)
-    intent_coreflection = Adjunction(axis, g.target, project_tgt, embed_tgt)
-    return PolarFactorization(g, axis, extent_reflection, intent_coreflection, bipoles)
+    axis_carrier = FinSet(tuple(f"({src_el[a]},{tgt_el[b]})" for a, b in bipoles))
+    axis = _trusted(Poset, axis_carrier,
+                    Relation(axis_carrier, axis_carrier, _restricted_rows(g.source, closed)))
+    return PolarFactorization(g, axis, *_polar_maps(g, axis, closed), bipoles)
 
 
 def recompose(pf: PolarFactorization) -> Adjunction:

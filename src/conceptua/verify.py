@@ -47,6 +47,7 @@ from .galois import (
     _diagonal_count,
     check_reflection_lattice_transfer,
     closure_interior,
+    compose_adjunctions,
     downset_coreflection,
     factorization_equivalence_check,
     is_coreflection,
@@ -357,12 +358,13 @@ def finrel_suite(seed: int, cases: int) -> LawReport:
         A = _letters("h", n)
         po = power_order(A)
         full = A.full_mask
-        for x in range(1 << n):
-            for y in range(1 << n):
+        subsets = [Subset(A, x) for x in range(1 << n)]
+        for x, sx in enumerate(subsets):
+            for y, sy in enumerate(subsets):
                 report.check(po.le_idx(x, y) == (x & ~y == 0), "power order is inclusion")
-                report.check(x | (x & y) == x, "absorption (join)")
-                report.check(x & (x | y) == x, "absorption (meet)")
-                implies = (~x | y) & full
+                report.check(sx.union(sx.intersection(sy)) == sx, "absorption (join)")
+                report.check(sx.intersection(sx.union(sy)) == sx, "absorption (meet)")
+                implies = sx.implies(sy).bits
                 for z in range(1 << n):
                     report.check((z & x & ~y == 0) == (z & ~implies == 0),
                                  "Heyting residuation at |A|={} x={} y={} z={}", n, x, y, z)
@@ -609,8 +611,13 @@ def clg_suite(seed: int, cases: int) -> LawReport:
 
     for _ in range(max(2, cases // 50)):
         a = random_classification(rng, 4)
-        report.check(not validate_concept_lattice(concept_lattice(a)),
-                     "generated lattice passes all invariants")
+        lat = concept_lattice(a)
+        report.check(not validate_concept_lattice(lat), "generated lattice passes all invariants")
+        ext, inten = lat.extent_reflection, lat.intent_coreflection
+        report.check(is_reflection(ext), "extent adjunction is a reflection")
+        report.check(is_coreflection(inten), "intent adjunction is a coreflection")
+        report.check(same_adjunction(compose_adjunctions(ext, inten), derivation(a)),
+                     "the concept lattice factors derivation")
 
     # known families
     for n in range(1, 6):
