@@ -130,9 +130,8 @@ def cmd_infomap(args) -> int:
 
 def cmd_merge(args) -> int:
     from .io import load_json_object
-    from .institution import (MergeSpan, Signature, SignatureMorphism, merge_theories,
-                              signature_from_json, theory_from_json, theory_to_json,
-                              verify_pushout_universal)
+    from .institution import (MergeSpan, SignatureMorphism, merge_theories, signature_from_json,
+                              theory_from_json, theory_to_json, verify_pushout_universal)
 
     data = load_json_object(_read_file(args.span), "span")
     for key in ("base", "left", "right", "left_map", "right_map"):
@@ -162,9 +161,7 @@ def cmd_merge(args) -> int:
     if result.inconsistent:
         print("warning: merged theory is inconsistent (bottom theory)")
     if args.check_universal:
-        names = ("x", "y", "z")
-        targets = [Signature.of(*names[:k]) for k in range(1, 4)]
-        failures = verify_pushout_universal(span, result, targets)
+        failures = verify_pushout_universal(span, result)
         if failures:
             print(f"pushout universal property FAILED: {failures[0]}")
             return EXIT_FAILURE
@@ -242,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mrg.add_argument("span", help="JSON span file")
     p_mrg.add_argument("--out", help="write the merged theory here instead of stdout")
     p_mrg.add_argument("--check-universal", action="store_true",
-                       help="also verify the pushout universal property by search")
+                       help="also verify the pushout universal property by the pushout's kernel")
     p_mrg.set_defaults(func=cmd_merge)
 
     p_inst = sub.add_parser("institution", help="four-style institution interconversion demo")

@@ -19,7 +19,6 @@ recursion limit.
 """
 
 import functools
-import itertools
 import re
 
 from .errors import CarrierMismatchError, ParseError, SizeLimitError, UnknownElementError
@@ -858,16 +857,12 @@ class MergeResult(_Value):
         self._fill(self, signature, left_injection, right_injection, theory, inconsistent)
 
 
-def pushout_signature(span_base: Signature, left: SignatureMorphism,
-                      right: SignatureMorphism) -> tuple[Signature, SignatureMorphism, SignatureMorphism]:
-    """Disjoint union of the two signatures with base images identified.
-
-    Identified classes are labelled C.<base var>, the rest keep their side
-    as L.<name> or R.<name>; class order follows first occurrence in the
-    concatenation of left then right variables.
-    """
-    n_l, n_r = left.target.size, right.target.size
-    parent = list(range(n_l + n_r))
+def _class_roots(left: SignatureMorphism, right: SignatureMorphism) -> list[int]:
+    """The least member of each variable's class on left + right (right ones
+    offset by |left|), in the equivalence that identifies left(v) with
+    right(v) for every base variable v; a union-find."""
+    n_l = left.target.size
+    parent = list(range(n_l + right.target.size))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -875,27 +870,30 @@ def pushout_signature(span_base: Signature, left: SignatureMorphism,
             x = parent[x]
         return x
 
-    def union(x: int, y: int):
-        rx, ry = find(x), find(y)
+    for x, y in zip(left.map.table, right.map.table):
+        rx, ry = find(x), find(n_l + y)
         if rx != ry:
             parent[max(rx, ry)] = min(rx, ry)
+    return [find(x) for x in range(len(parent))]
 
-    for v in range(span_base.size):
-        union(left.map.table[v], n_l + right.map.table[v])
 
+def pushout_signature(span_base: Signature, left: SignatureMorphism,
+                      right: SignatureMorphism) -> tuple[Signature, SignatureMorphism, SignatureMorphism]:
+    """Disjoint union of the two signatures with base images identified.
+
+    One pushout variable per class of the equivalence the base generates on
+    left + right.  Identified classes are labelled C.<first base var>, the
+    rest keep their side as L.<name> or R.<name>; classes are ordered by
+    their least member, left variables before right ones.
+    """
+    n_l = left.target.size
+    roots = _class_roots(left, right)
     base_tag: dict[int, str] = {}
-    for v in range(span_base.size):
-        root = find(left.map.table[v])
-        if root not in base_tag:
-            base_tag[root] = span_base.vars.elements[v]
-
-    roots_in_order: list[int] = []
-    for x in range(n_l + n_r):
-        r = find(x)
-        if r not in roots_in_order:
-            roots_in_order.append(r)
+    for v, x in enumerate(left.map.table):
+        base_tag.setdefault(roots[x], span_base.vars.elements[v])
+    classes = [x for x, r in enumerate(roots) if x == r]
     labels = []
-    for r in roots_in_order:
+    for r in classes:
         if r in base_tag:
             labels.append(f"C.{base_tag[r]}")
         elif r < n_l:
@@ -903,11 +901,11 @@ def pushout_signature(span_base: Signature, left: SignatureMorphism,
         else:
             labels.append(f"R.{right.target.vars.elements[r - n_l]}")
     pushout = Signature(FinSet(tuple(labels)))
-    pos = {r: i for i, r in enumerate(roots_in_order)}
+    pos = {r: i for i, r in enumerate(classes)}
     inj_left = SignatureMorphism(left.target, pushout, FinFunction(
-        left.target.vars, pushout.vars, tuple(pos[find(x)] for x in range(n_l))))
+        left.target.vars, pushout.vars, tuple(pos[r] for r in roots[:n_l])))
     inj_right = SignatureMorphism(right.target, pushout, FinFunction(
-        right.target.vars, pushout.vars, tuple(pos[find(n_l + x)] for x in range(n_r))))
+        right.target.vars, pushout.vars, tuple(pos[r] for r in roots[n_l:])))
     return pushout, inj_left, inj_right
 
 
@@ -926,54 +924,32 @@ def merge_theories(span: MergeSpan) -> MergeResult:
     return MergeResult(pushout, inj_left, inj_right, merged, merged_mask == 0)
 
 
-# Candidate cocones verify_pushout_universal may enumerate: two disjoint
-# 5-variable theories into the 1-3 variable targets need 60074.
-PUSHOUT_COCONE_BOUND = 100_000
+def verify_pushout_universal(span: MergeSpan, result: MergeResult) -> list[str]:
+    """Check that the result's injections are the pushout of the span, as a
+    list of at most one witness.
 
-
-def _mediator_count(result: MergeResult, m1: tuple[int, ...], m2: tuple[int, ...],
-                    tgt_size: int) -> int:
-    """Maps h from the pushout with inj_left;h = m1 and inj_right;h = m2.
-
-    The injections fix h on their images; a conflict there leaves none, and
-    every pushout variable outside both images is free.
+    Signatures are finite sets, so [inj_left, inj_right] is the pushout
+    exactly when it is onto and its kernel on left + right is the
+    equivalence the base generates (Mac Lane, CWM ch. III); then every
+    cocone into every target has exactly one mediator.  The check reads
+    only the tables of the legs and of the injections, not how
+    ``pushout_signature`` built them.
     """
-    h: list[int | None] = [None] * result.signature.size
-    for inj, m in ((result.left_injection, m1), (result.right_injection, m2)):
-        for x, p in enumerate(inj.map.table):
-            if h[p] is None:
-                h[p] = m[x]
-            elif h[p] != m[x]:
-                return 0
-    return tgt_size ** h.count(None)
-
-
-def verify_pushout_universal(span: MergeSpan, result: MergeResult, targets) -> list[str]:
-    """Search every cocone into each target signature for a unique mediator.
-
-    Raises ``SizeLimitError`` before the search when the candidate map pairs,
-    the sum over targets t of |t|^(|left| + |right|), exceed
-    ``PUSHOUT_COCONE_BOUND``.
-    """
-    left_vars = span.left_map.target.size
-    right_vars = span.right_map.target.size
-    estimate = sum(tgt.size ** (left_vars + right_vars) for tgt in targets)
-    if estimate > PUSHOUT_COCONE_BOUND:
-        raise SizeLimitError(
-            f"pushout check would search {estimate} candidate cocones "
-            f"({left_vars} + {right_vars} span variables), above the fixed bound "
-            f"{PUSHOUT_COCONE_BOUND}")
-    failures = []
-    for tgt in targets:
-        for m1 in itertools.product(range(tgt.size), repeat=left_vars):
-            via_left = tuple(m1[v] for v in span.left_map.map.table)
-            for m2 in itertools.product(range(tgt.size), repeat=right_vars):
-                if tuple(m2[v] for v in span.right_map.map.table) != via_left:
-                    continue
-                count = _mediator_count(result, m1, m2, tgt.size)
-                if count != 1:
-                    failures.append(f"cocone into {tgt.vars.elements} has {count} mediators")
-    return failures
+    points = [f"L.{v}" for v in span.left_map.target.vars.elements] + \
+        [f"R.{v}" for v in span.right_map.target.vars.elements]
+    joint = result.left_injection.map.table + result.right_injection.map.table
+    roots = _class_roots(span.left_map, span.right_map)
+    first_hit: dict[int, int] = {}
+    for x, p in enumerate(joint):
+        y = first_hit.setdefault(p, x)
+        if roots[y] != roots[x]:
+            return [f"the injections identify {points[y]} and {points[x]}, which the base does not"]
+        if joint[roots[x]] != p:
+            return [f"the base identifies {points[roots[x]]} and {points[x]}, which the injections separate"]
+    for p, name in enumerate(result.signature.vars.elements):
+        if p not in first_hit:
+            return [f"pushout variable {name} is in neither image"]
+    return []
 
 
 # ------------------------------------------------------------- style checks

@@ -45,6 +45,7 @@ from .order import (
 from .galois import (
     Adjunction,
     _diagonal_count,
+    check_adjunction,
     check_reflection_lattice_transfer,
     closure_interior,
     compose_adjunctions,
@@ -618,6 +619,12 @@ def clg_suite(seed: int, cases: int) -> LawReport:
         report.check(is_coreflection(inten), "intent adjunction is a coreflection")
         report.check(same_adjunction(compose_adjunctions(ext, inten), derivation(a)),
                      "the concept lattice factors derivation")
+        for name, adj in (("extent reflection", ext), ("intent coreflection", inten)):
+            try:
+                check_adjunction(adj.left, adj.right)
+                report.check(True, "")
+            except ConceptuaError as exc:
+                report.check(False, f"{name}: {exc}")
 
     # known families
     for n in range(1, 6):
@@ -672,15 +679,10 @@ def clg_suite(seed: int, cases: int) -> LawReport:
 # -------------------------------------------------------- institution suite
 
 
-def _canonical_signatures(max_size: int) -> list[Signature]:
-    names = ("p", "q", "r", "s")
-    return [Signature.of(*names[:n]) for n in range(max_size + 1)]
-
-
 def institution_suite(seed: int, cases: int) -> LawReport:
     report = LawReport("institution")
 
-    sigs = _canonical_signatures(2)
+    sigs = [Signature.of(*"pq"[:n]) for n in range(3)]
     for s1 in sigs:
         for s2 in sigs:
             for table in itertools.product(range(s2.size), repeat=s1.size):
@@ -724,7 +726,7 @@ def institution_suite(seed: int, cases: int) -> LawReport:
     report.check(got == {"{C.q,R.r}", "{L.p,C.q,R.r}"},
                  f"merge demo model class: {sorted(got)}")
     report.check(not res.inconsistent, "merge demo is consistent")
-    fails = verify_pushout_universal(span, res, _canonical_signatures(3)[1:])
+    fails = verify_pushout_universal(span, res)
     report.check(not fails, f"pushout universal property: {fails[:1]}")
 
     sigma = SignatureMorphism.of(Signature.of("p"), Signature.of("p", "q"), {"p": "p"})

@@ -2,10 +2,11 @@
 
 Concept enumeration, the concept order, the cover relation, the power-set
 derivation tables, the generator-only adjunction version of
-``check_infomorphism`` and the mediator count of the pushout check each run
+``check_infomorphism`` and the kernel check of a merge pushout each run
 here beside a slow oracle: the earlier code path or the plain definition.
 """
 
+import collections
 import itertools
 import random
 
@@ -486,22 +487,21 @@ def test_infomorphism_verdicts_match_exhaustive_oracle_on_random_maps_up_to_5x5(
 
 
 def enumerated_pushout_failures(span, result, targets):
-    """The earlier search: every candidate mediator out of the pushout, enumerated."""
-    def maps(source, target):
-        for table in itertools.product(range(target.size), repeat=source.size):
-            yield SignatureMorphism(source, target, FinFunction(source.vars, target.vars, table))
-
+    """The earlier search: every cocone into each target, with its mediators
+    counted over every map out of the pushout signature."""
+    inj_left, inj_right = result.left_injection.map.table, result.right_injection.map.table
     failures = []
     for tgt in targets:
-        for m1 in maps(span.left_map.target, tgt):
-            for m2 in maps(span.right_map.target, tgt):
-                if span.left_map.then(m1).map.table != span.right_map.then(m2).map.table:
+        mediators = collections.Counter(
+            (tuple(h[p] for p in inj_left), tuple(h[p] for p in inj_right))
+            for h in itertools.product(range(tgt.size), repeat=result.signature.size))
+        for m1 in itertools.product(range(tgt.size), repeat=span.left_map.target.size):
+            via_left = tuple(m1[v] for v in span.left_map.map.table)
+            for m2 in itertools.product(range(tgt.size), repeat=span.right_map.target.size):
+                if tuple(m2[v] for v in span.right_map.map.table) != via_left:
                     continue
-                mediators = [h for h in maps(result.signature, tgt)
-                             if result.left_injection.then(h).map.table == m1.map.table
-                             and result.right_injection.then(h).map.table == m2.map.table]
-                if len(mediators) != 1:
-                    failures.append(f"cocone into {tgt.vars.elements} has {len(mediators)} mediators")
+                if (count := mediators[m1, m2]) != 1:
+                    failures.append(f"cocone into {tgt.vars.elements} has {count} mediators")
     return failures
 
 
@@ -519,46 +519,73 @@ def random_span(rng, n_base, n_left, n_right):
                      TheoryObject.of_mask(right, rng.getrandbits(1 << n_right)))
 
 
+def seeded_spans(seed, count=200):
+    """Spans of 0-3 variables per side over a base of 0 to min(left, right) variables."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n_left, n_right = rng.randint(0, 3), rng.randint(0, 3)
+        yield random_span(rng, rng.randint(0, min(n_left, n_right)), n_left, n_right)
+
+
+def result_with(signature, left_table, right_table, span):
+    """A merge result with the given injection tables and the bottom theory."""
+    def injection(source, table):
+        return SignatureMorphism(source, signature, FinFunction(source.vars, signature.vars, table))
+
+    return MergeResult(signature, injection(span.left_map.target, tuple(left_table)),
+                       injection(span.right_map.target, tuple(right_table)),
+                       TheoryObject.of_mask(signature, 0), True)
+
+
+def broken_results(span, good):
+    """One extra pushout variable, everything sent to one variable, the right
+    injection shifted by one, and the two tables swapped where the sizes allow."""
+    left, right = good.left_injection.map.table, good.right_injection.map.table
+    n = good.signature.size
+    yield result_with(Signature.of(*good.signature.vars.elements, "extra"), left, right, span)
+    yield result_with(Signature.of("o"), (0,) * len(left), (0,) * len(right), span)
+    if n:
+        yield result_with(good.signature, left, [(p + 1) % n for p in right], span)
+    if len(left) == len(right):
+        yield result_with(good.signature, right, left, span)
+
+
 TARGETS = [Signature.of(*"xyz"[:k]) for k in range(1, 4)]
 
 
-def test_mediator_count_matches_enumeration_on_random_spans():
-    rng = random.Random(412)
-    for _ in range(25):
-        n_left, n_right = rng.randint(1, 2), rng.randint(1, 2)
-        span = random_span(rng, rng.randint(0, min(n_left, n_right)), n_left, n_right)
+def test_pushout_check_passes_every_seeded_merge_as_the_search_does():
+    for span in seeded_spans(412):
         result = merge_theories(span)
-        assert verify_pushout_universal(span, result, TARGETS) == []
+        assert verify_pushout_universal(span, result) == []
         assert enumerated_pushout_failures(span, result, TARGETS) == []
 
 
-def test_mediator_count_matches_enumeration_on_broken_cocones():
-    rng = random.Random(413)
-    for _ in range(10):
-        span = random_span(rng, 1, 2, 2)
-        good = merge_theories(span)
-        # One extra pushout variable leaves |target| mediators per cocone;
-        # sending both sides to one variable leaves conflicts with none.
-        extra = Signature.of(*good.signature.vars.elements, "extra")
-        widened = MergeResult(
-            extra,
-            SignatureMorphism(good.left_injection.source, extra, FinFunction(
-                good.left_injection.source.vars, extra.vars, good.left_injection.map.table)),
-            SignatureMorphism(good.right_injection.source, extra, FinFunction(
-                good.right_injection.source.vars, extra.vars, good.right_injection.map.table)),
-            TheoryObject.of_mask(extra, 0), True)
-        point = Signature.of("o")
-        collapsed = MergeResult(
-            point,
-            SignatureMorphism(span.left_map.target, point, FinFunction(
-                span.left_map.target.vars, point.vars, (0,) * span.left_map.target.size)),
-            SignatureMorphism(span.right_map.target, point, FinFunction(
-                span.right_map.target.vars, point.vars, (0,) * span.right_map.target.size)),
-            TheoryObject.of_mask(point, 0), True)
-        for result in (widened, collapsed):
-            got = verify_pushout_universal(span, result, TARGETS)
-            assert got
-            assert got == enumerated_pushout_failures(span, result, TARGETS)
+def test_pushout_check_agrees_with_the_search_on_broken_results():
+    failing = 0
+    for span in seeded_spans(413):
+        for result in broken_results(span, merge_theories(span)):
+            got = verify_pushout_universal(span, result)
+            assert bool(got) == bool(enumerated_pushout_failures(span, result, TARGETS))
+            if got:
+                failing += 1
+                names = [f"L.{v}" for v in span.left_map.target.vars.elements]
+                names += [f"R.{v}" for v in span.right_map.target.vars.elements]
+                names += result.signature.vars.elements
+                assert len(got) == 1 and set(got[0].split()) & set(names)
+    assert failing > 300
+
+
+def test_pushout_check_rejects_injections_that_are_no_cocone():
+    # The search counts mediators only, so it passes injections that separate
+    # what the base identifies as long as each cocone factors uniquely.
+    base, left, right = Signature.of("b"), Signature.of("l"), Signature.of("r")
+    span = MergeSpan(base, SignatureMorphism.of(base, left, {"b": "l"}),
+                     SignatureMorphism.of(base, right, {"b": "r"}),
+                     TheoryObject.of_mask(left, 1), TheoryObject.of_mask(right, 1))
+    result = result_with(Signature.of("u", "v"), (0,), (1,), span)
+    assert enumerated_pushout_failures(span, result, TARGETS) == []
+    assert verify_pushout_universal(span, result) == [
+        "the base identifies L.l and R.r, which the injections separate"]
 
 
 # -------------------------------------------------------------- time budgets

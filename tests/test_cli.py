@@ -349,7 +349,7 @@ def _disjoint_span(n_left, n_right):
     }
 
 
-@pytest.mark.parametrize("n_left, n_right", [(2, 2), (4, 4)])
+@pytest.mark.parametrize("n_left, n_right", [(2, 2), (4, 4), (6, 6), (8, 8)])
 def test_merge_check_universal_on_disjoint_spans_within_budget(tmp_path, capsys, time_budget,
                                                                n_left, n_right):
     span = tmp_path / "span.json"
@@ -360,15 +360,17 @@ def test_merge_check_universal_on_disjoint_spans_within_budget(tmp_path, capsys,
     assert "pushout universal property: ok" in capsys.readouterr().out
 
 
-def test_merge_check_universal_size_guard_exits_3(tmp_path, capsys, time_budget):
+def test_merge_check_universal_past_the_carrier_bound_exits_3(tmp_path, capsys, time_budget,
+                                                              monkeypatch):
+    monkeypatch.delenv("CONCEPTUA_MAX_CARRIER", raising=False)
     span = tmp_path / "span.json"
-    span.write_text(json.dumps(_disjoint_span(6, 6)))
+    span.write_text(json.dumps(_disjoint_span(9, 9)))
     with time_budget(10):
         code = main(["merge", str(span), "--out", str(tmp_path / "m.json"), "--check-universal"])
     assert code == 3
     err = capsys.readouterr().err
-    assert "535538 candidate cocones" in err  # 1 + 2^12 + 3^12
-    assert "fixed bound" in err
+    assert "merge: the pushout signature has 18 elements" in err
+    assert "CONCEPTUA_MAX_CARRIER" in err
 
 
 ALL_PASS = "".join(

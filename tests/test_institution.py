@@ -375,8 +375,7 @@ def test_merge_shared_variable_span_frozen():
 def test_merge_pushout_universal_property():
     span = merge_span_pq_q_qr()
     res = merge_theories(span)
-    targets = [Signature.of(*"xyz"[:k]) for k in range(1, 4)]
-    assert verify_pushout_universal(span, res, targets) == []
+    assert verify_pushout_universal(span, res) == []
 
 
 def test_merge_inconsistent_flagged_not_raised():
