@@ -634,8 +634,8 @@ def _dot_quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def lattice_to_dot(lat: ConceptLattice, name: str = "lattice") -> str:
-    lines = [f"digraph {name} {{", "  rankdir=BT;"]
+def lattice_to_dot(lat: ConceptLattice) -> str:
+    lines = ["digraph lattice {", "  rankdir=BT;"]
     for k, c in enumerate(lat.concepts):
         lines.append(f"  n{k} [label={_dot_quote(c.label())}];")
     for i, j in hasse_edges(lat.lattice):

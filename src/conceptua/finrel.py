@@ -27,9 +27,10 @@ and ``ConceptLattice._adjunctions``, each a ``_cached``) also lists
 ``__dict__``, which holds nothing but the cached value.
 """
 
+from collections.abc import Callable, Iterator
 from dataclasses import FrozenInstanceError
 from functools import cached_property
-from typing import Callable, Iterator, NamedTuple
+from typing import NamedTuple
 
 from .errors import CarrierMismatchError, UnknownElementError
 

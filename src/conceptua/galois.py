@@ -7,7 +7,7 @@ closed elements and the four maps of the split are read off the adjunction's
 two tables, by the one builder the concept lattice's adjunctions use too.
 """
 
-from typing import Callable, Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 
 from .errors import AdjunctionError, CarrierMismatchError
 from .finrel import FinSet, Relation, Subset, _Record, _Value, _trusted, image_bits, preimage_rows

@@ -2,7 +2,7 @@
 
 import functools
 import os
-from typing import Iterator
+from collections.abc import Iterator
 
 from .errors import CarrierMismatchError, ParseError, SizeLimitError
 from .finrel import (

@@ -5,9 +5,11 @@ import random
 
 import pytest
 
+import conceptua.clg as clg
+import conceptua.verify as verify
 from conceptua.errors import NotAConceptLatticeError
 from conceptua.finrel import FinFunction, FinSet, Relation, Subset, finset
-from conceptua.galois import polar_factorize
+from conceptua.galois import _polar_maps, polar_factorize
 from conceptua.order import Poset, Preorder, poset_join, poset_meet
 from conceptua.clsn import (
     Classification,
@@ -470,6 +472,21 @@ def test_lattice_json_and_dot_export():
     dot = lattice_to_dot(lat)
     assert 'label="{1}|{a,b}"' in dot
     assert "n0 -> n1;" in dot
+
+
+def test_verify_catches_extents_listed_in_reverse(monkeypatch):
+    """A builder that hands the listed extents to ``_polar_maps`` in reverse
+    still yields tables that factor derivation; verify's clg suite must
+    still fail, on the fundamental condition of the extent reflection."""
+
+    def reversed_extents(lat):
+        return _polar_maps(derivation(classification_of(lat)), lat.lattice,
+                           [c.extent.bits for c in reversed(lat.concepts)])
+
+    monkeypatch.setattr(clg, "_power_adjunctions", reversed_extents)
+    report = verify.clg_suite(0, 100)
+    assert not report.ok
+    assert report.failures[0].startswith("extent reflection: fundamental condition fails at")
 
 
 def test_concepts_of_matches_concept_lattice():

@@ -1,8 +1,10 @@
-"""CLI start-up: one parser per process, and each command imports only its layers.
+"""CLI start-up: one parser per process, each command imports only its layers,
+and a re-import frees the previous generation of the library.
 
 The parser tests compare a run of ``main`` on the shared parser with the
 same run on a parser built afresh for every call.  The import tests run in
-a child interpreter, since this process has already imported every layer.
+a child interpreter, since this process has already imported every layer
+(and re-importing here would split class identity for the other tests).
 """
 
 import json
@@ -114,3 +116,41 @@ def test_package_names_resolve_on_first_access():
                    "submodule": "conceptua.institution", "unknown_name_raises": True,
                    "count": 64}
 
+
+REIMPORT_CHILD = """
+import gc, importlib, json, pkgutil, sys, weakref
+
+LAYERS = sorted(m.name for m in pkgutil.iter_modules(importlib.import_module("conceptua").__path__))
+
+def generation():
+    # import every layer, note its module and classes weakly, then drop the package
+    refs = {}
+    for layer in LAYERS:
+        module = importlib.import_module("conceptua." + layer)
+        refs[module.__name__] = weakref.ref(module)
+        for name, value in vars(module).items():
+            if isinstance(value, type) and value.__module__ == module.__name__:
+                refs[module.__name__ + "." + name] = weakref.ref(value)
+    for name in [m for m in sys.modules if m == "conceptua" or m.startswith("conceptua.")]:
+        del sys.modules[name]
+    return refs
+
+earlier = [generation(), generation()]
+latest = generation()
+gc.collect()
+print(json.dumps({
+    "layers": LAYERS,
+    "survivors": sorted({name for refs in earlier for name, ref in refs.items() if ref() is not None}),
+    "probed": [len(refs) for refs in earlier + [latest]],
+}))
+"""
+
+
+def test_reimport_frees_every_earlier_generation():
+    """Nothing process-wide (a ``typing`` alias cache, say) keeps an earlier
+    import's modules or classes alive once the package leaves ``sys.modules``."""
+    got = _child(REIMPORT_CHILD)
+    assert got["layers"] == sorted(p.stem for p in (ROOT / "src" / "conceptua").glob("*.py")
+                                   if p.name != "__init__.py")
+    assert got["survivors"] == []
+    assert len(set(got["probed"])) == 1 and got["probed"][0] > len(got["layers"])
