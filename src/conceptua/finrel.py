@@ -30,6 +30,7 @@ and ``ConceptLattice._adjunctions``, each a ``_cached``) also lists
 from collections.abc import Callable, Iterator
 from dataclasses import FrozenInstanceError
 from functools import cached_property
+from operator import and_, or_
 from typing import NamedTuple
 
 from .errors import CarrierMismatchError, UnknownElementError
@@ -454,11 +455,11 @@ class Relation(_Value):
 
     def union(self, other: "Relation") -> "Relation":
         self._check_same_shape(other)
-        return _trusted(Relation, self.source, self.target, tuple(map(int.__or__, self.rows, other.rows)))
+        return _trusted(Relation, self.source, self.target, tuple(map(or_, self.rows, other.rows)))
 
     def intersection(self, other: "Relation") -> "Relation":
         self._check_same_shape(other)
-        return _trusted(Relation, self.source, self.target, tuple(map(int.__and__, self.rows, other.rows)))
+        return _trusted(Relation, self.source, self.target, tuple(map(and_, self.rows, other.rows)))
 
     def complement(self) -> "Relation":
         full = self.target.full_mask
@@ -467,7 +468,7 @@ class Relation(_Value):
     def __le__(self, other: "Relation") -> bool:
         """Row-wise inclusion: each row ORed with the other's row gives the other's."""
         self._check_same_shape(other)
-        return tuple(map(int.__or__, self.rows, other.rows)) == other.rows
+        return tuple(map(or_, self.rows, other.rows)) == other.rows
 
     @_cached
     def columns(self) -> tuple[int, ...]:

@@ -248,28 +248,56 @@ def corrupted_factorization_witness() -> str | None:
 # ------------------------------------------------------------ finrel suite
 
 
+class _Tabulated:
+    """``x <= y`` over one finite family, decided once per pair by the values' own ``<=``.
+
+    ``at(x)`` finds ``x`` in the family by value and returns its row in ``le``.
+    A value outside the family joins it, compared by ``<=`` with every member,
+    so it raises what ``<=`` raises (``CarrierMismatchError`` over other
+    carriers) and is decided as ``<=`` decides it.
+    """
+
+    __slots__ = ("members", "le", "_index")
+
+    def __init__(self, family):
+        self.members = list(family)
+        self.le = [[x <= y for y in self.members] for x in self.members]
+        self._index = {x: i for i, x in enumerate(self.members)}
+
+    def at(self, x) -> int:
+        i = self._index.get(x)
+        if i is None:
+            for y, row in zip(self.members, self.le):
+                row.append(y <= x)
+            self.members.append(x)
+            self.le.append([x <= y for y in self.members])
+            i = self._index[x] = len(self.members) - 1
+        return i
+
+
 def finrel_suite(seed: int, cases: int) -> LawReport:
     rng = random.Random(seed)
     report = LawReport("finrel")
 
-    # residuation adjointness, exhaustive on 2-element carriers; the residuals
-    # depend on two of the three relations, so each is computed once
+    # residuation adjointness, exhaustive on 2-element carriers: inclusion is
+    # tabulated once per family, each residual depends on two of the three
+    # relations and is computed once, and every check is a table lookup
     a2, b2, c2 = _letters("a", 2), _letters("b", 2), _letters("c", 2)
-    ts = list(_all_relations(a2, c2))
-    ss = list(_all_relations(b2, c2))
-    right_residuals = [[residuate_right(s, t) for t in ts] for s in ss]
-    for r in _all_relations(a2, b2):
-        left_residuals = [residuate_left(r, t) for t in ts]
-        for s, rights in zip(ss, right_residuals):
-            rs = compose(r, s)
-            for t, left, right in zip(ts, left_residuals, rights):
-                rs_le_t = rs <= t
-                report.check(rs_le_t == (s <= left),
+    rs, ss, ts = (list(_all_relations(x, y)) for x, y in ((a2, b2), (b2, c2), (a2, c2)))
+    ab, bc, ac = _Tabulated(rs), _Tabulated(ss), _Tabulated(ts)
+    rights_at = [[ab.at(residuate_right(s, t)) for t in ts] for s in ss]
+    for r, r_le in zip(rs, ab.le):
+        lefts_at = [bc.at(residuate_left(r, t)) for t in ts]
+        for s, s_le, rights in zip(ss, bc.le, rights_at):
+            rs_le = ac.le[ac.at(compose(r, s))]
+            for t, rs_le_t, left, right in zip(ts, rs_le, lefts_at, rights):
+                report.check(rs_le_t == s_le[left],
                              "left adjointness: r={} s={} t={}", r.rows, s.rows, t.rows)
-                report.check(rs_le_t == (r <= right),
+                report.check(rs_le_t == r_le[right],
                              "right adjointness: r={} s={} t={}", r.rows, s.rows, t.rows)
 
-    # randomized laws on carriers up to 5
+    # randomized laws on carriers up to 5; each composite, residual,
+    # transpose and graph is computed once and read by every law naming it
     for _ in range(cases):
         n, m, k, l = (rng.randint(1, 5) for _ in range(4))
         A, B, C, D = _letters("a", n), _letters("b", m), _letters("c", k), _letters("d", l)
@@ -277,70 +305,67 @@ def finrel_suite(seed: int, cases: int) -> LawReport:
         r2 = random_relation(rng, B, C)
         s1 = random_relation(rng, B, C)
         t = random_relation(rng, A, C)
-        report.check((compose(r, r2) <= t) == (r2 <= residuate_left(r, t)),
-                     "randomized left adjointness")
-        report.check((compose(r, s1) <= t) == (r <= residuate_right(s1, t)),
-                     "randomized right adjointness")
-        report.check(
-            residuate_left(compose(r, r2), t) == residuate_left(r2, residuate_left(r, t)),
-            "left residuation preserves composition")
-        report.check(
-            residuate_right(compose(r, s1), t) == residuate_right(r, residuate_right(s1, t)),
-            "right residuation preserves composition")
+        r_r2, r_s1 = compose(r, r2), compose(r, s1)
+        left_rt, right_s1t = residuate_left(r, t), residuate_right(s1, t)
+        r_t, t_t = transpose(r), transpose(t)
+        report.check((r_r2 <= t) == (r2 <= left_rt), "randomized left adjointness")
+        report.check((r_s1 <= t) == (r <= right_s1t), "randomized right adjointness")
+        report.check(residuate_left(r_r2, t) == residuate_left(r2, left_rt),
+                     "left residuation preserves composition")
+        report.check(residuate_right(r_s1, t) == residuate_right(r, right_s1t),
+                     "right residuation preserves composition")
         report.check(residuate_left(Relation.identity(A), t) == t,
                      "left residuation by the identity")
         report.check(residuate_right(Relation.identity(C), t) == t,
                      "right residuation by the identity")
-        report.check(transpose(residuate_left(r, t)) ==
-                     residuate_right(transpose(r), transpose(t)),
+        report.check(transpose(left_rt) == residuate_right(r_t, t_t),
                      "transpose dualizes left residuation")
-        report.check(transpose(residuate_right(s1, t)) ==
-                     residuate_left(transpose(s1), transpose(t)),
+        report.check(transpose(right_s1t) == residuate_left(transpose(s1), t_t),
                      "transpose dualizes right residuation")
         tt = random_relation(rng, A, B)
         rr = random_relation(rng, A, C)
         ss = random_relation(rng, D, B)
-        report.check(
-            residuate_right(ss, residuate_left(rr, tt)) ==
-            residuate_left(rr, residuate_right(ss, tt)),
-            "unconstrained associativity of residuation")
+        report.check(residuate_right(ss, residuate_left(rr, tt)) ==
+                     residuate_left(rr, residuate_right(ss, tt)),
+                     "unconstrained associativity of residuation")
         f = FinFunction(A, B, tuple(rng.randrange(m) for _ in range(n)))
+        graph = f.as_relation()
+        graph_t = transpose(graph)
         rel_bc = random_relation(rng, B, C)
-        report.check(
-            residuate_left(transpose(f.as_relation()), rel_bc) == compose(f.as_relation(), rel_bc),
-            "left residuation along a transposed function is composition")
+        report.check(residuate_left(graph_t, rel_bc) == compose(graph, rel_bc),
+                     "left residuation along a transposed function is composition")
         s_cb = random_relation(rng, C, B)
-        report.check(
-            residuate_right(f.as_relation(), s_cb) == compose(s_cb, transpose(f.as_relation())),
-            "right residuation along a function is composition with the transpose")
-        report.check(transpose(compose(r, r2)) == compose(transpose(r2), transpose(r)),
+        report.check(residuate_right(graph, s_cb) == compose(s_cb, graph_t),
+                     "right residuation along a function is composition with the transpose")
+        report.check(transpose(r_r2) == compose(transpose(r2), r_t),
                      "transpose reverses composition")
         x = random_subset(rng, A)
         y = random_subset(rng, B)
         fwd = derive_forward(r, x)
-        report.check(x <= derive_reverse(r, fwd), "derivation unit")
-        report.check(derive_forward(r, derive_reverse(r, fwd)) == fwd,
-                     "derivation triple identity")
-        report.check(derive_reverse(r, y) == derive_forward(transpose(r), y),
+        closed = derive_reverse(r, fwd)
+        report.check(x <= closed, "derivation unit")
+        report.check(derive_forward(r, closed) == fwd, "derivation triple identity")
+        report.check(derive_reverse(r, y) == derive_forward(r_t, y),
                      "reverse derivation is forward derivation of the transpose")
 
-    # image adjoint triple, exhaustive for carriers up to 3
-    for n in range(4):
-        for m in range(4):
+    # image adjoint triple, exhaustive for carriers up to 3, with inclusion
+    # tabulated once per power set
+    powers_x = [_Tabulated(Subset(_letters("x", n), b) for b in range(1 << n)) for n in range(4)]
+    powers_y = [_Tabulated(Subset(_letters("y", m), b) for b in range(1 << m)) for m in range(4)]
+    for n, pa in enumerate(powers_x):
+        for m, pb in enumerate(powers_y):
             if n > 0 and m == 0:
                 continue
-            A, B = _letters("x", n), _letters("y", m)
-            ys = [Subset(B, yb) for yb in range(1 << m)]
-            for f in _all_functions(A, B):
+            xs, ys = pa.members[:1 << n], pb.members[:1 << m]
+            for f in _all_functions(_letters("x", n), _letters("y", m)):
                 ex, inv, un = images(f)
-                inverses = [inv(Y) for Y in ys]
-                for xb in range(1 << n):
-                    X = Subset(A, xb)
-                    ex_x, un_x = ex(X), un(X)
-                    for yb, (Y, inv_y) in enumerate(zip(ys, inverses)):
-                        report.check((ex_x <= Y) == (X <= inv_y),
+                inverses = [pa.at(inv(Y)) for Y in ys]
+                for xb, (X, x_le) in enumerate(zip(xs, pa.le)):
+                    ex_le, un_x = pb.le[pb.at(ex(X))], pb.at(un(X))
+                    for yb, (y_le, inv_y) in enumerate(zip(pb.le, inverses)):
+                        report.check(ex_le[yb] == x_le[inv_y],
                                      "existential adjoint: f={} X={} Y={}", f.table, xb, yb)
-                        report.check((inv_y <= X) == (Y <= un_x),
+                        report.check(pa.le[inv_y][xb] == y_le[un_x],
                                      "universal adjoint: f={} X={} Y={}", f.table, xb, yb)
 
     # epi-mono factorization recomposes, exhaustive for carriers up to 3/4
@@ -354,22 +379,26 @@ def finrel_suite(seed: int, cases: int) -> LawReport:
                 report.check(mono.is_injective(), "mono part is injective")
                 report.check(epi.is_surjective(), "epi part is surjective")
 
-    # Heyting structure on the power lattice, exhaustive for |A| <= 3
+    # Heyting structure on the power lattice, exhaustive for |A| <= 3; each
+    # binary meet and join is computed once
     for n in range(4):
         A = _letters("h", n)
         po = power_order(A)
         full = A.full_mask
         subsets = [Subset(A, x) for x in range(1 << n)]
-        for x, sx in enumerate(subsets):
+        meets = [[sx.intersection(sy) for sy in subsets] for sx in subsets]
+        joins = [[sx.union(sy) for sy in subsets] for sx in subsets]
+        for x, (sx, x_meets) in enumerate(zip(subsets, meets)):
             for y, sy in enumerate(subsets):
                 report.check(po.le_idx(x, y) == (x & ~y == 0), "power order is inclusion")
-                report.check(sx.union(sx.intersection(sy)) == sx, "absorption (join)")
-                report.check(sx.intersection(sx.union(sy)) == sx, "absorption (meet)")
+                report.check(sx.union(x_meets[y]) == sx, "absorption (join)")
+                report.check(sx.intersection(joins[x][y]) == sx, "absorption (meet)")
                 implies = sx.implies(sy).bits
-                for z in range(1 << n):
+                for z, (y_join_z, x_meet_z) in enumerate(zip(joins[y], x_meets)):
                     report.check((z & x & ~y == 0) == (z & ~implies == 0),
                                  "Heyting residuation at |A|={} x={} y={} z={}", n, x, y, z)
-                    report.check(x & (y | z) == (x & y) | (x & z), "distributivity")
+                    report.check(sx.intersection(y_join_z) == x_meets[y].union(x_meet_z),
+                                 "distributivity")
         empty = Subset.empty(po.carrier)
         report.check(poset_meet(po, empty) == full, "empty intersection is full")
         report.check(poset_join(po, empty) == 0, "empty union is empty")
@@ -483,15 +512,14 @@ def galois_suite(seed: int, cases: int) -> LawReport:
     prod = product(chain2, chain2)
     report.check(prod.order.size == 4, "2-chain squared has four elements")
     for c in [Preorder.chain("u"), chain2, Preorder.discrete(_letters("d", 2))]:
-        for f1 in all_monotone_maps(c, chain2):
-            for f2 in all_monotone_maps(c, chain2):
-                mediators = [
-                    h for h in all_monotone_maps(c, prod.order)
-                    if h.then(prod.proj0).func.table == f1.func.table
-                    and h.then(prod.proj1).func.table == f2.func.table
-                ]
-                report.check(len(mediators) == 1,
-                             "product mediator count {} for a cone", len(mediators))
+        legs = [f.func.table for f in all_monotone_maps(c, chain2)]
+        # every map into the product, by its two legs, once per cone source
+        mediated = [(h.then(prod.proj0).func.table, h.then(prod.proj1).func.table)
+                    for h in all_monotone_maps(c, prod.order)]
+        for f1 in legs:
+            for f2 in legs:
+                count = mediated.count((f1, f2))
+                report.check(count == 1, "product mediator count {} for a cone", count)
     one = terminal()
     for c in [chain2, Preorder.discrete(_letters("d", 3))]:
         report.check(len(list(all_monotone_maps(c, one))) == 1,

@@ -36,6 +36,9 @@ CASES = {
         ["verify", "--suite", "all", "--cases", "5", "--negative-control"], 1),
     "verify-all-seed-0": (["verify", "--suite", "all", "--seed", "0", "--cases", "100"], 0),
     "verify-all-seed-1": (["verify", "--suite", "all", "--seed", "1", "--cases", "100"], 0),
+    "verify-all-seed-2": (["verify", "--suite", "all", "--seed", "2", "--cases", "100"], 0),
+    "verify-all-seed-3": (["verify", "--suite", "all", "--seed", "3", "--cases", "100"], 0),
+    "verify-all-seed-4": (["verify", "--suite", "all", "--seed", "4", "--cases", "100"], 0),
 }
 
 
