@@ -16,7 +16,6 @@ orders, so they are built only when first read, and validation reads neither.
 """
 
 from functools import lru_cache
-from json.encoder import encode_basestring_ascii as _json_string
 
 from .errors import CarrierMismatchError, NotAConceptLatticeError, SizeLimitError
 from .finrel import (
@@ -598,19 +597,12 @@ def lattice_roundtrip_iso(lat: ConceptLattice) -> LatticeIsomorphism:
     return LatticeIsomorphism(forward, backward)
 
 
-def _json_list(items: list[str], pad: str) -> str:
-    """A list of JSON-encoded items laid out as ``json.dumps(..., indent=2)`` lays
-    out a list whose closing bracket sits at indent ``pad``."""
-    if not items:
-        return "[]"
-    inner = pad + "  "
-    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
-
-
 def lattice_to_json(lat: ConceptLattice) -> str:
     """The lattice as the JSON text that ``conceptua lattice`` writes, trailing newline
     included: objects and attributes by label, each concept's extent and intent by
     index, and the cover pairs, indented as ``json.dumps(..., indent=2)`` would."""
+    from .io import _json_list, _json_string
+
     concepts = [
         '{\n      "extent": '
         + _json_list([str(k) for k in _bits(c.extent.bits)], "      ")

@@ -22,10 +22,10 @@ import functools
 import re
 
 from .errors import CarrierMismatchError, ParseError, SizeLimitError, UnknownElementError
-from .finrel import FinFunction, FinSet, Relation, Subset, _Record, _Value, _trusted, image_bits, \
-    image_tables, preimage_bits, preimage_rows, transpose
+from .finrel import FinFunction, FinSet, Relation, Subset, _Record, _Value, _bits, _trusted, \
+    image_bits, image_tables, preimage_bits, preimage_rows, transpose
 from .galois import Adjunction
-from .order import Poset, _bits_in_bytes, _member_masks, _monotone, _subset_rows, \
+from .order import Poset, _bits_in_bytes, _member_masks, _monotone, _subset_labels, _subset_rows, \
     check_carrier_bound
 from .clsn import Classification
 
@@ -360,12 +360,17 @@ class Model(_Value):
 
 
 def all_models(sig: Signature) -> list[Model]:
+    """Every model of the signature, by model number (its valuation's bits)."""
     return [Model(sig, Subset(sig.vars, bits)) for bits in range(1 << sig.size)]
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=32)
 def model_carrier(sig: Signature) -> FinSet:
-    return FinSet(tuple(m.label() for m in all_models(sig)))
+    """Model m's label, by model number: the ``label()`` of its valuation,
+    written by the subset-label recurrence of ``power_order``, with no
+    ``Model`` built.  Cached per signature, like ``theory_fiber``; a
+    16-variable carrier holds 65 536 labels."""
+    return FinSet(_subset_labels(sig.vars))
 
 
 def satisfies(m: Model, s: Sentence) -> bool:
@@ -505,9 +510,11 @@ def _sentences_and_tables(sig: Signature, depth: int) -> tuple[tuple[Sentence, .
 class PropositionalInstitution:
     """The ``reduct`` fault seam.
 
-    ``reduct_function`` tabulates ``reduct`` once per signature morphism,
-    and the satisfaction check and the style report read only that table,
-    so a subclass that overrides ``reduct`` injects its fault everywhere.
+    ``reduct_function`` tabulates the reduct once per signature morphism,
+    and the satisfaction check and the style report read only that table.
+    The base class computes the table with one bit kernel and builds no
+    ``Model``; a subclass that overrides ``reduct`` has its ``reduct``
+    called once per target model instead, so it injects its fault everywhere.
     """
 
     def reduct(self, sigma: SignatureMorphism, m: Model) -> Model:
@@ -518,8 +525,18 @@ class PropositionalInstitution:
         return Model(sigma.source, Subset(sigma.source.vars, pulled))
 
     def reduct_function(self, sigma: SignatureMorphism) -> FinFunction:
-        """The reduct as a map from the target's models to the source's, by model number."""
-        return FinFunction(model_carrier(sigma.target), model_carrier(sigma.source), tuple(
+        """The reduct as a map from the target's models to the source's, by model number.
+
+        Model y's reduct is the inverse image of its valuation y along the
+        variable map, so the table is the preimage table of ``image_tables``:
+        one OR per target model.  The second path, one ``reduct`` call and
+        one ``Model`` per target model, exists only to honour a subclass
+        that overrides ``reduct``.
+        """
+        models, reducts = model_carrier(sigma.target), model_carrier(sigma.source)
+        if type(self).reduct is PropositionalInstitution.reduct:
+            return _trusted(FinFunction, models, reducts, tuple(image_tables(sigma.map)[1]))
+        return FinFunction(models, reducts, tuple(
             self.reduct(sigma, m).valuation.bits for m in all_models(sigma.target)))
 
 
@@ -1063,10 +1080,17 @@ def style_interconvert(sigma: SignatureMorphism, depth: int,
 
 
 def theory_to_json(t: TheoryObject) -> dict:
-    models = all_models(t.signature)
+    """The signature and, per model of the theory in model order, its true
+    variables, read off the bits of the model number.
+
+    The models are the set bits of the mask, found in its binary text: a
+    mask of 2^16 models takes one ``bin`` instead of one big-int step per
+    model."""
+    names = t.signature.vars.elements
     return {
-        "signature": list(t.signature.vars.elements),
-        "models": [list(models[i].valuation.labels()) for i in t.model_class.indices()],
+        "signature": list(names),
+        "models": [[names[v] for v in _bits(m)]
+                   for m, bit in enumerate(bin(t.mask)[:1:-1]) if bit == "1"],
     }
 
 

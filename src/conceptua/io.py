@@ -31,6 +31,24 @@ __all__ = [
 ]
 
 
+# A string as JSON text, by the C encoder behind json.dumps' default ensure_ascii.
+_json_string = json.encoder.encode_basestring_ascii
+
+
+def _json_list(items: list[str], pad: str) -> str:
+    """A list of JSON-encoded items laid out as ``json.dumps(..., indent=2)`` lays
+    out a list whose closing bracket sits at indent ``pad``.
+
+    With ``_json_string`` (the C encoder of ``json.dumps``' strings) it writes
+    the JSON of ``conceptua lattice`` and ``conceptua merge`` byte for byte
+    as ``json.dumps(..., indent=2)``, whose indented layout is pure Python.
+    """
+    if not items:
+        return "[]"
+    inner = pad + "  "
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+
+
 def _carrier(names: list, what: str, lines: list[int] | None = None) -> FinSet:
     """A carrier of parsed names; a repeated, empty or comma-holding name is a
     ParseError at its line, since subset labels such as ``{a,b}`` must name

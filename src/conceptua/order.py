@@ -151,6 +151,20 @@ def _subset_rows(size: int) -> tuple[int, ...]:
     return tuple(rows)
 
 
+def _subset_labels(a: FinSet) -> tuple[str, ...]:
+    """The label of every subset of ``a``, indexed by its bitset value: its
+    members in ascending order, as ``str(Subset)`` writes them.
+
+    Subset i's members are its lowest element, then those of i minus that
+    element: one concatenation per subset.
+    """
+    members = [""] * (1 << a.size)  # comma-joined labels of subset i, ascending
+    for i in range(1, len(members)):
+        rest = i & (i - 1)
+        members[i] = a.elements[(i ^ rest).bit_length() - 1] + ("," + members[rest] if rest else "")
+    return tuple(["{" + m + "}" for m in members])
+
+
 class EndorelationFlags(_Value):
     __match_args__ = ("reflexive", "transitive", "symmetric", "antisymmetric")
     __slots__ = __match_args__
@@ -457,7 +471,8 @@ def power_order(a: FinSet, reverse: bool = False) -> Poset:
     """The subsets of ``a`` by inclusion, or by reverse inclusion; refuses
     carriers above the bound.
 
-    Element i is the subset with bitset value i, labelled by its members.
+    Element i is the subset with bitset value i, labelled by its members
+    (``_subset_labels``, which ``institution.model_carrier`` shares).
     Inclusion stores row i as the supersets of i, the AND of the member masks
     of its elements (``meet_table``): 2^n big-int ANDs of 2^n-bit rows.
     Reverse inclusion stores the subsets of i (``_subset_rows``).  Either is
@@ -465,11 +480,7 @@ def power_order(a: FinSet, reverse: bool = False) -> Poset:
     """
     check_carrier_bound(a.size, "power_order: the carrier")
     n = 1 << a.size
-    members = [""] * n  # comma-joined labels of subset i, ascending
-    for i in range(1, n):
-        rest = i & (i - 1)
-        members[i] = a.elements[(i ^ rest).bit_length() - 1] + ("," + members[rest] if rest else "")
-    carrier = FinSet(tuple("{" + m + "}" for m in members))
+    carrier = FinSet(_subset_labels(a))
     rows = _subset_rows(n) if reverse else meet_table(_member_masks(a.size), (1 << n) - 1)
     return _trusted(Poset, carrier, Relation(carrier, carrier, tuple(rows)))
 

@@ -89,7 +89,6 @@ from .institution import (
     SignatureMorphism,
     TheoryObject,
     Var,
-    all_models,
     check_satisfaction_condition,
     fiber_transport_adjunction,
     flatten,
@@ -750,7 +749,7 @@ def institution_suite(seed: int, cases: int) -> LawReport:
                      TheoryObject.of_sentence(sb, And(Var("q"), Var("r"))))
     res = merge_theories(span)
     report.check(res.signature.size == 3, "merge demo pushout has three variables")
-    got = {all_models(res.signature)[i].label() for i in res.theory.model_class.indices()}
+    got = set(res.theory.model_class.labels())
     report.check(got == {"{C.q,R.r}", "{L.p,C.q,R.r}"},
                  f"merge demo model class: {sorted(got)}")
     report.check(not res.inconsistent, "merge demo is consistent")

@@ -1,5 +1,6 @@
 """Command-line interface: commands, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -358,6 +359,51 @@ def test_merge_check_universal_on_disjoint_spans_within_budget(tmp_path, capsys,
         code = main(["merge", str(span), "--out", str(tmp_path / "m.json"), "--check-universal"])
     assert code == 0
     assert "pushout universal property: ok" in capsys.readouterr().out
+
+
+# sha256 of the --out file of `merge tests/golden/span-disjoint-8.json`, written
+# by json.dumps(..., indent=2) before the merge writer was hand-laid.
+SPAN_8_SHA256 = "f192254caa1ccf808cd28c09d09b9b87f066efc34f2a80d0a5779fbc9c7f3c81"
+
+
+def test_merge_of_the_disjoint_8_plus_8_span_writes_the_pinned_bytes(tmp_path, capsys):
+    span = Path(__file__).parent / "golden" / "span-disjoint-8.json"
+    out = tmp_path / "m.json"
+    assert main(["merge", str(span), "--check-universal", "--out", str(out)]) == 0
+    assert "pushout universal property: ok" in capsys.readouterr().out
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SPAN_8_SHA256
+
+
+ESCAPED_NAMES = ['a"b', "c\\d", "\u00e9", "\U0001f600", "\u0001", "x/y"]
+
+
+@pytest.mark.parametrize("span", [
+    {"base": [], "left": {"signature": [], "models": [[]]},
+     "right": {"signature": [], "sentence": "top"}, "left_map": {}, "right_map": {}},
+    {"base": [], "left": {"signature": [], "models": []},
+     "right": {"signature": [], "models": [[]]}, "left_map": {}, "right_map": {}},
+    {"base": ["q"], "left": {"signature": ["q"], "models": [["q"]]},
+     "right": {"signature": ["q", "r"], "models": [[], ["r"]]},
+     "left_map": {"q": "q"}, "right_map": {"q": "q"}},
+    {"base": [ESCAPED_NAMES[0]],
+     "left": {"signature": ESCAPED_NAMES[:3], "models": [ESCAPED_NAMES[:1], ESCAPED_NAMES[:3]]},
+     "right": {"signature": ESCAPED_NAMES[3:], "sentence": f"(not (var {ESCAPED_NAMES[4]}))"},
+     "left_map": {ESCAPED_NAMES[0]: ESCAPED_NAMES[0]},
+     "right_map": {ESCAPED_NAMES[0]: ESCAPED_NAMES[3]}},
+], ids=["empty-signature", "inconsistent", "consistent-none-left", "escaped-names"])
+def test_merge_json_is_laid_out_as_json_dumps_lays_it_out(tmp_path, capsys, span):
+    path = tmp_path / "span.json"
+    path.write_text(json.dumps(span))
+    out = tmp_path / "m.json"
+    assert main(["merge", str(path), "--out", str(out)]) == 0
+    text = out.read_text()
+    data = json.loads(text)
+    assert text == json.dumps(data, indent=2) + "\n"
+    assert list(data) == ["signature", "models", "inconsistent"]
+    assert data["inconsistent"] == (data["models"] == [])
+    capsys.readouterr()
+    assert main(["merge", str(path)]) == 0
+    assert capsys.readouterr().out.startswith(text)
 
 
 def test_merge_check_universal_past_the_carrier_bound_exits_3(tmp_path, capsys, time_budget,

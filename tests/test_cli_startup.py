@@ -85,6 +85,23 @@ def test_lattice_loads_neither_institution_nor_verify(tmp_path):
     assert json.loads((tmp_path / "lattice.json").read_text())["concepts"]
 
 
+MERGE_CHILD = """
+import json, sys
+import conceptua.cli
+
+code = conceptua.cli.main(["merge", sys.argv[1], "--out", sys.argv[2]])
+print(json.dumps({"code": code, "after_main": sorted(
+    m for m in ("conceptua.clg", "conceptua.verify") if m in sys.modules)}))
+"""
+
+
+def test_merge_loads_neither_clg_nor_verify(tmp_path):
+    span = str(ROOT / "tests" / "golden" / "span.json")
+    got = _child(MERGE_CHILD, span, str(tmp_path / "merged.json"))
+    assert got == {"code": 0, "after_main": []}
+    assert json.loads((tmp_path / "merged.json").read_text())["models"]
+
+
 PACKAGE_CHILD = """
 import json, sys
 import conceptua
