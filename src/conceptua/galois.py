@@ -5,12 +5,13 @@ splits as a reflection onto its axis of bipoles followed by a coreflection,
 and ``diagonalize`` fills any reflection/coreflection square uniquely.  The
 closed elements and the four maps of the split are read off the adjunction's
 two tables, by the one builder the concept lattice's adjunctions use too.
+The laws of the factorization are checked by ``verify``'s galois suite.
 """
 
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 from .errors import AdjunctionError, CarrierMismatchError
-from .finrel import FinSet, Relation, Subset, _Record, _Value, _trusted, image_bits, preimage_rows
+from .finrel import FinSet, Relation, Subset, _Value, _trusted, preimage_rows
 from .order import (
     MonotoneMap,
     Poset,
@@ -42,12 +43,8 @@ __all__ = [
     "diagonalize",
     "enumerate_adjunctions",
     "connect_factorizations",
-    "FactorizationSystem",
-    "polar_factorization_system",
     "upset_reflection",
     "downset_coreflection",
-    "factorization_equivalence_check",
-    "check_reflection_lattice_transfer",
 ]
 
 
@@ -258,50 +255,6 @@ def connect_factorizations(pf1: PolarFactorization, pf2: PolarFactorization) -> 
                        pf2.extent_reflection, pf2.intent_coreflection)
 
 
-class FactorizationSystem(_Value):
-    """Morphism classes with a chosen factorization; laws are checked on demand."""
-
-    __match_args__ = ("is_e", "is_m", "factor")
-    __slots__ = __match_args__
-
-    def __init__(self, is_e: Callable[[Adjunction], bool], is_m: Callable[[Adjunction], bool],
-                 factor: Callable[[Adjunction], PolarFactorization]):
-        self._fill(self, is_e, is_m, factor)
-
-    def check_factor(self, g: Adjunction) -> list[str]:
-        failures = []
-        pf = self.factor(g)
-        if not self.is_e(pf.extent_reflection):
-            failures.append("factor: first part is not in the E class")
-        if not self.is_m(pf.intent_coreflection):
-            failures.append("factor: second part is not in the M class")
-        if not same_adjunction(recompose(pf), g):
-            failures.append("factor: parts do not recompose to the original")
-        return failures
-
-    def check_isos(self, p: Preorder) -> list[str]:
-        failures = []
-        ident = identity_adjunction(p)
-        if not self.is_e(ident):
-            failures.append("identity adjunction not in E")
-        if not self.is_m(ident):
-            failures.append("identity adjunction not in M")
-        return failures
-
-    def check_composition_closure(self, pairs) -> list[str]:
-        failures = []
-        for f, g in pairs:
-            if self.is_e(f) and self.is_e(g) and not self.is_e(compose_adjunctions(f, g)):
-                failures.append("E not closed under composition")
-            if self.is_m(f) and self.is_m(g) and not self.is_m(compose_adjunctions(f, g)):
-                failures.append("M not closed under composition")
-        return failures
-
-
-def polar_factorization_system() -> FactorizationSystem:
-    return FactorizationSystem(is_reflection, is_coreflection, polar_factorize)
-
-
 def upset_reflection(p: Poset, m: int) -> Adjunction:
     """The reflection of a lattice onto the up-set of element m via join with m.
 
@@ -331,123 +284,3 @@ def downset_coreflection(p: Poset, m: int) -> Adjunction:
             raise ValueError("meet with the base element does not exist")
         table.append(pos[j])
     return Adjunction(sub, p, incl, _monotone(p, sub, table))
-
-
-def _diagonal_count(e, s, r, m) -> int | None:
-    """The number of diagonals d with e;d = r and d;m = s, by exhaustive
-    search; None if an axis has more than 4 elements."""
-    c1, c2 = e.target, r.target
-    if max(c1.size, c2.size) > 4:
-        return None
-    return sum(1 for d in enumerate_adjunctions(c1, c2)
-               if same_adjunction(compose_adjunctions(e, d), r)
-               and same_adjunction(compose_adjunctions(d, m), s))
-
-
-class EquivalenceReport(_Record):
-    __match_args__ = ("cases_run", "squares_run", "failures")
-    __slots__ = __match_args__
-
-    def __init__(self, cases_run: int = 0, squares_run: int = 0, failures: list[str] | None = None):
-        self._fill(self, cases_run, squares_run, [] if failures is None else failures)
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-
-def factorization_equivalence_check(cases: Sequence[Adjunction], squares=()) -> EquivalenceReport:
-    """Round-trip laws for factor-then-compose and compose-then-factor.
-
-    Each case g is factored and recomposed (must be pointwise identical), the
-    recomposite is factored again and the two factorizations must be joined by
-    a unique axis isomorphism commuting with the embeddings.  Squares, given
-    as (g1, g2, a, b) with a o g2 = g1 o b, exercise functoriality of the
-    induced axis adjunctions.
-    """
-    report = EquivalenceReport()
-    for idx, g in enumerate(cases):
-        try:
-            pf = polar_factorize(g)
-            if not same_adjunction(recompose(pf), g):
-                report.failures.append(f"case {idx}: factor-then-compose is not the identity")
-                continue
-            pf2 = polar_factorize(recompose(pf))
-            h = connect_factorizations(pf, pf2)
-            back = connect_factorizations(pf2, pf)
-            n1, n2 = pf.axis.size, pf2.axis.size
-            if h.left.then(back.left).func.table != tuple(range(n1)) or \
-               back.left.then(h.left).func.table != tuple(range(n2)):
-                report.failures.append(f"case {idx}: axis comparison is not an isomorphism")
-            if not same_adjunction(compose_adjunctions(pf.extent_reflection, h), pf2.extent_reflection):
-                report.failures.append(f"case {idx}: iso does not commute with source embeddings")
-            if not same_adjunction(compose_adjunctions(h, pf2.intent_coreflection), pf.intent_coreflection):
-                report.failures.append(f"case {idx}: iso does not commute with target embeddings")
-            count = _diagonal_count(pf.extent_reflection, pf.intent_coreflection,
-                                    pf2.extent_reflection, pf2.intent_coreflection)
-            if count not in (None, 1):
-                report.failures.append(f"case {idx}: axis iso is not unique")
-        except Exception as exc:  # noqa: BLE001 - report, do not abort the sweep
-            report.failures.append(f"case {idx}: {exc}")
-        report.cases_run += 1
-
-    for idx, (g1, g2, a, b) in enumerate(squares):
-        try:
-            pf1, pf2 = polar_factorize(g1), polar_factorize(g2)
-            d = diagonalize(pf1.extent_reflection,
-                            compose_adjunctions(pf1.intent_coreflection, b),
-                            compose_adjunctions(a, pf2.extent_reflection),
-                            pf2.intent_coreflection)
-            if not same_adjunction(compose_adjunctions(pf1.extent_reflection, d),
-                                   compose_adjunctions(a, pf2.extent_reflection)):
-                report.failures.append(f"square {idx}: diagonal fails the e-side equation")
-            if not same_adjunction(compose_adjunctions(d, pf2.intent_coreflection),
-                                   compose_adjunctions(pf1.intent_coreflection, b)):
-                report.failures.append(f"square {idx}: diagonal fails the m-side equation")
-        except Exception as exc:  # noqa: BLE001
-            report.failures.append(f"square {idx}: {exc}")
-        report.squares_run += 1
-    return report
-
-
-def check_reflection_lattice_transfer(g: Adjunction, sample_cap: int = 4096) -> list[str]:
-    """Push joins and meets through a reflection out of a complete lattice.
-
-    For every target subset Y: join_B(Y) = left(join_A(right[Y])) and
-    meet_B(Y) = left(meet_A(right[Y])); also right(join_B Y) is the closure
-    of join_A(right[Y]) and right(meet_B Y) = meet_A(right[Y]).  All subsets
-    are tried when there are at most ``sample_cap`` of them, otherwise a
-    sample of that size seeded with 0.
-    """
-    failures = []
-    if not is_reflection(g):
-        return ["not a reflection"]
-    src, tgt = g.source, g.target
-    closure = g.left.then(g.right)
-    if tgt.size <= sample_cap.bit_length() - 1:
-        candidates = range(1 << tgt.size)
-    else:
-        import random
-
-        rng = random.Random(0)
-        candidates = [rng.getrandbits(tgt.size) for _ in range(sample_cap)]
-        candidates.extend([0, (1 << tgt.size) - 1])
-    for ybits in candidates:
-        y = Subset(tgt.carrier, ybits)
-        image = Subset(src.carrier, image_bits(g.right.func, ybits))
-        join_a = poset_join(src, image)
-        meet_a = poset_meet(src, image)
-        join_b = poset_join(tgt, y)
-        meet_b = poset_meet(tgt, y)
-        if None in (join_a, meet_a, join_b, meet_b):
-            failures.append(f"missing bound for subset {ybits:#x}")
-            continue
-        if g.left_idx(join_a) != join_b:
-            failures.append(f"join transfer fails for subset {ybits:#x}")
-        if g.left_idx(meet_a) != meet_b:
-            failures.append(f"meet transfer fails for subset {ybits:#x}")
-        if g.right_idx(join_b) != closure.func.table[join_a]:
-            failures.append(f"right-of-join identity fails for subset {ybits:#x}")
-        if g.right_idx(meet_b) != meet_a:
-            failures.append(f"right-of-meet identity fails for subset {ybits:#x}")
-    return failures

@@ -1,4 +1,5 @@
-"""Adjunctions, closure/interior, polar factorization, diagonalization."""
+"""Adjunctions, closure/interior, polar factorization, diagonalization, and the
+factorization laws of ``verify``'s galois suite, on healthy and on injected faults."""
 
 import random
 
@@ -6,21 +7,18 @@ import pytest
 
 from conceptua.errors import AdjunctionError
 from conceptua.finrel import FinFunction, FinSet, finset
+from conceptua import verify
 from conceptua.galois import (
-    _diagonal_count,
     check_adjunction,
-    check_reflection_lattice_transfer,
     closure_interior,
     compose_adjunctions,
     diagonalize,
     downset_coreflection,
     enumerate_adjunctions,
-    factorization_equivalence_check,
     identity_adjunction,
     involution,
     is_coreflection,
     is_reflection,
-    polar_factorization_system,
     polar_factorize,
     recompose,
     same_adjunction,
@@ -34,8 +32,14 @@ from conceptua.order import (
 )
 from conceptua.clsn import Classification, derivation, order_as_classification
 from conceptua.verify import (
+    LawReport,
+    _closed_under_composition,
+    _diagonal_count,
+    _equivalence_laws,
+    _lattice_transfer_failures,
     _squares_from_infomorphisms,
     corrupted_factorization_witness,
+    galois_suite,
     random_classification,
 )
 
@@ -288,8 +292,49 @@ def test_factorization_equivalence_identity_and_random_cases():
     rng = random.Random(11)
     cases = [identity_adjunction(power_order(finset("a")))]
     cases += [rng_adjunction(rng, 3) for _ in range(40)]
-    report = factorization_equivalence_check(cases, _squares_from_infomorphisms(rng, 4))
+    squares = _squares_from_infomorphisms(rng, 4)
+    report = LawReport("galois")
+    _equivalence_laws(report, cases, squares)
     assert report.ok, report.failures
+    assert report.cases == len(cases) + len(squares) == 45
+
+
+def test_a_case_without_poset_boundaries_is_reported_and_counted():
+    cycle = Preorder.from_pairs(finset("a", "b"), [("a", "b"), ("b", "a")])
+    report = LawReport("galois")
+    _equivalence_laws(report, [identity_adjunction(cycle)], ())
+    assert report.failures == ["case 0: closure/interior require poset boundaries"]
+    assert report.cases == 1
+
+
+def test_a_square_that_does_not_commute_is_reported_and_counted():
+    g = derivation(WORKED)
+    # a o g = g o b fails: a is the identity, b an endo-adjunction that moves g
+    b = next(b for b in enumerate_adjunctions(g.target, g.target)
+             if not same_adjunction(compose_adjunctions(g, b), g))
+    report = LawReport("galois")
+    _equivalence_laws(report, (), [(g, g, identity_adjunction(g.source), b)])
+    assert report.failures == ["square 0: square does not commute"]
+    assert report.cases == 1
+
+
+def test_a_case_that_does_not_recompose_is_reported_and_not_counted(monkeypatch):
+    chain = power_order(finset("a"))
+    ident = identity_adjunction(chain)
+    other = next(h for h in enumerate_adjunctions(chain, chain) if not same_adjunction(h, ident))
+    monkeypatch.setattr(verify, "recompose", lambda pf: other)
+    report = LawReport("galois")
+    _equivalence_laws(report, [ident, ident], ())
+    assert report.failures == ["case 0: factor-then-compose is not the identity",
+                               "case 1: factor-then-compose is not the identity"]
+    assert report.cases == 0
+
+
+@pytest.mark.parametrize("seed, checks", [(5, 948), (6, 944), (7, 916), (8, 912), (9, 929)])
+def test_galois_suite_check_counts_are_pinned(seed, checks):
+    report = galois_suite(seed, 100)
+    assert report.ok, report.failures
+    assert report.cases == checks
 
 
 def test_diagonal_count_is_one_between_factorizations_and_none_above_the_cap():
@@ -318,16 +363,16 @@ def test_corrupted_factorization_fails_recomposition():
 
 def test_polar_factorization_system_laws():
     rng = random.Random(12)
-    fs = polar_factorization_system()
-    p = power_order(finset("a", "b"))
-    assert fs.check_isos(p) == []
+    ident = identity_adjunction(power_order(finset("a", "b")))
+    assert is_reflection(ident) and is_coreflection(ident)
     g = rng_adjunction(rng, 3)
-    assert fs.check_factor(g) == []
     pf = polar_factorize(g)
+    assert is_reflection(pf.extent_reflection) and is_coreflection(pf.intent_coreflection)
+    assert same_adjunction(recompose(pf), g)
     mid = pf.axis.size // 2
-    assert fs.check_composition_closure(
+    assert _closed_under_composition(
         [(pf.extent_reflection, upset_reflection(pf.axis, mid))]) == []
-    assert fs.check_composition_closure(
+    assert _closed_under_composition(
         [(downset_coreflection(pf.axis, mid), pf.intent_coreflection)]) == []
 
 
@@ -347,11 +392,18 @@ def test_reflection_lattice_transfer_on_contexts_up_to_5x5():
     for _ in range(8):
         a = random_classification(rng, 4)
         pf = polar_factorize(derivation(a))
-        assert check_reflection_lattice_transfer(pf.extent_reflection) == []
-    # a full 5x5 case; large axes are checked on a seeded subset sample
+        assert _lattice_transfer_failures(pf.extent_reflection) == []
+    # a full 5x5 case: all 1024 subsets of its 10-element axis
     a5 = random_classification(random.Random(99), 5)
     pf5 = polar_factorize(derivation(a5))
-    assert check_reflection_lattice_transfer(pf5.extent_reflection, sample_cap=512) == []
+    assert pf5.axis.size == 10
+    assert _lattice_transfer_failures(pf5.extent_reflection) == []
+
+
+def test_lattice_transfer_rejects_a_non_reflection():
+    g = derivation(WORKED)
+    assert not is_reflection(g)
+    assert _lattice_transfer_failures(g) == ["not a reflection"]
 
 
 # ----------------------------------------------------------- triple laws

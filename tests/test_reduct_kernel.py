@@ -9,7 +9,8 @@ as the oracle, which built one ``Model`` per model: on every signature
 morphism between signatures of 0-3 variables and on seeded morphisms of up
 to 6 variables.  ``image_tables`` fills its tables by doubling, and runs
 beside the lowest-bit recurrence it replaced on seeded functions of up to
-10 elements.  A count of ``Model`` constructions shows that the
+10 elements, and ``meet_table`` beside its own lowest-bit recurrence on
+seeded lines, 0 to 12 of them.  A count of ``Model`` constructions shows that the
 transport, merge and serialization paths of the base institution build
 none, while a subclass that overrides ``reduct`` still has it called once
 per target model.
@@ -20,7 +21,7 @@ import random
 
 import pytest
 
-from conceptua.finrel import FinFunction, FinSet, image_tables
+from conceptua.finrel import FinFunction, FinSet, image_tables, meet_table
 from conceptua.institution import (
     MergeSpan,
     Model,
@@ -97,6 +98,16 @@ def oracle_join_table(lines):
     return table
 
 
+def oracle_meet_table(lines, full):
+    """The earlier ``finrel.meet_table``: entry y meets entry y minus its
+    lowest bit with that bit's line."""
+    table = [full] * (1 << len(lines))
+    for y in range(1, len(table)):
+        rest = y & (y - 1)
+        table[y] = table[rest] & lines[(y ^ rest).bit_length() - 1]
+    return table
+
+
 # ------------------------------------------------------------------ the oracles
 
 
@@ -111,6 +122,16 @@ def test_image_tables_match_the_lowest_bit_recurrence_on_seeded_functions():
         fibers = [sum(1 << i for i, t in enumerate(f.table) if t == j) for j in range(m)]
         assert image_tables(f) == (oracle_join_table([1 << t for t in f.table]),
                                    oracle_join_table(fibers))
+
+
+def test_meet_table_matches_the_lowest_bit_recurrence_on_seeded_lines():
+    rng = random.Random(3535)
+    for n in range(13):
+        for width in (0, 1, 5, 64, 200):
+            full = (1 << width) - 1
+            lines = tuple(rng.getrandbits(width) for _ in range(n))
+            assert meet_table(lines, full) == oracle_meet_table(lines, full)
+            assert meet_table(list(lines), full) == oracle_meet_table(lines, full)
 
 
 def test_reduct_tables_and_carriers_match_the_recipes_on_every_small_morphism():

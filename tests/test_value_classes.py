@@ -42,7 +42,6 @@ import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Callable
 
 import pytest
 
@@ -153,20 +152,6 @@ class PolarFactorization:
     extent_reflection: Adjunction
     intent_coreflection: Adjunction
     bipoles: tuple[tuple[int, int], ...]
-
-
-@dataclass(frozen=True)
-class FactorizationSystem:
-    is_e: Callable[[Adjunction], bool]
-    is_m: Callable[[Adjunction], bool]
-    factor: Callable[[Adjunction], PolarFactorization]
-
-
-@dataclass
-class EquivalenceReport:
-    cases_run: int = 0
-    squares_run: int = 0
-    failures: list[str] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -357,7 +342,7 @@ MODULES = (finrel, order, galois, clsn, clg, institution, verify)
 ORACLES = {cls.__name__: cls for cls in [
     FinSet, Subset, FinFunction, Relation,
     EndorelationFlags, Preorder, Poset, MonotoneMap, OrderBimodule, OrderProduct,
-    Adjunction, ClosureInterior, PolarFactorization, FactorizationSystem, EquivalenceReport,
+    Adjunction, ClosureInterior, PolarFactorization,
     Classification, Infomorphism, InfomorphismReport,
     FormalConcept, ConceptLattice, ConceptMorphism, LatticeIsomorphism,
     Signature, SignatureMorphism, Var, Not, And, Or, Implies, Top, Bottom, Model,
@@ -421,10 +406,6 @@ def _samples() -> dict[str, list]:
         "Adjunction": adjunctions,
         "ClosureInterior": [galois.closure_interior(g) for g in adjunctions],
         "PolarFactorization": [galois.polar_factorize(g) for g in adjunctions],
-        "FactorizationSystem": [galois.polar_factorization_system(),
-                                galois.polar_factorization_system()],
-        "EquivalenceReport": [galois.factorization_equivalence_check(adjunctions[1:]),
-                              galois.factorization_equivalence_check(adjunctions)],
         "Classification": [a, a2, b],
         "Infomorphism": infos,
         "InfomorphismReport": [clsn.check_infomorphism(f) for f in infos],
@@ -734,7 +715,7 @@ def test_every_init_writes_its_fields_with_one_fill_call():
     ...)``, with one value per field, and assigns no attribute; every record
     class with fields inherits one of these ``__init__`` methods."""
     inits = _own_inits()
-    assert len(inits) == 36
+    assert len(inits) == 34
     for cls, init in inits.items():
         fills = [n for n in ast.walk(init) if isinstance(n, ast.Call)
                  and isinstance(n.func, ast.Attribute) and n.func.attr == "_fill"]
