@@ -13,7 +13,6 @@ from .finrel import (
     FinFunction,
     FinSet,
     Relation,
-    Subset,
     _Value,
     _cached,
     derive_bits,
@@ -26,7 +25,6 @@ from .galois import Adjunction
 from .order import (
     Preorder,
     _monotone,
-    bounds,
     check_carrier_bound,
     power_order,
 )
@@ -40,7 +38,6 @@ __all__ = [
     "compose_infomorphisms",
     "identity_infomorphism",
     "order_as_classification",
-    "derivation_equals_bounds",
     "exponent",
     "multiply",
     "enumerate_infomorphisms",
@@ -294,12 +291,3 @@ def multiply(a: Classification, b: Classification, max_results: int = 100_000) -
     """The involution of the exponent out of the transposed first factor."""
     return involution_classification(exponent(involution_classification(a), b, max_results=max_results))
 
-
-def derivation_equals_bounds(p: Preorder) -> bool:
-    """Derivation of the order-as-classification agrees with upper/lower bounds."""
-    a = order_as_classification(p)
-    for bits in range(1 << p.size):
-        upper, lower = bounds(p, Subset(p.carrier, bits))
-        if a.intent_of(bits) != upper.bits or a.extent_of(bits) != lower.bits:
-            return False
-    return True

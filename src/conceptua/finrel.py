@@ -675,12 +675,12 @@ def _join_table(lines) -> list[int]:
     2^len(lines), indexed by y.
 
     Each line doubles the table: entry y + 2^i is entry y joined with
-    ``lines[i]``, one OR per entry in a list comprehension, which at 2^8
-    entries and up takes half the time of a per-entry lowest-bit recurrence.
+    ``lines[i]``, one OR per entry, appended as in ``meet_table``.
     """
     table = [0]
     for line in lines:
-        table += [t | line for t in table]
+        for t in table[:]:
+            table.append(t | line)
     return table
 
 

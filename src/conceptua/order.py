@@ -30,8 +30,6 @@ __all__ = [
     "EndorelationFlags",
     "same_order",
     "same_map",
-    "pointwise_le",
-    "pointwise_equiv",
     "all_monotone_maps",
     "classify_endorelation",
     "quotient",
@@ -51,8 +49,6 @@ __all__ = [
     "poset_meet",
     "is_complete_lattice",
     "hasse_edges",
-    "is_pseudo_epimorphism",
-    "is_pseudo_monomorphism",
 ]
 
 # The largest n for which derivation on an n x n context and `conceptua lattice`
@@ -320,14 +316,6 @@ class MonotoneMap(_Value):
         return list(self.source.leq.rows) == _pulled_back_up_sets(self.func, self.target.leq.rows)
 
 
-def pointwise_le(f: MonotoneMap, g: MonotoneMap) -> bool:
-    """Compare parallel monotone maps: f <= g iff f(a) <= g(a) everywhere."""
-    if not same_order(f.source, g.source) or not same_order(f.target, g.target):
-        raise CarrierMismatchError("pointwise_le: maps are not parallel")
-    rows = f.target.leq.rows
-    return all(rows[fa] >> ga & 1 for fa, ga in zip(f.func.table, g.func.table))
-
-
 def same_map(f: MonotoneMap, g: MonotoneMap) -> bool:
     """Structural equality: same orders (up to Poset/Preorder class) and table."""
     return (
@@ -335,10 +323,6 @@ def same_map(f: MonotoneMap, g: MonotoneMap) -> bool:
         and same_order(f.target, g.target)
         and f.func.table == g.func.table
     )
-
-
-def pointwise_equiv(f: MonotoneMap, g: MonotoneMap) -> bool:
-    return pointwise_le(f, g) and pointwise_le(g, f)
 
 
 class OrderBimodule(_Value):
@@ -384,12 +368,9 @@ def bimodule_01_embedding(r: OrderBimodule) -> MonotoneMap:
     lattice: the meet of {b | f(a) <= b} is f(a).  Rows shrink up the source
     (left closure), so their meets rise.
     """
-    table = []
-    for i in range(r.source.size):
-        j = poset_meet(r.target, Subset(r.target.carrier, r.rel.rows[i]))
-        if j is None:
-            raise ValueError("row has no meet; target is not a complete lattice")
-        table.append(j)
+    table = [poset_meet(r.target, Subset(r.target.carrier, row)) for row in r.rel.rows]
+    if None in table:
+        raise ValueError("row has no meet; target is not a complete lattice")
     return _monotone(r.source, r.target, table)
 
 
@@ -400,13 +381,15 @@ def bimodule_10_embedding(r: OrderBimodule) -> MonotoneMap:
     complete lattice: the join of {b | b <= f(a)} is f(a).  Columns grow up
     the target (right closure), so their joins rise.
     """
-    table = []
-    for col in r.rel.columns:
-        i = poset_join(r.source, Subset(r.source.carrier, col))
-        if i is None:
-            raise ValueError("column has no join; source is not a complete lattice")
-        table.append(i)
+    table = [poset_join(r.source, Subset(r.source.carrier, col)) for col in r.rel.columns]
+    if None in table:
+        raise ValueError("column has no join; source is not a complete lattice")
     return _monotone(r.target, r.source, table)
+
+
+def _class_table(p: Preorder) -> list[int]:
+    """Each element's class under a <= b <= a, named by its lowest member."""
+    return [((e := row & col) & -e).bit_length() - 1 for row, col in zip(p.leq.rows, p.leq.columns)]
 
 
 def quotient(p: Preorder) -> tuple[Poset, MonotoneMap]:
@@ -416,8 +399,7 @@ def quotient(p: Preorder) -> tuple[Poset, MonotoneMap]:
     the class row; the class label is the representative's label wrapped in
     braces.
     """
-    equiv_rows = [row & col for row, col in zip(p.leq.rows, p.leq.columns)]
-    first = [(e & -e).bit_length() - 1 for e in equiv_rows]
+    first = _class_table(p)
     reps = [i for i, r in enumerate(first) if r == i]
     qcarrier = FinSet(tuple("{" + p.carrier.elements[r] + "}" for r in reps))
     leq = Relation(qcarrier, qcarrier, _restricted_rows(p, reps))
@@ -551,34 +533,6 @@ def is_complete_lattice(p: Preorder) -> bool:
     return True
 
 
-def is_pseudo_epimorphism(e: MonotoneMap, probe_size: int = 3) -> bool:
-    """Bounded check: no parallel pair into a probe preorder merges under e.
-
-    Probes range over all preorders on at most ``probe_size`` elements, so
-    this refutes pseudo-epiness when a small counterexample exists.
-    """
-    for c in _all_preorders(probe_size):
-        maps = list(all_monotone_maps(e.target, c))
-        for f in maps:
-            for g in maps:
-                ef = e.then(f)
-                eg = e.then(g)
-                if pointwise_equiv(ef, eg) and not pointwise_equiv(f, g):
-                    return False
-    return True
-
-
-def is_pseudo_monomorphism(m: MonotoneMap, probe_size: int = 3) -> bool:
-    """Bounded dual check against parallel pairs out of a probe preorder."""
-    for c in _all_preorders(probe_size):
-        maps = list(all_monotone_maps(c, m.source))
-        for f in maps:
-            for g in maps:
-                if pointwise_equiv(f.then(m), g.then(m)) and not pointwise_equiv(f, g):
-                    return False
-    return True
-
-
 def _all_preorders(max_size: int) -> Iterator[Preorder]:
     import itertools
 
@@ -587,9 +541,8 @@ def _all_preorders(max_size: int) -> Iterator[Preorder]:
         strict = [(i, j) for i in range(n) for j in range(n) if i != j]
         for picks in itertools.product((False, True), repeat=len(strict)):
             rows = [1 << i for i in range(n)]
-            for (i, j), on in zip(strict, picks):
-                if on:
-                    rows[i] |= 1 << j
+            for i, j in itertools.compress(strict, picks):
+                rows[i] |= 1 << j
             rel = Relation(carrier, carrier, tuple(rows))
             if compose(rel, rel) <= rel:
                 yield _trusted(Preorder, carrier, rel)

@@ -29,9 +29,15 @@ from .finrel import (
 )
 from .order import (
     MonotoneMap,
+    OrderBimodule,
     Poset,
     Preorder,
+    _all_preorders,
+    _class_table,
     all_monotone_maps,
+    bimodule_01_embedding,
+    bimodule_10_embedding,
+    bimodule_of_map,
     bounds,
     down_segment,
     equalizer,
@@ -53,6 +59,7 @@ from .galois import (
     downset_coreflection,
     enumerate_adjunctions,
     identity_adjunction,
+    involution,
     is_coreflection,
     is_reflection,
     polar_factorize,
@@ -66,13 +73,13 @@ from .clsn import (
     check_infomorphism,
     compose_infomorphisms,
     derivation,
-    derivation_equals_bounds,
     enumerate_infomorphisms,
     exponent,
     identity_infomorphism,
     order_as_classification,
 )
 from .clg import (
+    ConceptLattice,
     classification_of,
     compose_concept_morphisms,
     concept_lattice,
@@ -532,6 +539,52 @@ def _lattice_transfer_failures(g: Adjunction) -> list[str]:
     return failures
 
 
+@functools.lru_cache(maxsize=4)
+def _probe_orders(probe_size: int) -> tuple[tuple[Preorder, list[int]], ...]:
+    """Every preorder on at most ``probe_size`` elements, with its class table."""
+    return tuple((c, _class_table(c)) for c in _all_preorders(probe_size))
+
+
+def _is_pseudo_epimorphism(e: MonotoneMap, probe_size: int = 3) -> bool:
+    """Bounded check: no parallel pair into a probe preorder merges under e.
+
+    Probes range over all preorders on at most ``probe_size`` elements, so this
+    refutes pseudo-epiness when a small counterexample exists.  Maps are
+    pointwise equivalent when their class tables agree, so each probe is one
+    pass that files each map's class table under that of its composite, and
+    fails when one key meets two.
+    """
+    et = e.func.table
+    for c, cls in _probe_orders(probe_size):
+        seen = {}
+        for f in all_monotone_maps(e.target, c):
+            t = tuple(cls[x] for x in f.func.table)
+            if seen.setdefault(tuple(t[a] for a in et), t) != t:
+                return False
+    return True
+
+
+def _is_pseudo_monomorphism(m: MonotoneMap, probe_size: int = 3) -> bool:
+    """Bounded dual check against parallel pairs out of a probe preorder."""
+    mt, src, tgt = m.func.table, _class_table(m.source), _class_table(m.target)
+    for c, _ in _probe_orders(probe_size):
+        seen = {}
+        for f in all_monotone_maps(c, m.source):
+            t = tuple(src[x] for x in f.func.table)
+            if seen.setdefault(tuple(tgt[mt[x]] for x in f.func.table), t) != t:
+                return False
+    return True
+
+
+def _involution_failures(f: Adjunction, g: Adjunction, dual=involution) -> list[str]:
+    """``dual`` is involutive on the composable pair f, g and reverses its composite."""
+    failures = [f"involution is not involutive on the {name} adjunction"
+                for name, h in (("first", f), ("second", g)) if not same_adjunction(dual(dual(h)), h)]
+    if not same_adjunction(dual(compose_adjunctions(f, g)), compose_adjunctions(dual(g), dual(f))):
+        failures.append("involution does not reverse composition")
+    return failures
+
+
 def galois_suite(seed: int, cases: int) -> LawReport:
     rng = random.Random(seed)
     report = LawReport("galois")
@@ -640,19 +693,51 @@ def galois_suite(seed: int, cases: int) -> LawReport:
     report.check(sub.size == chain2.size, "equalizer of equal maps is everything")
 
     # uniqueness of diagonals by exhaustive search on tiny axes
-    small = [g for g in (random_context_adjunction(rng, 2) for _ in range(8))
-             if polar_factorize(g).axis.size <= 3]
-    for g in small[:3]:
-        pf = polar_factorize(g)
+    small = [pf for pf in (polar_factorize(random_context_adjunction(rng, 2)) for _ in range(8))
+             if pf.axis.size <= 3]
+    for pf in small[:3]:
         pf2 = polar_factorize(recompose(pf))
         count = _diagonal_count(pf.extent_reflection, pf.intent_coreflection,
                                 pf2.extent_reflection, pf2.intent_coreflection)
         report.check(count == 1, f"diagonal uniqueness: found {count}")
 
+    # the polar legs of the same small adjunctions, probed at size 2
+    for pf in small:
+        report.check(_is_pseudo_epimorphism(pf.extent_reflection.left, 2),
+                     "extent reflection's left map is not pseudo-epi")
+        report.check(_is_pseudo_monomorphism(pf.intent_coreflection.left, 2),
+                     "intent coreflection's left map is not pseudo-mono")
+
+    # involution on polar factorizations
+    rng_inv = random.Random(seed + 1)
+    for _ in range(3):
+        pf = polar_factorize(random_context_adjunction(rng_inv, 3))
+        fails = _involution_failures(pf.extent_reflection, pf.intent_coreflection)
+        report.check(not fails, "involution on a polar factorization: {}", fails)
+
+    # the bimodule embeddings invert bimodule_of_map on the 4-element power lattice
+    square = power_order(_letters("h", 2))
+    for f in random.Random(seed + 2).sample(list(all_monotone_maps(square, square)), 4):
+        table = f.func.table
+        report.check(bimodule_01_embedding(bimodule_of_map(f, "forward")).func.table == table,
+                     "row meets do not invert the forward bimodule of {}", table)
+        report.check(bimodule_10_embedding(bimodule_of_map(f, "reverse")).func.table == table,
+                     "column joins do not invert the reverse bimodule of {}", table)
+
     return report
 
 
 # -------------------------------------------------------------- clsn suite
+
+
+def _derivation_equals_bounds(p: Preorder) -> bool:
+    """Derivation of the order-as-classification agrees with upper/lower bounds."""
+    a = order_as_classification(p)
+    for bits in range(1 << p.size):
+        upper, lower = bounds(p, Subset(p.carrier, bits))
+        if a.intent_of(bits) != upper.bits or a.extent_of(bits) != lower.bits:
+            return False
+    return True
 
 
 def clsn_suite(seed: int, cases: int) -> LawReport:
@@ -681,7 +766,7 @@ def clsn_suite(seed: int, cases: int) -> LawReport:
                              "versions disagree for inst={} typ={}", im.table, tm.table)
 
     for _ in range(cases // 10 + 5):
-        report.check(derivation_equals_bounds(random_preorder(rng, 6)),
+        report.check(_derivation_equals_bounds(random_preorder(rng, 6)),
                      "derivation of an order is its bound pair")
 
     for _ in range(cases // 20 + 3):
@@ -731,6 +816,23 @@ def clsn_suite(seed: int, cases: int) -> LawReport:
 
 
 # --------------------------------------------------------------- clg suite
+
+
+def _embedding_failures(lat: ConceptLattice) -> list[str]:
+    """iota_embed is the row-meet embedding of the instance-of bimodule and
+    tau_embed the column-join embedding of the of-type bimodule, with both
+    relations read off the concepts' extents and intents."""
+    concepts, extents = lat.lattice.carrier, tuple(c.extent.bits for c in lat.concepts)
+    instance_of = transpose(Relation(concepts, lat.instances, extents))
+    of_type = Relation(concepts, lat.types, tuple(c.intent.bits for c in lat.concepts))
+    iota = bimodule_01_embedding(
+        OrderBimodule(Preorder.discrete(lat.instances), lat.lattice, instance_of)).func.table
+    tau = bimodule_10_embedding(
+        OrderBimodule(lat.lattice, Preorder.discrete(lat.types), of_type)).func.table
+    return [f"{name} {got} is not the {kind} embedding {want} of the {module} bimodule"
+            for name, got, kind, want, module in (
+                ("iota_embed", lat.iota_embed.table, "row-meet", iota, "instance-of"),
+                ("tau_embed", lat.tau_embed.table, "column-join", tau, "of-type")) if got != want]
 
 
 def clg_suite(seed: int, cases: int) -> LawReport:
@@ -812,45 +914,83 @@ def clg_suite(seed: int, cases: int) -> LawReport:
                 ok = False
         report.check(ok, "connection equals the diagonal of the derivation square")
 
+    # the instance and type embeddings are bimodule embeddings
+    rng_embed = random.Random(seed + 1)
+    for _ in range(3):
+        fails = _embedding_failures(concept_lattice(random_classification(rng_embed, 4)))
+        report.check(not fails, "bimodule embeddings: {}", fails)
+
     return report
 
 
 # -------------------------------------------------------- institution suite
 
 
+def _category_law_failures(objects, sig_morphs, morphs) -> list[str]:
+    """The category laws of a flattened theory category; the first failure only.
+
+    Associativity is decided on the table of signature-morphism composites:
+    every composable triple of signature morphisms underlies a triple of
+    morphisms, through (t, N) -> (u, full mask), so the table is exhaustive.
+    """
+    morph_set = set(morphs)
+    sig_key = {(si, ti, sm.map.table): idx for idx, (si, ti, sm) in enumerate(sig_morphs)}
+    # the listed index of each composable pair's composite, else None
+    composite = {(i1, i2): sig_key.get((s1, t2, sm1.then(sm2).map.table))
+                 for i1, (s1, t1, sm1) in enumerate(sig_morphs)
+                 for i2, (s2, t2, sm2) in enumerate(sig_morphs) if t1 == s2}
+    identity = {si: idx for idx, (si, ti, sm) in enumerate(sig_morphs)
+                if si == ti and sm.map.table == tuple(range(sm.map.source.size))}
+    for o, (si, _) in enumerate(objects):
+        if (o, o, identity.get(si)) not in morph_set:
+            return [f"missing identity on object {o}"]
+    by_source: dict[int, list[tuple[int, int, int]]] = {}
+    for m in morphs:
+        by_source.setdefault(m[0], []).append(m)
+    for m1 in morphs:
+        for m2 in by_source.get(m1[1], ()):
+            comp = composite.get((m1[2], m2[2]))
+            if comp is None:
+                return [f"morphism list not closed under composition: {m1} then {m2}"]
+            if (m1[0], m2[1], comp) not in morph_set:
+                return [f"composite of {m1} and {m2} is missing"]
+    if any(composite.get((c12, i3)) != composite.get((i1, c23))
+           for (i1, i2), c12 in composite.items()
+           for (j2, i3), c23 in composite.items() if j2 == i2):
+        return ["associativity fails"]
+    return []
+
+
 def institution_suite(seed: int, cases: int) -> LawReport:
     report = LawReport("institution")
 
     sigs = [Signature.of(*"pq"[:n]) for n in range(3)]
-    for s1 in sigs:
-        for s2 in sigs:
-            for table in itertools.product(range(s2.size), repeat=s1.size):
-                sigma = SignatureMorphism(s1, s2, FinFunction(s1.vars, s2.vars, table))
-                rep = check_satisfaction_condition(sigma, depth=3)
-                report.check(rep.ok, "satisfaction condition for table {}: {}",
-                             table, rep.failures[0] if rep.failures else "")
+    sigmas = [SignatureMorphism(s1, s2, FinFunction(s1.vars, s2.vars, table))
+              for s1 in sigs for s2 in sigs
+              for table in itertools.product(range(s2.size), repeat=s1.size)]
+    for sigma in sigmas:
+        rep = check_satisfaction_condition(sigma, depth=3)
+        report.check(rep.ok, "satisfaction condition for table {}: {}",
+                     sigma.map.table, rep.failures[0] if rep.failures else "")
 
     for n in range(3):
         fib = theory_fiber(Signature.of(*"pqr"[:n]))
         report.check(fib.poset.size == 2 ** (2 ** n), f"fiber size at n={n}")
         report.check(is_complete_lattice(fib.poset), f"fiber at n={n} is a complete lattice")
 
-    for s1 in sigs[: min(3, len(sigs))]:
-        for s2 in sigs[: min(3, len(sigs))]:
-            for table in itertools.product(range(s2.size), repeat=s1.size):
-                sigma = SignatureMorphism(s1, s2, FinFunction(s1.vars, s2.vars, table))
-                try:
-                    fiber_transport_adjunction(sigma)
-                    report.check(True, "")
-                except ConceptuaError as exc:
-                    report.check(False, f"fiber transport adjunction fails: {exc}")
+    for sigma in sigmas:
+        try:
+            fiber_transport_adjunction(sigma)
+            report.check(True, "")
+        except ConceptuaError as exc:
+            report.check(False, f"fiber transport adjunction fails: {exc}")
 
     s0, s1b, s2b = Signature.of(), Signature.of("q"), Signature.of("q", "r")
     m01 = SignatureMorphism.of(s0, s1b, {})
     m12 = SignatureMorphism.of(s1b, s2b, {"q": "q"})
     cat = flatten([s0, s1b, s2b], [m01, m12, m01.then(m12)])
     report.cases += 1
-    report.failures.extend(cat.report.failures)
+    report.failures.extend(_category_law_failures(cat.objects, cat.sig_morphisms, cat.morphisms))
 
     base = Signature.of("q")
     sa, sb = Signature.of("p", "q"), Signature.of("q", "r")
@@ -899,12 +1039,7 @@ def run_suite(name: str, seed: int, cases: int) -> list[LawReport]:
 
 def negative_control_report() -> LawReport:
     """Run the deliberately corrupted fixtures; failures here are expected."""
-    report = LawReport("negative-control")
+    # Without a witness the corruption was NOT detected: the harness itself is broken.
     witness = corrupted_factorization_witness()
-    report.cases += 1
-    if witness is None:
-        # The corruption was NOT detected: the harness itself is broken.
-        report.failures.append("corrupted factorization passed the recomposition check")
-    else:
-        report.failures.append(witness)
-    return report
+    return LawReport("negative-control", 1,
+                     [witness or "corrupted factorization passed the recomposition check"])

@@ -164,7 +164,8 @@ def test_degenerate_contexts():
 
 def test_iota_tau_are_bimodule_embeddings():
     # the instance embedding is the meet-collapse of the instance-of bimodule,
-    # and the type embedding the join-collapse of the of-type bimodule
+    # and the type embedding the join-collapse of the of-type bimodule; both
+    # relations are read off the extents and intents, not off the embeddings
     from conceptua.finrel import Relation
     from conceptua.order import (
         OrderBimodule,
@@ -179,10 +180,10 @@ def test_iota_tau_are_bimodule_embeddings():
         inst_disc = Preorder.discrete(lat.instances)
         typ_disc = Preorder.discrete(lat.types)
         instance_of = Relation(lat.instances, lat.lattice.carrier, tuple(
-            sum(1 << k for k in range(lat.size) if lat.instance_of(i, k))
+            sum(1 << k for k in range(lat.size) if lat.extent(k).bits >> i & 1)
             for i in range(lat.instances.size)))
         of_type = Relation(lat.lattice.carrier, lat.types, tuple(
-            sum(1 << t for t in range(lat.types.size) if lat.of_type(k, t))
+            sum(1 << t for t in range(lat.types.size) if lat.intent(k).bits >> t & 1)
             for k in range(lat.size)))
         iota = bimodule_01_embedding(OrderBimodule(inst_disc, lat.lattice, instance_of))
         assert iota.func.table == lat.iota_embed.table

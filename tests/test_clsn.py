@@ -22,7 +22,6 @@ from conceptua.clsn import (
     check_infomorphism,
     compose_infomorphisms,
     derivation,
-    derivation_equals_bounds,
     enumerate_infomorphisms,
     exponent,
     identity_infomorphism,
@@ -31,7 +30,7 @@ from conceptua.clsn import (
     order_as_classification,
 )
 from conceptua.order import Preorder, down_segment, opposite
-from conceptua.verify import random_classification
+from conceptua.verify import _derivation_equals_bounds, random_classification
 
 WORKED = Classification.of(["1", "2"], ["a", "b"], [("1", "a"), ("1", "b"), ("2", "b")])
 
@@ -209,7 +208,7 @@ def test_derivation_equals_bounds_on_random_preorders():
         pairs = [(carrier.elements[rng.randrange(n)], carrier.elements[rng.randrange(n)])
                  for _ in range(rng.randint(0, 2 * n))]
         p = Preorder.from_pairs(carrier, pairs)
-        assert derivation_equals_bounds(p)
+        assert _derivation_equals_bounds(p)
 
 
 # ------------------------------------------------------------------ exponent

@@ -120,13 +120,7 @@ def test_the_check_sees_an_unread_private_name():
 # Public names that only the tests reach, each kept for what it states or checks.
 TEST_REACHED = {
     "finset": "validating constructor: a carrier from its labels, as the tests write it",
-    "bimodule_of_map": "paper law: a monotone map as an order bimodule",
-    "bimodule_01_embedding": "paper law: the bimodule-to-map embedding by row meets",
-    "bimodule_10_embedding": "paper law: the bimodule-to-map embedding by column joins",
-    "involution": "paper law: the duality that reverses an adjunction",
     "concept_lattice_from_parts": "validating constructor: rejects a non-concept lattice",
-    "is_pseudo_epimorphism": "paper law: bounded pseudo-epi/mono probe",
-    "is_pseudo_monomorphism": "paper law: bounded pseudo-epi/mono probe",
 }
 
 

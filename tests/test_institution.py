@@ -13,6 +13,7 @@ from conceptua.finrel import FinFunction, Subset
 from conceptua.galois import check_adjunction
 from conceptua.order import is_complete_lattice
 from conceptua.clg import concept_poset
+from conceptua.verify import _category_law_failures
 from conceptua.institution import (
     And,
     Bottom,
@@ -282,23 +283,27 @@ def test_transport_adjunction_for_all_small_morphisms():
 # ---------------------------------------------------------------- flatten
 
 
+def category_law_failures(cat):
+    return _category_law_failures(cat.objects, cat.sig_morphisms, cat.morphisms)
+
+
 def test_flatten_single_signature_is_fiber_poset():
     cat = flatten([Signature.of("q")], [])
-    assert cat.report.ok
-    assert cat.report.objects == 4
+    assert category_law_failures(cat) == []
+    assert len(cat.objects) == 4
     # morphisms = comparable pairs in the 4-element fiber
     fib = theory_fiber(Signature.of("q"))
     comparable = sum(
         1 for i in range(4) for j in range(4) if fib.poset.le_idx(i, j))
-    assert cat.report.morphisms == comparable
+    assert len(cat.morphisms) == comparable
 
 
 def test_flatten_two_signatures_with_inclusion():
     s1, s2 = Signature.of("q"), Signature.of("q", "r")
     sigma = SignatureMorphism.of(s1, s2, {"q": "q"})
     cat = flatten([s1, s2], [sigma])
-    assert cat.report.ok
-    assert cat.report.objects == 4 + 16
+    assert category_law_failures(cat) == []
+    assert len(cat.objects) == 4 + 16
     transported = {t.mask: transport_theory(sigma, t).mask
                    for t in theory_fiber(s1).theories}
     fib2 = theory_fiber(s2)
@@ -315,8 +320,13 @@ def test_flatten_three_signature_diagram_laws():
     m01 = SignatureMorphism.of(s0, s1, {})
     m12 = SignatureMorphism.of(s1, s2, {"q": "q"})
     cat = flatten([s0, s1, s2], [m01, m12, m01.then(m12)])
-    assert cat.report.ok
-    assert cat.report.composable_triples > 0
+    assert category_law_failures(cat) == []
+    by_source = {}
+    for m in cat.morphisms:
+        by_source.setdefault(m[0], []).append(m)
+    triples = sum(1 for m1 in cat.morphisms for m2 in by_source.get(m1[1], ())
+                  for _ in by_source.get(m2[1], ()))
+    assert triples > 0
 
 
 def test_flatten_rejects_unlisted_endpoints():

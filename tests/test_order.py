@@ -19,10 +19,7 @@ from conceptua.order import (
     equalizer,
     hasse_edges,
     is_complete_lattice,
-    is_pseudo_epimorphism,
-    is_pseudo_monomorphism,
     opposite,
-    pointwise_le,
     poset_join,
     poset_meet,
     power_order,
@@ -30,6 +27,7 @@ from conceptua.order import (
     quotient,
     terminal,
 )
+from conceptua.verify import _is_pseudo_epimorphism, _is_pseudo_monomorphism
 
 from oracles import find_order_isomorphism
 
@@ -405,24 +403,16 @@ def test_join_meet_search_on_power_lattice():
     assert not is_complete_lattice(Preorder.discrete(finset("x", "y")))
 
 
-def test_pointwise_comparison_predicate():
-    two = Preorder.chain("0", "1")
-    bot = MonotoneMap(two, two, FinFunction(two.carrier, two.carrier, (0, 0)))
-    ident = MonotoneMap.identity(two)
-    assert pointwise_le(bot, ident)
-    assert not pointwise_le(ident, bot)
-
-
 def test_pseudo_epi_mono_predicates_small():
     two = Preorder.chain("0", "1")
     ident = MonotoneMap.identity(two)
-    assert is_pseudo_epimorphism(ident, probe_size=2)
-    assert is_pseudo_monomorphism(ident, probe_size=2)
+    assert _is_pseudo_epimorphism(ident, probe_size=2)
+    assert _is_pseudo_monomorphism(ident, probe_size=2)
     # collapsing both elements of a 2-antichain to one point loses maps
     anti = Preorder.discrete(finset("x", "y"))
     point = terminal()
     collapse = MonotoneMap(anti, point, FinFunction(anti.carrier, point.carrier, (0, 0)))
-    assert not is_pseudo_monomorphism(collapse, probe_size=2)
+    assert not _is_pseudo_monomorphism(collapse, probe_size=2)
 
 
 def test_opposite_swaps_segments():

@@ -24,7 +24,7 @@ from conceptua.finrel import FinFunction, FinSet, Relation, Subset, derive_forwa
 from conceptua.galois import check_adjunction, enumerate_adjunctions
 from conceptua.institution import Signature, theory_fiber
 from conceptua.order import MonotoneMap, Preorder, _all_preorders, _pulled_back_up_sets, \
-    all_monotone_maps, is_complete_lattice, pointwise_le, poset_join, poset_meet, quotient
+    all_monotone_maps, is_complete_lattice, poset_join, poset_meet, quotient
 
 ALL_UP_TO_4 = list(_all_preorders(4))
 
@@ -71,10 +71,6 @@ def pairwise_is_isotone(source, target, table):
             if source.le_idx(i, j) != target.le_idx(table[i], table[j]):
                 return False
     return True
-
-
-def pairwise_pointwise_le(f, g):
-    return all(f.target.le_idx(f.func.table[i], g.func.table[i]) for i in range(f.source.size))
 
 
 def pairwise_monotone_tables(p, q):
@@ -269,15 +265,6 @@ def test_all_monotone_maps_matches_pairwise_enumeration():
             maps = list(all_monotone_maps(p, q))
             assert [m.func.table for m in maps] == pairwise_monotone_tables(p, q)
             assert all(m.source is p and m.target is q for m in maps)
-
-
-def test_pointwise_le_matches_pairwise():
-    rng = random.Random(508)
-    for p, q in order_pairs(ALL_UP_TO_4[:120] + random_preorders(30, 4, seed=509), 510):
-        maps = list(all_monotone_maps(p, q))
-        for _ in range(4 if maps else 0):
-            f, g = rng.choice(maps), rng.choice(maps)
-            assert pointwise_le(f, g) == pairwise_pointwise_le(f, g)
 
 
 # ----------------------------------------------------------------- adjunctions

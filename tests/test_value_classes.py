@@ -284,15 +284,6 @@ class TheoryFiber:
     theories: tuple[TheoryObject, ...]
 
 
-@dataclass
-class CategoryReport:
-    objects: int = 0
-    morphisms: int = 0
-    composable_pairs: int = 0
-    composable_triples: int = 0
-    failures: list[str] = field(default_factory=list)
-
-
 @dataclass(frozen=True)
 class FlattenedTheoryCategory:
     signatures: tuple[Signature, ...]
@@ -300,7 +291,6 @@ class FlattenedTheoryCategory:
     objects: tuple[tuple[int, int], ...]
     sig_morphisms: tuple[tuple[int, int, SignatureMorphism], ...]
     morphisms: tuple[tuple[int, int, int], ...]
-    report: CategoryReport
 
 
 @dataclass(frozen=True)
@@ -346,7 +336,7 @@ ORACLES = {cls.__name__: cls for cls in [
     Classification, Infomorphism, InfomorphismReport,
     FormalConcept, ConceptLattice, ConceptMorphism, LatticeIsomorphism,
     Signature, SignatureMorphism, Var, Not, And, Or, Implies, Top, Bottom, Model,
-    SatisfactionReport, TheoryObject, TheoryFiber, CategoryReport, FlattenedTheoryCategory,
+    SatisfactionReport, TheoryObject, TheoryFiber, FlattenedTheoryCategory,
     MergeSpan, MergeResult, StyleReport,
     LawReport,
 ]}
@@ -428,7 +418,6 @@ def _samples() -> dict[str, list]:
         "TheoryObject": [span.left_theory, institution.TheoryObject.of_mask(sig_pq, 0b0110),
                          institution.theory_from_json({"signature": ["p"], "sentence": "(var p)"})],
         "TheoryFiber": [institution.theory_fiber(sig), institution.theory_fiber(sig_pq)],
-        "CategoryReport": [flat.report, institution.flatten([sig], []).report],
         "FlattenedTheoryCategory": [flat],
         "MergeSpan": [span],
         "MergeResult": [institution.merge_theories(span), institution.merge_theories(span)],
@@ -715,7 +704,7 @@ def test_every_init_writes_its_fields_with_one_fill_call():
     ...)``, with one value per field, and assigns no attribute; every record
     class with fields inherits one of these ``__init__`` methods."""
     inits = _own_inits()
-    assert len(inits) == 34
+    assert len(inits) == 33
     for cls, init in inits.items():
         fills = [n for n in ast.walk(init) if isinstance(n, ast.Call)
                  and isinstance(n.func, ast.Attribute) and n.func.attr == "_fill"]
