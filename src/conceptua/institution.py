@@ -738,7 +738,9 @@ def flatten(signatures, morphisms) -> FlattenedTheoryCategory:
     """
     signatures = tuple(signatures)
     sig_index = {sig: i for i, sig in enumerate(signatures)}
-    sig_morphs = [(i, i, SignatureMorphism.identity(sig)) for i, sig in enumerate(signatures)]
+    sig_morphs: list[tuple[int, int, SignatureMorphism]] = []
+    for i, sig in enumerate(signatures):
+        sig_morphs.append((i, i, SignatureMorphism.identity(sig)))
     for sm in morphisms:
         if sm.source not in sig_index or sm.target not in sig_index:
             raise CarrierMismatchError("signature morphism endpoint not among the signatures")
@@ -747,22 +749,30 @@ def flatten(signatures, morphisms) -> FlattenedTheoryCategory:
             sig_morphs.append(entry)
 
     fibers = tuple(theory_fiber(sig) for sig in signatures)
-    objects = tuple((i, mask) for i, fib in enumerate(fibers) for mask in range(len(fib.theories)))
+    objects: list[tuple[int, int]] = []
+    obj_index: dict[tuple[int, int], int] = {}
+    for i, fib in enumerate(fibers):
+        for mask in range(len(fib.theories)):
+            obj_index[(i, mask)] = len(objects)
+            objects.append((i, mask))
     if len(objects) > 5000:
         raise SizeLimitError(f"flattened category would be too large: {len(objects)} "
                              "objects, above the fixed cap of 5000")
-    # objects run fiber by fiber, so (i, mask) is object first[i] + mask
-    first = [objects.index((i, 0)) for i in range(len(fibers))]
 
     inst = PropositionalInstitution()
+    transport_tables = [image_tables(inst.reduct_function(sm))[1] for _, _, sm in sig_morphs]
+
     morphs: list[tuple[int, int, int]] = []
     for mi, (si, ti, sm) in enumerate(sig_morphs):
-        targets = range(len(fibers[ti].theories))
-        for mask, moved in enumerate(image_tables(inst.reduct_function(sm))[1]):
-            # moved <= target in the fiber
-            morphs.extend((first[si] + mask, first[ti] + t, mi) for t in targets if t & ~moved == 0)
+        table = transport_tables[mi]
+        for mask in range(len(fibers[si].theories)):
+            moved = table[mask]
+            for target_mask in range(len(fibers[ti].theories)):
+                if target_mask & ~moved == 0:  # moved <= target in the fiber
+                    morphs.append((obj_index[(si, mask)], obj_index[(ti, target_mask)], mi))
 
-    return FlattenedTheoryCategory(signatures, fibers, objects, tuple(sig_morphs), tuple(morphs))
+    return FlattenedTheoryCategory(signatures, fibers, tuple(objects),
+                                   tuple(sig_morphs), tuple(morphs))
 
 
 # -------------------------------------------------------------------- merging

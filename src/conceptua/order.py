@@ -368,9 +368,12 @@ def bimodule_01_embedding(r: OrderBimodule) -> MonotoneMap:
     lattice: the meet of {b | f(a) <= b} is f(a).  Rows shrink up the source
     (left closure), so their meets rise.
     """
-    table = [poset_meet(r.target, Subset(r.target.carrier, row)) for row in r.rel.rows]
-    if None in table:
-        raise ValueError("row has no meet; target is not a complete lattice")
+    table = []
+    for i in range(r.source.size):
+        j = poset_meet(r.target, Subset(r.target.carrier, r.rel.rows[i]))
+        if j is None:
+            raise ValueError("row has no meet; target is not a complete lattice")
+        table.append(j)
     return _monotone(r.source, r.target, table)
 
 
@@ -381,9 +384,12 @@ def bimodule_10_embedding(r: OrderBimodule) -> MonotoneMap:
     complete lattice: the join of {b | b <= f(a)} is f(a).  Columns grow up
     the target (right closure), so their joins rise.
     """
-    table = [poset_join(r.source, Subset(r.source.carrier, col)) for col in r.rel.columns]
-    if None in table:
-        raise ValueError("column has no join; source is not a complete lattice")
+    table = []
+    for col in r.rel.columns:
+        i = poset_join(r.source, Subset(r.source.carrier, col))
+        if i is None:
+            raise ValueError("column has no join; source is not a complete lattice")
+        table.append(i)
     return _monotone(r.target, r.source, table)
 
 
@@ -541,8 +547,9 @@ def _all_preorders(max_size: int) -> Iterator[Preorder]:
         strict = [(i, j) for i in range(n) for j in range(n) if i != j]
         for picks in itertools.product((False, True), repeat=len(strict)):
             rows = [1 << i for i in range(n)]
-            for i, j in itertools.compress(strict, picks):
-                rows[i] |= 1 << j
+            for (i, j), on in zip(strict, picks):
+                if on:
+                    rows[i] |= 1 << j
             rel = Relation(carrier, carrier, tuple(rows))
             if compose(rel, rel) <= rel:
                 yield _trusted(Preorder, carrier, rel)

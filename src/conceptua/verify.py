@@ -539,23 +539,23 @@ def _lattice_transfer_failures(g: Adjunction) -> list[str]:
     return failures
 
 
-@functools.lru_cache(maxsize=4)
-def _probe_orders(probe_size: int) -> tuple[tuple[Preorder, list[int]], ...]:
-    """Every preorder on at most ``probe_size`` elements, with its class table."""
-    return tuple((c, _class_table(c)) for c in _all_preorders(probe_size))
+@functools.cache
+def _probe_orders() -> tuple[tuple[Preorder, list[int]], ...]:
+    """Every preorder on at most two elements, with its class table."""
+    return tuple((c, _class_table(c)) for c in _all_preorders(2))
 
 
-def _is_pseudo_epimorphism(e: MonotoneMap, probe_size: int = 3) -> bool:
+def _is_pseudo_epimorphism(e: MonotoneMap) -> bool:
     """Bounded check: no parallel pair into a probe preorder merges under e.
 
-    Probes range over all preorders on at most ``probe_size`` elements, so this
-    refutes pseudo-epiness when a small counterexample exists.  Maps are
+    Probes range over all preorders on at most two elements, so this refutes
+    pseudo-epiness when a small counterexample exists.  Maps are
     pointwise equivalent when their class tables agree, so each probe is one
     pass that files each map's class table under that of its composite, and
     fails when one key meets two.
     """
     et = e.func.table
-    for c, cls in _probe_orders(probe_size):
+    for c, cls in _probe_orders():
         seen = {}
         for f in all_monotone_maps(e.target, c):
             t = tuple(cls[x] for x in f.func.table)
@@ -564,10 +564,10 @@ def _is_pseudo_epimorphism(e: MonotoneMap, probe_size: int = 3) -> bool:
     return True
 
 
-def _is_pseudo_monomorphism(m: MonotoneMap, probe_size: int = 3) -> bool:
+def _is_pseudo_monomorphism(m: MonotoneMap) -> bool:
     """Bounded dual check against parallel pairs out of a probe preorder."""
     mt, src, tgt = m.func.table, _class_table(m.source), _class_table(m.target)
-    for c, _ in _probe_orders(probe_size):
+    for c, _ in _probe_orders():
         seen = {}
         for f in all_monotone_maps(c, m.source):
             t = tuple(src[x] for x in f.func.table)
@@ -576,11 +576,13 @@ def _is_pseudo_monomorphism(m: MonotoneMap, probe_size: int = 3) -> bool:
     return True
 
 
-def _involution_failures(f: Adjunction, g: Adjunction, dual=involution) -> list[str]:
-    """``dual`` is involutive on the composable pair f, g and reverses its composite."""
+def _involution_failures(f: Adjunction, g: Adjunction) -> list[str]:
+    """``involution`` is involutive on the composable pair f, g and reverses its composite."""
     failures = [f"involution is not involutive on the {name} adjunction"
-                for name, h in (("first", f), ("second", g)) if not same_adjunction(dual(dual(h)), h)]
-    if not same_adjunction(dual(compose_adjunctions(f, g)), compose_adjunctions(dual(g), dual(f))):
+                for name, h in (("first", f), ("second", g))
+                if not same_adjunction(involution(involution(h)), h)]
+    if not same_adjunction(involution(compose_adjunctions(f, g)),
+                           compose_adjunctions(involution(g), involution(f))):
         failures.append("involution does not reverse composition")
     return failures
 
@@ -703,9 +705,9 @@ def galois_suite(seed: int, cases: int) -> LawReport:
 
     # the polar legs of the same small adjunctions, probed at size 2
     for pf in small:
-        report.check(_is_pseudo_epimorphism(pf.extent_reflection.left, 2),
+        report.check(_is_pseudo_epimorphism(pf.extent_reflection.left),
                      "extent reflection's left map is not pseudo-epi")
-        report.check(_is_pseudo_monomorphism(pf.intent_coreflection.left, 2),
+        report.check(_is_pseudo_monomorphism(pf.intent_coreflection.left),
                      "intent coreflection's left map is not pseudo-mono")
 
     # involution on polar factorizations
@@ -1039,7 +1041,12 @@ def run_suite(name: str, seed: int, cases: int) -> list[LawReport]:
 
 def negative_control_report() -> LawReport:
     """Run the deliberately corrupted fixtures; failures here are expected."""
-    # Without a witness the corruption was NOT detected: the harness itself is broken.
+    report = LawReport("negative-control")
     witness = corrupted_factorization_witness()
-    return LawReport("negative-control", 1,
-                     [witness or "corrupted factorization passed the recomposition check"])
+    report.cases += 1
+    if witness is None:
+        # The corruption was NOT detected: the harness itself is broken.
+        report.failures.append("corrupted factorization passed the recomposition check")
+    else:
+        report.failures.append(witness)
+    return report

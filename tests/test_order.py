@@ -406,13 +406,18 @@ def test_join_meet_search_on_power_lattice():
 def test_pseudo_epi_mono_predicates_small():
     two = Preorder.chain("0", "1")
     ident = MonotoneMap.identity(two)
-    assert _is_pseudo_epimorphism(ident, probe_size=2)
-    assert _is_pseudo_monomorphism(ident, probe_size=2)
+    assert _is_pseudo_epimorphism(ident)
+    assert _is_pseudo_monomorphism(ident)
     # collapsing both elements of a 2-antichain to one point loses maps
     anti = Preorder.discrete(finset("x", "y"))
     point = terminal()
     collapse = MonotoneMap(anti, point, FinFunction(anti.carrier, point.carrier, (0, 0)))
-    assert not _is_pseudo_monomorphism(collapse, probe_size=2)
+    assert not _is_pseudo_monomorphism(collapse)
+    assert _is_pseudo_epimorphism(collapse)
+    # including a point in the antichain misses the other element
+    include = MonotoneMap(point, anti, FinFunction(point.carrier, anti.carrier, (0,)))
+    assert not _is_pseudo_epimorphism(include)
+    assert _is_pseudo_monomorphism(include)
 
 
 def test_opposite_swaps_segments():
