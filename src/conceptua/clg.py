@@ -568,33 +568,21 @@ def concept_lattice_from_parts(instances, types, lattice, concepts,
     return lat
 
 
-class LatticeIsomorphism(_Value):
-    __match_args__ = ("forward", "backward")
-    __slots__ = __match_args__
-
-    def __init__(self, forward: FinFunction, backward: FinFunction):
-        self._fill(self, forward, backward)
-
-
-def lattice_roundtrip_iso(lat: ConceptLattice) -> LatticeIsomorphism:
-    """Explicit order-iso between the lattice rebuilt from the classification and ``lat``.
+def lattice_roundtrip_iso(lat: ConceptLattice) -> FinFunction:
+    """Explicit order-iso from the lattice rebuilt from the classification onto ``lat``.
 
     Raises when ``lat`` is not a genuine concept lattice (density failures
     and the like).  Once validation passes, the listed extents are exactly the
     closed sets, each once (the order is extent inclusion and antisymmetric),
-    so the two tables, which keep extents, are inverse bijections, and both
-    orders are extent inclusion.
+    so the table, which keeps extents, is a bijection, and both orders are
+    extent inclusion.
     """
     if failures := validate_concept_lattice(lat):
         raise NotAConceptLatticeError("; ".join(failures))
     rebuilt = concept_lattice(classification_of(lat))
-    labels, rebuilt_labels = lat.lattice.carrier, rebuilt.lattice.carrier
     pos = {c.extent.bits: k for k, c in enumerate(lat.concepts)}
-    forward = FinFunction(rebuilt_labels, labels, tuple(pos[c.extent.bits] for c in rebuilt.concepts))
-    ext_pos = {c.extent.bits: k for k, c in enumerate(rebuilt.concepts)}
-    backward = FinFunction(labels, rebuilt_labels,
-                           tuple(ext_pos[c.extent.bits] for c in lat.concepts))
-    return LatticeIsomorphism(forward, backward)
+    return FinFunction(rebuilt.lattice.carrier, lat.lattice.carrier,
+                       tuple(pos[c.extent.bits] for c in rebuilt.concepts))
 
 
 def lattice_to_json(lat: ConceptLattice) -> str:

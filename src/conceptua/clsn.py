@@ -263,12 +263,12 @@ def enumerate_infomorphisms(a: Classification, b: Classification,
     return results
 
 
-def exponent(a: Classification, b: Classification, max_results: int = 100_000) -> Classification:
+def exponent(a: Classification, b: Classification) -> Classification:
     """Instances are all infomorphisms a <=> b; types are pairs of a target
     instance with a source type; an infomorphism is incident to (x, y) when
     its instance map sends x into the extent of y (equally, its type map
     sends y over the intent of x)."""
-    infos = enumerate_infomorphisms(a, b, max_results=max_results)
+    infos = enumerate_infomorphisms(a, b)
     inst_labels = tuple(_infomorphism_label(f.inst_map.table, f.typ_map.table) for f in infos)
     typ_labels = tuple(
         f"({x},{y})" for x in b.instances.elements for y in a.types.elements
@@ -287,7 +287,7 @@ def exponent(a: Classification, b: Classification, max_results: int = 100_000) -
     return Classification(instances, types, Relation(instances, types, tuple(rows)))
 
 
-def multiply(a: Classification, b: Classification, max_results: int = 100_000) -> Classification:
+def multiply(a: Classification, b: Classification) -> Classification:
     """The involution of the exponent out of the transposed first factor."""
-    return involution_classification(exponent(involution_classification(a), b, max_results=max_results))
+    return involution_classification(exponent(involution_classification(a), b))
 

@@ -114,41 +114,40 @@ def involution(f: Adjunction) -> Adjunction:
 
 
 class ClosureInterior(_Value):
-    __match_args__ = ("closure", "interior", "closed", "open", "closed_inclusion",
-                      "open_inclusion", "closed_indices", "open_indices")
+    __match_args__ = ("closure", "interior", "closed_inclusion", "open_inclusion")
     __slots__ = __match_args__
 
-    def __init__(self, closure: MonotoneMap, interior: MonotoneMap, closed: Poset, open: Poset,
-                 closed_inclusion: MonotoneMap, open_inclusion: MonotoneMap,
-                 closed_indices: tuple[int, ...], open_indices: tuple[int, ...]):
-        self._fill(self, closure, interior, closed, open, closed_inclusion, open_inclusion,
-                   closed_indices, open_indices)
+    def __init__(self, closure: MonotoneMap, interior: MonotoneMap,
+                 closed_inclusion: MonotoneMap, open_inclusion: MonotoneMap):
+        self._fill(self, closure, interior, closed_inclusion, open_inclusion)
 
 
-def _fixed_point_subposet(p: Preorder, fixed: Sequence[int]) -> tuple[Poset, MonotoneMap]:
-    """The order restricted to ``fixed``, with its inclusion.
+def _subposet_inclusion(p: Preorder, kept: Sequence[int]) -> MonotoneMap:
+    """The inclusion into p of its order restricted to ``kept``, whose labels it keeps.
 
     A restriction of a poset is a poset and an inclusion is monotone, so
     neither is re-validated; a preorder's restriction is classified.
     """
-    carrier = FinSet(tuple(p.carrier.elements[i] for i in fixed))
-    leq = Relation(carrier, carrier, _restricted_rows(p, fixed))
-    sub = _trusted(Poset, carrier, leq) if p.is_poset() else Poset(carrier, leq)
-    return sub, _monotone(sub, p, fixed)
+    carrier = FinSet(tuple(p.carrier.elements[i] for i in kept))
+    leq = Relation(carrier, carrier, _restricted_rows(p, kept))
+    return _monotone(_trusted(Poset, carrier, leq) if p.is_poset() else Poset(carrier, leq), p, kept)
 
 
 def closure_interior(g: Adjunction) -> ClosureInterior:
-    """Closure (left then right) and interior (right then left) with their fixed posets."""
+    """Closure (left then right) and interior (right then left) with the
+    inclusions of their fixed points.
+
+    Each inclusion's source is the sub-poset of fixed points, which keeps the
+    boundary's labels, and its table lists their indices in ascending order.
+    """
     if not g.source.is_poset() or not g.target.is_poset():
         raise ValueError("closure/interior require poset boundaries")
     closure = g.left.then(g.right)
     interior = g.right.then(g.left)
-    closed_idx = tuple(i for i in range(g.source.size) if closure.func.table[i] == i)
-    open_idx = tuple(j for j in range(g.target.size) if interior.func.table[j] == j)
-    closed, closed_incl = _fixed_point_subposet(g.source, closed_idx)
-    opened, open_incl = _fixed_point_subposet(g.target, open_idx)
-    return ClosureInterior(closure, interior, closed, opened, closed_incl, open_incl,
-                           closed_idx, open_idx)
+    closed = [i for i, c in enumerate(closure.func.table) if c == i]
+    opened = [j for j, c in enumerate(interior.func.table) if c == j]
+    return ClosureInterior(closure, interior, _subposet_inclusion(g.source, closed),
+                           _subposet_inclusion(g.target, opened))
 
 
 def is_reflection(g: Adjunction) -> bool:
@@ -261,7 +260,8 @@ def upset_reflection(p: Poset, m: int) -> Adjunction:
     Requires every join with m to exist (true in any lattice); i v m <= k iff i <= k.
     """
     kept = [i for i in range(p.size) if p.le_idx(m, i)]
-    sub, incl = _fixed_point_subposet(p, kept)
+    incl = _subposet_inclusion(p, kept)
+    sub = incl.source
     pos = {i: k for k, i in enumerate(kept)}
     table = []
     for i in range(p.size):
@@ -275,7 +275,8 @@ def upset_reflection(p: Poset, m: int) -> Adjunction:
 def downset_coreflection(p: Poset, m: int) -> Adjunction:
     """The coreflection including the down-set of m, with meet as right adjoint."""
     kept = [i for i in range(p.size) if p.le_idx(i, m)]
-    sub, incl = _fixed_point_subposet(p, kept)
+    incl = _subposet_inclusion(p, kept)
+    sub = incl.source
     pos = {i: k for k, i in enumerate(kept)}
     table = []
     for i in range(p.size):

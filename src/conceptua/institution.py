@@ -52,7 +52,6 @@ __all__ = [
     "check_satisfaction_condition",
     "classification_of_signature",
     "TheoryObject",
-    "TheoryFiber",
     "theory_fiber",
     "transport_theory",
     "inverse_transport",
@@ -638,20 +637,6 @@ class TheoryObject(_Value):
         return self.model_class.bits
 
 
-class TheoryFiber(_Value):
-    """All theories of one signature, ordered with weaker theories below."""
-
-    __match_args__ = ("signature", "poset", "theories")
-    __slots__ = __match_args__
-
-    def __init__(self, signature: Signature, poset: Poset, theories: tuple[TheoryObject, ...]):
-        self._fill(self, signature, poset, theories)
-
-    def le(self, t1: TheoryObject, t2: TheoryObject) -> bool:
-        """t1 <= t2 iff t1's model class contains t2's (t2 entails t1)."""
-        return t2.mask & ~t1.mask == 0
-
-
 # Largest signature whose theory fiber is built: n variables give 2^(2^n)
 # theories and an order of 2^(2^n) rows of 2^(2^n) bits, 8 KiB at 3
 # variables and 512 MiB at 4.
@@ -659,12 +644,13 @@ THEORY_FIBER_MAX_VARS = 3
 
 
 @functools.lru_cache(maxsize=32)
-def theory_fiber(sig: Signature) -> TheoryFiber:
-    """The complete lattice of the 2^(2^n) model classes of the signature.
+def theory_fiber(sig: Signature) -> Poset:
+    """The complete lattice of the signature's theories, weaker theories below.
 
-    Row T holds the model classes inside T (reverse inclusion, weaker
-    theories below), the rows of ``power_order(..., reverse=True)``; a poset
-    by construction, so it is not re-validated.
+    Theory T is element T, the mask of its model class, labelled ``T<mask>``.
+    Row T holds the model classes inside T (reverse inclusion: T <= T' iff T'
+    entails T), the rows of ``power_order(..., reverse=True)``; a poset by
+    construction, so it is not re-validated.
     """
     n = sig.size
     if n > THEORY_FIBER_MAX_VARS:
@@ -674,9 +660,7 @@ def theory_fiber(sig: Signature) -> TheoryFiber:
             f"the cap is {THEORY_FIBER_MAX_VARS} variables")
     n_theories = 1 << (1 << n)
     labels = FinSet(tuple(f"T{mask}" for mask in range(n_theories)))
-    poset = _trusted(Poset, labels, Relation(labels, labels, _subset_rows(n_theories)))
-    theories = tuple(TheoryObject.of_mask(sig, mask) for mask in range(n_theories))
-    return TheoryFiber(sig, poset, theories)
+    return _trusted(Poset, labels, Relation(labels, labels, _subset_rows(n_theories)))
 
 
 def transport_theory(sigma: SignatureMorphism, t: TheoryObject) -> TheoryObject:
@@ -704,8 +688,7 @@ def fiber_transport_adjunction(sigma: SignatureMorphism) -> Adjunction:
     f1 = theory_fiber(sigma.source)
     f2 = theory_fiber(sigma.target)
     images, preimages = image_tables(PropositionalInstitution().reduct_function(sigma))
-    return Adjunction(f1.poset, f2.poset, _monotone(f1.poset, f2.poset, preimages),
-                      _monotone(f2.poset, f1.poset, images))
+    return Adjunction(f1, f2, _monotone(f1, f2, preimages), _monotone(f2, f1, images))
 
 
 # --------------------------------------------------- flattened theory category
@@ -719,22 +702,24 @@ class FlattenedTheoryCategory(_Value):
     transported theory).
     """
 
-    __match_args__ = ("signatures", "fibers", "objects", "sig_morphisms", "morphisms")
+    __match_args__ = ("objects", "sig_morphisms", "morphisms")
     __slots__ = __match_args__
 
-    def __init__(self, signatures: tuple[Signature, ...], fibers: tuple[TheoryFiber, ...],
-                 objects: tuple[tuple[int, int], ...],
+    def __init__(self, objects: tuple[tuple[int, int], ...],
                  sig_morphisms: tuple[tuple[int, int, SignatureMorphism], ...],
                  morphisms: tuple[tuple[int, int, int], ...]):
-        self._fill(self, signatures, fibers, objects, sig_morphisms, morphisms)
+        self._fill(self, objects, sig_morphisms, morphisms)
 
 
 def flatten(signatures, morphisms) -> FlattenedTheoryCategory:
     """Grothendieck-style flattening over the theory transport functor.
 
     ``morphisms`` is a list of SignatureMorphism whose endpoints must appear
-    in ``signatures``; identities are added automatically.  The category is
-    returned unchecked: ``verify``'s institution suite checks its laws.
+    in ``signatures``; identities are added automatically.  Object (i, T) is
+    theory T of signature i's fiber, T its model-class mask; ``sig_morphisms``
+    holds (source index, target index, morphism), and a morphism (a, b, k)
+    goes from object a to object b along signature morphism k.  The category
+    is returned unchecked: ``verify``'s institution suite checks its laws.
     """
     signatures = tuple(signatures)
     sig_index = {sig: i for i, sig in enumerate(signatures)}
@@ -748,11 +733,11 @@ def flatten(signatures, morphisms) -> FlattenedTheoryCategory:
         if entry not in sig_morphs:
             sig_morphs.append(entry)
 
-    fibers = tuple(theory_fiber(sig) for sig in signatures)
+    sizes = tuple(theory_fiber(sig).size for sig in signatures)
     objects: list[tuple[int, int]] = []
     obj_index: dict[tuple[int, int], int] = {}
-    for i, fib in enumerate(fibers):
-        for mask in range(len(fib.theories)):
+    for i, size in enumerate(sizes):
+        for mask in range(size):
             obj_index[(i, mask)] = len(objects)
             objects.append((i, mask))
     if len(objects) > 5000:
@@ -765,14 +750,13 @@ def flatten(signatures, morphisms) -> FlattenedTheoryCategory:
     morphs: list[tuple[int, int, int]] = []
     for mi, (si, ti, sm) in enumerate(sig_morphs):
         table = transport_tables[mi]
-        for mask in range(len(fibers[si].theories)):
+        for mask in range(sizes[si]):
             moved = table[mask]
-            for target_mask in range(len(fibers[ti].theories)):
+            for target_mask in range(sizes[ti]):
                 if target_mask & ~moved == 0:  # moved <= target in the fiber
                     morphs.append((obj_index[(si, mask)], obj_index[(ti, target_mask)], mi))
 
-    return FlattenedTheoryCategory(signatures, fibers, tuple(objects),
-                                   tuple(sig_morphs), tuple(morphs))
+    return FlattenedTheoryCategory(tuple(objects), tuple(sig_morphs), tuple(morphs))
 
 
 # -------------------------------------------------------------------- merging

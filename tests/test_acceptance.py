@@ -249,11 +249,7 @@ def test_criterion_6_fundamental_theorem_of_fca():
         if classification_of(lat) != a:
             failures += 1
             continue
-        iso = lattice_roundtrip_iso(lat)
-        n = lat.size
-        if iso.forward.then(iso.backward).table != tuple(range(n)):
-            failures += 1
-        if iso.backward.then(iso.forward).table != tuple(range(n)):
+        if lattice_roundtrip_iso(lat).table != tuple(range(lat.size)):
             failures += 1
     _report(6, "fundamental theorem: clsn(clg(A)) = A and clg(clsn(L)) iso L, 500 contexts",
             failures == 0, f"{failures} failures")
@@ -341,16 +337,16 @@ def test_criterion_9_lattice_of_theories():
     names = ("p", "q", "r")
     for n, expected in [(0, 2), (1, 4), (2, 16), (3, 256)]:
         fib = theory_fiber(Signature.of(*names[:n]))
-        if fib.poset.size != expected or not is_complete_lattice(fib.poset):
+        if fib.size != expected or not is_complete_lattice(fib):
             failures += 1
     for sig, depth in [(Signature.of(), 1), (Signature.of("p"), 2),
                        (Signature.of("p", "q"), 4)]:
         a = classification_of_signature(sig, depth)
         poset, concepts = concept_poset(a)
         fib = theory_fiber(sig)
-        if poset.size != fib.poset.size:
+        if poset.size != fib.size:
             failures += 1
-        elif find_order_isomorphism(poset, fib.poset) is None:
+        elif find_order_isomorphism(poset, fib) is None:
             failures += 1
     sigs = [Signature.of(*names[:n]) for n in range(3)]
     adjunctions = 0

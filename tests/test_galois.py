@@ -9,6 +9,7 @@ from conceptua.errors import AdjunctionError
 from conceptua.finrel import FinFunction, FinSet, finset
 from conceptua import verify
 from conceptua.galois import (
+    _polar_maps,
     check_adjunction,
     closure_interior,
     compose_adjunctions,
@@ -120,8 +121,8 @@ def test_closure_interior_of_identity():
     p = power_order(finset("a", "b"))
     ci = closure_interior(identity_adjunction(p))
     assert ci.closure.func.table == tuple(range(p.size))
-    assert ci.closed_indices == tuple(range(p.size))
-    assert ci.open_indices == tuple(range(p.size))
+    assert ci.closed_inclusion.func.table == tuple(range(p.size))
+    assert ci.open_inclusion.func.table == tuple(range(p.size))
 
 
 def test_closed_sets_of_two_antichain_plus_top():
@@ -129,7 +130,7 @@ def test_closed_sets_of_two_antichain_plus_top():
     p = Preorder.from_pairs(finset("a", "b", "top"), [("a", "top"), ("b", "top")])
     adj = derivation(order_as_classification(p))
     ci = closure_interior(adj)
-    closed_bits = set(ci.closed_indices)  # power indices are subset bitmasks
+    closed_bits = set(ci.closed_inclusion.func.table)  # power indices are subset bitmasks
     assert closed_bits == {0b000, 0b001, 0b010, 0b111}
 
 
@@ -388,6 +389,28 @@ def test_upset_reflection_and_downset_coreflection():
     assert is_reflection(refl)
     corefl = downset_coreflection(p, 1)
     assert is_coreflection(corefl)
+
+
+def test_polar_maps_return_the_fixed_point_maps_only_when_handed_them():
+    """``_polar_maps`` needs an adjunction whose closure it reads: given the
+    closed inclusion's sub-poset as axis it returns that inclusion, and given
+    the up-set reflection (x -> x v m) or the down-set coreflection (x -> x ^ m)
+    it returns that adjunction itself.  No other adjunction has that closure
+    to offer, and ``polar_factorize`` keeps the order but relabels the axis by
+    bipoles, while the fixed-point sub-posets keep their boundary's labels."""
+    rng = random.Random(21)
+    for _ in range(30):
+        g = rng_adjunction(rng)
+        incl = closure_interior(g).closed_inclusion
+        assert _polar_maps(g, incl.source, incl.func.table)[0].right == incl
+        axis = polar_factorize(g).axis
+        for m in range(axis.size):
+            up, down = upset_reflection(axis, m), downset_coreflection(axis, m)
+            assert _polar_maps(up, up.target, up.right.func.table)[0] == up
+            assert _polar_maps(down, down.source, range(down.source.size))[1] == down
+            relabelled = polar_factorize(up).axis
+            assert relabelled.leq.rows == up.target.leq.rows
+            assert relabelled.carrier != up.target.carrier
 
 
 # ----------------------------------------------------- lattice transfer

@@ -10,7 +10,10 @@ module of the package reads, by name or as a module attribute.  A name read
 only inside a string annotation counts as read.  A public name, one in a
 module's ``__all__`` or any top-level function or class without a leading
 underscore, must be read by the package or by ``bench/``, re-exported by the
-package, or kept on ``TEST_REACHED`` with its reason.
+package, or kept on ``TEST_REACHED`` with its reason.  Likewise every field of
+a value class, a name in a ``_Record`` subclass's ``__match_args__``, must be
+read as an attribute by the package or by ``bench/``, or be kept on
+``FIELDS_UNREAD`` with its reason.
 """
 
 import ast
@@ -20,6 +23,7 @@ from pathlib import Path
 import pytest
 
 import conceptua
+from conceptua.finrel import _Record
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "conceptua"
 BENCH = SRC.parent.parent / "bench"
@@ -93,12 +97,14 @@ def _private(tree: ast.Module) -> dict[str, int]:
 
 def _read_anywhere(trees) -> set[str]:
     """Names read in any of the trees, by name or as an attribute."""
-    read = set()
-    for tree in trees:
-        read |= _read(tree)
-        read |= {n.attr for n in ast.walk(tree)
-                 if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
-    return read
+    trees = list(trees)
+    return _attributes_read(trees).union(*map(_read, trees))
+
+
+def _attributes_read(trees) -> set[str]:
+    """Names read as an attribute in any of the trees."""
+    return {n.attr for tree in trees for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
 
 
 def test_every_private_name_is_read_in_the_package():
@@ -153,3 +159,38 @@ def test_every_public_name_is_reached_outside_the_tests():
     extra = sorted(dotted for dotted, name in unreached.items() if name not in TEST_REACHED)
     assert not extra, "public names only the tests reach: " + ", ".join(extra)
     assert sorted(unreached.values()) == sorted(TEST_REACHED), "stale TEST_REACHED entries"
+
+
+# Fields that nothing in the package or ``bench/`` reads as an attribute,
+# each kept for what it states.
+FIELDS_UNREAD = {
+    "SatisfactionReport.models_checked": "the size of the check, shown in the report's repr",
+    "SatisfactionReport.sentences_checked": "the size of the check, shown in the report's repr",
+    "EndorelationFlags.symmetric": "one of the classifier's five flags, the others all read",
+    "PolarFactorization.original": "the factorized adjunction, kept beside its two factors",
+    "ClosureInterior.closed_inclusion": "the closed sub-poset (its source) and its indices",
+    "ClosureInterior.open_inclusion": "the open sub-poset (its source) and its indices",
+}
+
+
+def _unread_fields(fields: dict[str, tuple[str, ...]], trees) -> set[str]:
+    """``Class.field`` for each field of each class that no tree reads as an attribute."""
+    read = _attributes_read(trees)
+    return {f"{cls}.{name}" for cls, names in fields.items() for name in names if name not in read}
+
+
+def test_every_field_is_read_outside_the_tests():
+    modules = [importlib.import_module(f"conceptua.{path.stem}") for path in MODULES]
+    fields = {cls.__name__: cls.__match_args__ for m in modules for cls in vars(m).values()
+              if isinstance(cls, type) and issubclass(cls, _Record) and cls.__module__ == m.__name__}
+    trees = [ast.parse(p.read_text(), filename=str(p))
+             for p in sorted(SRC.glob("*.py")) + sorted(BENCH.glob("*.py"))]
+    unread = _unread_fields(fields, trees)
+    extra = sorted(unread - set(FIELDS_UNREAD))
+    assert not extra, "fields only the tests read: " + ", ".join(extra)
+    assert sorted(unread) == sorted(FIELDS_UNREAD), "stale FIELDS_UNREAD entries"
+
+
+def test_the_check_sees_an_unread_field():
+    tree = ast.parse("def f(a, y):\n    a.z = y\n    return a.x\n")
+    assert _unread_fields({"A": ("x", "y", "z"), "B": ()}, [tree]) == {"A.y", "A.z"}

@@ -35,11 +35,12 @@ from conceptua.verify import random_classification
 
 def oracle_polar_factorize(g):
     ci = closure_interior(g)
-    bipoles = tuple((a, g.left_idx(a)) for a in ci.closed_indices)
+    bipoles = tuple((a, g.left_idx(a)) for a in ci.closed_inclusion.func.table)
     src_el, tgt_el = g.source.carrier.elements, g.target.carrier.elements
     labels = tuple(f"({src_el[a]},{tgt_el[b]})" for a, b in bipoles)
     axis_carrier = FinSet(labels)
-    axis = _trusted(Poset, axis_carrier, Relation(axis_carrier, axis_carrier, ci.closed.leq.rows))
+    axis = _trusted(Poset, axis_carrier, Relation(axis_carrier, axis_carrier,
+                                                           ci.closed_inclusion.source.leq.rows))
 
     pos_of_closed = {a: k for k, (a, _) in enumerate(bipoles)}
     embed_src = _monotone(g.source, axis,

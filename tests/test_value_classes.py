@@ -137,12 +137,8 @@ class Adjunction:
 class ClosureInterior:
     closure: MonotoneMap
     interior: MonotoneMap
-    closed: Poset
-    open: Poset
     closed_inclusion: MonotoneMap
     open_inclusion: MonotoneMap
-    closed_indices: tuple[int, ...]
-    open_indices: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -200,12 +196,6 @@ class ConceptMorphism:
     connection: Adjunction
     inst_map: FinFunction
     typ_map: FinFunction
-
-
-@dataclass(frozen=True)
-class LatticeIsomorphism:
-    forward: FinFunction
-    backward: FinFunction
 
 
 @dataclass(frozen=True)
@@ -278,16 +268,7 @@ class TheoryObject:
 
 
 @dataclass(frozen=True)
-class TheoryFiber:
-    signature: Signature
-    poset: Poset
-    theories: tuple[TheoryObject, ...]
-
-
-@dataclass(frozen=True)
 class FlattenedTheoryCategory:
-    signatures: tuple[Signature, ...]
-    fibers: tuple[TheoryFiber, ...]
     objects: tuple[tuple[int, int], ...]
     sig_morphisms: tuple[tuple[int, int, SignatureMorphism], ...]
     morphisms: tuple[tuple[int, int, int], ...]
@@ -334,9 +315,9 @@ ORACLES = {cls.__name__: cls for cls in [
     EndorelationFlags, Preorder, Poset, MonotoneMap, OrderBimodule, OrderProduct,
     Adjunction, ClosureInterior, PolarFactorization,
     Classification, Infomorphism, InfomorphismReport,
-    FormalConcept, ConceptLattice, ConceptMorphism, LatticeIsomorphism,
+    FormalConcept, ConceptLattice, ConceptMorphism,
     Signature, SignatureMorphism, Var, Not, And, Or, Implies, Top, Bottom, Model,
-    SatisfactionReport, TheoryObject, TheoryFiber, FlattenedTheoryCategory,
+    SatisfactionReport, TheoryObject, FlattenedTheoryCategory,
     MergeSpan, MergeResult, StyleReport,
     LawReport,
 ]}
@@ -402,7 +383,6 @@ def _samples() -> dict[str, list]:
         "FormalConcept": list(lat.concepts) + list(clg.concept_lattice(a2).concepts),
         "ConceptLattice": [lat, clg.concept_lattice(a2), clg.concept_lattice(b)],
         "ConceptMorphism": [clg.concept_morphism_of(f) for f in infos[:2]],
-        "LatticeIsomorphism": [clg.lattice_roundtrip_iso(lat), clg.lattice_roundtrip_iso(lat)],
         "Signature": [sig, institution.signature_from_json(["p"]), sig_pq],
         "SignatureMorphism": [into, institution.SignatureMorphism.of(sig, sig_pq, {"p": "q"}),
                               institution.SignatureMorphism.identity(sig)],
@@ -417,7 +397,6 @@ def _samples() -> dict[str, list]:
         "SatisfactionReport": [institution.check_satisfaction_condition(into, depth=2)] * 2,
         "TheoryObject": [span.left_theory, institution.TheoryObject.of_mask(sig_pq, 0b0110),
                          institution.theory_from_json({"signature": ["p"], "sentence": "(var p)"})],
-        "TheoryFiber": [institution.theory_fiber(sig), institution.theory_fiber(sig_pq)],
         "FlattenedTheoryCategory": [flat],
         "MergeSpan": [span],
         "MergeResult": [institution.merge_theories(span), institution.merge_theories(span)],
@@ -704,7 +683,7 @@ def test_every_init_writes_its_fields_with_one_fill_call():
     ...)``, with one value per field, and assigns no attribute; every record
     class with fields inherits one of these ``__init__`` methods."""
     inits = _own_inits()
-    assert len(inits) == 33
+    assert len(inits) == 31
     for cls, init in inits.items():
         fills = [n for n in ast.walk(init) if isinstance(n, ast.Call)
                  and isinstance(n.func, ast.Attribute) and n.func.attr == "_fill"]
