@@ -46,8 +46,8 @@ from .order import (
     carrier_bound,
     hasse_edges,
     is_complete_lattice,
+    opposite,
     poset_join,
-    poset_meet,
 )
 from .clsn import Classification, Infomorphism, derivation
 
@@ -109,12 +109,6 @@ class ConceptLattice(_Value):
     @property
     def size(self) -> int:
         return self.lattice.size
-
-    def extent(self, k: int) -> Subset:
-        return self.concepts[k].extent
-
-    def intent(self, k: int) -> Subset:
-        return self.concepts[k].intent
 
     def instance_of(self, i: int, k: int) -> bool:
         """Instance-of relation: embedded instance below concept k."""
@@ -505,20 +499,17 @@ def lattice_joins_meets(lat: ConceptLattice, members: Subset) -> tuple[int, int]
 
 
 def _check_density(lat: ConceptLattice) -> list[str]:
+    """Join-density of the instances; meet-density of the types is join-density
+    in the opposite order."""
     failures = []
-    leq = lat.lattice.leq
-    embedded_instances = image_bits(lat.iota_embed, lat.instances.full_mask)
-    embedded_types = image_bits(lat.tau_embed, lat.types.full_mask)
-    for k, col in enumerate(leq.columns):
-        below = embedded_instances & col
-        if poset_join(lat.lattice, Subset(lat.lattice.carrier, below)) != k:
-            failures.append(f"instance embedding is not join-dense at c{k}")
-            break
-    for k in range(lat.size):
-        above = embedded_types & leq.rows[k]
-        if poset_meet(lat.lattice, Subset(lat.lattice.carrier, above)) != k:
-            failures.append(f"type embedding is not meet-dense at c{k}")
-            break
+    for order, embed, side, text in (
+            (lat.lattice, lat.iota_embed, lat.instances, "instance embedding is not join-dense"),
+            (opposite(lat.lattice), lat.tau_embed, lat.types, "type embedding is not meet-dense")):
+        embedded = image_bits(embed, side.full_mask)
+        for k, col in enumerate(order.leq.columns):
+            if poset_join(order, Subset(order.carrier, embedded & col)) != k:
+                failures.append(f"{text} at c{k}")
+                break
     return failures
 
 

@@ -66,9 +66,6 @@ class Classification(_Value):
         typ = types if isinstance(types, FinSet) else FinSet(tuple(types))
         return cls(inst, typ, Relation.of(inst, typ, pairs))
 
-    def holds(self, instance: str, type_: str) -> bool:
-        return self.incidence.holds(instance, type_)
-
     def intent_of(self, x: int) -> int:
         """The types shared by every instance of the bitset ``x``."""
         inc = self.incidence

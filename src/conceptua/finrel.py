@@ -485,10 +485,6 @@ class Relation(_Value):
                 row ^= low
         return tuple(cols)
 
-    def fiber10(self, j: int) -> Subset:
-        """Sources related to target index j (a column)."""
-        return _trusted(Subset, self.source, self.columns[j])
-
 
 def compose(r: Relation, s: Relation) -> Relation:
     """Relational composition: (a,c) related iff some b has r(a,b) and s(b,c)."""

@@ -21,7 +21,6 @@ from .order import (
     all_monotone_maps,
     opposite,
     poset_join,
-    poset_meet,
     same_map,
     same_order,
 )
@@ -254,11 +253,9 @@ def connect_factorizations(pf1: PolarFactorization, pf2: PolarFactorization) -> 
                        pf2.extent_reflection, pf2.intent_coreflection)
 
 
-def upset_reflection(p: Poset, m: int) -> Adjunction:
-    """The reflection of a lattice onto the up-set of element m via join with m.
-
-    Requires every join with m to exist (true in any lattice); i v m <= k iff i <= k.
-    """
+def _join_reflection(p: Preorder, m: int, bound: str) -> Adjunction:
+    """The reflection of p onto the up-set of m, i -> i v m.  The error calls
+    a missing join ``bound``: "meet" when p is the opposite of the caller's order."""
     kept = [i for i in range(p.size) if p.le_idx(m, i)]
     incl = _subposet_inclusion(p, kept)
     sub = incl.source
@@ -267,21 +264,20 @@ def upset_reflection(p: Poset, m: int) -> Adjunction:
     for i in range(p.size):
         j = poset_join(p, Subset(p.carrier, (1 << i) | (1 << m)))
         if j is None:
-            raise ValueError("join with the base element does not exist")
+            raise ValueError(f"{bound} with the base element does not exist")
         table.append(pos[j])
     return Adjunction(p, sub, _monotone(p, sub, table), incl)
 
 
+def upset_reflection(p: Poset, m: int) -> Adjunction:
+    """The reflection of a lattice onto the up-set of element m via join with m.
+
+    Requires every join with m to exist (true in any lattice); i v m <= k iff i <= k.
+    """
+    return _join_reflection(p, m, "join")
+
+
 def downset_coreflection(p: Poset, m: int) -> Adjunction:
-    """The coreflection including the down-set of m, with meet as right adjoint."""
-    kept = [i for i in range(p.size) if p.le_idx(i, m)]
-    incl = _subposet_inclusion(p, kept)
-    sub = incl.source
-    pos = {i: k for k, i in enumerate(kept)}
-    table = []
-    for i in range(p.size):
-        j = poset_meet(p, Subset(p.carrier, (1 << i) | (1 << m)))
-        if j is None:
-            raise ValueError("meet with the base element does not exist")
-        table.append(pos[j])
-    return Adjunction(sub, p, incl, _monotone(p, sub, table))
+    """The coreflection including the down-set of m, with meet as right adjoint:
+    the involution of the up-set reflection of the opposite order."""
+    return involution(_join_reflection(opposite(p), m, "meet"))

@@ -20,6 +20,7 @@ recursion limit.
 
 import functools
 import re
+from itertools import accumulate
 
 from .errors import CarrierMismatchError, ParseError, SizeLimitError, UnknownElementError
 from .finrel import FinFunction, FinSet, Relation, Subset, _Record, _Value, _bits, _trusted, \
@@ -734,15 +735,11 @@ def flatten(signatures, morphisms) -> FlattenedTheoryCategory:
             sig_morphs.append(entry)
 
     sizes = tuple(theory_fiber(sig).size for sig in signatures)
-    objects: list[tuple[int, int]] = []
-    obj_index: dict[tuple[int, int], int] = {}
-    for i, size in enumerate(sizes):
-        for mask in range(size):
-            obj_index[(i, mask)] = len(objects)
-            objects.append((i, mask))
-    if len(objects) > 5000:
-        raise SizeLimitError(f"flattened category would be too large: {len(objects)} "
+    offsets = (0, *accumulate(sizes))  # object (i, mask) is offsets[i] + mask
+    if offsets[-1] > 5000:
+        raise SizeLimitError(f"flattened category would be too large: {offsets[-1]} "
                              "objects, above the fixed cap of 5000")
+    objects = tuple((i, mask) for i, size in enumerate(sizes) for mask in range(size))
 
     inst = PropositionalInstitution()
     transport_tables = [image_tables(inst.reduct_function(sm))[1] for _, _, sm in sig_morphs]
@@ -754,9 +751,9 @@ def flatten(signatures, morphisms) -> FlattenedTheoryCategory:
             moved = table[mask]
             for target_mask in range(sizes[ti]):
                 if target_mask & ~moved == 0:  # moved <= target in the fiber
-                    morphs.append((obj_index[(si, mask)], obj_index[(ti, target_mask)], mi))
+                    morphs.append((offsets[si] + mask, offsets[ti] + target_mask, mi))
 
-    return FlattenedTheoryCategory(tuple(objects), tuple(sig_morphs), tuple(morphs))
+    return FlattenedTheoryCategory(objects, tuple(sig_morphs), tuple(morphs))
 
 
 # -------------------------------------------------------------------- merging

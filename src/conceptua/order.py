@@ -491,32 +491,29 @@ def bounds(p: Preorder, x: Subset) -> tuple[Subset, Subset]:
     return upper, lower
 
 
-def poset_join(p: Preorder, x: Subset) -> int | None:
-    """Least upper bound of x as a carrier index, or None if it does not exist.
+def _best_bound(lines, other, bits: int, full: int) -> int | None:
+    """The lowest-indexed best bound of ``bits``, or None.
 
-    The upper bounds are the AND of the rows over x; the join is the lowest
-    upper bound whose own row holds all of them.
+    The bounds are the AND of ``lines`` over ``bits``; the best bounds are
+    those lying in the AND of the ``other`` lines over the bounds.  Over the
+    rows then the columns of an order this is the join, the other way round
+    the meet.
     """
+    bound = meet_bits(lines, bits, full)
+    best = bound & meet_bits(other, bound, full)
+    return (best & -best).bit_length() - 1 if best else None
+
+
+def poset_join(p: Preorder, x: Subset) -> int | None:
+    """Least upper bound of x as a carrier index, or None if it does not exist."""
     _check_subset(p, x)
-    rows = p.leq.rows
-    upper = meet_bits(rows, x.bits, p.carrier.full_mask)
-    for i in _bits(upper):
-        if upper & ~rows[i] == 0:
-            return i
-    return None
+    return _best_bound(p.leq.rows, p.leq.columns, x.bits, p.carrier.full_mask)
 
 
 def poset_meet(p: Preorder, x: Subset) -> int | None:
-    """Greatest lower bound of x as a carrier index, or None.
-
-    The lower bounds are the elements whose rows hold x; the meet is the
-    lowest lower bound that lies in the row of every lower bound.
-    """
+    """Greatest lower bound of x as a carrier index, or None."""
     _check_subset(p, x)
-    rows = p.leq.rows
-    lower = derive_reverse(p.leq, x).bits
-    meets = lower & meet_bits(rows, lower, p.carrier.full_mask)
-    return (meets & -meets).bit_length() - 1 if meets else None
+    return _best_bound(p.leq.columns, p.leq.rows, x.bits, p.carrier.full_mask)
 
 
 def is_complete_lattice(p: Preorder) -> bool:

@@ -291,9 +291,8 @@ def test_hasse_edges_match_cubic_definition_on_concept_orders():
 def test_meet_table_matches_meet_bits_and_derivation():
     rng = random.Random(408)
     for a in seeded_contexts(30, 6, seed=408):
-        cols = [a.incidence.fiber10(j).bits for j in range(a.types.size)]
         fwd = meet_table(a.incidence.rows, a.types.full_mask)
-        rev = meet_table(cols, a.instances.full_mask)
+        rev = meet_table(a.incidence.columns, a.instances.full_mask)
         assert fwd == [derive_forward(a.incidence, Subset(a.instances, x)).bits
                        for x in range(1 << a.instances.size)]
         assert rev == [derive_reverse(a.incidence, Subset(a.types, y)).bits
@@ -383,8 +382,7 @@ def eager_adjunction_tables(a):
     ipower = power_order(a.instances)
     tpower_op = power_order(a.types, reverse=True)
     intent_of = meet_table(a.incidence.rows, a.types.full_mask)
-    extent_of = meet_table([a.incidence.fiber10(j).bits for j in range(a.types.size)],
-                           a.instances.full_mask)
+    extent_of = meet_table(a.incidence.columns, a.instances.full_mask)
     embed_src = tuple(pos[extent_of[m]] for m in intent_of)
     embed_tgt = tuple(pos[e] for e in extent_of)
     return {
@@ -417,8 +415,8 @@ def exhaustive_versions(f):
         a.incidence.holds_idx(f.inst_map.table[x], y) == b.incidence.holds_idx(x, f.typ_map.table[y])
         for x in range(b.instances.size) for y in range(a.types.size))
     morphism = all(
-        preimage_bits(f.inst_map, a.incidence.fiber10(y).bits)
-        == b.incidence.fiber10(f.typ_map.table[y]).bits for y in range(a.types.size)
+        preimage_bits(f.inst_map, a.incidence.columns[y])
+        == b.incidence.columns[f.typ_map.table[y]] for y in range(a.types.size)
     ) and all(
         preimage_bits(f.typ_map, b.incidence.rows[x]) == a.incidence.rows[f.inst_map.table[x]]
         for x in range(b.instances.size))

@@ -144,10 +144,10 @@ def test_extent_monotone_intent_antitone_and_intersection_closed():
         for i in range(lat.size):
             for j in range(lat.size):
                 if lat.lattice.le_idx(i, j):
-                    assert lat.extent(i) <= lat.extent(j)
-                    assert lat.intent(j) <= lat.intent(i)
-                assert (lat.extent(i).bits & lat.extent(j).bits) in extents
-                assert (lat.intent(i).bits & lat.intent(j).bits) in intents
+                    assert lat.concepts[i].extent <= lat.concepts[j].extent
+                    assert lat.concepts[j].intent <= lat.concepts[i].intent
+                assert (lat.concepts[i].extent.bits & lat.concepts[j].extent.bits) in extents
+                assert (lat.concepts[i].intent.bits & lat.concepts[j].intent.bits) in intents
 
 
 def test_degenerate_contexts():

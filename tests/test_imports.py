@@ -13,7 +13,8 @@ underscore, must be read by the package or by ``bench/``, re-exported by the
 package, or kept on ``TEST_REACHED`` with its reason.  Likewise every field of
 a value class, a name in a ``_Record`` subclass's ``__match_args__``, must be
 read as an attribute by the package or by ``bench/``, or be kept on
-``FIELDS_UNREAD`` with its reason.
+``FIELDS_UNREAD`` with its reason; an attribute of a name bound by an import,
+such as ``os.open``, is not a field read.
 """
 
 import ast
@@ -173,9 +174,21 @@ FIELDS_UNREAD = {
 }
 
 
+def _field_reads(trees) -> set[str]:
+    """Names read as an attribute in any of the trees, off anything but a name
+    that an import of that tree binds: ``os.open`` reads no field."""
+    read = set()
+    for tree in trees:
+        modules = set(_imported(tree))
+        read |= {n.attr for n in ast.walk(tree)
+                 if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+                 and not (isinstance(n.value, ast.Name) and n.value.id in modules)}
+    return read
+
+
 def _unread_fields(fields: dict[str, tuple[str, ...]], trees) -> set[str]:
     """``Class.field`` for each field of each class that no tree reads as an attribute."""
-    read = _attributes_read(trees)
+    read = _field_reads(trees)
     return {f"{cls}.{name}" for cls, names in fields.items() for name in names if name not in read}
 
 
@@ -194,3 +207,10 @@ def test_every_field_is_read_outside_the_tests():
 def test_the_check_sees_an_unread_field():
     tree = ast.parse("def f(a, y):\n    a.z = y\n    return a.x\n")
     assert _unread_fields({"A": ("x", "y", "z"), "B": ()}, [tree]) == {"A.y", "A.z"}
+
+
+def test_the_check_sees_past_a_module_attribute_of_the_same_name():
+    tree = ast.parse("import os\nfrom m import k\ndef f(a):\n    return os.open, k.y, a.x\n")
+    other = ast.parse("def g(os):\n    return os.y\n")
+    assert _unread_fields({"A": ("open", "x", "y")}, [tree]) == {"A.open", "A.y"}
+    assert _unread_fields({"A": ("open", "x", "y")}, [tree, other]) == {"A.open"}

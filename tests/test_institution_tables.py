@@ -10,7 +10,10 @@ a corrupted reduct, and on two endomorphisms of 3 variables, where it may
 walk only the translated sentences' truth tables. Results, failure lists
 and counts must be identical. The transport tables of ``flatten``, read
 from ``image_tables``, are compared with the ``preimage_rows`` form they
-replaced on every morphism between signatures of up to 3 variables.
+replaced on every morphism between signatures of up to 3 variables, and
+``flatten`` runs beside the earlier one, which numbered its objects through
+an (i, mask) dict, on seeded diagrams: objects, signature morphisms and
+morphisms must be identical.
 The style report runs beside the earlier ``style_interconvert``, which
 re-checked adjointness and the concept squares after the transport
 returned, on the honest and three corrupted institutions; every pair of
@@ -18,6 +21,7 @@ tables the transport returns passes the pairwise adjointness check.
 """
 
 import itertools
+import random
 
 import pytest
 
@@ -258,6 +262,65 @@ def test_flatten_on_four_variables_trips_the_fiber_cap(time_budget):
     with time_budget(1):
         with pytest.raises(SizeLimitError, match=r"2\^\(2\^4\)"):
             flatten([Signature.of("p", "q", "r", "s")], [])
+
+
+# ------------------------------------------------------------------ flattening
+
+
+def oracle_flatten(signatures, morphisms):
+    """The earlier ``flatten``, which numbered objects through an (i, mask) dict."""
+    signatures = tuple(signatures)
+    sig_index = {sig: i for i, sig in enumerate(signatures)}
+    sig_morphs = [(i, i, SignatureMorphism.identity(sig)) for i, sig in enumerate(signatures)]
+    for sm in morphisms:
+        if sm.source not in sig_index or sm.target not in sig_index:
+            raise CarrierMismatchError("signature morphism endpoint not among the signatures")
+        entry = (sig_index[sm.source], sig_index[sm.target], sm)
+        if entry not in sig_morphs:
+            sig_morphs.append(entry)
+    sizes = tuple(theory_fiber(sig).size for sig in signatures)
+    objects, obj_index = [], {}
+    for i, size in enumerate(sizes):
+        for mask in range(size):
+            obj_index[(i, mask)] = len(objects)
+            objects.append((i, mask))
+    if len(objects) > 5000:
+        raise SizeLimitError(f"flattened category would be too large: {len(objects)} "
+                             "objects, above the fixed cap of 5000")
+    inst = PropositionalInstitution()
+    morphs = []
+    for mi, (si, ti, sm) in enumerate(sig_morphs):
+        table = image_tables(inst.reduct_function(sm))[1]
+        for mask in range(sizes[si]):
+            for target_mask in range(sizes[ti]):
+                if target_mask & ~table[mask] == 0:
+                    morphs.append((obj_index[(si, mask)], obj_index[(ti, target_mask)], mi))
+    return tuple(objects), tuple(sig_morphs), tuple(morphs)
+
+
+def seeded_diagrams(rng, count):
+    """Diagrams of 1-4 signatures of 0-2 variables, named apart, with 0-5
+    seeded morphisms between them, repeats included."""
+    for _ in range(count):
+        sigs = [Signature.of(*(f"{'abcd'[i]}{v}" for v in range(rng.randint(0, 2))))
+                for i in range(rng.randint(1, 4))]
+        arrows = []
+        for _ in range(rng.randint(0, 5)):
+            s, t = rng.choice(sigs), rng.choice(sigs)
+            if t.size or not s.size:
+                table = tuple(rng.randrange(t.size) for _ in range(s.size))
+                arrows.append(SignatureMorphism(s, t, FinFunction(s.vars, t.vars, table)))
+        yield sigs, arrows + arrows[:1]
+
+
+def test_flatten_numbers_objects_as_the_index_dict_did():
+    for sigs, arrows in seeded_diagrams(random.Random(38), 60):
+        cat = flatten(sigs, arrows)
+        assert (cat.objects, cat.sig_morphisms, cat.morphisms) == oracle_flatten(sigs, arrows)
+    between_2_and_3 = [s for s in morphisms(3) if s.source.size + s.target.size == 5]
+    arrows = random.Random(3).sample(between_2_and_3, 4)
+    cat = flatten(SIGNATURES[2:], arrows)
+    assert (cat.objects, cat.sig_morphisms, cat.morphisms) == oracle_flatten(SIGNATURES[2:], arrows)
 
 
 # -------------------------------------------------------- style interconversion
