@@ -7,12 +7,18 @@ at most n_small x |concepts| ANDs, sorts them once into lectic order of
 extents and packages them with the join-dense instance embedding and the
 meet-dense type embedding, which by the basic theorem determine the
 classification: ``classification_of`` recovers it bit-exactly.  The
-enumeration runs once per classification and is kept on it
-(``Classification.concepts``), so ``concepts_of``, ``concept_poset`` and
-``concept_lattice`` on the same classification share it.  The extent
-reflection and the intent coreflection are the polar factorization of
-derivation on the lattice's own axis; their outer orders are the two power
-orders, so they are built only when first read, and validation reads neither.
+enumeration runs once per classification and is kept on it as two int
+tuples, the extents and the intents (``Classification._concept_bits``), so
+``concepts_of``, ``concept_poset`` and ``concept_lattice`` on the same
+classification share it.  The concept order, the embeddings, validation,
+concept transport and the two writers read those ints.  The public tuple of
+``FormalConcept`` values (``Classification.concepts``,
+``ConceptLattice.concepts``, the result of ``concepts_of``) is built from
+them when first read, so ``conceptua lattice`` and the institution style
+check build none.  The extent reflection and the intent coreflection are
+the polar factorization of derivation on the lattice's own axis; their
+outer orders are the two power orders, so they are built only when first
+read, and validation reads neither.
 """
 
 from functools import lru_cache
@@ -88,16 +94,39 @@ class FormalConcept(_Value):
 
 
 class ConceptLattice(_Value):
-    """Concepts by extent inclusion and their embeddings; adjunctions built on first read."""
+    """Concepts by extent inclusion and their embeddings; the concept tuple
+    and the adjunctions built on first read.
+
+    The ``concepts`` field is kept in the ``_concepts`` slot: the tuple given
+    to the constructor or, from ``concept_lattice``, the classification whose
+    ``concepts`` it is, so that reading the field builds that tuple then.
+    """
 
     __match_args__ = ("instances", "types", "lattice", "concepts", "iota_embed", "tau_embed")
     # The instance dict holds only the cached ``_adjunctions``.
-    __slots__ = (*__match_args__, "__dict__")
+    __slots__ = ("instances", "types", "lattice", "_concepts", "iota_embed", "tau_embed",
+                 "__dict__")
 
     def __init__(self, instances: FinSet, types: FinSet, lattice: Poset,
                  concepts: tuple[FormalConcept, ...], iota_embed: FinFunction,
                  tau_embed: FinFunction):
         self._fill(self, instances, types, lattice, concepts, iota_embed, tau_embed)
+
+    @property
+    def concepts(self) -> tuple[FormalConcept, ...]:
+        held = self._concepts
+        return held.concepts if isinstance(held, Classification) else held
+
+    @concepts.setter
+    def concepts(self, value):
+        # Reached only from the filler: ``_Value.__setattr__`` raises first.
+        ConceptLattice._concepts.__set__(self, value)
+
+    @property
+    def _concept_bits(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The extents and the intents, as two int tuples in concept order."""
+        held = self._concepts
+        return held._concept_bits if isinstance(held, Classification) else _bits_of(held)
 
     @_cached
     def _adjunctions(self) -> tuple[Adjunction, Adjunction]:
@@ -131,8 +160,9 @@ def _too_many_concepts(bound: int, limit: int) -> SizeLimitError:
 _REVERSED_BYTES = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
-def _concepts_lectic(a: Classification) -> tuple[FormalConcept, ...]:
-    """Every formal concept of ``a``, in lectic order of extents.
+def _concepts_lectic(a: Classification) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Every formal concept of ``a``, as two int tuples, the extents and the
+    intents, in lectic order of extents.
 
     The closed sets are the intersection closure of the lines of the smaller
     side (the rows when there are no more instances than types, else the
@@ -141,15 +171,11 @@ def _concepts_lectic(a: Classification) -> tuple[FormalConcept, ...]:
     n_small x |concepts| ANDs in all.  Each closed set's derivation is the
     AND of the other side's lines over its bits or, when it has at least
     n_small bits, the scan of the small side's lines for the ones that hold
-    it: min(|set|, n_small) lines.  The concepts are then sorted once by the
-    bit reversal of their extents.  Each concept and its two subsets are
-    valid by construction and built here, in one loop, not by
-    ``finrel._trusted``: each field is written to its slot through the same
-    slot descriptors (``Subset.carrier.__set__`` and so on) that the
-    classes' fillers hold, without a filler call per value.  Building 1000
-    concepts takes 0.71 ms that way, 0.80 ms through the fillers and 1.45 ms
-    through ``_trusted`` (best of 7, Python 3.11.7, 2 vCPUs); a concept and
-    its subsets hold 217 B on contranominal-16.
+    it: min(|set|, n_small) lines.  The (extent, intent) pairs are then
+    sorted once by the bit reversal of their extents and split into the two
+    tuples, which ``a`` keeps as ``_concept_bits``.  No ``FormalConcept`` is
+    built here: ``_formal_concepts`` builds them when the public tuple is
+    first read.
 
     The set only grows and each member is one concept's intent (or extent),
     so the size check after each pass raises exactly when there are more
@@ -190,11 +216,28 @@ def _concepts_lectic(a: Classification) -> tuple[FormalConcept, ...]:
         pairs.append((derived, c) if by_rows else (c, derived))
     width = (inst.size + 7) // 8
     pairs.sort(key=lambda pair: pair[0].to_bytes(width, "little").translate(_REVERSED_BYTES))
+    extents, intents = zip(*pairs)
+    return extents, intents
+
+
+def _formal_concepts(a: Classification) -> tuple[FormalConcept, ...]:
+    """The public tuple of ``a``'s concepts, built from ``a._concept_bits``
+    when ``a.concepts`` is first read.
+
+    Each concept and its two subsets are valid by construction and built
+    here, in one loop, not by ``finrel._trusted``: each field is written to
+    its slot through the same slot descriptors (``Subset.carrier.__set__``
+    and so on) that the classes' fillers hold, without a filler call per
+    value.  Building 1000 concepts takes 0.71 ms that way, 0.80 ms through
+    the fillers and 1.45 ms through ``_trusted`` (best of 7, Python 3.11.7,
+    2 vCPUs); a concept and its subsets hold 217 B on contranominal-16.
+    """
+    inst, typ = a.instances, a.types
     new = object.__new__
     set_carrier, set_bits = Subset.carrier.__set__, Subset.bits.__set__
     set_extent, set_intent = FormalConcept.extent.__set__, FormalConcept.intent.__set__
     out = []
-    for e, t in pairs:
+    for e, t in zip(*a._concept_bits):
         extent, intent, concept = new(Subset), new(Subset), new(FormalConcept)
         set_carrier(extent, inst)
         set_bits(extent, e)
@@ -206,12 +249,30 @@ def _concepts_lectic(a: Classification) -> tuple[FormalConcept, ...]:
     return tuple(out)
 
 
+def _checked_bits(a: Classification) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``a._concept_bits``; past 2^carrier_bound() concepts, whose order would
+    take the bits of a power order, raises ``SizeLimitError``.  The bound is
+    read on every call, cached or not."""
+    bound = carrier_bound()
+    bits = a._concept_bits
+    if len(bits[0]) > (limit := 1 << min(bound, 64)):
+        raise _too_many_concepts(bound, limit)
+    return bits
+
+
+def _bits_of(concepts) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The extents and the intents of listed concepts, as two int tuples."""
+    return tuple(c.extent.bits for c in concepts), tuple(c.intent.bits for c in concepts)
+
+
 def concepts_of(a: Classification) -> tuple[FormalConcept, ...]:
     """Formal concepts in lectic order of extents, without any packaging.
 
     The concepts are enumerated once per classification, as the closure
-    under intersection of the lines of the smaller side, and kept as
-    ``Classification.concepts``; every later call reads them back.  The
+    under intersection of the lines of the smaller side, and kept on it as
+    two int tuples (``Classification._concept_bits``); the ``FormalConcept``
+    tuple returned here is built from them on the first call and kept as
+    ``Classification.concepts``, and every later call reads it back.  The
     closure makes at most n_small x |concepts| big-int ANDs and deriving the
     closed sets reads min(|set|, n_small) lines each: 6.1 ANDs and 3.4 line
     reads per concept on the random 14-40 x 14-40 contexts of density
@@ -220,11 +281,8 @@ def concepts_of(a: Classification) -> tuple[FormalConcept, ...]:
     concepts, whose order would take the bits of a power order, raises
     ``SizeLimitError``; the bound is read on every call, cached or not.
     """
-    bound = carrier_bound()
-    concepts = a.concepts
-    if len(concepts) > (limit := 1 << min(bound, 64)):
-        raise _too_many_concepts(bound, limit)
-    return concepts
+    _checked_bits(a)
+    return a.concepts
 
 
 def _inclusion_rows(extents, n_instances: int) -> tuple[int, ...]:
@@ -259,34 +317,40 @@ def _concept_labels(k: int) -> FinSet:
     return FinSet(tuple(f"c{i}" for i in range(k)))
 
 
-def concept_poset(a: Classification) -> tuple[Poset, tuple[FormalConcept, ...]]:
-    """The concept order (by extent inclusion) over carrier labels c0, c1, ...
+def _concept_order(extents, n_instances: int) -> Poset:
+    """Extent inclusion over carrier labels c0, c1, ...: a partial order on
+    distinct extents, so not re-validated."""
+    labels = _concept_labels(len(extents))
+    leq = _trusted(Relation, labels, labels, _inclusion_rows(extents, n_instances))
+    return _trusted(Poset, labels, leq)
 
-    Inclusion of distinct extents is a partial order, so it is not re-validated.
-    """
-    concepts = concepts_of(a)
-    labels = _concept_labels(len(concepts))
-    rows = _inclusion_rows([c.extent.bits for c in concepts], a.instances.size)
-    leq = _trusted(Relation, labels, labels, rows)
-    return _trusted(Poset, labels, leq), concepts
+
+def concept_poset(a: Classification) -> tuple[Poset, tuple[FormalConcept, ...]]:
+    """The concept order (by extent inclusion) over carrier labels c0, c1, ...,
+    and the concepts (``concepts_of``)."""
+    extents, _ = _checked_bits(a)
+    return _concept_order(extents, a.instances.size), a.concepts
 
 
 def concept_lattice(a: Classification) -> ConceptLattice:
     """All formal concepts of ``a``, indexed in lectic order of extents.
 
-    Instance i embeds at the concept of the closure of {i}, type t at the
-    concept whose extent is column t: the concept order plus one closure per
-    instance, and no power order.  Assembled unchecked: both embeddings look
-    up closed extents among the listed ones, so they are total and in range.
+    Instance i embeds at the concept whose intent is row i, type t at the
+    concept whose extent is column t: the concept order plus two lookups,
+    and no power order.  Assembled unchecked: object intents and attribute
+    extents are closed, so both embeddings are total and in range.  The
+    lattice holds ``a`` for its concepts, so their tuple is built only if
+    ``concepts`` is read.
     """
-    lattice, concepts = concept_poset(a)
-    pos = {c.extent.bits: k for k, c in enumerate(concepts)}
-    cols = a.incidence.columns
-    full = a.instances.full_mask
+    extents, intents = _checked_bits(a)
+    lattice = _concept_order(extents, a.instances.size)
+    by_intent = {t: k for k, t in enumerate(intents)}
+    by_extent = {e: k for k, e in enumerate(extents)}
     iota = _trusted(FinFunction, a.instances, lattice.carrier, tuple(
-        pos[meet_bits(cols, row, full)] for row in a.incidence.rows))
-    tau = _trusted(FinFunction, a.types, lattice.carrier, tuple(pos[col] for col in cols))
-    return _trusted(ConceptLattice, a.instances, a.types, lattice, concepts, iota, tau)
+        by_intent[row] for row in a.incidence.rows))
+    tau = _trusted(FinFunction, a.types, lattice.carrier, tuple(
+        by_extent[col] for col in a.incidence.columns))
+    return _trusted(ConceptLattice, a.instances, a.types, lattice, a, iota, tau)
 
 
 def _closure_failure(lat: ConceptLattice, recovered: Classification) -> str | None:
@@ -296,7 +360,7 @@ def _closure_failure(lat: ConceptLattice, recovered: Classification) -> str | No
     m, for each closed listed E and type m, must be listed: by induction on sets
     of types every closed set is then listed.  An unclosed E is skipped.
     """
-    extents = [c.extent.bits for c in lat.concepts]
+    extents = lat._concept_bits[0]
     if lat.lattice.leq.rows != _inclusion_rows(extents, lat.instances.size):
         return "concept order is not extent inclusion"
     listed, cols = set(extents), recovered.incidence.columns
@@ -318,7 +382,7 @@ def _power_adjunctions(lat: ConceptLattice) -> tuple[Adjunction, Adjunction]:
     recovered = classification_of(lat)
     if failure := _closure_failure(lat, recovered):
         raise NotAConceptLatticeError(failure)
-    return _polar_maps(derivation(recovered), lat.lattice, [c.extent.bits for c in lat.concepts])
+    return _polar_maps(derivation(recovered), lat.lattice, lat._concept_bits[0])
 
 
 def classification_of(lat: ConceptLattice) -> Classification:
@@ -354,27 +418,46 @@ class ConceptMorphism(_Value):
             self.connection.left.func.table, self.connection.right.func.table)
 
 
-def _right_recipes(f: Infomorphism, source_concepts):
-    """Per source concept, the two recipes of its right image's extent: the
-    instance-map preimage of its extent, and the target extent of the
-    type-map image of its intent."""
+def _right_recipes(f: Infomorphism, source_bits):
+    """Per source concept, given as (extents, intents), the two recipes of its
+    right image's extent: the instance-map preimage of its extent, and the
+    target extent of the type-map image of its intent."""
     b = f.target
-    pre = preimage_rows(f.inst_map, [c.extent.bits for c in source_concepts])
-    return zip(pre, (b.extent_of(image_bits(f.typ_map, c.intent.bits)) for c in source_concepts))
+    extents, intents = source_bits
+    pre = preimage_rows(f.inst_map, extents)
+    return zip(pre, (b.extent_of(image_bits(f.typ_map, t)) for t in intents))
 
 
-def _first_disagreement(f: Infomorphism, source_concepts, target_concepts) -> str | None:
+def _first_disagreement(f: Infomorphism, source_bits, target_bits) -> str | None:
     """The first concept at which the two recipes of a table disagree, target
     concepts (left table) before source concepts (right table), or None."""
-    a = f.source
-    pulled = preimage_rows(f.typ_map, [c.intent.bits for c in target_concepts])
-    for c, intent in zip(target_concepts, pulled):
-        if a.extent_of(intent) != a.extent_of(a.intent_of(image_bits(f.inst_map, c.extent.bits))):
-            return f"concept transport formulas disagree at target concept with extent {c.extent}"
-    for c, (pre, derived) in zip(source_concepts, _right_recipes(f, source_concepts)):
+    a, b = f.source, f.target
+    target_extents, target_intents = target_bits
+    pulled = preimage_rows(f.typ_map, target_intents)
+    for e, intent in zip(target_extents, pulled):
+        if a.extent_of(intent) != a.extent_of(a.intent_of(image_bits(f.inst_map, e))):
+            return ("concept transport formulas disagree at target concept with extent "
+                    f"{Subset(b.instances, e)}")
+    for e, (pre, derived) in zip(source_bits[0], _right_recipes(f, source_bits)):
         if pre != derived:
-            return f"concept transport formulas disagree at source concept with extent {c.extent}"
+            return ("concept transport formulas disagree at source concept with extent "
+                    f"{Subset(a.instances, e)}")
     return None
+
+
+def _transport(f: Infomorphism, source_bits,
+               target_bits) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """``concept_transport`` on the concepts of both sides given as (extents,
+    intents): the one kernel behind it and the institution style check."""
+    a, b = f.source, f.target
+    target_cols = b.incidence.columns
+    if preimage_rows(f.inst_map, a.incidence.columns) != [target_cols[t] for t in f.typ_map.table]:
+        raise CarrierMismatchError(_first_disagreement(f, source_bits, target_bits))
+    by_intent = {t: k for k, t in enumerate(source_bits[1])}
+    by_extent = {e: k for k, e in enumerate(target_bits[0])}
+    pulled = preimage_rows(f.typ_map, target_bits[1])
+    pre = preimage_rows(f.inst_map, source_bits[0])
+    return tuple(by_intent[i] for i in pulled), tuple(by_extent[e] for e in pre)
 
 
 def concept_transport(f: Infomorphism, source_concepts,
@@ -399,17 +482,10 @@ def concept_transport(f: Infomorphism, source_concepts,
     (closure(img E) <= A iff E <= pre(A) for a closed A) and preserve extents
     and intents.  On an invalid ``f`` the recipes are scanned concept by
     concept, target concepts first, and this raises at the first
-    disagreement.
+    disagreement.  The concepts are read as their extents and intents
+    (``_transport``).
     """
-    a, b = f.source, f.target
-    target_cols = b.incidence.columns
-    if preimage_rows(f.inst_map, a.incidence.columns) != [target_cols[t] for t in f.typ_map.table]:
-        raise CarrierMismatchError(_first_disagreement(f, source_concepts, target_concepts))
-    by_intent = {c.intent.bits: k for k, c in enumerate(source_concepts)}
-    by_extent = {c.extent.bits: k for k, c in enumerate(target_concepts)}
-    pulled = preimage_rows(f.typ_map, [c.intent.bits for c in target_concepts])
-    pre = preimage_rows(f.inst_map, [c.extent.bits for c in source_concepts])
-    return tuple(by_intent[i] for i in pulled), tuple(by_extent[e] for e in pre)
+    return _transport(f, _bits_of(source_concepts), _bits_of(target_concepts))
 
 
 def concept_square_failures(inst_map: FinFunction, typ_map: FinFunction, source_concepts,
@@ -418,17 +494,17 @@ def concept_square_failures(inst_map: FinFunction, typ_map: FinFunction, source_
 
     The right image of a source concept has the instance-map preimage of its
     extent as extent; the left image of a target concept has the type-map
-    preimage of its intent as intent.
+    preimage of its intent as intent.  Both are compared as ints.
     """
+    source_extents, source_intents = _bits_of(source_concepts)
+    target_extents, target_intents = _bits_of(target_concepts)
     failures = []
-    extents = preimage_rows(inst_map, [c.extent.bits for c in source_concepts])
-    for k, extent in enumerate(extents):
-        if target_concepts[right_table[k]].extent.bits != extent:
+    for k, extent in enumerate(preimage_rows(inst_map, source_extents)):
+        if target_extents[right_table[k]] != extent:
             failures.append(f"extent preservation fails at concept c{k}")
             break
-    intents = preimage_rows(typ_map, [c.intent.bits for c in target_concepts])
-    for k, intent in enumerate(intents):
-        if source_concepts[left_table[k]].intent.bits != intent:
+    for k, intent in enumerate(preimage_rows(typ_map, target_intents)):
+        if source_intents[left_table[k]] != intent:
             failures.append(f"intent preservation fails at concept c{k}")
             break
     return failures
@@ -491,8 +567,7 @@ def lattice_joins_meets(lat: ConceptLattice, members: Subset) -> tuple[int, int]
     """
     if members.carrier != lat.lattice.carrier:
         raise CarrierMismatchError("member set is not over the lattice carrier")
-    extents = [c.extent.bits for c in lat.concepts]
-    intents = [c.intent.bits for c in lat.concepts]
+    extents, intents = lat._concept_bits
     join_intent = meet_bits(intents, members.bits, lat.types.full_mask)
     meet_extent = meet_bits(extents, members.bits, lat.instances.full_mask)
     return intents.index(join_intent), extents.index(meet_extent)
@@ -525,13 +600,14 @@ def validate_concept_lattice(lat: ConceptLattice) -> list[str]:
     recovered = classification_of(lat)
     if failure := _closure_failure(lat, recovered):
         return [failure]
-    pos = {c.extent.bits: k for k, c in enumerate(lat.concepts)}
+    extents, intents = lat._concept_bits
+    pos = {e: k for k, e in enumerate(extents)}
 
     def concept(e: int) -> int:
         return pos[recovered.extent_of(recovered.intent_of(e))]
 
     failures = []
-    if any(concept(c.extent.bits) != k for k, c in enumerate(lat.concepts)):
+    if any(concept(e) != k for k, e in enumerate(extents)):
         if not is_complete_lattice(lat.lattice):
             failures.append("concept order is not a complete lattice")
         failures += ["extent adjunction is not a reflection",
@@ -542,10 +618,9 @@ def validate_concept_lattice(lat: ConceptLattice) -> list[str]:
         failures.append("tau embedding differs from the singleton restriction")
     if failures:
         failures.extend(_check_density(lat))
-    for c in lat.concepts:
-        if recovered.intent_of(c.extent.bits) != c.intent.bits or \
-           recovered.extent_of(c.intent.bits) != c.extent.bits:
-            failures.append(f"bipole condition fails for {c.label()}")
+    for k, (e, t) in enumerate(zip(extents, intents)):
+        if recovered.intent_of(e) != t or recovered.extent_of(t) != e:
+            failures.append(f"bipole condition fails for {lat.concepts[k].label()}")
             break
     return failures
 
@@ -571,25 +646,26 @@ def lattice_roundtrip_iso(lat: ConceptLattice) -> FinFunction:
     if failures := validate_concept_lattice(lat):
         raise NotAConceptLatticeError("; ".join(failures))
     rebuilt = concept_lattice(classification_of(lat))
-    pos = {c.extent.bits: k for k, c in enumerate(lat.concepts)}
+    pos = {e: k for k, e in enumerate(lat._concept_bits[0])}
     return FinFunction(rebuilt.lattice.carrier, lat.lattice.carrier,
-                       tuple(pos[c.extent.bits] for c in rebuilt.concepts))
+                       tuple(pos[e] for e in rebuilt._concept_bits[0]))
 
 
 def lattice_to_json(lat: ConceptLattice) -> str:
     """The lattice as the JSON text that ``conceptua lattice`` writes, trailing newline
     included: objects and attributes by label, each concept's extent and intent by
-    index, and the cover pairs, indented as ``json.dumps(..., indent=2)`` would."""
+    index, and the cover pairs, indented as ``json.dumps(..., indent=2)`` would.
+    Each index's line is written once per lattice and joined per concept."""
     from .io import _json_list, _json_string
 
-    concepts = [
-        '{\n      "extent": '
-        + _json_list([str(k) for k in _bits(c.extent.bits)], "      ")
-        + ',\n      "intent": '
-        + _json_list([str(k) for k in _bits(c.intent.bits)], "      ")
-        + "\n    }"
-        for c in lat.concepts
-    ]
+    # index k's line in an extent or intent list, laid out as _json_list lays it out
+    lines = ["\n        " + str(k) for k in range(max(lat.instances.size, lat.types.size))]
+
+    def indices(mask: int) -> str:
+        return "[" + ",".join([lines[k] for k in _bits(mask)]) + "\n      ]" if mask else "[]"
+
+    concepts = ['{\n      "extent": ' + indices(e) + ',\n      "intent": ' + indices(t) + "\n    }"
+                for e, t in zip(*lat._concept_bits)]
     cover = [f"[\n      {i},\n      {j}\n    ]" for i, j in hasse_edges(lat.lattice)]
     return ('{\n  "objects": '
             + _json_list([_json_string(x) for x in lat.instances.elements], "  ")
@@ -600,15 +676,23 @@ def lattice_to_json(lat: ConceptLattice) -> str:
             + "\n}\n")
 
 
-def _dot_quote(text: str) -> str:
-    """``text`` as a DOT quoted string: backslashes first, then double quotes, escaped."""
-    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+def _dot_escape(text: str) -> str:
+    """``text`` with backslashes, then double quotes, escaped as a DOT quoted string needs."""
+    return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
 def lattice_to_dot(lat: ConceptLattice) -> str:
+    """The lattice as the DOT text that ``conceptua lattice`` writes: one node per
+    concept, labelled extent|intent as ``FormalConcept.label`` writes it in a
+    quoted string, and one edge per cover pair.  Each instance and type label
+    is escaped once per lattice, and a node joins the escaped labels of its
+    extent and intent."""
+    inst = [_dot_escape(x) for x in lat.instances.elements]
+    typ = [_dot_escape(x) for x in lat.types.elements]
     lines = ["digraph lattice {", "  rankdir=BT;"]
-    for k, c in enumerate(lat.concepts):
-        lines.append(f"  n{k} [label={_dot_quote(c.label())}];")
+    for k, (e, t) in enumerate(zip(*lat._concept_bits)):
+        lines.append(f'  n{k} [label="{{' + ",".join([inst[i] for i in _bits(e)]) + "}|{"
+                     + ",".join([typ[j] for j in _bits(t)]) + '}"];')
     for i, j in hasse_edges(lat.lattice):
         lines.append(f"  n{i} -> n{j};")
     lines.append("}")

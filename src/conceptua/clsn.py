@@ -49,7 +49,7 @@ class Classification(_Value):
     """Instances, types, and an incidence relation between them."""
 
     __match_args__ = ("instances", "types", "incidence")
-    # The instance dict holds only the cached ``concepts``.
+    # The instance dict holds only the cached ``_concept_bits`` and ``concepts``.
     __slots__ = (*__match_args__, "__dict__")
 
     def __init__(self, instances: FinSet, types: FinSet, incidence: Relation):
@@ -77,15 +77,23 @@ class Classification(_Value):
         return derive_bits(inc.columns, inc.rows, y, self.instances.full_mask)
 
     @_cached
-    def concepts(self) -> tuple:
-        """The formal concepts in lectic order of extents (``clg.concepts_of``),
-        enumerated on first read and kept.
+    def _concept_bits(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The formal concepts as two int tuples, (extents, intents), in
+        lectic order of extents (``clg._concepts_lectic``), enumerated on
+        first read and kept.
 
         Not a field, so equality and hashing see only the incidence.  A
         failed enumeration (past the size bound) keeps nothing.
         """
         from .clg import _concepts_lectic
         return _concepts_lectic(self)
+
+    @_cached
+    def concepts(self) -> tuple:
+        """The formal concepts as ``FormalConcept`` values (``clg.concepts_of``),
+        built from ``_concept_bits`` on first read and kept."""
+        from .clg import _formal_concepts
+        return _formal_concepts(self)
 
 
 def involution_classification(a: Classification) -> Classification:

@@ -746,12 +746,17 @@ def flatten(signatures, morphisms) -> FlattenedTheoryCategory:
 
     morphs: list[tuple[int, int, int]] = []
     for mi, (si, ti, sm) in enumerate(sig_morphs):
-        table = transport_tables[mi]
+        table, source, target = transport_tables[mi], offsets[si], offsets[ti]
         for mask in range(sizes[si]):
+            # moved <= target in the fiber: the targets are the submasks of
+            # moved, visited in ascending order
             moved = table[mask]
-            for target_mask in range(sizes[ti]):
-                if target_mask & ~moved == 0:  # moved <= target in the fiber
-                    morphs.append((offsets[si] + mask, offsets[ti] + target_mask, mi))
+            sub = 0
+            while True:
+                morphs.append((source + mask, target + sub, mi))
+                if sub == moved:
+                    break
+                sub = (sub - moved) & moved
 
     return FlattenedTheoryCategory(objects, tuple(sig_morphs), tuple(morphs))
 
@@ -919,12 +924,13 @@ def style_interconvert(sigma: SignatureMorphism, depth: int,
     verify their defining conditions: plain satisfaction, the derivation
     square, the concept connection of the infomorphism, and the
     theory-level satisfaction with closure-then-image translation.  A
-    returned ``concept_transport`` decides conc-adj, and conc-rel, its right
-    recipe, with it.  Raises ``SizeLimitError`` before any concept is
-    enumerated when either classification's work estimate passes
-    ``STYLE_MAX_WORK``."""
+    returned concept transport (``clg._transport``, on the concepts as
+    extents and intents) decides conc-adj, and conc-rel, its right recipe,
+    with it; no ``FormalConcept`` is built.  Raises ``SizeLimitError``
+    before any concept is enumerated when either classification's work
+    estimate passes ``STYLE_MAX_WORK``."""
     from .clsn import Infomorphism, _square_commutes
-    from .clg import _right_recipes, concept_transport, concepts_of
+    from .clg import _checked_bits, _right_recipes, _transport
 
     inst = institution or PropositionalInstitution()
     witnesses: dict = {}
@@ -964,15 +970,15 @@ def style_interconvert(sigma: SignatureMorphism, depth: int,
         if not class_adj:
             witnesses.setdefault("class_adj", "derivation square fails")
 
-        la_concepts = concepts_of(a)
+        la_bits = _checked_bits(a)
         try:
-            concept_transport(info, la_concepts, concepts_of(b))
+            _transport(info, la_bits, _checked_bits(b))
             conc_adj = conc_rel = True
         except CarrierMismatchError as exc:
             witnesses["conc_adj"] = str(exc)
             # Conc-Rel: theory-level satisfaction with closure-then-image translation.
             conc_rel = True
-            for k, (reduced, translated) in enumerate(_right_recipes(info, la_concepts)):
+            for k, (reduced, translated) in enumerate(_right_recipes(info, la_bits)):
                 if reduced != translated:
                     diff = reduced ^ translated
                     m_idx = (diff & -diff).bit_length() - 1

@@ -135,7 +135,7 @@ def int_nextclosure(a):
 
 
 def fcbo_pairs(a):
-    return [(c.extent.bits, c.intent.bits) for c in clg._concepts_lectic(a)]
+    return list(zip(*clg._concepts_lectic(a)))
 
 
 def test_fcbo_matches_int_nextclosure_on_seeded_contexts():
@@ -211,8 +211,7 @@ def test_enumeration_work_is_bounded_by_the_concepts_and_the_smaller_side():
         counted = Relation(a.instances, a.types, a.incidence.rows)
         object.__setattr__(counted, "rows", rows)
         counted.__dict__["columns"] = cols
-        found = [(c.extent.bits, c.intent.bits)
-                 for c in clg._concepts_lectic(Classification(a.instances, a.types, counted))]
+        found = list(zip(*clg._concepts_lectic(Classification(a.instances, a.types, counted))))
         assert found == int_nextclosure(a)
         assert len(found) > 10
         small, other = (rows, cols) if n_inst <= n_typ else (cols, rows)

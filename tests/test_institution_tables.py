@@ -505,16 +505,20 @@ def test_style_oracle_reports_differ_between_institutions():
 
 def test_returned_transports_pass_pairwise_adjointness_oracle(monkeypatch):
     """Every pair of tables the transport returns in a style check is adjoint,
-    pair by pair and row by row, and preserves extents and intents."""
+    pair by pair and row by row, and preserves extents and intents.  The
+    check hands the transport kernel the ints of ``concepts_of`` output."""
     recorded = []
-    real = clg.concept_transport
+    real = clg._transport
 
-    def recording(f, source_concepts, target_concepts):
-        tables = real(f, source_concepts, target_concepts)
+    def recording(f, source_bits, target_bits):
+        tables = real(f, source_bits, target_bits)
+        source_concepts, target_concepts = concepts_of(f.source), concepts_of(f.target)
+        assert (source_bits, target_bits) == \
+            (clg._bits_of(source_concepts), clg._bits_of(target_concepts))
         recorded.append((f, source_concepts, target_concepts, *tables))
         return tables
 
-    monkeypatch.setattr(clg, "concept_transport", recording)
+    monkeypatch.setattr(clg, "_transport", recording)
     for inst in INSTITUTIONS:
         for sigma, depth in style_cases():
             style_interconvert(sigma, depth, inst)
