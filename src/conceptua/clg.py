@@ -6,19 +6,21 @@ an intersection of object intents, every extent one of attribute extents),
 at most n_small x |concepts| ANDs, sorts them once into lectic order of
 extents and packages them with the join-dense instance embedding and the
 meet-dense type embedding, which by the basic theorem determine the
-classification: ``classification_of`` recovers it bit-exactly.  The
-enumeration runs once per classification and is kept on it as two int
-tuples, the extents and the intents (``Classification._concept_bits``), so
-``concepts_of``, ``concept_poset`` and ``concept_lattice`` on the same
-classification share it.  The concept order, the embeddings, validation,
-concept transport and the two writers read those ints.  The public tuple of
-``FormalConcept`` values (``Classification.concepts``,
-``ConceptLattice.concepts``, the result of ``concepts_of``) is built from
-them when first read, so ``conceptua lattice`` and the institution style
-check build none.  The extent reflection and the intent coreflection are
-the polar factorization of derivation on the lattice's own axis; their
-outer orders are the two power orders, so they are built only when first
-read, and validation reads neither.
+classification: ``classification_of`` recovers it bit-exactly.
+
+A concept is its extent and its intent, held as two ints.  The enumeration
+runs once per classification and is kept on it as two int tuples
+(``Classification._concept_bits``), shared by ``concepts_of``,
+``concept_poset`` and ``concept_lattice``; a ``ConceptLattice`` holds them as
+its ``extents`` and ``intents``.  The concept order, the embeddings,
+validation, concept transport and the two writers read those ints.
+``FormalConcept`` is a view, built by ``_formal_concepts`` when
+``Classification.concepts``, ``ConceptLattice.concepts`` or ``concepts_of``
+is first read, so ``conceptua lattice``, concept morphisms and the
+institution style check build none.  The extent reflection and the intent
+coreflection are the polar factorization of derivation on the lattice's own
+axis; their outer orders are the two power orders, so they are built only
+when first read, and validation reads neither.
 """
 
 from functools import lru_cache
@@ -94,39 +96,24 @@ class FormalConcept(_Value):
 
 
 class ConceptLattice(_Value):
-    """Concepts by extent inclusion and their embeddings; the concept tuple
-    and the adjunctions built on first read.
+    """Concepts by extent inclusion, as their extents and intents, and their
+    embeddings; the ``FormalConcept`` view and the adjunctions built on first
+    read."""
 
-    The ``concepts`` field is kept in the ``_concepts`` slot: the tuple given
-    to the constructor or, from ``concept_lattice``, the classification whose
-    ``concepts`` it is, so that reading the field builds that tuple then.
-    """
-
-    __match_args__ = ("instances", "types", "lattice", "concepts", "iota_embed", "tau_embed")
-    # The instance dict holds only the cached ``_adjunctions``.
-    __slots__ = ("instances", "types", "lattice", "_concepts", "iota_embed", "tau_embed",
-                 "__dict__")
+    __match_args__ = ("instances", "types", "lattice", "extents", "intents", "iota_embed",
+                      "tau_embed")
+    # The instance dict holds only the cached ``concepts`` and ``_adjunctions``.
+    __slots__ = (*__match_args__, "__dict__")
 
     def __init__(self, instances: FinSet, types: FinSet, lattice: Poset,
-                 concepts: tuple[FormalConcept, ...], iota_embed: FinFunction,
+                 extents: tuple[int, ...], intents: tuple[int, ...], iota_embed: FinFunction,
                  tau_embed: FinFunction):
-        self._fill(self, instances, types, lattice, concepts, iota_embed, tau_embed)
+        self._fill(self, instances, types, lattice, extents, intents, iota_embed, tau_embed)
 
-    @property
+    @_cached
     def concepts(self) -> tuple[FormalConcept, ...]:
-        held = self._concepts
-        return held.concepts if isinstance(held, Classification) else held
-
-    @concepts.setter
-    def concepts(self, value):
-        # Reached only from the filler: ``_Value.__setattr__`` raises first.
-        ConceptLattice._concepts.__set__(self, value)
-
-    @property
-    def _concept_bits(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The extents and the intents, as two int tuples in concept order."""
-        held = self._concepts
-        return held._concept_bits if isinstance(held, Classification) else _bits_of(held)
+        """The concepts as ``FormalConcept`` values, built on first read."""
+        return _formal_concepts(self.instances, self.types, self.extents, self.intents)
 
     @_cached
     def _adjunctions(self) -> tuple[Adjunction, Adjunction]:
@@ -220,9 +207,11 @@ def _concepts_lectic(a: Classification) -> tuple[tuple[int, ...], tuple[int, ...
     return extents, intents
 
 
-def _formal_concepts(a: Classification) -> tuple[FormalConcept, ...]:
-    """The public tuple of ``a``'s concepts, built from ``a._concept_bits``
-    when ``a.concepts`` is first read.
+def _formal_concepts(instances: FinSet, types: FinSet, extents,
+                     intents) -> tuple[FormalConcept, ...]:
+    """The concepts with these extents and intents as ``FormalConcept``
+    values: the view that ``Classification.concepts`` and
+    ``ConceptLattice.concepts`` build when first read.
 
     Each concept and its two subsets are valid by construction and built
     here, in one loop, not by ``finrel._trusted``: each field is written to
@@ -232,16 +221,15 @@ def _formal_concepts(a: Classification) -> tuple[FormalConcept, ...]:
     the fillers and 1.45 ms through ``_trusted`` (best of 7, Python 3.11.7,
     2 vCPUs); a concept and its subsets hold 217 B on contranominal-16.
     """
-    inst, typ = a.instances, a.types
     new = object.__new__
     set_carrier, set_bits = Subset.carrier.__set__, Subset.bits.__set__
     set_extent, set_intent = FormalConcept.extent.__set__, FormalConcept.intent.__set__
     out = []
-    for e, t in zip(*a._concept_bits):
+    for e, t in zip(extents, intents):
         extent, intent, concept = new(Subset), new(Subset), new(FormalConcept)
-        set_carrier(extent, inst)
+        set_carrier(extent, instances)
         set_bits(extent, e)
-        set_carrier(intent, typ)
+        set_carrier(intent, types)
         set_bits(intent, t)
         set_extent(concept, extent)
         set_intent(concept, intent)
@@ -258,11 +246,6 @@ def _checked_bits(a: Classification) -> tuple[tuple[int, ...], tuple[int, ...]]:
     if len(bits[0]) > (limit := 1 << min(bound, 64)):
         raise _too_many_concepts(bound, limit)
     return bits
-
-
-def _bits_of(concepts) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The extents and the intents of listed concepts, as two int tuples."""
-    return tuple(c.extent.bits for c in concepts), tuple(c.intent.bits for c in concepts)
 
 
 def concepts_of(a: Classification) -> tuple[FormalConcept, ...]:
@@ -339,8 +322,7 @@ def concept_lattice(a: Classification) -> ConceptLattice:
     concept whose extent is column t: the concept order plus two lookups,
     and no power order.  Assembled unchecked: object intents and attribute
     extents are closed, so both embeddings are total and in range.  The
-    lattice holds ``a`` for its concepts, so their tuple is built only if
-    ``concepts`` is read.
+    lattice shares ``a``'s extents and intents.
     """
     extents, intents = _checked_bits(a)
     lattice = _concept_order(extents, a.instances.size)
@@ -350,17 +332,33 @@ def concept_lattice(a: Classification) -> ConceptLattice:
         by_intent[row] for row in a.incidence.rows))
     tau = _trusted(FinFunction, a.types, lattice.carrier, tuple(
         by_extent[col] for col in a.incidence.columns))
-    return _trusted(ConceptLattice, a.instances, a.types, lattice, a, iota, tau)
+    return _trusted(ConceptLattice, a.instances, a.types, lattice, extents, intents, iota, tau)
+
+
+def _parts_failure(lat: ConceptLattice) -> str | None:
+    """Why the extents and intents do not fit the lattice, or None: there must
+    be one of each per concept, a subset of the instances or of the types."""
+    for name, masks, side, what in (("extent", lat.extents, lat.instances, "instances"),
+                                    ("intent", lat.intents, lat.types, "types")):
+        if len(masks) != lat.size:
+            return f"{len(masks)} {name}s listed for a lattice of {lat.size} concepts"
+        for k, mask in enumerate(masks):
+            if not 0 <= mask <= side.full_mask:
+                return f"{name} of concept c{k} is not a subset of the {side.size} {what}"
+    return None
 
 
 def _closure_failure(lat: ConceptLattice, recovered: Classification) -> str | None:
     """Why the listed extents are not the closed sets of ``recovered``, or None.
 
-    The order must be extent inclusion, and the full instance set and E & column
-    m, for each closed listed E and type m, must be listed: by induction on sets
-    of types every closed set is then listed.  An unclosed E is skipped.
+    The parts must fit (``_parts_failure``), the order must be extent
+    inclusion, and the full instance set and E & column m, for each closed
+    listed E and type m, must be listed: by induction on sets of types every
+    closed set is then listed.  An unclosed E is skipped.
     """
-    extents = lat._concept_bits[0]
+    if failure := _parts_failure(lat):
+        return failure
+    extents = lat.extents
     if lat.lattice.leq.rows != _inclusion_rows(extents, lat.instances.size):
         return "concept order is not extent inclusion"
     listed, cols = set(extents), recovered.incidence.columns
@@ -382,7 +380,7 @@ def _power_adjunctions(lat: ConceptLattice) -> tuple[Adjunction, Adjunction]:
     recovered = classification_of(lat)
     if failure := _closure_failure(lat, recovered):
         raise NotAConceptLatticeError(failure)
-    return _polar_maps(derivation(recovered), lat.lattice, lat._concept_bits[0])
+    return _polar_maps(derivation(recovered), lat.lattice, lat.extents)
 
 
 def classification_of(lat: ConceptLattice) -> Classification:
@@ -414,55 +412,40 @@ class ConceptMorphism(_Value):
         """The extensional condition, inst(x) in ext(c) iff x in ext(right c), and the
         intensional one, y in int(left c) iff typ(y) in int(c): the concept squares."""
         return concept_square_failures(
-            self.inst_map, self.typ_map, self.source.concepts, self.target.concepts,
+            self.inst_map, self.typ_map, self.source, self.target,
             self.connection.left.func.table, self.connection.right.func.table)
 
 
-def _right_recipes(f: Infomorphism, source_bits):
-    """Per source concept, given as (extents, intents), the two recipes of its
-    right image's extent: the instance-map preimage of its extent, and the
-    target extent of the type-map image of its intent."""
+def _right_recipes(f: Infomorphism):
+    """Per source concept, the two recipes of its right image's extent: the
+    instance-map preimage of its extent, and the target extent of the
+    type-map image of its intent."""
     b = f.target
-    extents, intents = source_bits
+    extents, intents = f.source._concept_bits
     pre = preimage_rows(f.inst_map, extents)
     return zip(pre, (b.extent_of(image_bits(f.typ_map, t)) for t in intents))
 
 
-def _first_disagreement(f: Infomorphism, source_bits, target_bits) -> str | None:
+def _first_disagreement(f: Infomorphism) -> str | None:
     """The first concept at which the two recipes of a table disagree, target
     concepts (left table) before source concepts (right table), or None."""
     a, b = f.source, f.target
-    target_extents, target_intents = target_bits
+    target_extents, target_intents = b._concept_bits
     pulled = preimage_rows(f.typ_map, target_intents)
     for e, intent in zip(target_extents, pulled):
         if a.extent_of(intent) != a.extent_of(a.intent_of(image_bits(f.inst_map, e))):
             return ("concept transport formulas disagree at target concept with extent "
                     f"{Subset(b.instances, e)}")
-    for e, (pre, derived) in zip(source_bits[0], _right_recipes(f, source_bits)):
+    for e, (pre, derived) in zip(a._concept_bits[0], _right_recipes(f)):
         if pre != derived:
             return ("concept transport formulas disagree at source concept with extent "
                     f"{Subset(a.instances, e)}")
     return None
 
 
-def _transport(f: Infomorphism, source_bits,
-               target_bits) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """``concept_transport`` on the concepts of both sides given as (extents,
-    intents): the one kernel behind it and the institution style check."""
-    a, b = f.source, f.target
-    target_cols = b.incidence.columns
-    if preimage_rows(f.inst_map, a.incidence.columns) != [target_cols[t] for t in f.typ_map.table]:
-        raise CarrierMismatchError(_first_disagreement(f, source_bits, target_bits))
-    by_intent = {t: k for k, t in enumerate(source_bits[1])}
-    by_extent = {e: k for k, e in enumerate(target_bits[0])}
-    pulled = preimage_rows(f.typ_map, target_bits[1])
-    pre = preimage_rows(f.inst_map, source_bits[0])
-    return tuple(by_intent[i] for i in pulled), tuple(by_extent[e] for e in pre)
-
-
-def concept_transport(f: Infomorphism, source_concepts,
-                      target_concepts) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The concept-level connection of ``f`` as two index tables over ``concepts_of`` output.
+def concept_transport(f: Infomorphism) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The concept-level connection of ``f`` as two index tables over the
+    concepts of both sides, in ``concepts_of`` order.
 
     The left table sends each target concept to the source concept whose
     extent derives from its intent pulled back along the type map; equally,
@@ -482,29 +465,38 @@ def concept_transport(f: Infomorphism, source_concepts,
     (closure(img E) <= A iff E <= pre(A) for a closed A) and preserve extents
     and intents.  On an invalid ``f`` the recipes are scanned concept by
     concept, target concepts first, and this raises at the first
-    disagreement.  The concepts are read as their extents and intents
-    (``_transport``).
+    disagreement.  Both sides' concepts are read as their extents and
+    intents (``_checked_bits``), and no ``FormalConcept`` is built.
     """
-    return _transport(f, _bits_of(source_concepts), _bits_of(target_concepts))
+    a, b = f.source, f.target
+    source_extents, source_intents = _checked_bits(a)
+    target_extents, target_intents = _checked_bits(b)
+    target_cols = b.incidence.columns
+    if preimage_rows(f.inst_map, a.incidence.columns) != [target_cols[t] for t in f.typ_map.table]:
+        raise CarrierMismatchError(_first_disagreement(f))
+    by_intent = {t: k for k, t in enumerate(source_intents)}
+    by_extent = {e: k for k, e in enumerate(target_extents)}
+    pulled = preimage_rows(f.typ_map, target_intents)
+    pre = preimage_rows(f.inst_map, source_extents)
+    return tuple(by_intent[i] for i in pulled), tuple(by_extent[e] for e in pre)
 
 
-def concept_square_failures(inst_map: FinFunction, typ_map: FinFunction, source_concepts,
-                            target_concepts, left_table, right_table) -> list[str]:
-    """Extent and intent preservation of a transport, as failure strings.
+def concept_square_failures(inst_map: FinFunction, typ_map: FinFunction, source: ConceptLattice,
+                            target: ConceptLattice, left_table, right_table) -> list[str]:
+    """Extent and intent preservation of a transport between two concept
+    lattices, as failure strings.
 
     The right image of a source concept has the instance-map preimage of its
     extent as extent; the left image of a target concept has the type-map
     preimage of its intent as intent.  Both are compared as ints.
     """
-    source_extents, source_intents = _bits_of(source_concepts)
-    target_extents, target_intents = _bits_of(target_concepts)
     failures = []
-    for k, extent in enumerate(preimage_rows(inst_map, source_extents)):
-        if target_extents[right_table[k]] != extent:
+    for k, extent in enumerate(preimage_rows(inst_map, source.extents)):
+        if target.extents[right_table[k]] != extent:
             failures.append(f"extent preservation fails at concept c{k}")
             break
-    for k, intent in enumerate(preimage_rows(typ_map, target_intents)):
-        if source_intents[left_table[k]] != intent:
+    for k, intent in enumerate(preimage_rows(typ_map, target.intents)):
+        if source.intents[left_table[k]] != intent:
             failures.append(f"intent preservation fails at concept c{k}")
             break
     return failures
@@ -517,7 +509,7 @@ def concept_morphism_of(f: Infomorphism) -> ConceptMorphism:
         raise CarrierMismatchError(f"invalid infomorphism; witness {witness}")
     la = concept_lattice(f.source)
     lb = concept_lattice(f.target)
-    left, right = concept_transport(f, la.concepts, lb.concepts)
+    left, right = concept_transport(f)
     connection = Adjunction(lb.lattice, la.lattice, _monotone(lb.lattice, la.lattice, left),
                             _monotone(la.lattice, lb.lattice, right))
     return ConceptMorphism(la, lb, connection, f.inst_map, f.typ_map)
@@ -567,7 +559,7 @@ def lattice_joins_meets(lat: ConceptLattice, members: Subset) -> tuple[int, int]
     """
     if members.carrier != lat.lattice.carrier:
         raise CarrierMismatchError("member set is not over the lattice carrier")
-    extents, intents = lat._concept_bits
+    extents, intents = lat.extents, lat.intents
     join_intent = meet_bits(intents, members.bits, lat.types.full_mask)
     meet_extent = meet_bits(extents, members.bits, lat.instances.full_mask)
     return intents.index(join_intent), extents.index(meet_extent)
@@ -600,7 +592,7 @@ def validate_concept_lattice(lat: ConceptLattice) -> list[str]:
     recovered = classification_of(lat)
     if failure := _closure_failure(lat, recovered):
         return [failure]
-    extents, intents = lat._concept_bits
+    extents, intents = lat.extents, lat.intents
     pos = {e: k for k, e in enumerate(extents)}
 
     def concept(e: int) -> int:
@@ -625,10 +617,17 @@ def validate_concept_lattice(lat: ConceptLattice) -> list[str]:
     return failures
 
 
-def concept_lattice_from_parts(instances, types, lattice, concepts,
+def concept_lattice_from_parts(instances, types, lattice, extents, intents,
                                iota_embed, tau_embed) -> ConceptLattice:
-    """Manual constructor; rejects any density or bipole violation eagerly."""
-    lat = ConceptLattice(instances, types, lattice, tuple(concepts), iota_embed, tau_embed)
+    """Manual constructor, over the constructor's fields.  Raises
+    ``CarrierMismatchError`` on a ``_parts_failure``: when either tuple is not
+    one mask per lattice element, or at the first extent or intent that is
+    not a subset of the instances or the types.  Then rejects any density or
+    bipole violation eagerly."""
+    lat = ConceptLattice(instances, types, lattice, tuple(extents), tuple(intents), iota_embed,
+                         tau_embed)
+    if failure := _parts_failure(lat):
+        raise CarrierMismatchError(failure)
     if failures := validate_concept_lattice(lat):
         raise NotAConceptLatticeError("; ".join(failures))
     return lat
@@ -646,9 +645,9 @@ def lattice_roundtrip_iso(lat: ConceptLattice) -> FinFunction:
     if failures := validate_concept_lattice(lat):
         raise NotAConceptLatticeError("; ".join(failures))
     rebuilt = concept_lattice(classification_of(lat))
-    pos = {e: k for k, e in enumerate(lat._concept_bits[0])}
+    pos = {e: k for k, e in enumerate(lat.extents)}
     return FinFunction(rebuilt.lattice.carrier, lat.lattice.carrier,
-                       tuple(pos[e] for e in rebuilt._concept_bits[0]))
+                       tuple(pos[e] for e in rebuilt.extents))
 
 
 def lattice_to_json(lat: ConceptLattice) -> str:
@@ -665,7 +664,7 @@ def lattice_to_json(lat: ConceptLattice) -> str:
         return "[" + ",".join([lines[k] for k in _bits(mask)]) + "\n      ]" if mask else "[]"
 
     concepts = ['{\n      "extent": ' + indices(e) + ',\n      "intent": ' + indices(t) + "\n    }"
-                for e, t in zip(*lat._concept_bits)]
+                for e, t in zip(lat.extents, lat.intents)]
     cover = [f"[\n      {i},\n      {j}\n    ]" for i, j in hasse_edges(lat.lattice)]
     return ('{\n  "objects": '
             + _json_list([_json_string(x) for x in lat.instances.elements], "  ")
@@ -690,7 +689,7 @@ def lattice_to_dot(lat: ConceptLattice) -> str:
     inst = [_dot_escape(x) for x in lat.instances.elements]
     typ = [_dot_escape(x) for x in lat.types.elements]
     lines = ["digraph lattice {", "  rankdir=BT;"]
-    for k, (e, t) in enumerate(zip(*lat._concept_bits)):
+    for k, (e, t) in enumerate(zip(lat.extents, lat.intents)):
         lines.append(f'  n{k} [label="{{' + ",".join([inst[i] for i in _bits(e)]) + "}|{"
                      + ",".join([typ[j] for j in _bits(t)]) + '}"];')
     for i, j in hasse_edges(lat.lattice):

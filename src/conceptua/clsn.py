@@ -93,7 +93,7 @@ class Classification(_Value):
         """The formal concepts as ``FormalConcept`` values (``clg.concepts_of``),
         built from ``_concept_bits`` on first read and kept."""
         from .clg import _formal_concepts
-        return _formal_concepts(self)
+        return _formal_concepts(self.instances, self.types, *self._concept_bits)
 
 
 def involution_classification(a: Classification) -> Classification:

@@ -22,8 +22,8 @@ pointer compare.
 Every value class of the library keeps its fields, and any attribute
 derived from them (``FinSet.size`` and ``full_mask``), in ``__slots__``, so
 a value is one allocation with no instance dict.  Only a class with a
-cached attribute (``Relation.columns`` here, ``Classification._concept_bits``
-and ``.concepts`` and ``ConceptLattice._adjunctions``, each a ``_cached``)
+cached attribute (``Relation.columns`` here, ``Classification._concept_bits``,
+``ConceptLattice._adjunctions`` and both ``.concepts``, each a ``_cached``)
 also lists ``__dict__``, which holds nothing but the cached values.
 """
 
@@ -139,8 +139,7 @@ class _Record:
     go through ``__getstate__`` and ``__setstate__`` below.  Each subclass
     also gets its filler ``_fill(obj, *fields)``, made once here from its
     slot descriptors: the one writer of its fields, behind both its
-    ``__init__`` and ``_trusted``.  A field kept in a slot of another name
-    (``ConceptLattice.concepts``) is a property whose setter writes that slot.
+    ``__init__`` and ``_trusted``.
     """
 
     __match_args__ = ()

@@ -924,13 +924,13 @@ def style_interconvert(sigma: SignatureMorphism, depth: int,
     verify their defining conditions: plain satisfaction, the derivation
     square, the concept connection of the infomorphism, and the
     theory-level satisfaction with closure-then-image translation.  A
-    returned concept transport (``clg._transport``, on the concepts as
-    extents and intents) decides conc-adj, and conc-rel, its right recipe,
-    with it; no ``FormalConcept`` is built.  Raises ``SizeLimitError``
-    before any concept is enumerated when either classification's work
-    estimate passes ``STYLE_MAX_WORK``."""
+    returned ``clg.concept_transport``, which reads the concepts as extents
+    and intents, decides conc-adj, and conc-rel, its right recipe, with it;
+    no ``FormalConcept`` is built.  Raises ``SizeLimitError`` before any
+    concept is enumerated when either classification's work estimate passes
+    ``STYLE_MAX_WORK``."""
     from .clsn import Infomorphism, _square_commutes
-    from .clg import _checked_bits, _right_recipes, _transport
+    from .clg import _right_recipes, concept_transport
 
     inst = institution or PropositionalInstitution()
     witnesses: dict = {}
@@ -970,15 +970,14 @@ def style_interconvert(sigma: SignatureMorphism, depth: int,
         if not class_adj:
             witnesses.setdefault("class_adj", "derivation square fails")
 
-        la_bits = _checked_bits(a)
         try:
-            _transport(info, la_bits, _checked_bits(b))
+            concept_transport(info)
             conc_adj = conc_rel = True
         except CarrierMismatchError as exc:
             witnesses["conc_adj"] = str(exc)
             # Conc-Rel: theory-level satisfaction with closure-then-image translation.
             conc_rel = True
-            for k, (reduced, translated) in enumerate(_right_recipes(info, la_bits)):
+            for k, (reduced, translated) in enumerate(_right_recipes(info)):
                 if reduced != translated:
                     diff = reduced ^ translated
                     m_idx = (diff & -diff).bit_length() - 1

@@ -824,9 +824,9 @@ def _embedding_failures(lat: ConceptLattice) -> list[str]:
     """iota_embed is the row-meet embedding of the instance-of bimodule and
     tau_embed the column-join embedding of the of-type bimodule, with both
     relations read off the concepts' extents and intents."""
-    concepts, extents = lat.lattice.carrier, tuple(c.extent.bits for c in lat.concepts)
-    instance_of = transpose(Relation(concepts, lat.instances, extents))
-    of_type = Relation(concepts, lat.types, tuple(c.intent.bits for c in lat.concepts))
+    concepts = lat.lattice.carrier
+    instance_of = transpose(Relation(concepts, lat.instances, lat.extents))
+    of_type = Relation(concepts, lat.types, lat.intents)
     iota = bimodule_01_embedding(
         OrderBimodule(Preorder.discrete(lat.instances), lat.lattice, instance_of)).func.table
     tau = bimodule_10_embedding(
@@ -906,12 +906,11 @@ def clg_suite(seed: int, cases: int) -> LawReport:
         d = diagonal_of_infomorphism(f)
         pf_a = polar_factorize(derivation(f.source))
         pf_b = polar_factorize(derivation(f.target))
-        ext_of_lattice_b = [c.extent.bits for c in h.target.concepts]
         ok = True
         for k, (closed_bits, _) in enumerate(pf_b.bipoles):
             via_d = pf_a.bipoles[d.left.func.table[k]][0]
-            lattice_k = ext_of_lattice_b.index(closed_bits)
-            via_h = h.source.concepts[h.connection.left.func.table[lattice_k]].extent.bits
+            lattice_k = h.target.extents.index(closed_bits)
+            via_h = h.source.extents[h.connection.left.func.table[lattice_k]]
             if via_d != via_h:
                 ok = False
         report.check(ok, "connection equals the diagonal of the derivation square")

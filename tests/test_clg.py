@@ -7,7 +7,7 @@ import pytest
 
 import conceptua.clg as clg
 import conceptua.verify as verify
-from conceptua.errors import NotAConceptLatticeError
+from conceptua.errors import CarrierMismatchError, NotAConceptLatticeError
 from conceptua.finrel import FinFunction, FinSet, Relation, Subset, finset
 from conceptua.galois import _polar_maps, polar_factorize
 from conceptua.order import Poset, Preorder, poset_join, poset_meet
@@ -365,8 +365,9 @@ def diamond_lattice_parts(order_labels):
     iota = FinFunction(instances, carrier, (roles["x"], roles["y"]))
     tau = FinFunction(types, carrier, (roles["x"], roles["y"]))
     return dict(
-        instances=instances, types=types, lattice=lattice, concepts=tuple(concepts),
-        iota_embed=iota, tau_embed=tau,
+        instances=instances, types=types, lattice=lattice,
+        extents=tuple(c.extent.bits for c in concepts),
+        intents=tuple(c.intent.bits for c in concepts), iota_embed=iota, tau_embed=tau,
     )
 
 
@@ -376,6 +377,54 @@ def test_manual_diamond_lattice_is_accepted_with_nontrivial_iso():
     iso = lattice_roundtrip_iso(lat)
     assert iso.table != tuple(range(4))  # scrambled order forces a real iso
     assert sorted(iso.table) == list(range(4))  # a bijection
+    # the listed concepts lie over the lattice's own carriers
+    assert all(c.extent.carrier is parts["instances"] and c.intent.carrier is parts["types"]
+               for c in lat.concepts)
+    assert [c.label() for c in lat.concepts] == ["{i1,i2}|{}", "{i1}|{t1}", "{i2}|{t2}",
+                                                "{}|{t1,t2}"]
+
+
+def assert_parts_rejected(parts, message):
+    """``concept_lattice_from_parts`` raises ``message``; the raw lattice
+    fails validation with it alone, and neither its adjunctions nor its
+    round trip are built."""
+    with pytest.raises(CarrierMismatchError) as exc:
+        concept_lattice_from_parts(**parts)
+    assert str(exc.value) == message
+    raw = ConceptLattice(**parts)
+    assert validate_concept_lattice(raw) == [message]
+    with pytest.raises(NotAConceptLatticeError, match=message):
+        raw.extent_reflection
+    with pytest.raises(NotAConceptLatticeError, match=message):
+        lattice_roundtrip_iso(raw)
+
+
+@pytest.mark.parametrize("name", ["extents", "intents"])
+def test_parts_not_one_mask_per_concept_are_rejected(name):
+    parts = diamond_lattice_parts(["top", "x", "y", "bot"])
+    for masks in (parts[name][:-1], parts[name] + (0,)):
+        assert_parts_rejected({**parts, name: masks},
+                              f"{len(masks)} {name} listed for a lattice of 4 concepts")
+
+
+def test_an_extent_outside_the_instances_is_rejected_at_its_index():
+    parts = diamond_lattice_parts(["top", "x", "y", "bot"])
+    for bad in (0b100, -1):
+        extents = list(parts["extents"])
+        extents[1] = bad
+        extents[3] = 0b1000
+        assert_parts_rejected({**parts, "extents": tuple(extents)},
+                              "extent of concept c1 is not a subset of the 2 instances")
+
+
+def test_an_intent_outside_the_types_is_rejected_at_its_index():
+    parts = diamond_lattice_parts(["top", "x", "y", "bot"])
+    for bad in (0b100, -1):
+        intents = list(parts["intents"])
+        intents[2] = bad
+        intents[3] = 0b1000
+        assert_parts_rejected({**parts, "intents": tuple(intents)},
+                              "intent of concept c2 is not a subset of the 2 types")
 
 
 def test_roundtrip_iso_is_identity_on_generated_lattices():
@@ -398,7 +447,8 @@ def relabelled_parts(lat, perm):
     return dict(
         instances=lat.instances, types=lat.types,
         lattice=Poset(carrier, Relation(carrier, carrier, rows)),
-        concepts=tuple(lat.concepts[inv[j]] for j in range(n)),
+        extents=tuple(lat.extents[inv[j]] for j in range(n)),
+        intents=tuple(lat.intents[inv[j]] for j in range(n)),
         iota_embed=FinFunction(lat.instances, carrier,
                                tuple(perm[k] for k in lat.iota_embed.table)),
         tau_embed=FinFunction(lat.types, carrier, tuple(perm[k] for k in lat.tau_embed.table)),

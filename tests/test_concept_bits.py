@@ -2,13 +2,16 @@
 built only when it is read.
 
 A classification keeps its concepts as ``_concept_bits``, the extents and
-the intents in lectic order; ``clg._formal_concepts``, the function of the
-cached ``Classification.concepts``, builds the public tuple from them.  Its
-runs are counted through that cached attribute's ``func``, the one seam
-every public tuple goes through (a lattice from ``concept_lattice`` reads
-its classification's), with no module patched: ``conceptua lattice``, in
-JSON and DOT, to ``--out`` and to stdout, and ``conceptua institution --vars
-3`` must not run it.
+the intents in lectic order, and a concept lattice holds them as its
+``extents`` and ``intents``; ``clg._formal_concepts``, the function of the
+cached ``Classification.concepts`` and ``ConceptLattice.concepts``, builds
+the public tuple from them.  Its runs are counted through the ``func`` of
+those two cached attributes, the seams every public tuple goes through,
+with no module patched: ``conceptua lattice``, in JSON and DOT, to
+``--out`` and to stdout, ``conceptua institution --vars 3``,
+``concept_morphism_of``, ``ConceptMorphism.check``,
+``lattice_roundtrip_iso`` and ``conceptua verify --suite clg`` must not run
+it.
 
 The code these paths replace, which read ``FormalConcept`` values, is
 copied in as the oracle: ``_concepts_lectic``, ``lattice_to_json``,
@@ -26,13 +29,17 @@ import pytest
 from conceptua import clg
 from conceptua.cli import main
 from conceptua.clg import (
+    ConceptLattice,
+    ConceptMorphism,
     FormalConcept,
     _REVERSED_BYTES,
     _too_many_concepts,
     concept_lattice,
+    concept_morphism_of,
     concept_square_failures,
     concept_transport,
     concepts_of,
+    lattice_roundtrip_iso,
     lattice_to_dot,
     lattice_to_json,
 )
@@ -40,9 +47,10 @@ from conceptua.clsn import Classification, Infomorphism, enumerate_infomorphisms
 from conceptua.errors import CarrierMismatchError
 from conceptua.finrel import FinFunction, FinSet, Relation, Subset, _bits, image_bits, \
     preimage_rows
+from conceptua.galois import Adjunction
 from conceptua.institution import Signature, classification_of_signature
 from conceptua.io import _json_list, _json_string, read_context
-from conceptua.order import carrier_bound, hasse_edges
+from conceptua.order import _monotone, carrier_bound, hasse_edges
 
 
 # ------------------------------------------------------------------ oracles
@@ -230,11 +238,13 @@ def cxt_text(a):
 
 @pytest.fixture
 def builds(monkeypatch):
-    """The classifications whose public concept tuple is built, in order."""
-    descriptor = vars(Classification)["concepts"]
-    func = descriptor.func
+    """The classifications and lattices whose public concept tuple is built,
+    in order."""
     calls = []
-    monkeypatch.setattr(descriptor, "func", lambda a: calls.append(a) or func(a))
+    for cls in (Classification, ConceptLattice):
+        descriptor = vars(cls)["concepts"]
+        monkeypatch.setattr(descriptor, "func",
+                            lambda x, func=descriptor.func: calls.append(x) or func(x))
     return calls
 
 
@@ -267,13 +277,46 @@ def test_institution_style_check_builds_no_formal_concept(builds, capsys):
     assert builds == [a], "the seam counts a build"
 
 
+def test_concept_morphisms_and_the_roundtrip_build_no_formal_concept(builds):
+    """On valid infomorphisms between fresh contexts, and on each morphism with
+    its right table shifted, so that ``check`` fails."""
+    rng = random.Random(3904)
+    failing = morphisms = 0
+    for _ in range(40):
+        n_a, m_a = rng.randint(1, 4), rng.randint(1, 4)
+        rows_a = random_rows(rng, n_a, m_a, 0.5)
+        infos = enumerate_infomorphisms(context(rows_a, m_a), context(rows_a, m_a, "h", "n"))
+        for f in infos[:3]:
+            h = concept_morphism_of(f)
+            assert h.check() == []
+            right = [(k + 1) % h.target.size for k in h.connection.right.func.table]
+            src, tgt = h.target.lattice, h.source.lattice
+            conn = Adjunction(src, tgt, h.connection.left, _monotone(tgt, src, right))
+            failing += bool(ConceptMorphism(h.source, h.target, conn, h.inst_map,
+                                            h.typ_map).check())
+            lattice_roundtrip_iso(h.source)
+            lattice_roundtrip_iso(h.target)
+            morphisms += 1
+    assert morphisms > 40 and failing > 20
+    assert builds == []
+    h.source.concepts
+    assert builds == [h.source], "the seam counts a build"
+
+
+def test_verify_clg_suite_builds_no_formal_concept(builds, capsys):
+    assert main(["verify", "--suite", "clg", "--seed", "0", "--cases", "100"]) == 0
+    assert "clg" in capsys.readouterr().out
+    assert builds == []
+
+
 # ------------------------------------------------------- against the oracles
 
 
 def test_enumeration_matches_the_earlier_concepts():
     for a in seeded_contexts():
         expected = oracle_concepts_lectic(a)
-        assert clg._concepts_lectic(a) == clg._bits_of(expected)
+        assert clg._concepts_lectic(a) == (tuple(c.extent.bits for c in expected),
+                                           tuple(c.intent.bits for c in expected))
         assert "concepts" not in vars(a)
         got = concepts_of(a)
         assert got == expected
@@ -312,9 +355,9 @@ def random_map_pairs(rng, count):
                            FinFunction(a.types, b.types, typ_map))
 
 
-def outcome(transport, f, source, target):
+def outcome(transport, *args):
     try:
-        return "return", transport(f, source, target)
+        return "return", transport(*args)
     except CarrierMismatchError as exc:
         return "raise", str(exc)
 
@@ -328,13 +371,13 @@ def test_transport_matches_the_earlier_transport_on_seeded_map_pairs():
     for f in pairs:
         ca, cb = concepts_of(f.source), concepts_of(f.target)
         expected = outcome(oracle_concept_transport, f, ca, cb)
-        assert outcome(concept_transport, f, ca, cb) == expected
-        assert outcome(clg._transport, f, f.source._concept_bits, f.target._concept_bits) == expected
+        assert outcome(concept_transport, f) == expected
         counts[expected[0]] += 1
         if expected[0] == "return":
+            la, lb = concept_lattice(f.source), concept_lattice(f.target)
             left, right = expected[1]
             shifted = [(k + 1) % len(ca) for k in left], [(k + 1) % len(cb) for k in right]
             for tables in (expected[1], shifted):
-                assert concept_square_failures(f.inst_map, f.typ_map, ca, cb, *tables) == \
+                assert concept_square_failures(f.inst_map, f.typ_map, la, lb, *tables) == \
                     oracle_square_failures(f.inst_map, f.typ_map, ca, cb, *tables)
     assert counts["return"] > 100 and counts["raise"] > 200

@@ -37,8 +37,9 @@ def test_one_enumeration_serves_every_later_call(enumerations, first):
     concepts = concepts_of(a)
     poset, poset_concepts = concept_poset(a)
     lattice = concept_lattice(a)
+    assert concepts is poset_concepts
+    assert lattice.concepts == concepts
     assert len(enumerations) == 1
-    assert concepts is poset_concepts is lattice.concepts
     assert poset.size == len(concepts) == 16
 
 

@@ -159,7 +159,7 @@ def assert_same_concepts(a):
     """New and old enumerations agree on ``a`` and on its transpose, with the
     same carriers, and the concept order rows agree with the old rows."""
     for c in (a, involution_classification(a)):
-        found = clg._formal_concepts(c)
+        found = clg._formal_concepts(c.instances, c.types, *c._concept_bits)
         assert found == fcbo_concepts(c) == cbo_concepts(c)
         assert all(k.extent.carrier is c.instances and k.intent.carrier is c.types
                    for k in found)

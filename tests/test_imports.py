@@ -14,7 +14,9 @@ package, or kept on ``TEST_REACHED`` with its reason.  Likewise every field of
 a value class, a name in a ``_Record`` subclass's ``__match_args__``, must be
 read as an attribute by the package or by ``bench/``, or be kept on
 ``FIELDS_UNREAD`` with its reason; an attribute of a name bound by an import,
-such as ``os.open``, is not a field read.
+such as ``os.open``, is not a field read.  A concept is held as its extent
+and intent ints, so no module but ``clg``, which builds the ``FormalConcept``
+view, reads ``.extent`` or ``.intent``.
 """
 
 import ast
@@ -214,3 +216,22 @@ def test_the_check_sees_past_a_module_attribute_of_the_same_name():
     other = ast.parse("def g(os):\n    return os.y\n")
     assert _unread_fields({"A": ("open", "x", "y")}, [tree]) == {"A.open", "A.y"}
     assert _unread_fields({"A": ("open", "x", "y")}, [tree, other]) == {"A.open"}
+
+
+def _subset_reads(tree: ast.Module) -> list[int]:
+    """Lines that read ``.extent`` or ``.intent`` off anything."""
+    return sorted(n.lineno for n in ast.walk(tree)
+                  if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)
+                  and n.attr in ("extent", "intent"))
+
+
+def test_only_clg_reads_a_concept_as_subsets():
+    found = [f"{p.name}:{line}" for p in sorted(SRC.glob("*.py")) if p.name != "clg.py"
+             for line in _subset_reads(ast.parse(p.read_text(), filename=str(p)))]
+    assert not found, "concepts read as FormalConcept outside clg: " + ", ".join(found)
+
+
+def test_the_check_sees_a_concept_read_as_subsets():
+    tree = ast.parse("def f(c, lat):\n    b = c.extent.bits\n    c.intent = lat.extents\n"
+                     "    return lat.extent_reflection, c.intent\n")
+    assert _subset_reads(tree) == [2, 4]

@@ -17,7 +17,9 @@ morphisms must be identical.
 The style report runs beside the earlier ``style_interconvert``, which
 re-checked adjointness and the concept squares after the transport
 returned, on the honest and three corrupted institutions; every pair of
-tables the transport returns passes the pairwise adjointness check.
+tables the transport returns passes the pairwise adjointness check.  The
+earlier ``concept_square_failures``, on the concepts' subsets, is the
+oracle of the one on the lattices' ints (``test_concept_bits``).
 """
 
 import itertools
@@ -27,7 +29,7 @@ import pytest
 
 import conceptua.clg as clg
 import conceptua.institution as institution
-from conceptua.clg import concept_square_failures, concepts_of
+from conceptua.clg import concept_lattice, concept_square_failures, concepts_of
 from conceptua.clsn import Infomorphism, check_infomorphism
 from conceptua.errors import CarrierMismatchError, SizeLimitError
 from conceptua.finrel import FinFunction, FinSet, Subset, image_bits, image_tables, preimage_bits, \
@@ -56,6 +58,7 @@ from conceptua.institution import (
     translate_sentence,
     truth_table,
 )
+from test_concept_bits import oracle_square_failures
 
 SIGNATURES = [Signature.of(*"pqr"[:n]) for n in range(4)]
 
@@ -456,8 +459,8 @@ def oracle_style_interconvert(sigma, depth, inst):
         else:
             failures = oracle_row_adjointness_failures(
                 a, b, la_concepts, lb_concepts, left_table, right_table
-            ) or concept_square_failures(info.inst_map, info.typ_map, la_concepts,
-                                         lb_concepts, left_table, right_table)
+            ) or oracle_square_failures(info.inst_map, info.typ_map, la_concepts,
+                                        lb_concepts, left_table, right_table)
             conc_adj = not failures
             if failures:
                 witnesses["conc_adj"] = failures[0]
@@ -505,20 +508,16 @@ def test_style_oracle_reports_differ_between_institutions():
 
 def test_returned_transports_pass_pairwise_adjointness_oracle(monkeypatch):
     """Every pair of tables the transport returns in a style check is adjoint,
-    pair by pair and row by row, and preserves extents and intents.  The
-    check hands the transport kernel the ints of ``concepts_of`` output."""
+    pair by pair and row by row, and preserves extents and intents."""
     recorded = []
-    real = clg._transport
+    real = clg.concept_transport
 
-    def recording(f, source_bits, target_bits):
-        tables = real(f, source_bits, target_bits)
-        source_concepts, target_concepts = concepts_of(f.source), concepts_of(f.target)
-        assert (source_bits, target_bits) == \
-            (clg._bits_of(source_concepts), clg._bits_of(target_concepts))
-        recorded.append((f, source_concepts, target_concepts, *tables))
+    def recording(f):
+        tables = real(f)
+        recorded.append((f, concepts_of(f.source), concepts_of(f.target), *tables))
         return tables
 
-    monkeypatch.setattr(clg, "_transport", recording)
+    monkeypatch.setattr(clg, "concept_transport", recording)
     for inst in INSTITUTIONS:
         for sigma, depth in style_cases():
             style_interconvert(sigma, depth, inst)
@@ -527,5 +526,7 @@ def test_returned_transports_pass_pairwise_adjointness_oracle(monkeypatch):
         args = (f.source, f.target, source_concepts, target_concepts, left, right)
         assert oracle_adjointness_failures(*args) == []
         assert oracle_row_adjointness_failures(*args) == []
-        assert concept_square_failures(f.inst_map, f.typ_map, *args[2:]) == []
+        assert concept_square_failures(f.inst_map, f.typ_map, concept_lattice(f.source),
+                                       concept_lattice(f.target), left, right) == []
+        assert oracle_square_failures(f.inst_map, f.typ_map, *args[2:]) == []
         assert (left, right) == oracle_concept_transport(f, source_concepts, target_concepts)

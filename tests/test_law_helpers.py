@@ -192,14 +192,14 @@ def test_a_shifted_embedding_fails_the_bimodule_law():
         shift = rng.randrange(1, lat.size)
         moved = FinFunction(lat.instances, lat.lattice.carrier,
                             tuple((k + shift) % lat.size for k in lat.iota_embed.table))
-        bad = ConceptLattice(lat.instances, lat.types, lat.lattice, lat.concepts, moved,
+        bad = ConceptLattice(lat.instances, lat.types, lat.lattice, lat.extents, lat.intents, moved,
                              lat.tau_embed)
         assert _embedding_failures(bad) == [
             f"iota_embed {moved.table} is not the row-meet embedding "
             f"{lat.iota_embed.table} of the instance-of bimodule"]
         moved = FinFunction(lat.types, lat.lattice.carrier,
                             tuple((k + shift) % lat.size for k in lat.tau_embed.table))
-        bad = ConceptLattice(lat.instances, lat.types, lat.lattice, lat.concepts,
+        bad = ConceptLattice(lat.instances, lat.types, lat.lattice, lat.extents, lat.intents,
                              lat.iota_embed, moved)
         assert _embedding_failures(bad) == [
             f"tau_embed {moved.table} is not the column-join embedding "

@@ -14,7 +14,6 @@ import conceptua.clsn as clsn
 from conceptua.cli import main
 from conceptua.clg import (
     ConceptLattice,
-    FormalConcept,
     concept_lattice,
     concept_lattice_from_parts,
     lattice_roundtrip_iso,
@@ -24,7 +23,7 @@ from conceptua.clg import (
 )
 from conceptua.clsn import Classification
 from conceptua.errors import NotAConceptLatticeError
-from conceptua.finrel import FinFunction, FinSet, Relation, Subset
+from conceptua.finrel import FinFunction, FinSet, Relation
 from conceptua.order import Poset
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -209,9 +208,8 @@ def nominal_2_parts():
     inst, typ = carrier("i", 2), carrier("t", 2)
     labels = carrier("c", 4)
     lattice = Poset(labels, Relation(labels, labels, (0b1111, 0b1010, 0b1100, 0b1000)))
-    concepts = tuple(FormalConcept(Subset(inst, e), Subset(typ, t))
-                     for e, t in ((0b00, 0b11), (0b01, 0b01), (0b10, 0b10), (0b11, 0b00)))
-    return dict(instances=inst, types=typ, lattice=lattice, concepts=concepts,
+    return dict(instances=inst, types=typ, lattice=lattice, extents=(0b00, 0b01, 0b10, 0b11),
+                intents=(0b11, 0b01, 0b10, 0b00),
                 iota_embed=FinFunction(inst, labels, (1, 2)),
                 tau_embed=FinFunction(typ, labels, (1, 2)))
 
@@ -261,7 +259,8 @@ def test_missing_closed_extent_is_reported():
     parts = nominal_2_parts()
     labels = carrier("c", 3)
     parts["lattice"] = Poset(labels, Relation(labels, labels, (0b101, 0b110, 0b100)))
-    parts["concepts"] = parts["concepts"][1:]
+    parts["extents"] = parts["extents"][1:]
+    parts["intents"] = parts["intents"][1:]
     parts["iota_embed"] = FinFunction(parts["instances"], labels, (0, 1))
     parts["tau_embed"] = FinFunction(parts["types"], labels, (0, 1))
     raw = ConceptLattice(**parts)
@@ -274,9 +273,8 @@ def test_wrong_listed_intent_fails_only_the_bipole_condition():
     """Both types hold only g0: {m0} has the extent {g0} but is not its intent, and only
     the bipole check reads listed intents."""
     lat = concept_lattice(context([0b11, 0b00], 2, 2))
-    concepts = [c if c.extent.bits != 0b01 else FormalConcept(c.extent, Subset(lat.types, 0b01))
-                for c in lat.concepts]
-    raw = replaced(lat, concepts=tuple(concepts))
+    intents = tuple(t if e != 0b01 else 0b01 for e, t in zip(lat.extents, lat.intents))
+    raw = replaced(lat, intents=intents)
     assert validate_concept_lattice(raw) == ["bipole condition fails for {g0}|{m0}"]
 
 
@@ -286,8 +284,7 @@ def test_listed_extent_that_is_not_closed_fails_the_bipole_condition():
     labels = carrier("c", 2)
     raw = ConceptLattice(
         inst, typ, Poset(labels, Relation(labels, labels, (0b11, 0b10))),
-        (FormalConcept(Subset(inst, 0b01), Subset(typ, 0b1)),
-         FormalConcept(Subset(inst, 0b11), Subset(typ, 0b1))),
+        (0b01, 0b11), (0b1, 0b1),
         FinFunction(inst, labels, (0, 1)), FinFunction(typ, labels, (1,)))
     failures = validate_concept_lattice(raw)
     assert "extent adjunction is not a reflection" in failures

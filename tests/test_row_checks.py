@@ -358,7 +358,7 @@ def test_classification_of_matches_pairwise_on_arbitrary_embeddings():
             == a.incidence.rows
         labels = lat.lattice.carrier
         scrambled = ConceptLattice(
-            lat.instances, lat.types, lat.lattice, lat.concepts,
+            lat.instances, lat.types, lat.lattice, lat.extents, lat.intents,
             FinFunction(a.instances, labels, random_table(rng, a.instances, labels)),
             FinFunction(a.types, labels, random_table(rng, a.types, labels)))
         assert classification_of(scrambled).incidence.rows == \

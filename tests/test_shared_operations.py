@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from conceptua.clg import concept_square_failures, concept_transport, concepts_of
+from conceptua.clg import concept_lattice, concept_square_failures, concept_transport, concepts_of
 from conceptua.clsn import Classification, Infomorphism, check_infomorphism, enumerate_infomorphisms
 from conceptua.errors import CarrierMismatchError
 from conceptua.finrel import FinFunction, FinSet, Relation, Subset, image_bits, images, preimage_bits
@@ -153,14 +153,15 @@ def test_concept_transport_matches_closure_and_preimage():
         ]
         if any(p != q for p, q in left_recipes + right_recipes):
             with pytest.raises(CarrierMismatchError):
-                concept_transport(f, ca, cb)
+                concept_transport(f)
             raised += 1
             continue
-        left, right = concept_transport(f, ca, cb)
+        left, right = concept_transport(f)
         assert left == tuple(exts_a.index(p) for p, _ in left_recipes)
         assert right == tuple(exts_b.index(p) for p, _ in right_recipes)
         if f.is_valid():
-            assert concept_square_failures(f.inst_map, f.typ_map, ca, cb, left, right) == []
+            assert concept_square_failures(f.inst_map, f.typ_map, concept_lattice(a),
+                                           concept_lattice(b), left, right) == []
         tabled += 1
     assert raised and tabled
 
@@ -168,9 +169,9 @@ def test_concept_transport_matches_closure_and_preimage():
 def test_concept_square_failures_names_each_broken_square():
     a = Classification.of(["1", "2"], ["a", "b"], [("1", "a"), ("1", "b"), ("2", "b")])
     f = Infomorphism(a, a, FinFunction.identity(a.instances), FinFunction.identity(a.types))
-    concepts = concepts_of(a)
-    ident = tuple(range(len(concepts)))
-    assert concept_square_failures(f.inst_map, f.typ_map, concepts, concepts, ident, ident) == []
+    lat = concept_lattice(a)
+    ident = tuple(range(lat.size))
+    assert concept_square_failures(f.inst_map, f.typ_map, lat, lat, ident, ident) == []
     shifted = ident[1:] + ident[:1]
-    assert concept_square_failures(f.inst_map, f.typ_map, concepts, concepts, shifted, shifted) == [
+    assert concept_square_failures(f.inst_map, f.typ_map, lat, lat, shifted, shifted) == [
         "extent preservation fails at concept c0", "intent preservation fails at concept c0"]

@@ -113,8 +113,8 @@ def test_concept_lattice_is_assembled_unchecked_and_equals_its_rebuild(monkeypat
         iota, tau = lat.iota_embed, lat.tau_embed
         assert FinFunction(iota.source, iota.target, iota.table) == iota
         assert FinFunction(tau.source, tau.target, tau.table) == tau
-        assert clg.ConceptLattice(lat.instances, lat.types, lat.lattice, lat.concepts,
-                                  iota, tau) == lat
+        assert clg.ConceptLattice(lat.instances, lat.types, lat.lattice, lat.extents,
+                                  lat.intents, iota, tau) == lat
 
 
 def test_trusted_concept_lattice_builds_its_adjunctions_once(monkeypatch):

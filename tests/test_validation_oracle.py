@@ -21,7 +21,6 @@ import pytest
 import conceptua.clg as clg
 from conceptua.clg import (
     ConceptLattice,
-    FormalConcept,
     _inclusion_rows,
     classification_of,
     concept_lattice,
@@ -169,10 +168,8 @@ def by_inclusion(lat, extents, intents, iota, tau):
     """A raw lattice on distinct extents, ordered by inclusion, with the given embeddings."""
     labels = carrier("c", len(extents))
     rows = _inclusion_rows(extents, lat.instances.size)
-    concepts = tuple(FormalConcept(Subset(lat.instances, e), Subset(lat.types, b))
-                     for e, b in zip(extents, intents))
     return ConceptLattice(lat.instances, lat.types, Poset(labels, Relation(labels, labels, rows)),
-                          concepts, FinFunction(lat.instances, labels, tuple(iota)),
+                          tuple(extents), tuple(intents), FinFunction(lat.instances, labels, tuple(iota)),
                           FinFunction(lat.types, labels, tuple(tau)))
 
 
@@ -281,21 +278,20 @@ def raw_lattices_of_other_tests():
     labels = carrier("c", 3)
     raws.append(ConceptLattice(  # the bottom {} dropped
         parts["instances"], parts["types"],
-        Poset(labels, Relation(labels, labels, (0b101, 0b110, 0b100))), parts["concepts"][1:],
+        Poset(labels, Relation(labels, labels, (0b101, 0b110, 0b100))), parts["extents"][1:],
+        parts["intents"][1:],
         FinFunction(parts["instances"], labels, (0, 1)),
         FinFunction(parts["types"], labels, (0, 1))))
     inst, typ = carrier("i", 2), carrier("t", 1)
     labels = carrier("c", 2)
     raws.append(ConceptLattice(  # {i0} listed but not closed
         inst, typ, Poset(labels, Relation(labels, labels, (0b11, 0b10))),
-        (FormalConcept(Subset(inst, 0b01), Subset(typ, 0b1)),
-         FormalConcept(Subset(inst, 0b11), Subset(typ, 0b1))),
+        (0b01, 0b11), (0b1, 0b1),
         FinFunction(inst, labels, (0, 1)), FinFunction(typ, labels, (1,))))
     both = carrier("g", 2)
     lat = concept_lattice(Classification(both, both, Relation(both, both, (0b11, 0b00))))
-    raws.append(replaced(lat, concepts=tuple(  # a wrong listed intent
-        c if c.extent.bits != 0b01 else FormalConcept(c.extent, Subset(lat.types, 0b01))
-        for c in lat.concepts)))
+    raws.append(replaced(lat, intents=tuple(  # a wrong listed intent
+        t if e != 0b01 else 0b01 for e, t in zip(lat.extents, lat.intents))))
     lat = concept_lattice(lazy_context(random_rows(8, 0.4, 5), 8, 8))
     raws.append(replaced(lat, lattice=Poset.discrete(lat.lattice.carrier)))
     raws.append(ConceptLattice(**diamond_lattice_parts(["top", "x", "y", "bot"])))

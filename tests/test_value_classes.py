@@ -12,9 +12,8 @@ attribute.  The connectives take ``==``, ``hash`` and ``repr`` from
 them is compared.
 
 Values are stored one way: every field, and every attribute derived from
-the fields, in a slot (``ConceptLattice.concepts`` in a slot of another name,
-read through a property).  Only a class with a ``cached_property`` also has an
-instance dict, to hold the cached value.  Fields are written one way: by the
+the fields, in a slot of its name.  Only a class with a ``cached_property``
+also has an instance dict, to hold the cached value.  Fields are written one way: by the
 class's filler ``_fill``, behind both ``__init__`` and ``finrel._trusted``.
 A sample rebuilt from its fields by ``finrel._trusted`` or by keyword
 through its constructor, each concept that ``clg._formal_concepts`` builds
@@ -185,7 +184,8 @@ class ConceptLattice:
     instances: FinSet
     types: FinSet
     lattice: Poset
-    concepts: tuple[FormalConcept, ...]
+    extents: tuple[int, ...]
+    intents: tuple[int, ...]
     iota_embed: FinFunction
     tau_embed: FinFunction
 
@@ -556,15 +556,11 @@ def test_trusted_rebuild_is_the_sample(samples, name):
 LAYERS = (cli, io, finrel, order, galois, clsn, clg, institution, verify)
 # Attributes set from the fields, kept in a slot beside them.
 DERIVED = {"FinSet": {"size", "full_mask"}}
-# Fields kept in a slot of another name, read and filled through a property.
-STORED_AS = {"ConceptLattice": {"concepts": "_concepts"}}
 
 
 def _field_slots(cls) -> set[str]:
     """The slots that hold the fields of ``cls``."""
-    renamed = STORED_AS.get(cls.__name__, {})
-    assert all(isinstance(vars(cls)[field], property) for field in renamed), cls
-    return {renamed.get(field, field) for field in cls.__match_args__}
+    return set(cls.__match_args__)
 
 
 def _slots(cls) -> list[str]:
@@ -754,10 +750,11 @@ def test_samples_have_no_instance_dict_but_for_a_cache(samples, name):
 
 
 CACHED = [(finrel.Relation, "columns"), (clsn.Classification, "_concept_bits"),
-          (clsn.Classification, "concepts"), (clg.ConceptLattice, "_adjunctions")]
+          (clsn.Classification, "concepts"), (clg.ConceptLattice, "concepts"),
+          (clg.ConceptLattice, "_adjunctions")]
 # Cached attributes that reading another one fills first: a classification's
 # concept tuple is built from its ints.
-FILLED_FIRST = {"concepts": {"_concept_bits"}}
+FILLED_FIRST = {(clsn.Classification, "concepts"): {"_concept_bits"}}
 
 
 @pytest.mark.parametrize("cls, attr", CACHED, ids=[f"{c.__name__}.{a}" for c, a in CACHED])
@@ -777,7 +774,7 @@ def test_cached_attribute_runs_once_per_instance(samples, monkeypatch, cls, attr
     for x in fresh:
         value = getattr(x, attr)
         assert getattr(x, attr) is value and getattr(x, attr) is value
-        assert set(vars(x)) == {attr} | FILLED_FIRST.get(attr, set())
+        assert set(vars(x)) == {attr} | FILLED_FIRST.get((cls, attr), set())
         assert vars(x)[attr] is value
         assert attr not in x.__getstate__()
         bare = copy.copy(x)
@@ -840,7 +837,7 @@ def test_inline_concepts_are_the_public_ones(a):
     """Each concept built inline by ``_formal_concepts``, the builder of the
     public tuple, equals, reads, prints and hashes as the one the validating
     constructors build from its bits."""
-    concepts = clg._formal_concepts(a)
+    concepts = clg._formal_concepts(a.instances, a.types, *a._concept_bits)
     assert concepts and len({c.extent.bits for c in concepts}) == len(concepts)
     for c in concepts:
         public = clg.FormalConcept(finrel.Subset(a.instances, c.extent.bits),
